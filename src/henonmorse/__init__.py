@@ -2,7 +2,6 @@
 associated singular weighted Sturm-Liouville spectra, and Morse-index
 reports built from them."""
 
-from ._kernels import NUMBA_ENABLED
 from .dimension import (DimensionMap, angular_threshold, degeneracy_targets,
                         eigenvalue_pullback, generalized_dimension,
                         map_radius)
@@ -28,7 +27,7 @@ from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED", "BETA_PLANAR", "__version__",
+    "BETA_PLANAR", "__version__",
     "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
     "angular_threshold", "degeneracy_targets", "map_radius",
     "Nonlinearity", "RadialProfile", "EmdenTrajectory", "QualitativeReport",

@@ -1,39 +1,17 @@
-"""Numerical hot loops: adaptive Runge-Kutta integration and symmetric
-tridiagonal eigenvalue machinery.
+"""Numerical hot loops: adaptive Runge-Kutta integration of the radial
+initial value problem, and the symmetric tridiagonal eigen-kernels.
 
-Kernels are compiled with numba when available.  Setting the environment
-variable ``HENONMORSE_NO_NUMBA=1`` (or running without numba installed)
-selects the pure NumPy/Python fallback; results are identical either way,
-only speed differs.  ``benchmarks/bench_kernels.py`` compares the two paths.
+Eigenvalues and eigenvectors come from LAPACK bisection and inverse
+iteration (``dstebz``/``dstein``); Sturm counts run the pivot recurrence
+directly.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
-
-NUMBA_ENABLED = False
-if os.environ.get("HENONMORSE_NO_NUMBA", "0") != "1":
-    try:
-        from numba import njit as _numba_njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-
-def njit(*args, **kwargs):
-    """numba.njit, or a no-op decorator on the fallback path."""
-    if NUMBA_ENABLED:
-        return _numba_njit(*args, **kwargs)
-    if args and callable(args[0]):
-        return args[0]
-
-    def wrap(fn):
-        return fn
-
-    return wrap
+from scipy.linalg.lapack import dstebz, dstein
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +45,11 @@ def emden_rhs_power(t, v, dv, m_dim, c, p):
     return -(m_dim - 1.0) / t * dv - c * f
 
 
-def make_integrator(rhs, compiled):
+def make_integrator(rhs):
     """Build an adaptive integrator around a right-hand side v''=rhs(...).
 
-    `rhs(t, v, dv, m_dim, c, p)` must be a jitted function when `compiled`,
-    any callable otherwise.  The returned driver has signature
+    `rhs(t, v, dv, m_dim, c, p)` is any callable.  The returned driver has
+    signature
 
         integrate(m_dim, c, p, v0, t_max, rtol, atol, max_zeros,
                   max_steps, zero_tol)
@@ -83,9 +61,6 @@ def make_integrator(rhs, compiled):
     from the left node with a bisection-safeguarded Newton update, so event
     locations carry the integrator's accuracy, not interpolation accuracy.
     """
-    dec = njit(cache=False) if compiled else (lambda f: f)
-
-    @dec
     def rk_step(t, v, dv, h, m_dim, c, p, k1a):
         k1v = dv
         k2v = dv + h * _A21 * k1a
@@ -114,7 +89,6 @@ def make_integrator(rhs, compiled):
                     + _E7 * k7a)
         return vn, dvn, k7a, errv, erra
 
-    @dec
     def refine_event(t, v, dv, k1a, h, m_dim, c, p, on_derivative, ref_scale,
                      tol):
         g0 = dv if on_derivative else v
@@ -143,7 +117,6 @@ def make_integrator(rhs, compiled):
             hh = step
         return t + hh, vz, dvz
 
-    @dec
     def integrate(m_dim, c, p, v0, t_max, rtol, atol, max_zeros, max_steps,
                   zero_tol):
         ts = np.empty(max_steps)
@@ -236,130 +209,96 @@ def make_integrator(rhs, compiled):
     return integrate
 
 
-if NUMBA_ENABLED:
-    emden_rhs_power_c = njit(cache=True)(emden_rhs_power)
-    integrate_radial_power = make_integrator(emden_rhs_power_c, True)
-else:
-    emden_rhs_power_c = emden_rhs_power
-    integrate_radial_power = make_integrator(emden_rhs_power, False)
+integrate_radial_power = make_integrator(emden_rhs_power)
 
 
 def integrate_radial_generic(rhs, *args):
-    """Integrate with an arbitrary Python right-hand side (never compiled)."""
-    return make_integrator(rhs, False)(*args)
+    """Integrate with an arbitrary Python right-hand side."""
+    return make_integrator(rhs)(*args)
 
 
 # ---------------------------------------------------------------------------
 # Symmetric tridiagonal eigenvalues: Sturm counts, bisection, eigenvectors
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
+class SpectralError(RuntimeError):
+    """A spectral solve could not deliver or certify its result."""
+
+
+# Absolute width at which dstebz stops bisecting.  Its default, eps * ||T||,
+# is far wider than the small eigenvalues of a fine grid; a tiny explicit
+# tolerance leaves only the relative stop (2 ulp of the eigenvalue).
+ABSTOL = 1e-300
+
+# rows per .tolist() batch of sturm_count: Python floats are much faster to
+# iterate than NumPy scalars, and a bounded batch keeps the copies small
+STURM_CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class Eigenvalues:
+    """Eigenvalues from bisection, ascending, with dstebz's block data.
+
+    `iblock[j]` is the split-off block of `values[j]` and `isplit` the last
+    row of each block; inverse_iteration needs both.
+    """
+
+    values: np.ndarray
+    iblock: np.ndarray
+    isplit: np.ndarray
+
+    def __len__(self):
+        return len(self.values)
+
+
+def _check_info(routine, info):
+    if info != 0:
+        raise SpectralError(f"LAPACK {routine} failed with info={info}")
+
+
 def sturm_count(diag, off, sigma):
-    """Number of eigenvalues of tridiag(diag, off) strictly below sigma."""
-    n = diag.shape[0]
-    count = 0
+    """Number of eigenvalues of tridiag(diag, off) strictly below sigma.
+
+    A pivot that is exactly zero is taken as +1e-300, its value just below
+    sigma, so the next pivot is counted in its place.
+    """
     q = diag[0] - sigma
-    if q < 0.0:
-        count += 1
-    for i in range(1, n):
-        if q == 0.0:
-            q = -1e-300
-        q = (diag[i] - sigma) - off[i - 1] * off[i - 1] / q
-        if q < 0.0:
-            count += 1
+    count = int(q < 0.0)
+    for lo in range(1, len(diag), STURM_CHUNK):
+        hi = lo + STURM_CHUNK
+        e = off[lo - 1:hi - 1]
+        for d_i, e2_i in zip((diag[lo:hi] - sigma).tolist(),
+                             (e * e).tolist()):
+            if q == 0.0:
+                q = 1e-300
+            q = d_i - e2_i / q
+            if q < 0.0:
+                count += 1
     return count
 
 
-@njit(cache=True)
-def bisect_eigenvalues(diag, off, lo0, hi0, k_first, k_last, tol_rel,
-                       tol_abs):
-    """Eigenvalues k_first..k_last (1-based, ascending) via Sturm bisection.
-
-    Every requested eigenvalue must lie in (lo0, hi0].
-    """
-    nk = k_last - k_first + 1
-    out = np.empty(nk)
-    for j in range(nk):
-        k = k_first + j
-        lo = lo0
-        hi = hi0
-        for _ in range(210):
-            mid = 0.5 * (lo + hi)
-            if sturm_count(diag, off, mid) >= k:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= tol_abs + tol_rel * abs(mid):
-                break
-        out[j] = 0.5 * (lo + hi)
-    return out
+def bisect_eigenvalues(diag, off, k_first, k_last):
+    """Eigenvalues k_first..k_last (1-based, ascending) of tridiag(diag, off)
+    by LAPACK bisection (dstebz)."""
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, k_first,
+                                        k_last, ABSTOL, b"B")
+    _check_info("dstebz", info)
+    # block order equals ascending order unless the matrix splits
+    order = np.argsort(w[:m], kind="stable")
+    return Eigenvalues(w[order], iblock[order], isplit)
 
 
-@njit(cache=True)
-def inverse_iteration(diag, off, lam, n_iter):
-    """Eigenvector of tridiag(diag, off) for the isolated eigenvalue lam.
-
-    Factors (T - lam I) once by banded LU with partial pivoting, then runs a
-    few inverse-iteration solves from a deterministic start.  Returns the
-    unit 2-norm vector.
-    """
-    n = diag.shape[0]
-    d0 = np.empty(n)      # U main diagonal
-    d1 = np.zeros(n)      # U first superdiagonal
-    d2 = np.zeros(n)      # U second superdiagonal (fill-in from swaps)
-    ml = np.zeros(n)      # multipliers
-    sw = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        d0[i] = diag[i] - lam
-    for i in range(n - 1):
-        d1[i] = off[i]
-    for i in range(n - 1):
-        a21 = off[i]
-        if abs(d0[i]) >= abs(a21):
-            piv = d0[i] if d0[i] != 0.0 else 1e-300
-            d0[i] = piv
-            m = a21 / piv
-            ml[i] = m
-            d0[i + 1] = d0[i + 1] - m * d1[i]
-        else:
-            sw[i] = True
-            m = d0[i] / a21
-            ml[i] = m
-            u01 = d0[i + 1]
-            u02 = d1[i + 1] if i + 1 < n - 1 else 0.0
-            nd0 = d1[i] - m * u01
-            d0[i] = a21
-            d1[i] = u01
-            d2[i] = u02
-            d0[i + 1] = nd0
-            if i + 1 < n - 1:
-                d1[i + 1] = -m * u02
-    if d0[n - 1] == 0.0:
-        d0[n - 1] = 1e-300
-
-    x = np.empty(n)
-    for i in range(n):
-        x[i] = 1.0 / (1.0 + 0.01 * (i % 7))
-    nrm = np.sqrt(np.sum(x * x))
-    for i in range(n):
-        x[i] /= nrm
-    for _ in range(n_iter):
-        for i in range(n - 1):
-            if sw[i]:
-                tmp = x[i]
-                x[i] = x[i + 1]
-                x[i + 1] = tmp
-            x[i + 1] = x[i + 1] - ml[i] * x[i]
-        x[n - 1] = x[n - 1] / d0[n - 1]
-        if n > 1:
-            x[n - 2] = (x[n - 2] - d1[n - 2] * x[n - 1]) / d0[n - 2]
-        for i in range(n - 3, -1, -1):
-            x[i] = (x[i] - d1[i] * x[i + 1] - d2[i] * x[i + 2]) / d0[i]
-        nrm = np.sqrt(np.sum(x * x))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            for i in range(n):
-                x[i] = 1.0 / (1.0 + 0.01 * ((i + 3) % 11))
-            nrm = np.sqrt(np.sum(x * x))
-        for i in range(n):
-            x[i] /= nrm
-    return x
+def inverse_iteration(diag, off, eig):
+    """Unit eigenvectors of tridiag(diag, off), one column per eigenvalue of
+    `eig` (a bisect_eigenvalues result), by LAPACK inverse iteration
+    (dstein)."""
+    m = len(eig)
+    # dstein takes the eigenvalues grouped by block, ascending within each
+    order = np.argsort(eig.iblock, kind="stable")
+    iblock = np.zeros(len(diag), dtype=eig.iblock.dtype)
+    iblock[:m] = eig.iblock[order]
+    z, info = dstein(diag, off, eig.values[order], iblock, eig.isplit)
+    _check_info("dstein", info)
+    vecs = np.empty_like(z)
+    vecs[:, order] = z
+    return vecs

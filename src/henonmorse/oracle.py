@@ -1,9 +1,11 @@
 """Independent dense eigensolver used only to cross-check the main solvers.
 
 Discretizes both problem kinds directly in the r variable on a power-graded
-grid truncated at [epsilon_cut, 1] and hands the full generalized symmetric
-tridiagonal problem to LAPACK (bisection/inverse iteration via scipy).  No
-code is shared with the Liouville-transform or finite-volume paths.
+grid truncated at [epsilon_cut, 1].  The full spectrum of the symmetric
+tridiagonal form comes from LAPACK's root-free QR iteration (dsterf), the
+eigenvectors from shifted solves with its pivoted tridiagonal LU (dgtsv).
+Neither code nor eigen-driver is shared with the Liouville-transform or
+finite-volume paths, which run bisection (dstebz) and dstein.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
-from .spectral import (EigenPair, Spectrum, WeightedSLProblem,
-                       count_interior_nodes_sampled)
+from .spectral import (EigenPair, SpectralError, Spectrum,
+                       WeightedSLProblem, count_interior_nodes_sampled)
 
 DENSE_N_GUARD = 4000
 
@@ -59,6 +62,21 @@ def _assemble(prob: WeightedSLProblem, n: int, eps: float, grading: float):
     return r, r_u, m_u, s, diag * s * s, off * s[:-1] * s[1:]
 
 
+def _eigenvectors(d, e, vals):
+    """Unit eigenvectors of tridiag(d, e), one column per value in `vals`:
+    three inverse-iteration solves each from a constant start."""
+    vecs = np.empty((len(d), len(vals)))
+    for j, lam in enumerate(vals):
+        x = np.ones(len(d))
+        for _ in range(3):
+            *_, x, info = dgtsv(e, d - lam, e, x)
+            if info != 0:
+                raise SpectralError(f"LAPACK dgtsv failed with info={info}")
+            x /= np.linalg.norm(x)
+        vecs[:, j] = x
+    return vecs
+
+
 def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = 2000,
                           epsilon_cut: float | None = None, *,
                           grading: float | None = None, k: int | None = None,
@@ -70,9 +88,10 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = 2000,
     solvers.  The n <= 4000 guard bounds the dense cost.  Grid defaults per
     kind: the singular problem gets a strongly graded grid reaching down to
     1e-10 (its eigenfunctions vanish at the origin like powers), the standard
-    problem a uniform grid from 1e-9 (grading beyond that inflates the matrix
-    scale past what dense bisection can resolve).  With `richardson` the
-    values are extrapolated from an (n/2, n) pair and each pair carries the
+    problem a uniform grid from 1e-9 (grading inflates the matrix scale
+    ||T||, and the absolute eigenvalue accuracy of about eps * ||T|| would
+    then swamp the low eigenvalues).  With `richardson` the values are
+    extrapolated from an (n/2, n) pair and each pair carries the
     extrapolation bar.
     """
     if n > DENSE_N_GUARD:
@@ -89,26 +108,15 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = 2000,
                                        zero_cut=zero_cut, richardson=False)
     r, r_u, m_u, s, d, e = _assemble(prob, n, epsilon_cut, grading)
 
+    spectrum = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    neg = int(np.count_nonzero(spectrum <= -zero_cut))
     if prob.kind == "singular":
-        hi = prob.threshold - margin
-        lo = float(np.min(d) - 2 * np.max(np.abs(e))) if len(e) else -1.0
-        vals, vecs = eigh_tridiagonal(d, e, select="v",
-                                      select_range=(lo, hi))
-        neg = int(np.count_nonzero(
-            eigvalsh_tridiagonal(d, e, select="v",
-                                 select_range=(lo, -zero_cut))))
-        if k is not None:
-            vals, vecs = vals[:k], vecs[:, :k]
-        exhausted = hi
+        exhausted = prob.threshold - margin
+        vals = spectrum[spectrum <= exhausted][:k]
     else:
-        kk = k if k is not None else 6
-        vals, vecs = eigh_tridiagonal(d, e, select="i",
-                                      select_range=(0, kk - 1))
-        lo = float(np.min(d) - 2 * np.max(np.abs(e))) if len(e) else -1.0
-        neg = int(np.count_nonzero(
-            eigvalsh_tridiagonal(d, e, select="v",
-                                 select_range=(lo, -zero_cut))))
+        vals = spectrum[:k if k is not None else 6]
         exhausted = float(vals[-1]) if len(vals) else -math.inf
+    vecs = _eigenvectors(d, e, vals)
 
     values = np.asarray(vals, dtype=float)
     bars = np.full(len(values), float("nan"))

@@ -10,9 +10,10 @@ Two problems share the operator -(r^(M-1) psi')' - r^(M-1) a(r) psi:
   into a half-line Schrodinger problem -u'' + V u = nu u with
   V(x) = ((M-2)/2)^2 - e^(-2x) a(e^(-x)).
 
-Both reduce to symmetric tridiagonal matrices handled by Sturm bisection
-(kernels module); eigenvalues carry Richardson error bars from a coarse/fine
-grid pair.
+Both reduce to symmetric tridiagonal matrices: Sturm counts give the
+negative counts and zero bands, LAPACK bisection and inverse iteration the
+eigenpairs (kernels module).  Eigenvalues carry Richardson error bars from a
+coarse/fine grid pair.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from ._kernels import bisect_eigenvalues, inverse_iteration, sturm_count
-
-
-class SpectralError(RuntimeError):
-    """Discretization could not certify the requested accuracy."""
+from ._kernels import (SpectralError, bisect_eigenvalues, inverse_iteration,
+                       sturm_count)
 
 
 @dataclass(frozen=True)
@@ -181,9 +179,8 @@ def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
     count = sturm_count(d, e, hi)
     if count == 0:
         return x0
-    lo = float(np.min(grid.V)) - 1.0
-    vals = bisect_eigenvalues(d, e, lo, hi, 1, count, 1e-8, 1e-10)
-    kappa_min = math.sqrt(max(prob.threshold - vals[-1], 1e-30))
+    top = bisect_eigenvalues(d, e, count, count).values[0]
+    kappa_min = math.sqrt(max(prob.threshold - top, 1e-30))
     return min(cap, max(x0, cfg.kappa_x_target / kappa_min))
 
 
@@ -198,14 +195,15 @@ def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float,
     return min(n, n_cap), n_req > n_cap
 
 
-def _eigenvector_pair(d, e, lam):
-    vec = inverse_iteration(d, e, lam, 3)
-    t = np.empty_like(vec)
-    t[:] = d * vec
-    t[:-1] += e * vec[1:]
-    t[1:] += e * vec[:-1]
-    res = float(np.linalg.norm(t - lam * vec))
-    return vec, res
+def _eigenvectors(d, e, eig):
+    """Unit eigenvectors of tridiag(d, e) for `eig`, one per column, and the
+    largest residual ||T v - lam v|| among them."""
+    vecs = inverse_iteration(d, e, eig)
+    t = d[:, None] * vecs
+    t[:-1] += e[:, None] * vecs[1:]
+    t[1:] += e[:, None] * vecs[:-1]
+    res = np.linalg.norm(t - eig.values * vecs, axis=0)
+    return vecs, float(np.max(res, initial=0.0))
 
 
 def count_interior_nodes_sampled(vals: np.ndarray, tol_frac: float) -> int:
@@ -236,7 +234,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
                             ) -> Spectrum:
     """Up to k eigenvalues below threshold - margin, with eigenfunctions.
 
-    Sturm bisection on the Liouville tridiagonal at two resolutions gives
+    Bisection on the Liouville tridiagonal at two resolutions gives
     Richardson-extrapolated values and error bars; disagreement beyond
     cfg.tol raises SpectralError.  Pairs whose decay rate cannot satisfy
     sqrt(threshold - nu) * X >= cfg.certify_kappa_x within the x_max cap are
@@ -257,14 +255,14 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
         g = liouville_transform(prob, x_max, nn)
         d, e = g.tridiagonal()
         cnt = sturm_count(d, e, hi)
-        lo = float(np.min(g.V)) - 1.0
-        vals = (bisect_eigenvalues(d, e, lo, hi, 1, min(cnt, max(k, 0)),
-                                   cfg.eig_tol, 1e-300)
-                if cnt and k else np.empty(0))
-        grids[nn] = (g, d, e, cnt, vals)
+        nk = min(cnt, max(k, 0))
+        eig = bisect_eigenvalues(d, e, 1, nk) if nk else None
+        grids[nn] = (g, d, e, cnt, eig)
 
-    g_f, d_f, e_f, count_f, vals_f = grids[n]
-    _, _, _, _, vals_c = grids[n // 2]
+    g_f, d_f, e_f, count_f, eig_f = grids[n]
+    eig_c = grids[n // 2][4]
+    vals_f = eig_f.values if eig_f else np.empty(0)
+    vals_c = eig_c.values if eig_c else np.empty(0)
     n_found = len(vals_f)
     n_common = min(n_found, len(vals_c))
     values = vals_f.copy()
@@ -285,10 +283,11 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     x = g_f.x
     r_desc = np.exp(-x)
     a_half = (prob.M - 2.0) / 2.0
+    vecs, residual = (_eigenvectors(d_f, e_f, eig_f) if eig_f
+                      else (None, 0.0))
     for i in range(n_found):
-        vec, _res = _eigenvector_pair(d_f, e_f, vals_f[i])
         u = np.zeros(len(x))
-        u[1:-1] = vec
+        u[1:-1] = vecs[:, i]
         if u[1] < 0:
             u = -u
         u /= math.sqrt(simpson(u * u, dx=h))
@@ -312,16 +311,13 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
             x_grid=x.copy(), u_samples=u.copy()))
 
     if count_f > n_found:
-        nxt = bisect_eigenvalues(d_f, e_f, vals_f[-1] if n_found else
-                                 float(np.min(g_f.V)) - 1.0, hi,
-                                 n_found + 1, n_found + 1, cfg.eig_tol,
-                                 1e-300)
-        exhausted = float(nxt[0])
+        exhausted = float(bisect_eigenvalues(d_f, e_f, n_found + 1,
+                                             n_found + 1).values[0])
     else:
         exhausted = hi
     meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
             "resolution_capped": bool(capped),
-            "zero_band_count": int(zero_band)}
+            "zero_band_count": int(zero_band), "eigvec_residual": residual}
     return Spectrum(kind="singular", M=prob.M, threshold=thr,
                     eigenpairs=tuple(pairs), exhausted_below=exhausted,
                     negative_count=int(zero_cut_count), meta=meta)
@@ -361,7 +357,7 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
 
     Self-adjoint three-point discretization with half-cell natural closure at
     r=0 and Dirichlet at r=1, reduced to a symmetric tridiagonal matrix by
-    the diagonal weight; Sturm bisection plus Richardson as in the singular
+    the diagonal weight; bisection plus Richardson as in the singular
     path.  The grid is refined automatically until the deepest potential well
     is resolved.
     """
@@ -379,20 +375,16 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     grids = (n,) if k == 0 else (n // 2, n)
     for nn in grids:
         r, m_u, s, d, e = _standard_tridiag(prob, nn)
-        gmin = float(np.min(d - np.abs(np.concatenate((e, [0.0]))))
-                     - np.max(np.abs(np.concatenate(([0.0], e)))))
-        gmax = float(np.max(d + np.abs(np.concatenate((e, [0.0]))))
-                     + np.max(np.abs(np.concatenate(([0.0], e)))))
-        vals = (bisect_eigenvalues(d, e, gmin, gmax, 1, k, cfg.eig_tol,
-                                   1e-300) if k else np.empty(0))
-        data[nn] = (r, m_u, s, d, e, vals)
+        eig = bisect_eigenvalues(d, e, 1, k) if k else None
+        data[nn] = (r, m_u, s, d, e, eig)
 
-    r_f, m_f, s_f, d_f, e_f, vals_f = data[n]
+    r_f, m_f, s_f, d_f, e_f, eig_f = data[n]
     if k == 0:
-        values = vals_f
+        values = np.empty(0)
         bars = np.empty(0)
     else:
-        vals_c = data[n // 2][5]
+        vals_f = eig_f.values
+        vals_c = data[n // 2][5].values
         values = (4 * vals_f - vals_c) / 3
         bars = np.abs(vals_f - vals_c) / 3
         bad = bars > cfg.tol * np.maximum(1.0, np.abs(values))
@@ -405,9 +397,9 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     negative_count = sturm_count(d_f, e_f, -cfg.zero_cut)
     zero_band = sturm_count(d_f, e_f, cfg.zero_cut) - negative_count
     pairs = []
+    vecs, residual = (_eigenvectors(d_f, e_f, eig_f) if k else (None, 0.0))
     for i in range(len(values)):
-        vec, _res = _eigenvector_pair(d_f, e_f, vals_f[i])
-        psi_in = vec * s_f                      # generalized eigenvector
+        psi_in = vecs[:, i] * s_f               # generalized eigenvector
         psi = np.concatenate((psi_in, [0.0]))   # append Dirichlet node r=1
         if psi_in[-1] != 0 and psi_in[-1] < 0:
             psi = -psi
@@ -422,7 +414,7 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
             theta_analytic=None, uncertain=False))
     exhausted = float(values[-1]) if len(values) else -math.inf
     meta = {"n": n, "amax": amax, "zero_band_count": int(zero_band),
-            "resolution_capped": bool(capped)}
+            "resolution_capped": bool(capped), "eigvec_residual": residual}
     return Spectrum(kind="standard", M=prob.M, threshold=math.inf,
                     eigenpairs=tuple(pairs), exhausted_below=exhausted,
                     negative_count=int(negative_count), meta=meta)

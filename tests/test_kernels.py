@@ -1,9 +1,12 @@
-"""Kernel-level checks against LAPACK and step-halving oracles."""
+"""Kernel-level checks: eigen-kernels against closed forms and LAPACK
+counts, the integrator against step halving."""
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from henonmorse import _kernels as K
+from henonmorse.spectral import SpectralError
 
 
 def random_tridiag(rng, n):
@@ -12,33 +15,79 @@ def random_tridiag(rng, n):
 
 def test_sturm_count_matches_lapack():
     rng = np.random.default_rng(42)
-    for n in (5, 50, 500):
+    # 4095..4097 and 9000 straddle the row chunks of the recurrence
+    for n in (5, 50, 500, 4095, 4096, 4097, 9000):
         d, e = random_tridiag(rng, n)
-        full = eigh_tridiagonal(d, e, eigvals_only=True)
+        full = eigvalsh_tridiagonal(d, e)
         for sigma in (-4.0, -1.0, 0.0, 0.3, 2.0):
             assert K.sturm_count(d, e, sigma) == int((full < sigma).sum())
 
 
-def test_bisect_eigenvalues_match_lapack():
-    rng = np.random.default_rng(7)
-    d, e = random_tridiag(rng, 400)
-    full = eigh_tridiagonal(d, e, eigvals_only=True)
-    lo = full.min() - 1.0
-    vals = K.bisect_eigenvalues(d, e, lo, full[5] + 1e-8, 1, 6, 1e-14, 1e-14)
-    assert np.allclose(vals, full[:6], rtol=1e-12, atol=1e-11)
+@pytest.mark.parametrize("d", [
+    [2.0, 1.0, 3.0, -1.0, 2.5],   # first pivot 2 - 2 is exactly 0
+    [3.0, 3.0, 1.0, -1.0, 2.5],   # second pivot (3 - 2) - 1/1 is exactly 0
+])
+def test_sturm_count_through_an_exactly_zero_pivot(d):
+    d = np.array(d)
+    e = np.array([1.0, 0.5, 2.0, 1.5])
+    full = eigvalsh_tridiagonal(d, e)
+    assert K.sturm_count(d, e, 2.0) == int((full < 2.0).sum())
 
 
-def test_inverse_iteration_residual_and_alignment():
+def test_bisect_eigenvalues_match_closed_form_on_a_fine_grid():
+    # -u'' + c u on a Liouville-sized grid: n = 2^18, x_max = 64.  LAPACK's
+    # default tolerance (eps * ||T||) misses this bound by about 5x.
+    n, h, c = 1 << 18, 2.0 ** -12, 1.0
+    d = np.full(n, 2.0 / h ** 2 + c)
+    e = np.full(n - 1, -1.0 / h ** 2)
+    j = np.arange(1, 5)
+    exact = c + 4.0 / h ** 2 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+    vals = K.bisect_eigenvalues(d, e, 1, 4).values
+    assert np.all(np.abs(vals - exact) <= 1e-9 * exact)
+
+
+def test_inverse_iteration_returns_orthonormal_eigenvectors():
     rng = np.random.default_rng(3)
     d, e = random_tridiag(rng, 300)
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 3))
-    for i in range(4):
-        x = K.inverse_iteration(d, e, w[i], 3)
-        t = d * x
-        t[:-1] += e * x[1:]
-        t[1:] += e * x[:-1]
-        assert np.linalg.norm(t - w[i] * x) < 1e-10
-        assert abs(abs(np.dot(x, v[:, i])) - 1.0) < 1e-9
+    eig = K.bisect_eigenvalues(d, e, 1, 6)
+    vecs = K.inverse_iteration(d, e, eig)
+    assert vecs.shape == (300, 6)
+    assert np.allclose(vecs.T @ vecs, np.eye(6), atol=1e-12)
+    t = d[:, None] * vecs
+    t[:-1] += e[:, None] * vecs[1:]
+    t[1:] += e[:, None] * vecs[:-1]
+    norm_t = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+    res = np.linalg.norm(t - eig.values * vecs, axis=0)
+    assert np.all(res <= 1e-10 * norm_t)
+
+
+def test_inverse_iteration_across_split_blocks():
+    # e[2] = 0 splits the matrix; the lowest eigenvalues alternate blocks
+    d = np.array([10.0, 11.0, 12.0, 1.0, 2.0, 3.0])
+    e = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+    eig = K.bisect_eigenvalues(d, e, 1, 5)
+    assert np.all(np.diff(eig.values) > 0)
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert np.allclose(eig.values, np.linalg.eigvalsh(t)[:5])
+    vecs = K.inverse_iteration(d, e, eig)
+    assert np.allclose(t @ vecs, vecs * eig.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
+    d, e = random_tridiag(np.random.default_rng(5), 20)
+    eig = K.bisect_eigenvalues(d, e, 1, 2)
+    real = getattr(K, routine)
+
+    def failing(*args):
+        return real(*args)[:-1] + (1,)
+
+    monkeypatch.setattr(K, routine, failing)
+    with pytest.raises(SpectralError, match=f"{routine}.*info=1"):
+        if routine == "dstebz":
+            K.bisect_eigenvalues(d, e, 1, 2)
+        else:
+            K.inverse_iteration(d, e, eig)
 
 
 def test_integrator_zero_locations_against_step_halving():
