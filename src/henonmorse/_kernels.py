@@ -1,9 +1,9 @@
 """Numerical hot loops: adaptive Runge-Kutta integration of the radial
 initial value problem, and the symmetric tridiagonal eigen-kernels.
 
-Eigenvalues and eigenvectors come from LAPACK bisection and inverse
-iteration (``dstebz``/``dstein``); Sturm counts run the pivot recurrence
-directly.
+Eigenvalues, eigenvectors and Sturm counts come from LAPACK bisection and
+inverse iteration (``dstebz``/``dstein``); a count is a ``dstebz`` call that
+bisects nothing.
 """
 
 from __future__ import annotations
@@ -230,10 +230,6 @@ class SpectralError(RuntimeError):
 # tolerance leaves only the relative stop (2 ulp of the eigenvalue).
 ABSTOL = 1e-300
 
-# rows per .tolist() batch of sturm_count: Python floats are much faster to
-# iterate than NumPy scalars, and a bounded batch keeps the copies small
-STURM_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class Eigenvalues:
@@ -250,38 +246,48 @@ class Eigenvalues:
     def __len__(self):
         return len(self.values)
 
+    def head(self, k):
+        """The k lowest eigenvalues."""
+        return Eigenvalues(self.values[:k], self.iblock[:k], self.isplit)
+
 
 def _check_info(routine, info):
     if info != 0:
         raise SpectralError(f"LAPACK {routine} failed with info={info}")
 
 
+def _below(sigma):
+    """dstebz RANGE='V' arguments for the eigenvalues strictly below sigma:
+    the window (vl, vu] is half-open, so vu is the float just below."""
+    return 1, -np.inf, np.nextafter(sigma, -np.inf), 0, 0
+
+
 def sturm_count(diag, off, sigma):
     """Number of eigenvalues of tridiag(diag, off) strictly below sigma.
 
-    A pivot that is exactly zero is taken as +1e-300, its value just below
-    sigma, so the next pivot is counted in its place.
+    One dstebz value-window call with abstol=+inf: dstebz takes the Sturm
+    counts at the window edges, finds every interval converged and bisects
+    nothing, so a window of any width costs a few O(n) sweeps.  (With a
+    small abstol dstebz bisects every eigenvalue in the window: that, not
+    the width, is what makes a wide value-window call slow.)  A pivot within
+    LAPACK's floor (about 2e-308 * max(1, max off^2)) of zero counts as
+    negative, so an eigenvalue exactly at sigma = 0 counts as below it.
     """
-    q = diag[0] - sigma
-    count = int(q < 0.0)
-    for lo in range(1, len(diag), STURM_CHUNK):
-        hi = lo + STURM_CHUNK
-        e = off[lo - 1:hi - 1]
-        for d_i, e2_i in zip((diag[lo:hi] - sigma).tolist(),
-                             (e * e).tolist()):
-            if q == 0.0:
-                q = 1e-300
-            q = d_i - e2_i / q
-            if q < 0.0:
-                count += 1
-    return count
+    if len(diag) == 1:
+        # dstebz's wrapper rejects an empty off-diagonal
+        return int(diag[0] < sigma)
+    m, _, _, _, info = dstebz(diag, off, *_below(sigma), np.inf, b"B")
+    _check_info("dstebz", info)
+    return int(m)
 
 
-def bisect_eigenvalues(diag, off, k_first, k_last):
-    """Eigenvalues k_first..k_last (1-based, ascending) of tridiag(diag, off)
-    by LAPACK bisection (dstebz)."""
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, k_first,
-                                        k_last, ABSTOL, b"B")
+def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None):
+    """Eigenvalues k_first..k_last (1-based, ascending) of tridiag(diag, off),
+    or with `below` all eigenvalues strictly below it, by LAPACK bisection
+    (dstebz)."""
+    window = (_below(below) if below is not None
+              else (2, 0.0, 0.0, k_first, k_last))
+    m, w, iblock, isplit, info = dstebz(diag, off, *window, ABSTOL, b"B")
     _check_info("dstebz", info)
     # block order equals ascending order unless the matrix splits
     order = np.argsort(w[:m], kind="stable")

@@ -34,10 +34,11 @@ from .oracle import dense_oracle_spectrum
 from .radial import (BracketError, IntegrationError, RadialProfile,
                      Nonlinearity, linearized_potential, profile_to_csv,
                      profile_to_json, solve_nodal_power)
-from .spectral import (SpectralConfig, SpectralError, Spectrum, EigenPair,
-                       WeightedSLProblem, eigenfunction_to_csv,
-                       solve_singular_spectrum, solve_standard_spectrum,
-                       spectrum_to_json, zero_potential)
+from .spectral import (ResolutionError, SpectralConfig, SpectralError,
+                       Spectrum, EigenPair, WeightedSLProblem,
+                       eigenfunction_to_csv, solve_singular_spectrum,
+                       solve_standard_spectrum, spectrum_to_json,
+                       zero_potential)
 
 
 class ConfigError(ValueError):
@@ -185,7 +186,7 @@ def _get_spectra(cfg: RunConfig):
     std_prob = WeightedSLProblem(M=dmap.M, a=a, kind="standard")
     try:
         std = solve_standard_spectrum(std_prob, max(cfg.k, cfg.m + 2), scfg)
-    except SpectralError:
+    except ResolutionError:
         # extreme potentials exceed the grid cap of the untransformed
         # problem; counts remain robust, so fall back to a count-only solve
         std = solve_standard_spectrum(std_prob, 0, scfg)

@@ -10,7 +10,7 @@ Two problems share the operator -(r^(M-1) psi')' - r^(M-1) a(r) psi:
   into a half-line Schrodinger problem -u'' + V u = nu u with
   V(x) = ((M-2)/2)^2 - e^(-2x) a(e^(-x)).
 
-Both reduce to symmetric tridiagonal matrices: Sturm counts give the
+Both reduce to symmetric tridiagonal matrices: LAPACK Sturm counts give the
 negative counts and zero bands, LAPACK bisection and inverse iteration the
 eigenpairs (kernels module).  Eigenvalues carry Richardson error bars from a
 coarse/fine grid pair.
@@ -29,6 +29,11 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from ._kernels import (SpectralError, bisect_eigenvalues, inverse_iteration,
                        sturm_count)
+
+
+class ResolutionError(SpectralError):
+    """The coarse and fine grids disagree beyond the Richardson tolerance:
+    the grid cannot resolve the requested eigenvalues."""
 
 
 @dataclass(frozen=True)
@@ -175,11 +180,10 @@ def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
 
     grid = liouville_transform(prob, x0, 1024)
     d, e = grid.tridiagonal()
-    hi = prob.threshold - cfg.margin
-    count = sturm_count(d, e, hi)
-    if count == 0:
+    below = bisect_eigenvalues(d, e, below=prob.threshold - cfg.margin)
+    if not len(below):
         return x0
-    top = bisect_eigenvalues(d, e, count, count).values[0]
+    top = below.values[-1]
     kappa_min = math.sqrt(max(prob.threshold - top, 1e-30))
     return min(cap, max(x0, cfg.kappa_x_target / kappa_min))
 
@@ -236,7 +240,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
 
     Bisection on the Liouville tridiagonal at two resolutions gives
     Richardson-extrapolated values and error bars; disagreement beyond
-    cfg.tol raises SpectralError.  Pairs whose decay rate cannot satisfy
+    cfg.tol raises ResolutionError.  Pairs whose decay rate cannot satisfy
     sqrt(threshold - nu) * X >= cfg.certify_kappa_x within the x_max cap are
     flagged uncertain (truncation-limited accuracy near the threshold).
     """
@@ -250,19 +254,19 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     n, capped = _resolution(cfg.n, x_max, float(np.min(probe.V)), thr,
                             cfg.n_cap)
 
+    # every eigenvalue below the margin, from one bisection per grid; the
+    # first k are solved for, the next one bounds what was left out
     grids = {}
     for nn in (n // 2, n):
         g = liouville_transform(prob, x_max, nn)
         d, e = g.tridiagonal()
-        cnt = sturm_count(d, e, hi)
-        nk = min(cnt, max(k, 0))
-        eig = bisect_eigenvalues(d, e, 1, nk) if nk else None
-        grids[nn] = (g, d, e, cnt, eig)
+        grids[nn] = (g, d, e, bisect_eigenvalues(d, e, below=hi))
 
-    g_f, d_f, e_f, count_f, eig_f = grids[n]
-    eig_c = grids[n // 2][4]
-    vals_f = eig_f.values if eig_f else np.empty(0)
-    vals_c = eig_c.values if eig_c else np.empty(0)
+    g_f, d_f, e_f, below_f = grids[n]
+    count_f = len(below_f)
+    eig_f = below_f.head(max(k, 0))
+    vals_f = eig_f.values
+    vals_c = grids[n // 2][3].values[:max(k, 0)]
     n_found = len(vals_f)
     n_common = min(n_found, len(vals_c))
     values = vals_f.copy()
@@ -271,7 +275,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     bars[:n_common] = np.abs(vals_f[:n_common] - vals_c[:n_common]) / 3
     bad = bars > cfg.tol * np.maximum(1.0, np.abs(values))
     if np.any(bad):
-        raise SpectralError(
+        raise ResolutionError(
             f"grid too coarse: Richardson bar {bars[bad][0]:.3e} on "
             f"eigenvalue {values[bad][0]:.6g} (n={n}, x_max={x_max:.3g})")
     _assert_simple(values, cfg)
@@ -310,11 +314,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
             theta_analytic=theta_an, uncertain=bool(uncertain),
             x_grid=x.copy(), u_samples=u.copy()))
 
-    if count_f > n_found:
-        exhausted = float(bisect_eigenvalues(d_f, e_f, n_found + 1,
-                                             n_found + 1).values[0])
-    else:
-        exhausted = hi
+    exhausted = float(below_f.values[n_found]) if count_f > n_found else hi
     meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
             "resolution_capped": bool(capped),
             "zero_band_count": int(zero_band), "eigvec_residual": residual}
@@ -389,7 +389,7 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
         bars = np.abs(vals_f - vals_c) / 3
         bad = bars > cfg.tol * np.maximum(1.0, np.abs(values))
         if np.any(bad):
-            raise SpectralError(
+            raise ResolutionError(
                 f"grid too coarse: Richardson bar {bars[bad][0]:.3e} on "
                 f"standard eigenvalue {values[bad][0]:.6g} (n={n})")
         _assert_simple(values, cfg)

@@ -2,7 +2,9 @@
 
 import json
 
+from henonmorse import cli
 from henonmorse.cli import RunConfig, main
+from henonmorse.spectral import SpectralError
 
 
 def run(args):
@@ -151,6 +153,23 @@ def test_morse_desk_scale_example(tmp_path):
     sing = json.loads((spec_out / "spectrum_singular.json").read_text())
     assert sing["negative_count"] == 2
     assert sing["meta"]["resolution_capped"] is False
+
+
+def test_morse_standard_solver_failure_exits_3(tmp_path, monkeypatch):
+    # only a grid too coarse for the standard values may fall back to a
+    # count-only spectrum; a failed LAPACK call is a solver failure
+    real = cli.solve_standard_spectrum
+
+    def failing(prob, k, cfg):
+        if k > 0:
+            raise SpectralError("LAPACK dstein failed with info=1")
+        return real(prob, k, cfg)
+
+    monkeypatch.setattr(cli, "solve_standard_spectrum", failing)
+    out = tmp_path / "fail"
+    assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
+                "--out", out]) == 3
+    assert not list(out.glob("cache/standard-*.json"))
 
 
 def test_sweep_gap_trend(tmp_path):

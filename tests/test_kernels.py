@@ -34,6 +34,40 @@ def test_sturm_count_through_an_exactly_zero_pivot(d):
     assert K.sturm_count(d, e, 2.0) == int((full < 2.0).sum())
 
 
+@pytest.mark.parametrize("d, e, sigma, expected", [
+    ([1.0, 2.0, 3.0], [0.0, 0.0], 2.0, 1),   # sigma is an eigenvalue
+    ([2.0, 2.0], [1.0], 3.0, 1),             # eigenvalues 1 and 3
+    ([2.0, 2.0], [1.0], 1.0, 0),
+    ([5.0], [], 5.0, 0),                     # one row: no LAPACK call
+    ([5.0], [], 5.5, 1),
+])
+def test_sturm_count_is_strict_at_an_exact_eigenvalue(d, e, sigma, expected):
+    assert K.sturm_count(np.array(d), np.array(e), sigma) == expected
+
+
+def test_sturm_count_outside_the_gershgorin_interval():
+    d, e = random_tridiag(np.random.default_rng(8), 300)
+    radius = np.abs(np.concatenate(([0.0], e))) + \
+        np.abs(np.concatenate((e, [0.0])))
+    assert K.sturm_count(d, e, float(np.min(d - radius)) - 1.0) == 0
+    assert K.sturm_count(d, e, float(np.max(d + radius)) + 1.0) == 300
+
+
+def test_value_window_and_index_range_bisection_agree():
+    rng = np.random.default_rng(9)
+    # every eigenvalue in the window is bisected: keep the windows small
+    for n, sigmas in ((7, (-3.0, 0.5)), (300, (-3.0, 0.5)), (4097, (-7.0,))):
+        d, e = random_tridiag(rng, n)
+        norm_t = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+        for sigma in sigmas:
+            below = K.bisect_eigenvalues(d, e, below=sigma)
+            assert len(below) == K.sturm_count(d, e, sigma)
+            assert np.all(below.values < sigma)
+            ranged = K.bisect_eigenvalues(d, e, 1, len(below))
+            assert np.all(np.abs(below.values - ranged.values)
+                          <= 1e-14 * norm_t)
+
+
 def test_bisect_eigenvalues_match_closed_form_on_a_fine_grid():
     # -u'' + c u on a Liouville-sized grid: n = 2^18, x_max = 64.  LAPACK's
     # default tolerance (eps * ||T||) misses this bound by about 5x.
@@ -88,6 +122,9 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
             K.bisect_eigenvalues(d, e, 1, 2)
         else:
             K.inverse_iteration(d, e, eig)
+    if routine == "dstebz":
+        with pytest.raises(SpectralError, match="dstebz.*info=1"):
+            K.sturm_count(d, e, 0.0)
 
 
 def test_integrator_zero_locations_against_step_halving():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from henonmorse._kernels import bisect_eigenvalues, sturm_count
 from henonmorse.radial import linearized_potential, solve_nodal_power
-from henonmorse.spectral import (SpectralConfig, SpectralError,
+from henonmorse.spectral import (ResolutionError, SpectralConfig,
                                  WeightedSLProblem, count_interior_nodes,
                                  fit_decay_exponent, liouville_transform,
                                  picone_residual, rayleigh_quotient,
@@ -195,7 +196,7 @@ def test_grid_too_coarse_raises():
     prof = solve_nodal_power(3.0, 3.0, 2)
     prob = WeightedSLProblem(M=3.0, a=linearized_potential(prof),
                              kind="singular")
-    with pytest.raises(SpectralError, match="coarse"):
+    with pytest.raises(ResolutionError, match="coarse"):
         solve_singular_spectrum(prob, 2,
                                 SpectralConfig(n=256, x_max=40.0, tol=1e-9))
 
@@ -208,3 +209,23 @@ def test_near_threshold_flagged(lane_emden_case):
     assert third.value > 0
     assert third.uncertain
     assert not spec.eigenpairs[0].uncertain
+
+
+def test_exhausted_below_when_k_leaves_eigenvalues_out():
+    # three eigenvalues lie below the margin here; a k=1 solve bounds the
+    # unsolved rest by the second one, on the fine grid
+    prof = solve_nodal_power(3.0, 3.0, 2)
+    prob = WeightedSLProblem(M=3.0, a=linearized_potential(prof),
+                             kind="singular")
+    one = solve_singular_spectrum(prob, 1)
+    count = one.meta["count_below_margin"]
+    assert len(one.eigenpairs) == 1 < count
+    grid = liouville_transform(prob, one.meta["x_max"], one.meta["n"])
+    d, e = grid.tridiagonal()
+    assert count == sturm_count(d, e,
+                                prob.threshold - SpectralConfig().margin)
+    second = bisect_eigenvalues(d, e, 2, 2).values[0]
+    assert one.exhausted_below == pytest.approx(second, rel=1e-14)
+    # the same eigenvalue, Richardson-extrapolated, from a k=2 solve
+    pair = solve_singular_spectrum(prob, 2).eigenpairs[1]
+    assert abs(one.exhausted_below - pair.value) <= 1.5 * pair.error_bar
