@@ -1,9 +1,11 @@
 """Numerical hot loops: adaptive Runge-Kutta integration of the radial
 initial value problem, and the symmetric tridiagonal eigen-kernels.
 
-Eigenvalues, eigenvectors and Sturm counts come from LAPACK bisection and
-inverse iteration (``dstebz``/``dstein``); a count is a ``dstebz`` call that
-bisects nothing.
+Counts are Sturm counts: a ``dstebz`` call that bisects nothing.  Eigenvalues
+come from LAPACK bisection (``dstebz``) and eigenvectors from inverse
+iteration (``dstein``).  The singular (Liouville) grids are bisected only to
+a bracket of width BRACKET; the Rayleigh quotient of each eigenvector then
+finishes its eigenvalue.  The standard kind is still bisected to ABSTOL.
 """
 
 from __future__ import annotations
@@ -230,6 +232,11 @@ class SpectralError(RuntimeError):
 # tolerance leaves only the relative stop (2 ulp of the eigenvalue).
 ABSTOL = 1e-300
 
+# Absolute width at which the singular grids stop bisecting.  The Rayleigh
+# quotient of the inverse-iteration vector is accurate to second order in
+# the vector's error, so it supplies the remaining digits.
+BRACKET = 1e-4
+
 
 @dataclass(frozen=True)
 class Eigenvalues:
@@ -246,9 +253,10 @@ class Eigenvalues:
     def __len__(self):
         return len(self.values)
 
-    def head(self, k):
-        """The k lowest eigenvalues."""
-        return Eigenvalues(self.values[:k], self.iblock[:k], self.isplit)
+    def __getitem__(self, index):
+        """The eigenvalues in a slice of this ascending list."""
+        return Eigenvalues(self.values[index], self.iblock[index],
+                           self.isplit)
 
 
 def _check_info(routine, info):
@@ -281,13 +289,14 @@ def sturm_count(diag, off, sigma):
     return int(m)
 
 
-def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None):
+def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None,
+                       abstol=ABSTOL):
     """Eigenvalues k_first..k_last (1-based, ascending) of tridiag(diag, off),
     or with `below` all eigenvalues strictly below it, by LAPACK bisection
-    (dstebz)."""
+    (dstebz) to an interval of width `abstol` (or 2 ulp, if wider)."""
     window = (_below(below) if below is not None
               else (2, 0.0, 0.0, k_first, k_last))
-    m, w, iblock, isplit, info = dstebz(diag, off, *window, ABSTOL, b"B")
+    m, w, iblock, isplit, info = dstebz(diag, off, *window, abstol, b"B")
     _check_info("dstebz", info)
     # block order equals ascending order unless the matrix splits
     order = np.argsort(w[:m], kind="stable")
@@ -308,3 +317,40 @@ def inverse_iteration(diag, off, eig):
     vecs = np.empty_like(z)
     vecs[:, order] = z
     return vecs
+
+
+def rayleigh_refine(diag, off, eig):
+    """Eigenpairs of tridiag(diag, off) from the eigenvalues `eig` (a
+    bisect_eigenvalues result, to within BRACKET or finer).
+
+    Returns the Rayleigh quotient of each dstein vector, the unit vectors one
+    per column, and the largest residual ||T v - rho v||.  Each quotient must
+    lie within BRACKET of its bisected value, and consecutive values must be
+    more than 2 * BRACKET apart, so no two brackets can hold the same
+    eigenvalue; otherwise SpectralError names the pair.
+    """
+    lam = eig.values
+    for a, b in zip(lam[:-1], lam[1:]):
+        if b - a <= 2.0 * BRACKET:
+            raise SpectralError(
+                f"eigenvalues {a:.12g}, {b:.12g}: brackets of half-width "
+                f"{BRACKET:g} overlap")
+    vecs = inverse_iteration(diag, off, eig)
+    # v'Tv as row sums times v^2 minus off-diagonal times squared
+    # differences: no cancelling terms of the size of the diagonal
+    rows = diag.copy()
+    rows[:-1] += off
+    rows[1:] += off
+    sq = vecs * vecs
+    dv = np.diff(vecs, axis=0)
+    rho = (rows @ sq - off @ (dv * dv)) / np.sum(sq, axis=0)
+    t = diag[:, None] * vecs
+    t[:-1] += off[:, None] * vecs[1:]
+    t[1:] += off[:, None] * vecs[:-1]
+    residual = np.linalg.norm(t - rho * vecs, axis=0)
+    for a, r in zip(lam, rho):
+        if not abs(r - a) <= BRACKET:
+            raise SpectralError(
+                f"Rayleigh quotient {r:.12g} lies outside the bracket of "
+                f"eigenvalue {a:.12g}")
+    return rho, vecs, float(np.max(residual, initial=0.0))

@@ -4,7 +4,10 @@ Subcommands: solve, spectrum, morse, sweep, oracle.  A single JSON config
 document may supply any field; command-line flags override file fields, and
 built-in defaults fill the rest (precedence: flags > config file > defaults).
 Results are cached under <out>/cache keyed by a content hash of exactly the
-fields that feed each stage, so spectra survive report-level changes.
+fields that feed each stage, so spectra survive report-level changes, and
+of the package version and CACHE_REVISION, so entries written by older
+solver code are not served.  Cache files are moved into place whole; an
+entry that cannot be read is recomputed.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 oracle mismatch
 beyond tolerance.
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .dimension import generalized_dimension
 from .morse import (SymmetryMultiplicity, degeneracy_scan, morse_index,
                     morse_report_rows, morse_report_to_json,
@@ -43,6 +47,11 @@ from .spectral import (ResolutionError, SpectralConfig, SpectralError,
 
 class ConfigError(ValueError):
     pass
+
+
+# Raise whenever the solver's published numbers or the cache layout change.
+# 2: singular eigenvalues finished by Rayleigh quotients.
+CACHE_REVISION = 2
 
 
 @dataclass(frozen=True)
@@ -145,8 +154,21 @@ class RunConfig:
 
 
 def _stage_key(sub: dict) -> str:
-    blob = json.dumps(sub, sort_keys=True, separators=(",", ":"))
+    doc = {"fields": sub, "version": __version__, "revision": CACHE_REVISION}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _write_cache(write, obj, path) -> None:
+    """write(obj, tmp), then move tmp onto path: a reader sees the whole
+    file or none."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        write(obj, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _cache_dir(cfg: RunConfig) -> str:
@@ -171,9 +193,11 @@ def _get_spectra(cfg: RunConfig):
     key = _stage_key(cfg.subsection("spectrum"))
     sing_path = os.path.join(cache, f"singular-{key}.json")
     std_path = os.path.join(cache, f"standard-{key}.json")
-    if os.path.exists(sing_path) and os.path.exists(std_path):
+    try:
         return (_spectrum_from_json(sing_path), _spectrum_from_json(std_path),
                 True)
+    except (OSError, ValueError, KeyError, TypeError):
+        pass  # missing or unreadable: recompute
     dmap = generalized_dimension(cfg.N, cfg.alpha)
     if cfg.a_zero:
         a = zero_potential
@@ -191,8 +215,8 @@ def _get_spectra(cfg: RunConfig):
         # problem; counts remain robust, so fall back to a count-only solve
         std = solve_standard_spectrum(std_prob, 0, scfg)
         std.meta["values_uncertified"] = True
-    spectrum_to_json(sing, sing_path)
-    spectrum_to_json(std, std_path)
+    _write_cache(spectrum_to_json, sing, sing_path)
+    _write_cache(spectrum_to_json, std, std_path)
     return sing, std, False
 
 
@@ -225,8 +249,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     json_cache = os.path.join(cache, f"profile-{key}.json")
     if not (os.path.exists(csv_cache) and os.path.exists(json_cache)):
         prof = _get_profile(cfg)
-        profile_to_csv(prof, csv_cache)
-        profile_to_json(prof, json_cache)
+        _write_cache(profile_to_csv, prof, csv_cache)
+        _write_cache(profile_to_json, prof, json_cache)
     shutil.copyfile(csv_cache, os.path.join(cfg.out, "profile.csv"))
     shutil.copyfile(json_cache, os.path.join(cfg.out, "profile.json"))
     print(f"profile written to {cfg.out}/profile.csv|json")

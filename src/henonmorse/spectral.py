@@ -10,10 +10,12 @@ Two problems share the operator -(r^(M-1) psi')' - r^(M-1) a(r) psi:
   into a half-line Schrodinger problem -u'' + V u = nu u with
   V(x) = ((M-2)/2)^2 - e^(-2x) a(e^(-x)).
 
-Both reduce to symmetric tridiagonal matrices: LAPACK Sturm counts give the
-negative counts and zero bands, LAPACK bisection and inverse iteration the
-eigenpairs (kernels module).  Eigenvalues carry Richardson error bars from a
-coarse/fine grid pair.
+Both reduce to symmetric tridiagonal matrices (kernels module).  LAPACK
+Sturm counts give the negative counts and zero bands.  On the singular
+grids, LAPACK bisection stops at a bracket of width 1e-4 and the Rayleigh
+quotient of each inverse-iteration vector finishes the eigenvalue; the
+standard kind is still bisected to 1e-300.  Eigenvalues carry Richardson
+error bars from a coarse/fine grid pair.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from ._kernels import (SpectralError, bisect_eigenvalues, inverse_iteration,
-                       sturm_count)
+from ._kernels import (BRACKET, SpectralError, bisect_eigenvalues,
+                       rayleigh_refine, sturm_count)
 
 
 class ResolutionError(SpectralError):
@@ -81,7 +83,7 @@ def potential_from_samples(r_samples, a_samples) -> Callable:
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    n: int = 4096                 # fine grid; the coarse grid is n // 2
+    n: int = 4096                 # fine grid (rounded up to even)
     n_cap: int = 1 << 19
     x_max: float | None = None    # None selects the adaptive policy
     x_max_cap: float = 60.0
@@ -144,6 +146,15 @@ class LiouvilleProblem:
         e = np.full(len(d) - 1, -1.0 / self.h ** 2)
         return d, e
 
+    def coarsened(self):
+        """Every other node of an even grid: for n cells, bitwise the grid
+        of n // 2 cells that liouville_transform builds on (0, X)."""
+        if (len(self.x) - 1) % 2:
+            raise ValueError("only a grid with an even number of cells "
+                             "can be coarsened")
+        return LiouvilleProblem(x=self.x[::2], V=self.V[::2], h=2.0 * self.h,
+                                threshold=self.threshold)
+
 
 def liouville_transform(prob: WeightedSLProblem, x_max: float,
                         n: int = 4096) -> LiouvilleProblem:
@@ -180,34 +191,25 @@ def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
 
     grid = liouville_transform(prob, x0, 1024)
     d, e = grid.tridiagonal()
-    below = bisect_eigenvalues(d, e, below=prob.threshold - cfg.margin)
+    below = bisect_eigenvalues(d, e, below=prob.threshold - cfg.margin,
+                               abstol=BRACKET)
     if not len(below):
         return x0
-    top = below.values[-1]
+    top = rayleigh_refine(d, e, below[-1:])[0][0]
     kappa_min = math.sqrt(max(prob.threshold - top, 1e-30))
     return min(cap, max(x0, cfg.kappa_x_target / kappa_min))
 
 
 def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float,
                 n_cap: int):
-    """Grid size large enough to resolve the fastest local oscillation."""
+    """Grid size large enough to resolve the fastest local oscillation;
+    even, so that every other node makes the coarse grid."""
     k_osc = math.sqrt(max(threshold - v_min, 1.0))
     n_req = 2.0 * x_max * k_osc
-    n = n_cfg
+    n = n_cfg + n_cfg % 2
     while n < min(n_req, n_cap):
         n *= 2
     return min(n, n_cap), n_req > n_cap
-
-
-def _eigenvectors(d, e, eig):
-    """Unit eigenvectors of tridiag(d, e) for `eig`, one per column, and the
-    largest residual ||T v - lam v|| among them."""
-    vecs = inverse_iteration(d, e, eig)
-    t = d[:, None] * vecs
-    t[:-1] += e[:, None] * vecs[1:]
-    t[1:] += e[:, None] * vecs[:-1]
-    res = np.linalg.norm(t - eig.values * vecs, axis=0)
-    return vecs, float(np.max(res, initial=0.0))
 
 
 def count_interior_nodes_sampled(vals: np.ndarray, tol_frac: float) -> int:
@@ -238,11 +240,16 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
                             ) -> Spectrum:
     """Up to k eigenvalues below threshold - margin, with eigenfunctions.
 
-    Bisection on the Liouville tridiagonal at two resolutions gives
-    Richardson-extrapolated values and error bars; disagreement beyond
-    cfg.tol raises ResolutionError.  Pairs whose decay rate cannot satisfy
-    sqrt(threshold - nu) * X >= cfg.certify_kappa_x within the x_max cap are
-    flagged uncertain (truncation-limited accuracy near the threshold).
+    On the Liouville tridiagonal and on its every-other-node coarsening,
+    bisection brackets every eigenvalue below the margin to width 1e-4; their
+    number is the count below the margin.  The k lowest are finished by the
+    Rayleigh quotients of their inverse-iteration vectors, and the two grids
+    give Richardson-extrapolated values and error bars; disagreement beyond
+    cfg.tol raises ResolutionError.  Two eigenvalues closer than 2e-4, whose
+    brackets overlap, raise SpectralError.  Pairs whose decay rate cannot
+    satisfy sqrt(threshold - nu) * X >= cfg.certify_kappa_x within the x_max
+    cap are flagged uncertain (truncation-limited accuracy near the
+    threshold).
     """
     if prob.kind != "singular":
         raise ValueError("solve_singular_spectrum needs the singular kind")
@@ -254,19 +261,16 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     n, capped = _resolution(cfg.n, x_max, float(np.min(probe.V)), thr,
                             cfg.n_cap)
 
-    # every eigenvalue below the margin, from one bisection per grid; the
-    # first k are solved for, the next one bounds what was left out
-    grids = {}
-    for nn in (n // 2, n):
-        g = liouville_transform(prob, x_max, nn)
-        d, e = g.tridiagonal()
-        grids[nn] = (g, d, e, bisect_eigenvalues(d, e, below=hi))
-
-    g_f, d_f, e_f, below_f = grids[n]
+    # every eigenvalue below the margin is bracketed on both grids; the k
+    # lowest are finished by their Rayleigh quotients
+    g_f = liouville_transform(prob, x_max, n)
+    d_f, e_f = g_f.tridiagonal()
+    below_f = bisect_eigenvalues(d_f, e_f, below=hi, abstol=BRACKET)
     count_f = len(below_f)
-    eig_f = below_f.head(max(k, 0))
-    vals_f = eig_f.values
-    vals_c = grids[n // 2][3].values[:max(k, 0)]
+    vals_f, vecs, residual = rayleigh_refine(d_f, e_f, below_f[:max(k, 0)])
+    d_c, e_c = g_f.coarsened().tridiagonal()
+    below_c = bisect_eigenvalues(d_c, e_c, below=hi, abstol=BRACKET)
+    vals_c = rayleigh_refine(d_c, e_c, below_c[:max(k, 0)])[0]
     n_found = len(vals_f)
     n_common = min(n_found, len(vals_c))
     values = vals_f.copy()
@@ -287,8 +291,6 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     x = g_f.x
     r_desc = np.exp(-x)
     a_half = (prob.M - 2.0) / 2.0
-    vecs, residual = (_eigenvectors(d_f, e_f, eig_f) if eig_f
-                      else (None, 0.0))
     for i in range(n_found):
         u = np.zeros(len(x))
         u[1:-1] = vecs[:, i]
@@ -314,7 +316,10 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
             theta_analytic=theta_an, uncertain=bool(uncertain),
             x_grid=x.copy(), u_samples=u.copy()))
 
-    exhausted = float(below_f.values[n_found]) if count_f > n_found else hi
+    # the next eigenvalue bounds what was left out
+    exhausted = (float(bisect_eigenvalues(d_f, e_f, n_found + 1,
+                                          n_found + 1).values[0])
+                 if count_f > n_found else hi)
     meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
             "resolution_capped": bool(capped),
             "zero_band_count": int(zero_band), "eigvec_residual": residual}
@@ -397,7 +402,10 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     negative_count = sturm_count(d_f, e_f, -cfg.zero_cut)
     zero_band = sturm_count(d_f, e_f, cfg.zero_cut) - negative_count
     pairs = []
-    vecs, residual = (_eigenvectors(d_f, e_f, eig_f) if k else (None, 0.0))
+    # this matrix is graded: keep its fully bisected values, and take only
+    # the vectors and the residual
+    vecs, residual = (rayleigh_refine(d_f, e_f, eig_f)[1:] if k
+                      else (None, 0.0))
     for i in range(len(values)):
         psi_in = vecs[:, i] * s_f               # generalized eigenvector
         psi = np.concatenate((psi_in, [0.0]))   # append Dirichlet node r=1

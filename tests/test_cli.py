@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks."""
 
+import hashlib
 import json
 
 from henonmorse import cli
@@ -170,6 +171,45 @@ def test_morse_standard_solver_failure_exits_3(tmp_path, monkeypatch):
     assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
                 "--out", out]) == 3
     assert not list(out.glob("cache/standard-*.json"))
+
+
+REFERENCE = ["--N", 3, "--alpha", 0, "--p", 3, "--m", 2]
+REPORT = ("morse.json", "morse.csv")
+
+
+def test_unreadable_cache_entry_is_recomputed(tmp_path):
+    out = tmp_path / "c"
+    args = ["morse"] + REFERENCE + ["--out", out]
+    assert run(args) == 0
+    first = [(out / name).read_bytes() for name in REPORT]
+    (entry,) = out.glob("cache/singular-*.json")
+    entry.write_bytes(entry.read_bytes()[:100])
+    assert run(args) == 0
+    assert [(out / name).read_bytes() for name in REPORT] == first
+    assert json.loads(entry.read_text())["negative_count"] == 2
+    assert not list(out.glob("cache/*.tmp"))
+
+
+def test_cache_entry_from_older_solver_code_is_recomputed(tmp_path):
+    fresh = tmp_path / "fresh"
+    assert run(["morse"] + REFERENCE + ["--out", fresh]) == 0
+    # older code keyed an entry by the stage fields alone; plant entries
+    # under that key whose values differ from today's solve
+    out = tmp_path / "old"
+    (out / "cache").mkdir(parents=True)
+    sub = RunConfig(N=3, alpha=0.0, p=3.0, m=2).subsection("spectrum")
+    old_key = hashlib.sha256(json.dumps(
+        sub, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+    for kind in ("singular", "standard"):
+        (entry,) = fresh.glob(f"cache/{kind}-*.json")
+        doc = json.loads(entry.read_text())
+        for e in doc["eigenvalues"]:
+            e["value"] *= 1.01
+        (out / "cache" / f"{kind}-{old_key}.json").write_text(json.dumps(doc))
+    assert run(["morse"] + REFERENCE + ["--out", out]) == 0
+    for name in REPORT:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    assert len(list(out.glob("cache/singular-*.json"))) == 2
 
 
 def test_sweep_gap_trend(tmp_path):

@@ -6,7 +6,9 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from henonmorse import _kernels as K
-from henonmorse.spectral import SpectralError
+from henonmorse.radial import linearized_potential, solve_nodal_power
+from henonmorse.spectral import (SpectralError, WeightedSLProblem,
+                                 liouville_transform)
 
 
 def random_tridiag(rng, n):
@@ -107,6 +109,44 @@ def test_inverse_iteration_across_split_blocks():
     assert np.allclose(t @ vecs, vecs * eig.values, atol=1e-12)
 
 
+def test_rayleigh_refine_matches_closed_form_from_brackets():
+    # -u'' + c u on a Liouville-sized grid, bisected only to brackets
+    n, h, c = 4096, 50.0 / 4097, 1.0
+    d = np.full(n, 2.0 / h ** 2 + c)
+    e = np.full(n - 1, -1.0 / h ** 2)
+    eig = K.bisect_eigenvalues(d, e, below=c + 0.05, abstol=K.BRACKET)
+    j = np.arange(1, len(eig) + 1)
+    exact = c + 4.0 / h ** 2 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+    vals, vecs, residual = K.rayleigh_refine(d, e, eig)
+    assert len(vals) == 3 and vecs.shape == (n, 3)
+    assert np.all(np.abs(eig.values - exact) <= K.BRACKET)
+    assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
+    assert residual <= 1e-9
+
+
+def test_rayleigh_refine_refuses_overlapping_brackets():
+    # two equal blocks: every eigenvalue is double
+    d = np.full(6, 2.0)
+    e = np.array([-1.0, -1.0, 0.0, -1.0, -1.0])
+    eig = K.bisect_eigenvalues(d, e, below=2.5, abstol=K.BRACKET)
+    assert len(eig) == 4
+    with pytest.raises(SpectralError, match="overlap"):
+        K.rayleigh_refine(d, e, eig)
+
+
+def test_rayleigh_refine_agrees_with_full_bisection_on_a_lane_emden_grid():
+    prof = solve_nodal_power(3.0, 3.0, 2)
+    prob = WeightedSLProblem(M=3.0, a=linearized_potential(prof),
+                             kind="singular")
+    d, e = liouville_transform(prob, 40.0, 4096).tridiagonal()
+    hi = prob.threshold - 1e-6
+    brackets = K.bisect_eigenvalues(d, e, below=hi, abstol=K.BRACKET)
+    full = K.bisect_eigenvalues(d, e, below=hi, abstol=K.ABSTOL)
+    vals = K.rayleigh_refine(d, e, brackets)[0]
+    assert len(vals) == len(full) == 3
+    assert np.all(np.abs(vals - full.values) <= 1e-10 * np.abs(full.values))
+
+
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
     d, e = random_tridiag(np.random.default_rng(5), 20)
@@ -125,6 +165,9 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
     if routine == "dstebz":
         with pytest.raises(SpectralError, match="dstebz.*info=1"):
             K.sturm_count(d, e, 0.0)
+    else:
+        with pytest.raises(SpectralError, match="dstein.*info=1"):
+            K.rayleigh_refine(d, e, eig)
 
 
 def test_integrator_zero_locations_against_step_halving():

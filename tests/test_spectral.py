@@ -82,6 +82,20 @@ def lane_emden_case():
     return prof, prob, spec
 
 
+@pytest.mark.parametrize("n", [256, 4096, 6000])
+def test_coarsened_grid_is_the_half_size_transform(n):
+    prob = WeightedSLProblem(M=3.0, a=lambda r: 8.0 / (1.0 + r * r),
+                             kind="singular")
+    coarse = liouville_transform(prob, 37.3, n).coarsened()
+    direct = liouville_transform(prob, 37.3, n // 2)
+    assert coarse.h == direct.h
+    assert np.array_equal(coarse.x, direct.x)
+    for got, want in zip(coarse.tridiagonal(), direct.tridiagonal()):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="even"):
+        liouville_transform(prob, 37.3, n + 1).coarsened()
+
+
 def test_singular_spectrum_shape(lane_emden_case):
     _, _, spec = lane_emden_case
     vals = spec.values
