@@ -10,6 +10,7 @@ finishes its eigenvalue.  The standard kind is still bisected to ABSTOL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ def make_integrator(rhs):
         status = OK_TMAX
 
         h = 1e-4
-        if acc != 0.0:
+        if acc != 0.0 and math.isfinite(acc):
             hs = 0.1 * (2.0 * max(atol, rtol * vscale) / abs(acc)) ** 0.5
             if hs < h:
                 h = hs
@@ -157,8 +158,8 @@ def make_integrator(rhs):
             if t + h > t_max:
                 h = t_max - t
             vn, dvn, accn, errv, erra = rk_step(t, v, dv, h, m_dim, c, p, acc)
-            if not (np.isfinite(vn) and np.isfinite(dvn)
-                    and np.isfinite(accn)):
+            if not (math.isfinite(vn) and math.isfinite(dvn)
+                    and math.isfinite(accn)):
                 status = FAIL_NONFINITE
                 break
             sc_v = atol + rtol * max(abs(v), abs(vn))

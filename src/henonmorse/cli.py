@@ -3,11 +3,13 @@
 Subcommands: solve, spectrum, morse, sweep, oracle.  A single JSON config
 document may supply any field; command-line flags override file fields, and
 built-in defaults fill the rest (precedence: flags > config file > defaults).
-Results are cached under <out>/cache keyed by a content hash of exactly the
-fields that feed each stage, so spectra survive report-level changes, and
-of the package version and CACHE_REVISION, so entries written by older
-solver code are not served.  Cache files are moved into place whole; an
-entry that cannot be read is recomputed.
+Every subcommand builds its results through a Pipeline, which solves the
+profile at most once per configuration.  Results are cached under
+<out>/cache, one entry per stage and spectrum kind, keyed by a content hash
+of exactly the fields that feed the stage, so spectra survive report-level
+changes, and of the package version and CACHE_REVISION, so entries written
+by older solver code are not served.  Cache files are moved into place
+whole; an entry that cannot be read is recomputed.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 oracle mismatch
 beyond tolerance.
@@ -19,6 +21,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -32,17 +35,16 @@ import numpy as np
 from . import __version__
 from .dimension import generalized_dimension
 from .morse import (SymmetryMultiplicity, degeneracy_scan, morse_index,
-                    morse_report_rows, morse_report_to_json,
+                    morse_report_doc, morse_report_rows,
                     symmetric_morse_index)
 from .oracle import dense_oracle_spectrum
 from .radial import (BracketError, IntegrationError, RadialProfile,
                      Nonlinearity, linearized_potential, profile_to_csv,
                      profile_to_json, solve_nodal_power)
 from .spectral import (ResolutionError, SpectralConfig, SpectralError,
-                       Spectrum, EigenPair, WeightedSLProblem,
-                       eigenfunction_to_csv, solve_singular_spectrum,
-                       solve_standard_spectrum, spectrum_to_json,
-                       zero_potential)
+                       Spectrum, WeightedSLProblem, eigenfunction_to_csv,
+                       solve_singular_spectrum, solve_standard_spectrum,
+                       spectrum_from_json, spectrum_to_json, zero_potential)
 
 
 class ConfigError(ValueError):
@@ -181,76 +183,93 @@ def _cache_dir(cfg: RunConfig) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-def _get_profile(cfg: RunConfig) -> RadialProfile:
-    dmap = generalized_dimension(cfg.N, cfg.alpha)
-    return solve_nodal_power(dmap.M, cfg.p, cfg.m, rtol=cfg.ode_rtol,
-                             atol=cfg.ode_atol)
+class Pipeline:
+    """The profile -> potential -> spectra chain of one configuration.
+
+    The profile is solved at most once per Pipeline, on first use.  Each
+    spectrum kind has its own entry under <out>/cache: it is read from
+    there when readable, and otherwise solved and written there.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.dmap = generalized_dimension(cfg.N, cfg.alpha)
+        self.cache = _cache_dir(cfg)
+        self._key = _stage_key(cfg.subsection("spectrum"))
+
+    @functools.cached_property
+    def profile(self) -> RadialProfile:
+        return solve_nodal_power(self.dmap.M, self.cfg.p, self.cfg.m,
+                                 rtol=self.cfg.ode_rtol,
+                                 atol=self.cfg.ode_atol)
+
+    def potential(self):
+        if self.cfg.a_zero:
+            return zero_potential
+        return linearized_potential(self.profile)
+
+    def entry(self, kind: str) -> str:
+        return os.path.join(self.cache, f"{kind}-{self._key}.json")
+
+    def cached(self, kind: str) -> Spectrum | None:
+        """The cached spectrum of this kind, or None when its entry is
+        missing or unreadable."""
+        try:
+            return spectrum_from_json(self.entry(kind))
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    def spectrum(self, kind: str) -> Spectrum:
+        spec = self.cached(kind)
+        if spec is None:
+            spec = self._solve(kind)
+            _write_cache(spectrum_to_json, spec, self.entry(kind))
+        return spec
+
+    def _solve(self, kind: str) -> Spectrum:
+        cfg = self.cfg
+        prob = WeightedSLProblem(M=self.dmap.M, a=self.potential(), kind=kind)
+        scfg = cfg.spectral_config()
+        if kind == "singular":
+            return solve_singular_spectrum(prob, cfg.k, scfg)
+        try:
+            return solve_standard_spectrum(prob, max(cfg.k, cfg.m + 2), scfg)
+        except ResolutionError:
+            # extreme potentials exceed the grid cap of the untransformed
+            # problem; counts remain robust, so fall back to a count-only
+            # solve
+            std = solve_standard_spectrum(prob, 0, scfg)
+            std.meta["values_uncertified"] = True
+            return std
 
 
-def _get_spectra(cfg: RunConfig):
-    """(singular, standard) spectra of the linearized potential, cached."""
-    cache = _cache_dir(cfg)
-    key = _stage_key(cfg.subsection("spectrum"))
-    sing_path = os.path.join(cache, f"singular-{key}.json")
-    std_path = os.path.join(cache, f"standard-{key}.json")
-    try:
-        return (_spectrum_from_json(sing_path), _spectrum_from_json(std_path),
-                True)
-    except (OSError, ValueError, KeyError, TypeError):
-        pass  # missing or unreadable: recompute
-    dmap = generalized_dimension(cfg.N, cfg.alpha)
-    if cfg.a_zero:
-        a = zero_potential
-    else:
-        prof = _get_profile(cfg)
-        a = linearized_potential(prof)
-    scfg = cfg.spectral_config()
-    sing = solve_singular_spectrum(
-        WeightedSLProblem(M=dmap.M, a=a, kind="singular"), cfg.k, scfg)
-    std_prob = WeightedSLProblem(M=dmap.M, a=a, kind="standard")
-    try:
-        std = solve_standard_spectrum(std_prob, max(cfg.k, cfg.m + 2), scfg)
-    except ResolutionError:
-        # extreme potentials exceed the grid cap of the untransformed
-        # problem; counts remain robust, so fall back to a count-only solve
-        std = solve_standard_spectrum(std_prob, 0, scfg)
-        std.meta["values_uncertified"] = True
-    _write_cache(spectrum_to_json, sing, sing_path)
-    _write_cache(spectrum_to_json, std, std_path)
-    return sing, std, False
+def _check_profile_entry(csv_path, json_path) -> None:
+    """Raise OSError or ValueError unless both profile files parse."""
+    with open(json_path) as fh:
+        json.load(fh)
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    if header != ["t", "v", "v_prime"] or any(len(r) != 3 for r in rows):
+        raise ValueError(f"{csv_path}: not a profile table")
+    np.array(rows, dtype=float)
 
 
-def _spectrum_from_json(path) -> Spectrum:
-    """Lightweight reload: eigenvalues and flags, no eigenfunction samples."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    pairs = tuple(
-        EigenPair(value=e["value"], error_bar=e["error_bar"],
-                  grid=np.empty(0), samples=np.empty(0),
-                  derivative=np.empty(0), interior_nodes=e["nodes"],
-                  boundary_slope=math.nan, decay_exponent=e["theta_fit"],
-                  theta_analytic=e["theta_analytic"],
-                  uncertain=e["uncertain"])
-        for e in doc["eigenvalues"])
-    thr = doc["threshold"]
-    exh = doc["exhausted_below"]
-    return Spectrum(kind=doc["kind"], M=doc["M"],
-                    threshold=math.inf if thr is None else thr,
-                    eigenpairs=pairs,
-                    exhausted_below=-math.inf if exh is None else exh,
-                    negative_count=doc["negative_count"], meta=doc["meta"])
+def _write_json(doc: dict, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    cache = _cache_dir(cfg)
+    pipe = Pipeline(cfg)
     key = _stage_key(cfg.subsection("profile"))
-    csv_cache = os.path.join(cache, f"profile-{key}.csv")
-    json_cache = os.path.join(cache, f"profile-{key}.json")
-    if not (os.path.exists(csv_cache) and os.path.exists(json_cache)):
-        prof = _get_profile(cfg)
-        _write_cache(profile_to_csv, prof, csv_cache)
-        _write_cache(profile_to_json, prof, json_cache)
+    csv_cache = os.path.join(pipe.cache, f"profile-{key}.csv")
+    json_cache = os.path.join(pipe.cache, f"profile-{key}.json")
+    try:
+        _check_profile_entry(csv_cache, json_cache)
+    except (OSError, ValueError):  # missing or unreadable: recompute
+        _write_cache(profile_to_csv, pipe.profile, csv_cache)
+        _write_cache(profile_to_json, pipe.profile, json_cache)
     shutil.copyfile(csv_cache, os.path.join(cfg.out, "profile.csv"))
     shutil.copyfile(json_cache, os.path.join(cfg.out, "profile.json"))
     print(f"profile written to {cfg.out}/profile.csv|json")
@@ -258,16 +277,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    sing, std, cached = _get_spectra(cfg)
-    for spec, name in ((sing, "spectrum_singular.json"),
-                       (std, "spectrum_standard.json")):
-        cache = _cache_dir(cfg)
-        key = _stage_key(cfg.subsection("spectrum"))
-        tag = "singular" if spec.kind == "singular" else "standard"
-        shutil.copyfile(os.path.join(cache, f"{tag}-{key}.json"),
-                        os.path.join(cfg.out, name))
-    if not cached and len(sing.eigenpairs) and sing.eigenpairs[0].grid.size:
+    pipe = Pipeline(cfg)
+    sing = pipe.spectrum("singular")
+    std = pipe.spectrum("standard")
+    for kind in ("singular", "standard"):
+        shutil.copyfile(pipe.entry(kind),
+                        os.path.join(cfg.out, f"spectrum_{kind}.json"))
+    # a spectrum read back from the cache carries no eigenfunction samples
+    if len(sing.eigenpairs) and sing.eigenpairs[0].grid.size:
         eigenfunction_to_csv(sing.eigenpairs[0],
                              os.path.join(cfg.out, "eigenfunction_1.csv"))
     print(f"spectra written to {cfg.out} "
@@ -278,24 +295,18 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_morse(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    sing, std, _ = _get_spectra(cfg)
-    dmap = generalized_dimension(cfg.N, cfg.alpha)
-    degen = degeneracy_scan(sing, std, dmap)
-    report = morse_index(sing, dmap, m=cfg.m, degeneracy=degen)
-    path = os.path.join(cfg.out, "morse.json")
-    morse_report_to_json(report, path)
+    pipe = Pipeline(cfg)
+    sing = pipe.spectrum("singular")
+    degen = degeneracy_scan(sing, pipe.spectrum("standard"), pipe.dmap)
+    report = morse_index(sing, pipe.dmap, m=cfg.m, degeneracy=degen)
+    doc = morse_report_doc(report)
     if cfg.symmetry:
         sym = _symmetry_table(cfg.symmetry, cfg.N, report)
-        with open(path) as fh:
-            doc = json.load(fh)
         doc["symmetric_index"] = {
             "label": sym.label,
             "value": symmetric_morse_index(report, sym),
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(doc, os.path.join(cfg.out, "morse.json"))
     with open(os.path.join(cfg.out, "morse.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "nu_hat", "lambda_hat", "J", "contribution"])
@@ -325,23 +336,23 @@ def _symmetry_table(label: str, N: int, report) -> SymmetryMultiplicity:
     raise ConfigError(f"field 'symmetry': unknown label {label!r}")
 
 
-def _sweep_value(args):
-    """One sweep step; must stay top-level picklable for process pools."""
-    cfg_dict, axis, value = args
-    fields = dict(cfg_dict)
-    fields[axis] = value
-    cfg = RunConfig(**fields)
-    dmap = generalized_dimension(cfg.N, cfg.alpha)
-    prof = solve_nodal_power(dmap.M, cfg.p, cfg.m, rtol=cfg.ode_rtol,
-                             atol=cfg.ode_atol)
-    a = linearized_potential(prof)
-    sing = solve_singular_spectrum(
-        WeightedSLProblem(M=dmap.M, a=a, kind="singular"), cfg.k,
-        cfg.spectral_config())
-    report = morse_index(sing, dmap, m=cfg.m)
-    values = [p.value for p in sing.eigenpairs if p.value < 0]
-    return (value, values, report.total, report.bounds["general"],
-            report.bounds["with_f3"])
+def _sweep_row(pipe: Pipeline, axis: str) -> list:
+    """One sweep.csv row: the axis value, the m lowest negative singular
+    eigenvalues (nan when missing), the Morse total and the bounds."""
+    cfg = pipe.cfg
+    sing = pipe.spectrum("singular")
+    report = morse_index(sing, pipe.dmap, m=cfg.m)
+    nus = [p.value for p in sing.eigenpairs if p.value < 0][:cfg.m]
+    nus += [math.nan] * (cfg.m - len(nus))
+    return ([f"{getattr(cfg, axis):.17g}"] + [f"{v:.17g}" for v in nus]
+            + [report.total, report.bounds["general"],
+               report.bounds["with_f3"]])
+
+
+def _cache_singular(pipe: Pipeline) -> None:
+    """Solve and cache one sweep point; top-level so that process pools can
+    pickle it."""
+    pipe.spectrum("singular")
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
@@ -350,40 +361,33 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
     if axis not in ("p", "alpha"):
         raise ConfigError("field 'axis': must be 'p' or 'alpha'")
     params = list(np.linspace(lo, hi, steps)) if steps > 0 else []
-    jobs = [(cfg.to_dict(), axis, float(v)) for v in params]
-    if cfg.workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_sweep_value, jobs))
-    else:
-        rows = [_sweep_value(j) for j in jobs]
+    pipes = [Pipeline(dataclasses.replace(cfg, **{axis: float(v)}))
+             for v in params]
+    if cfg.workers > 1:
+        # the pool solves the points missing from the cache; the rows are
+        # then read back from it
+        missed = [pipe for pipe in pipes if pipe.cached("singular") is None]
+        if len(missed) > 1:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=cfg.workers) as pool:
+                list(pool.map(_cache_singular, missed))
+    rows = [_sweep_row(pipe, axis) for pipe in pipes]
     path = os.path.join(cfg.out, "sweep.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = [axis] + [f"nu_hat_{i + 1}" for i in range(cfg.m)] \
-            + ["total", "bound_general", "bound_f3"]
-        w.writerow(header)
-        for value, nus, total, bg, bf in rows:
-            padded = list(nus[:cfg.m]) + [math.nan] * (cfg.m - len(nus))
-            w.writerow([f"{value:.17g}"] + [f"{v:.17g}" for v in padded]
-                       + [total, bg, bf])
+        w.writerow([axis] + [f"nu_hat_{i + 1}" for i in range(cfg.m)]
+                   + ["total", "bound_general", "bound_f3"])
+        w.writerows(rows)
     print(f"sweep written to {path} ({len(rows)} rows)")
     return 0
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    dmap = generalized_dimension(cfg.N, cfg.alpha)
-    if cfg.a_zero:
-        a = zero_potential
-    else:
-        prof = _get_profile(cfg)
-        a = linearized_potential(prof)
-    prob = WeightedSLProblem(M=dmap.M, a=a, kind="singular")
-    sing = solve_singular_spectrum(prob, cfg.k, cfg.spectral_config())
-    orc = dense_oracle_spectrum(prob, n=cfg.oracle_n,
-                                epsilon_cut=cfg.epsilon_cut,
-                                margin=cfg.margin)
+    pipe = Pipeline(cfg)
+    sing = pipe.spectrum("singular")
+    orc = dense_oracle_spectrum(
+        WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential(), kind="singular"),
+        n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut, margin=cfg.margin)
     rows = []
     worst = 0.0
     for i, pair in enumerate(sing.eigenpairs):
@@ -394,15 +398,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
         worst = max(worst, rel)
         rows.append((i + 1, pair.value, ov, rel))
     path = os.path.join(cfg.out, "oracle.json")
-    with open(path, "w") as fh:
-        json.dump({
-            "comparisons": [
-                {"index": i, "solver": sv, "oracle": ov, "rel_diff": rel}
-                for i, sv, ov, rel in rows],
-            "worst_rel_diff": worst,
-            "tolerance": cfg.oracle_tol,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json({
+        "comparisons": [
+            {"index": i, "solver": sv, "oracle": ov, "rel_diff": rel}
+            for i, sv, ov, rel in rows],
+        "worst_rel_diff": worst,
+        "tolerance": cfg.oracle_tol,
+    }, path)
     print(f"oracle comparison written to {path}; worst rel diff "
           f"{worst:.3e}")
     return 4 if worst > cfg.oracle_tol else 0
@@ -472,14 +474,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "morse":
-            return cmd_morse(cfg)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
         if args.command == "sweep":
             try:
                 lo, hi = (float(x) for x in args.range.split(":"))
@@ -488,7 +482,8 @@ def main(argv=None) -> int:
             if args.steps < 0:
                 raise ConfigError("field 'steps': must be >= 0")
             return cmd_sweep(cfg, args.axis, lo, hi, args.steps)
-        raise ConfigError(f"unknown command {args.command}")
+        return {"solve": cmd_solve, "spectrum": cmd_spectrum,
+                "morse": cmd_morse, "oracle": cmd_oracle}[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ hit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -316,8 +315,9 @@ def asymptotic_prediction(N: int, alpha: float, m: int, *,
 # serialization
 # ---------------------------------------------------------------------------
 
-def morse_report_to_json(report: MorseReport, path) -> None:
-    doc = {
+def morse_report_doc(report: MorseReport) -> dict:
+    """The report as the JSON document that morse.json holds."""
+    return {
         "N": report.dmap.N,
         "alpha": report.dmap.alpha,
         "M": report.dmap.M,
@@ -346,9 +346,6 @@ def morse_report_to_json(report: MorseReport, path) -> None:
             "source": report.degeneracy.source,
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def morse_report_rows(report: MorseReport):

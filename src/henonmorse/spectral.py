@@ -631,6 +631,28 @@ def spectrum_to_json(spec: Spectrum, path) -> None:
         fh.write("\n")
 
 
+def spectrum_from_json(path) -> Spectrum:
+    """Read back what spectrum_to_json wrote: eigenvalues and flags, no
+    eigenfunction samples."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    pairs = tuple(
+        EigenPair(value=e["value"], error_bar=e["error_bar"],
+                  grid=np.empty(0), samples=np.empty(0),
+                  derivative=np.empty(0), interior_nodes=e["nodes"],
+                  boundary_slope=math.nan, decay_exponent=e["theta_fit"],
+                  theta_analytic=e["theta_analytic"],
+                  uncertain=e["uncertain"])
+        for e in doc["eigenvalues"])
+    thr = doc["threshold"]
+    exh = doc["exhausted_below"]
+    return Spectrum(kind=doc["kind"], M=doc["M"],
+                    threshold=math.inf if thr is None else thr,
+                    eigenpairs=pairs,
+                    exhausted_below=-math.inf if exh is None else exh,
+                    negative_count=doc["negative_count"], meta=doc["meta"])
+
+
 def eigenfunction_to_csv(pair: EigenPair, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -263,3 +263,79 @@ def test_oracle_guard_refused(tmp_path):
 def test_unknown_symmetry_label(tmp_path):
     assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 1,
                 "--symmetry", "dodecahedral", "--out", tmp_path]) == 2
+
+
+def test_damaged_profile_entry_is_recomputed(tmp_path):
+    out = tmp_path / "p"
+    args = ["solve"] + REFERENCE + ["--out", out]
+    assert run(args) == 0
+    first = [(out / name).read_bytes() for name in ("profile.csv",
+                                                     "profile.json")]
+    (entry,) = out.glob("cache/profile-*.json")
+    entry.write_bytes(entry.read_bytes()[:100])
+    assert run(args) == 0
+    assert [(out / name).read_bytes() for name in ("profile.csv",
+                                                   "profile.json")] == first
+    assert not list(out.glob("cache/*.tmp"))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on a warm cache")
+
+
+SWEEP = ["sweep", "--N", 3, "--alpha", 0, "--m", 2, "--k", 3, "--axis", "p",
+         "--range", "2.2:3.0", "--steps", 3]
+
+
+def test_sweep_rerun_reads_every_point_from_the_cache(tmp_path, monkeypatch):
+    out = tmp_path / "sw"
+    args = SWEEP + ["--workers", 2, "--out", out]
+    assert run(args) == 0
+    first = (out / "sweep.csv").read_bytes()
+    assert len(list(out.glob("cache/singular-*.json"))) == 3
+    monkeypatch.setattr(cli, "solve_singular_spectrum", _refuse)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        _refuse)
+    assert run(args) == 0
+    assert (out / "sweep.csv").read_bytes() == first
+
+
+def test_sweep_truncated_entry_is_recomputed(tmp_path, capsys):
+    out = tmp_path / "sw"
+    args = SWEEP + ["--out", out]
+    assert run(args) == 0
+    first = (out / "sweep.csv").read_bytes()
+    entry = sorted(out.glob("cache/singular-*.json"))[1]
+    entry.write_bytes(entry.read_bytes()[:100])
+    capsys.readouterr()
+    assert run(args) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "sweep.csv").read_bytes() == first
+    assert json.loads(entry.read_text())["kind"] == "singular"
+
+
+def test_oracle_reads_the_singular_spectrum_morse_cached(tmp_path,
+                                                        monkeypatch):
+    cold = tmp_path / "cold"
+    assert run(["oracle"] + REFERENCE + ["--out", cold]) == 0
+    out = tmp_path / "o"
+    assert run(["morse"] + REFERENCE + ["--out", out]) == 0
+    monkeypatch.setattr(cli, "solve_singular_spectrum", _refuse)
+    assert run(["oracle"] + REFERENCE + ["--out", out]) == 0
+    assert (out / "oracle.json").read_bytes() == \
+        (cold / "oracle.json").read_bytes()
+
+
+def test_cold_morse_solves_the_profile_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    real = cli.solve_nodal_power
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_nodal_power", counted)
+    for name in ("a", "b"):
+        assert run(["morse"] + REFERENCE + ["--out", tmp_path / name]) == 0
+        assert len(calls) == 1
+        calls.clear()
