@@ -53,7 +53,8 @@ class ConfigError(ValueError):
 
 # Raise whenever the solver's published numbers or the cache layout change.
 # 2: singular eigenvalues finished by Rayleigh quotients.
-CACHE_REVISION = 2
+# 3: profile JSON records the row count of its CSV table.
+CACHE_REVISION = 3
 
 
 @dataclass(frozen=True)
@@ -244,13 +245,17 @@ class Pipeline:
 
 
 def _check_profile_entry(csv_path, json_path) -> None:
-    """Raise OSError or ValueError unless both profile files parse."""
+    """Raise OSError or ValueError unless both profile files parse and the
+    table has the row count the JSON records (a cut table can still
+    parse)."""
     with open(json_path) as fh:
-        json.load(fh)
+        doc = json.load(fh)
     with open(csv_path, newline="") as fh:
         header, *rows = csv.reader(fh)
     if header != ["t", "v", "v_prime"] or any(len(r) != 3 for r in rows):
         raise ValueError(f"{csv_path}: not a profile table")
+    if not isinstance(doc, dict) or doc.get("rows") != len(rows):
+        raise ValueError(f"{csv_path}: row count differs from {json_path}")
     np.array(rows, dtype=float)
 
 

@@ -548,6 +548,7 @@ def profile_to_json(prof: RadialProfile, path) -> None:
         "nonlinearity": prof.nonlinearity.tag(),
         "coupling": prof.coupling,
         "nodal_zones": prof.nodal_zones,
+        "rows": len(prof.grid),
         "zeros": [float(z) for z in prof.zeros],
         "critical_points": [float(s) for s in prof.critical_points],
         "extremal_values": [float(v) for v in prof.extremal_values],

@@ -16,6 +16,12 @@ grids, LAPACK bisection stops at a bracket of width 1e-4 and the Rayleigh
 quotient of each inverse-iteration vector finishes the eigenvalue; the
 standard kind is still bisected to 1e-300.  Eigenvalues carry Richardson
 error bars from a coarse/fine grid pair.
+
+Quadrature (normalization, inner products, Rayleigh quotients, the Picone
+residual) is an in-house composite Simpson rule on the uniform Liouville
+grid, so the module needs numpy and the LAPACK kernels only: the runtime
+imports numpy, scipy.linalg and the standard library, and no other part
+of scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from ._kernels import (BRACKET, SpectralError, bisect_eigenvalues,
                        rayleigh_refine, sturm_count)
@@ -296,7 +301,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
         u[1:-1] = vecs[:, i]
         if u[1] < 0:
             u = -u
-        u /= math.sqrt(simpson(u * u, dx=h))
+        u /= math.sqrt(_simpson(u * u, h))
         du = np.gradient(u, h, edge_order=2)
         psi = u * np.exp(a_half * x)
         dpsi = -np.exp(0.5 * prob.M * x) * (a_half * u + du)
@@ -527,12 +532,44 @@ def picone_residual(pi: EigenPair, pj: EigenPair, M: float) -> float:
     dui = _diff4(ui, h)
     duj = _diff4(uj, h)
     wr = ui * duj - dui * uj
-    cum = cumulative_simpson(ui * uj, dx=h, initial=0.0)
+    cum = _cumulative_simpson(ui * uj, h)
     defect = wr + (pj.value - pi.value) * cum
     scale = max(float(np.max(np.abs(ui))) * float(np.max(np.abs(duj)))
                 + float(np.max(np.abs(uj))) * float(np.max(np.abs(dui))),
                 1e-300)
     return float(np.max(np.abs(defect)) / scale)
+
+
+def _simpson(y, h):
+    """Composite Simpson integral of uniform samples y with spacing h.
+
+    The point count must be odd (an even number of cells, as on every grid
+    here); there the result equals scipy.integrate.simpson(y, dx=h) bit for
+    bit.
+    """
+    if len(y) % 2 == 0:
+        raise ValueError(f"Simpson rule needs an odd point count, "
+                         f"got {len(y)}")
+    return np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (h / 3.0)
+
+
+def _cumulative_simpson(y, h):
+    """Running integral of uniform samples y (at least 3), 0 at the start.
+
+    Cell i is integrated with the parabola through samples i..i+2 for even
+    i and through i-1..i+1 for odd i and for the last cell; this is
+    scipy.integrate.cumulative_simpson(y, dx=h, initial=0) bit for bit.
+    """
+    def first_cells(f):
+        return h / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    fwd = first_cells(y)
+    bwd = first_cells(y[::-1])[::-1]
+    cells = np.empty(len(y) - 1)
+    cells[:-1:2] = fwd[::2]
+    cells[1::2] = bwd[::2]
+    cells[-1] = bwd[-1]
+    return np.concatenate(([0.0], np.cumsum(cells)))
 
 
 def _diff4(y, h):
@@ -554,7 +591,7 @@ def weighted_inner_product(pi: EigenPair, pj: EigenPair) -> float:
     if pi.x_grid is None or pj.x_grid is None:
         raise ValueError("needs Liouville-sampled pairs")
     h = pi.x_grid[1] - pi.x_grid[0]
-    return float(simpson(pi.u_samples * pj.u_samples, dx=h))
+    return float(_simpson(pi.u_samples * pj.u_samples, h))
 
 
 def rayleigh_quotient(w, prob: WeightedSLProblem) -> float:
@@ -571,11 +608,11 @@ def rayleigh_quotient(w, prob: WeightedSLProblem) -> float:
         du = _diff4(u, h)
         r = np.exp(-x)
         a_vals = np.asarray(prob.a(r), dtype=float)
-        num = simpson((a_half * u + du) ** 2 - r * r * a_vals * u * u, dx=h)
+        num = _simpson((a_half * u + du) ** 2 - r * r * a_vals * u * u, h)
         if prob.kind == "singular":
-            den = simpson(u * u, dx=h)
+            den = _simpson(u * u, h)
         else:
-            den = simpson(r * r * u * u, dx=h)
+            den = _simpson(r * r * u * u, h)
         return float(num / den)
     if isinstance(w, EigenPair):
         r, vals, dvals = w.grid, w.samples, w.derivative

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 from henonmorse import cli
 from henonmorse.cli import RunConfig, main
@@ -277,6 +280,38 @@ def test_damaged_profile_entry_is_recomputed(tmp_path):
     assert [(out / name).read_bytes() for name in ("profile.csv",
                                                    "profile.json")] == first
     assert not list(out.glob("cache/*.tmp"))
+
+
+def test_truncated_profile_table_is_recomputed(tmp_path):
+    out = tmp_path / "p"
+    args = ["solve"] + REFERENCE + ["--out", out]
+    assert run(args) == 0
+    fresh = (out / "profile.csv").read_bytes()
+    (entry,) = out.glob("cache/profile-*.csv")
+    entry.write_bytes(b"".join(entry.read_bytes().splitlines(True)[:50]))
+    assert run(args) == 0
+    assert (out / "profile.csv").read_bytes() == fresh
+
+
+HEAVY_SCIPY = ("scipy.integrate", "scipy.special", "scipy.optimize",
+               "scipy.sparse")
+
+
+def test_morse_run_loads_no_heavy_scipy_package(tmp_path):
+    """Importing the CLI and running a cold morse report loads none of
+    HEAVY_SCIPY: together they would add about 0.3 s to every start-up."""
+    args = [str(a) for a in ["morse"] + REFERENCE + ["--k", 3,
+                                                     "--out", tmp_path]]
+    code = ("import sys\n"
+            "from henonmorse import cli\n"
+            f"status = cli.main({args!r})\n"
+            f"print(status, [m for m in {HEAVY_SCIPY!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def _refuse(*args, **kwargs):

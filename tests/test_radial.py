@@ -241,6 +241,7 @@ def test_profile_serialization(tmp_path):
     assert header == "t,v,v_prime"
     doc = json.loads(json_path.read_text())
     assert doc["nodal_zones"] == 2
+    assert doc["rows"] == len(csv_path.read_text().splitlines()) - 1
     assert len(doc["zeros"]) == 2
     assert doc["nonlinearity"].startswith("power")
     assert doc["solver"]["rtol"] == 1e-10

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 from henonmorse._kernels import bisect_eigenvalues, sturm_count
 from henonmorse.radial import linearized_potential, solve_nodal_power
 from henonmorse.spectral import (ResolutionError, SpectralConfig,
-                                 WeightedSLProblem, count_interior_nodes,
+                                 WeightedSLProblem, _cumulative_simpson,
+                                 _simpson, count_interior_nodes,
                                  fit_decay_exponent, liouville_transform,
                                  picone_residual, rayleigh_quotient,
                                  solve_singular_spectrum,
@@ -198,6 +200,28 @@ def test_picone_identity_residuals():
         res[n] = picone_residual(p1, p2, 3.0)
     assert res[32768] < 1e-6
     assert res[32768] < 0.4 * res[16384]      # second-order shrinkage
+
+
+def _samples(n):
+    return np.random.default_rng(n).standard_normal(n), 60.0 / (n - 1)
+
+
+@pytest.mark.parametrize("n", [5, 2049, 4097, 8193])
+def test_simpson_equals_scipy(n):
+    y, h = _samples(n)
+    assert _simpson(y, h) == simpson(y, dx=h)
+
+
+def test_simpson_refuses_even_point_count():
+    with pytest.raises(ValueError, match="odd point count"):
+        _simpson(np.ones(4096), 0.1)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 4096, 4097])
+def test_cumulative_simpson_equals_scipy(n):
+    y, h = _samples(n)
+    assert np.array_equal(_cumulative_simpson(y, h),
+                          cumulative_simpson(y, dx=h, initial=0.0))
 
 
 def test_weighted_orthogonality(lane_emden_case):
