@@ -11,8 +11,9 @@ changes, and of the package version and CACHE_REVISION, so entries written
 by older solver code are not served.  Cache files are moved into place
 whole; an entry that cannot be read is recomputed.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 oracle mismatch
-beyond tolerance.
+Exit codes: 0 success, 2 config error, 3 solver failure, 4 oracle mismatch:
+an eigenvalue beyond tolerance, differing negative counts, or a certified
+solver eigenvalue the oracle did not find.
 """
 
 from __future__ import annotations
@@ -394,14 +395,19 @@ def cmd_oracle(cfg: RunConfig) -> int:
         WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential(), kind="singular"),
         n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut, margin=cfg.margin)
     rows = []
+    unmatched = []      # certified solver pairs the oracle did not find
     worst = 0.0
     for i, pair in enumerate(sing.eigenpairs):
-        if pair.uncertain or i >= len(orc.eigenpairs):
+        if pair.uncertain:
+            continue
+        if i >= len(orc.eigenpairs):
+            unmatched.append(i + 1)
             continue
         ov = orc.eigenpairs[i].value
         rel = abs(pair.value - ov) / max(abs(ov), 1e-300)
         worst = max(worst, rel)
         rows.append((i + 1, pair.value, ov, rel))
+    counts = {"solver": sing.negative_count, "oracle": orc.negative_count}
     path = os.path.join(cfg.out, "oracle.json")
     _write_json({
         "comparisons": [
@@ -409,10 +415,15 @@ def cmd_oracle(cfg: RunConfig) -> int:
             for i, sv, ov, rel in rows],
         "worst_rel_diff": worst,
         "tolerance": cfg.oracle_tol,
+        "negative_count": counts,
+        "unmatched": unmatched,
     }, path)
     print(f"oracle comparison written to {path}; worst rel diff "
-          f"{worst:.3e}")
-    return 4 if worst > cfg.oracle_tol else 0
+          f"{worst:.3e}; negative count solver {counts['solver']}, oracle "
+          f"{counts['oracle']}; unmatched solver indices {unmatched}")
+    mismatch = (worst > cfg.oracle_tol or unmatched
+                or counts["solver"] != counts["oracle"])
+    return 4 if mismatch else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,118 @@
 """Independent dense eigensolver used only to cross-check the main solvers.
 
 Discretizes both problem kinds directly in the r variable on a power-graded
-grid truncated at [epsilon_cut, 1].  The full spectrum of the symmetric
-tridiagonal form comes from LAPACK's root-free QR iteration (dsterf), the
-eigenvectors from shifted solves with its pivoted tridiagonal LU (dgtsv).
-Neither code nor eigen-driver is shared with the Liouville-transform or
-finite-volume paths, which run bisection (dstebz) and dstein.
+grid truncated at [epsilon_cut, 1].  Only the eigenvalues the oracle reports
+are computed, by LAPACK's MRRR driver dstemr without eigenvectors: those in
+a value window up to the singular threshold, and for the standard kind the
+negative ones and the lowest k.  The eigenvectors come from shifted solves
+with the pivoted tridiagonal LU (dgtsv).  Neither code nor eigen-driver is
+shared with the Liouville-transform or finite-volume paths, which run
+bisection (dstebz) and dstein on their own grids: dstemr refines the
+window's eigenvalues with its own routines (dlarre, dlarrb), by bisection
+on a shifted LDL^T factorization (Dhillon, Parlett & Voemel, ACM TOMS 32,
+2006).
+
+dstemr is called through the C function that scipy.linalg.cython_lapack
+exports, with ctypes, because scipy's f2py wrapper allocates and zero-fills
+an n x n eigenvector array even when no eigenvectors are asked for (32 MB
+at n = 2000); this call needs O(n) workspace.  dstemr splits the matrix at
+off-diagonals below eps * ||T||, which loses the bound states of the
+strongly graded matrices that an epsilon_cut above about 1e-3 gives at
+n = 2000; those matrices get the full spectrum from root-free QR (dsterf).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dgtsv, dsterf
 
 from .spectral import (EigenPair, SpectralError, Spectrum,
                        WeightedSLProblem, count_interior_nodes_sampled)
 
 DENSE_N_GUARD = 4000
+
+
+def _cython_lapack_function(name: str, *argtypes):
+    """ctypes handle, with the given argument types, on the LAPACK function
+    that scipy.linalg.cython_lapack exports under `name`."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_DBL = ctypes.POINTER(ctypes.c_double)
+_DSTEMR_C = _cython_lapack_function(
+    "dstemr", ctypes.c_char_p, ctypes.c_char_p, _INT, _DBL, _DBL, _DBL,
+    _DBL, _INT, _INT, _INT, _DBL, _DBL, _INT, _INT, _INT, _INT, _DBL, _INT,
+    _INT, _INT, _INT)
+
+
+def _dstemr(d, e, vl: float, vu: float, il: int, iu: int):
+    """Values-only dstemr (JOBZ='N') on tridiag(d, e): the eigenvalues in
+    (vl, vu] when il == 0 (RANGE='V'), else those of 1-based index il..iu
+    (RANGE='I'), ascending, and LAPACK's INFO.  d and e are not modified."""
+    n = len(d)
+    if len(e) != n - 1:
+        raise ValueError("e must have one element less than d")
+    d = np.array(d, dtype=np.float64)          # dstemr overwrites d and e,
+    e_n = np.zeros(n)                          # and e has length n
+    e_n[:-1] = e
+    w = np.empty(n)
+    z = np.empty(1)                            # not referenced for JOBZ='N'
+    isuppz = np.empty(2, dtype=np.intc)        # likewise
+    work = np.empty(12 * n)                    # the JOBZ='N' minima
+    iwork = np.empty(8 * n, dtype=np.intc)
+    c_int, c_double = ctypes.c_int, ctypes.c_double
+    m, info = c_int(0), c_int(0)
+    _DSTEMR_C(b"N", b"V" if il == 0 else b"I", ctypes.byref(c_int(n)),
+              d.ctypes.data_as(_DBL), e_n.ctypes.data_as(_DBL),
+              ctypes.byref(c_double(vl)), ctypes.byref(c_double(vu)),
+              ctypes.byref(c_int(il)), ctypes.byref(c_int(iu)),
+              ctypes.byref(m), w.ctypes.data_as(_DBL), z.ctypes.data_as(_DBL),
+              ctypes.byref(c_int(1)), ctypes.byref(c_int(0)),
+              isuppz.ctypes.data_as(_INT), ctypes.byref(c_int(1)),
+              work.ctypes.data_as(_DBL), ctypes.byref(c_int(len(work))),
+              iwork.ctypes.data_as(_INT), ctypes.byref(c_int(len(iwork))),
+              ctypes.byref(info))
+    return w[:m.value].copy(), info.value
+
+
+def _eigenvalues(d, e, *, upper: float | None = None,
+                 count: int | None = None):
+    """Ascending eigenvalues of tridiag(d, e): all those <= `upper`, or the
+    `count` lowest."""
+    radius = np.zeros(len(d))
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    # dstemr cuts T at every |e_i| <= eps * (hi - lo), which holds its
+    # eigenvalues only to eps * ||T|| absolutely.  On the grids of a large
+    # epsilon_cut that drops the bound states; root-free QR keeps them.  The
+    # factor 4 covers rounding in this copy of dstemr's test.
+    splits = np.min(np.abs(e)) <= 4.0 * np.finfo(float).eps * (hi - lo)
+    if splits:
+        w, info = dsterf(d, e)
+        w = w[:count] if count is not None else w[w <= upper]
+    elif count is not None:
+        w, info = _dstemr(d, e, 0.0, 0.0, 1, count)
+    else:
+        # the window's open lower end lies below Gershgorin's bound, by a
+        # margin that survives rounding
+        w, info = _dstemr(d, e, min(lo, upper) - abs(lo) - 1.0, upper, 0, 0)
+    if info != 0:
+        driver = "dsterf" if splits else "dstemr"
+        raise SpectralError(f"LAPACK {driver} failed with info={info}")
+    return w
 
 
 def _assemble(prob: WeightedSLProblem, n: int, eps: float, grading: float):
@@ -108,13 +201,15 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = 2000,
                                        zero_cut=zero_cut, richardson=False)
     r, r_u, m_u, s, d, e = _assemble(prob, n, epsilon_cut, grading)
 
-    spectrum = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-    neg = int(np.count_nonzero(spectrum <= -zero_cut))
     if prob.kind == "singular":
         exhausted = prob.threshold - margin
-        vals = spectrum[spectrum <= exhausted][:k]
+        window = _eigenvalues(d, e, upper=max(exhausted, -zero_cut))
+        neg = int(np.count_nonzero(window <= -zero_cut))
+        vals = window[window <= exhausted][:k]
     else:
-        vals = spectrum[:k if k is not None else 6]
+        neg = len(_eigenvalues(d, e, upper=-zero_cut))
+        count = min(k if k is not None else 6, len(d))
+        vals = _eigenvalues(d, e, count=count) if count else np.empty(0)
         exhausted = float(vals[-1]) if len(vals) else -math.inf
     vecs = _eigenvectors(d, e, vals)
 

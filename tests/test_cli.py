@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 
-from henonmorse import cli
+import numpy as np
+
+from henonmorse import cli, oracle
 from henonmorse.cli import RunConfig, main
 from henonmorse.spectral import SpectralError
 
@@ -232,6 +234,31 @@ def test_oracle_command(tmp_path):
     doc = json.loads((out / "oracle.json").read_text())
     assert doc["worst_rel_diff"] < 1e-4
     assert len(doc["comparisons"]) == 2
+    assert doc["negative_count"] == {"solver": 2, "oracle": 2}
+    assert doc["unmatched"] == []
+
+
+def test_oracle_missing_a_certified_eigenvalue_exits_4(tmp_path):
+    # cut at r = 0.09 the oracle's problem keeps only the first bound
+    # state, so the solver's certified nu_2 has no partner
+    out = tmp_path / "cut"
+    assert run(["oracle", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
+                "--k", 4, "--epsilon-cut", 0.09, "--out", out]) == 4
+    doc = json.loads((out / "oracle.json").read_text())
+    assert doc["negative_count"] == {"solver": 2, "oracle": 1}
+    assert doc["unmatched"] == [2]
+    assert [c["index"] for c in doc["comparisons"]] == [1]
+    assert doc["worst_rel_diff"] < doc["tolerance"]
+
+
+def test_oracle_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_dstemr", lambda *args: (np.empty(0), 7))
+    out = tmp_path / "fail"
+    assert run(["oracle"] + REFERENCE + ["--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "dstemr failed with info=7" in err
+    assert "Traceback" not in err
+    assert not (out / "oracle.json").exists()
 
 
 def test_oracle_coarse_grid_still_exits_zero(tmp_path):

@@ -1,12 +1,21 @@
 """Dense r-grid oracle: independence checks against the production solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dsterf
 
+from henonmorse import oracle
 from henonmorse.oracle import dense_oracle_spectrum
 from henonmorse.radial import linearized_potential, solve_nodal_power
-from henonmorse.spectral import (SpectralConfig, WeightedSLProblem,
-                                 solve_singular_spectrum, zero_potential)
+from henonmorse.spectral import (SpectralConfig, SpectralError,
+                                 WeightedSLProblem, solve_singular_spectrum,
+                                 zero_potential)
+
+# the points of the benchmark's cli workload, all on the acceptance matrix
+CLI_POINTS = ((3, 0.0, 3.0, 2), (2, 1.0, 3.0, 2), (5, 0.0, 2.2, 1),
+              (3, 2.7, 3.0, 3), (2, 0.0, 2.2, 1), (3, 1.0, 3.0, 2))
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +77,69 @@ def test_oracle_size_guard():
         dense_oracle_spectrum(prob, n=4001)
     with pytest.raises(ValueError, match="epsilon"):
         dense_oracle_spectrum(prob, n=100, epsilon_cut=0.5)
+
+
+def full_spectrum(prob, n, epsilon_cut, grading):
+    """Reference: every eigenvalue of the oracle's matrix, from dsterf."""
+    *_, d, e = oracle._assemble(prob, n, epsilon_cut, grading)
+    spectrum, info = dsterf(d, e)
+    assert info == 0
+    return spectrum
+
+
+@pytest.mark.parametrize("point", CLI_POINTS)
+def test_oracle_window_matches_full_spectrum(matrix_data, point):
+    data, _ = matrix_data
+    entry = data[point]
+    prob = WeightedSLProblem(M=entry["dmap"].M, a=entry["potential"],
+                             kind="singular")
+    for n in (1000, 2000):       # the two grids of the default oracle
+        orc = dense_oracle_spectrum(prob, n=n, richardson=False)
+        ref = full_spectrum(prob, n, 1e-10, 4.0)
+        exhausted = prob.threshold - 1e-6
+        ref_vals = ref[ref <= exhausted]
+        assert orc.negative_count == np.count_nonzero(ref <= -1e-7)
+        assert orc.exhausted_below == exhausted
+        assert len(orc.values) == len(ref_vals) >= point[3]
+        np.testing.assert_allclose(orc.values, ref_vals, rtol=1e-10, atol=0)
+
+
+def test_oracle_standard_count_comes_from_the_window():
+    # j_{0,i}^2 < 200 for i <= 4: four negative eigenvalues, one requested
+    prob = WeightedSLProblem(M=2.0, a=lambda r: 200.0 + 0.0 * r,
+                             kind="standard")
+    orc = dense_oracle_spectrum(prob, n=2000, k=1, richardson=False)
+    ref = full_spectrum(prob, 2000, 1e-9, 1.0)
+    assert orc.negative_count == np.count_nonzero(ref <= -1e-7) == 4
+    assert len(orc.values) == 1
+    assert orc.values[0] == pytest.approx(ref[0], rel=1e-10)
+    assert orc.exhausted_below == orc.values[0]
+
+
+def test_oracle_keeps_the_bound_states_of_a_large_epsilon_cut(case):
+    # at epsilon_cut 1e-2 the graded matrix has ||T|| ~ 1e21, and dstemr's
+    # splitting test would decouple its lower rows
+    orc = dense_oracle_spectrum(case, n=2000, epsilon_cut=1e-2,
+                                richardson=False)
+    ref = full_spectrum(case, 2000, 1e-2, 4.0)
+    assert orc.negative_count == 2
+    np.testing.assert_allclose(orc.values, ref[ref <= case.threshold - 1e-6],
+                               rtol=1e-10, atol=0)
+
+
+def test_oracle_allocates_no_square_array(case):
+    # one n x n float64 array at n = 2000 takes 32 MB
+    dense_oracle_spectrum(case, n=200)
+    tracemalloc.start()
+    try:
+        dense_oracle_spectrum(case, n=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_oracle_lapack_failure_raises(case, monkeypatch):
+    monkeypatch.setattr(oracle, "_dstemr", lambda *args: (np.empty(0), 7))
+    with pytest.raises(SpectralError, match="dstemr failed with info=7"):
+        dense_oracle_spectrum(case, n=200)
