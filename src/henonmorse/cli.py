@@ -42,8 +42,8 @@ from .oracle import dense_oracle_spectrum
 from .radial import (BracketError, IntegrationError, RadialProfile,
                      Nonlinearity, linearized_potential, profile_to_csv,
                      profile_to_json, solve_nodal_power)
-from .spectral import (ResolutionError, SpectralConfig, SpectralError,
-                       Spectrum, WeightedSLProblem, eigenfunction_to_csv,
+from .spectral import (SpectralConfig, SpectralError, Spectrum,
+                       WeightedSLProblem, eigenfunction_to_csv,
                        solve_singular_spectrum, solve_standard_spectrum,
                        spectrum_from_json, spectrum_to_json, zero_potential)
 
@@ -55,7 +55,8 @@ class ConfigError(ValueError):
 # Raise whenever the solver's published numbers or the cache layout change.
 # 2: singular eigenvalues finished by Rayleigh quotients.
 # 3: profile JSON records the row count of its CSV table.
-CACHE_REVISION = 3
+# 4: standard kind on the Liouville grid.
+CACHE_REVISION = 4
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,9 @@ class RunConfig:
         for name, value in merged.items():
             kind, check, msg = cls._DOMAINS[name]
             try:
+                # JSON true/false fill the bool fields, and nothing else
+                if isinstance(value, bool) != (kind == "bool"):
+                    raise ValueError
                 if kind == "int":
                     if isinstance(value, float) and value != int(value):
                         raise ValueError
@@ -128,8 +132,6 @@ class RunConfig:
                     value = float(value)
                 elif kind == "float?":
                     value = None if value is None else float(value)
-                elif kind == "bool":
-                    value = bool(value)
                 elif kind in ("str", "str?"):
                     value = None if value is None else str(value)
             except (TypeError, ValueError):
@@ -234,15 +236,7 @@ class Pipeline:
         scfg = cfg.spectral_config()
         if kind == "singular":
             return solve_singular_spectrum(prob, cfg.k, scfg)
-        try:
-            return solve_standard_spectrum(prob, max(cfg.k, cfg.m + 2), scfg)
-        except ResolutionError:
-            # extreme potentials exceed the grid cap of the untransformed
-            # problem; counts remain robust, so fall back to a count-only
-            # solve
-            std = solve_standard_spectrum(prob, 0, scfg)
-            std.meta["values_uncertified"] = True
-            return std
+        return solve_standard_spectrum(prob, max(cfg.k, cfg.m + 2), scfg)
 
 
 def _check_profile_entry(csv_path, json_path) -> None:

@@ -6,11 +6,10 @@ are computed, by LAPACK's MRRR driver dstemr without eigenvectors: those in
 a value window up to the singular threshold, and for the standard kind the
 negative ones and the lowest k.  The eigenvectors come from shifted solves
 with the pivoted tridiagonal LU (dgtsv).  Neither code nor eigen-driver is
-shared with the Liouville-transform or finite-volume paths, which run
-bisection (dstebz) and dstein on their own grids: dstemr refines the
-window's eigenvalues with its own routines (dlarre, dlarrb), by bisection
-on a shifted LDL^T factorization (Dhillon, Parlett & Voemel, ACM TOMS 32,
-2006).
+shared with the production solvers, which run dstebz and dstein on the
+Liouville grid in x = -ln r: dstemr refines the window's eigenvalues with
+its own routines (dlarre, dlarrb), by bisection on a shifted LDL^T
+factorization (Dhillon, Parlett & Voemel, ACM TOMS 32, 2006).
 
 dstemr is called through the C function that scipy.linalg.cython_lapack
 exports, with ctypes, because scipy's f2py wrapper allocates and zero-fills
@@ -139,8 +138,6 @@ def _assemble(prob: WeightedSLProblem, n: int, eps: float, grading: float):
         sl = slice(1, n)
         diag = cond[:-1] + cond[1:] - a_vals[sl] * mass_pot[sl]
         off = -cond[1:-1]
-        m_u = mass[sl]
-        r_u = r[sl]
     else:
         # natural closure at the left end, Dirichlet at r=1
         sl = slice(0, n)
@@ -149,10 +146,22 @@ def _assemble(prob: WeightedSLProblem, n: int, eps: float, grading: float):
         diag[1:] = cond[:-1] + cond[1:]
         diag = diag - a_vals[sl] * mass_pot[sl]
         off = -cond[:-1]
-        m_u = mass[sl]
-        r_u = r[sl]
-    s = 1.0 / np.sqrt(m_u)
-    return r, r_u, m_u, s, diag * s * s, off * s[:-1] * s[1:]
+    s = 1.0 / np.sqrt(mass[sl])
+    return r, s, diag * s * s, off * s[:-1] * s[1:]
+
+
+def _oracle_values(prob: WeightedSLProblem, d, e, k, margin, zero_cut):
+    """(values, negative count, exhausted_below) of tridiag(d, e): up to k
+    singular values below threshold - margin, or the k (6) lowest standard."""
+    if prob.kind == "singular":
+        exhausted = prob.threshold - margin
+        window = _eigenvalues(d, e, upper=max(exhausted, -zero_cut))
+        neg = int(np.count_nonzero(window <= -zero_cut))
+        return window[window <= exhausted][:k], neg, exhausted
+    neg = len(_eigenvalues(d, e, upper=-zero_cut))
+    count = min(k if k is not None else 6, len(d))
+    vals = _eigenvalues(d, e, count=count) if count else np.empty(0)
+    return vals, neg, float(vals[-1]) if len(vals) else -math.inf
 
 
 def _eigenvectors(d, e, vals):
@@ -195,29 +204,17 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = 2000,
         epsilon_cut = 1e-10 if prob.kind == "singular" else 1e-9
     if not 0 < epsilon_cut < 0.1:
         raise ValueError("epsilon_cut must lie in (0, 0.1)")
-    if richardson:
-        coarse = dense_oracle_spectrum(prob, n // 2, epsilon_cut,
-                                       grading=grading, k=k, margin=margin,
-                                       zero_cut=zero_cut, richardson=False)
-    r, r_u, m_u, s, d, e = _assemble(prob, n, epsilon_cut, grading)
-
-    if prob.kind == "singular":
-        exhausted = prob.threshold - margin
-        window = _eigenvalues(d, e, upper=max(exhausted, -zero_cut))
-        neg = int(np.count_nonzero(window <= -zero_cut))
-        vals = window[window <= exhausted][:k]
-    else:
-        neg = len(_eigenvalues(d, e, upper=-zero_cut))
-        count = min(k if k is not None else 6, len(d))
-        vals = _eigenvalues(d, e, count=count) if count else np.empty(0)
-        exhausted = float(vals[-1]) if len(vals) else -math.inf
+    r, s, d, e = _assemble(prob, n, epsilon_cut, grading)
+    vals, neg, exhausted = _oracle_values(prob, d, e, k, margin, zero_cut)
     vecs = _eigenvectors(d, e, vals)
 
     values = np.asarray(vals, dtype=float)
     bars = np.full(len(values), float("nan"))
     if richardson:
-        n_common = min(len(values), len(coarse.eigenpairs))
-        cv = coarse.values[:n_common]
+        d_c, e_c = _assemble(prob, n // 2, epsilon_cut, grading)[2:]
+        coarse = _oracle_values(prob, d_c, e_c, k, margin, zero_cut)[0]
+        n_common = min(len(values), len(coarse))
+        cv = coarse[:n_common]
         bars[:n_common] = np.abs(values[:n_common] - cv) / 3.0
         values = values.copy()
         values[:n_common] = (4.0 * values[:n_common] - cv) / 3.0

@@ -2,20 +2,18 @@
 
 Two problems share the operator -(r^(M-1) psi')' - r^(M-1) a(r) psi:
 
-* standard kind: eigenvalue weight r^(M-1), natural condition at r=0,
-  solved by a finite-volume discretization on [0, 1];
+* standard kind: eigenvalue weight r^(M-1), natural condition at r=0;
 * singular kind: eigenvalue weight r^(M-3), eigenvalues only below the
-  Hardy threshold ((M-2)/2)^2, solved through the exact change of variables
-  x = -ln r, u = r^((M-2)/2) psi, which turns the quotient isometrically
-  into a half-line Schrodinger problem -u'' + V u = nu u with
-  V(x) = ((M-2)/2)^2 - e^(-2x) a(e^(-x)).
+  Hardy threshold ((M-2)/2)^2.
 
-Both reduce to symmetric tridiagonal matrices (kernels module).  LAPACK
-Sturm counts give the negative counts and zero bands.  On the singular
-grids, LAPACK bisection stops at a bracket of width 1e-4 and the Rayleigh
-quotient of each inverse-iteration vector finishes the eigenvalue; the
-standard kind is still bisected to 1e-300.  Eigenvalues carry Richardson
-error bars from a coarse/fine grid pair.
+Both are solved on one Liouville grid: x = -ln r, u = r^c psi with
+c = (M-2)/2 turns the common form into int (u' + c u)^2 - e^(-2x) a u^2 dx
+against the mass e^(-2x) u^2 (standard) or u^2 (singular: -u'' + V u = nu u
+on a half-line, V(x) = c^2 - e^(-2x) a(e^(-x))).  Both reduce to symmetric
+tridiagonal matrices (kernels module), whose Sturm counts give the negative
+counts and zero bands.  The singular grids are bisected to 1e-4 brackets
+and finished by Rayleigh quotients, the standard kind's graded matrix is
+bisected to 1e-300, and Richardson bars come from a coarse/fine grid pair.
 
 Quadrature (normalization, inner products, Rayleigh quotients, the Picone
 residual) is an in-house composite Simpson rule on the uniform Liouville
@@ -35,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import (BRACKET, SpectralError, bisect_eigenvalues,
-                       rayleigh_refine, sturm_count)
+                       inverse_iteration, rayleigh_refine, residual_norm,
+                       sturm_count)
 
 
 class ResolutionError(SpectralError):
@@ -133,12 +132,12 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Liouville-transform path (singular kind)
+# the Liouville grid
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LiouvilleProblem:
-    """Uniform Dirichlet discretization of -u'' + V u = nu u on (0, X)."""
+    """Uniform discretization of the Liouville form on (0, X), u(0) = 0."""
 
     x: np.ndarray          # all nodes 0..n
     V: np.ndarray          # potential at all nodes
@@ -150,6 +149,20 @@ class LiouvilleProblem:
         d = 2.0 / self.h ** 2 + self.V[1:-1]
         e = np.full(len(d) - 1, -1.0 / self.h ** 2)
         return d, e
+
+    def standard_tridiagonal(self):
+        """(diag, off, s) of s A s over nodes 1..n, natural closure at X: A
+        sums h (beta u_i + alpha u_(i+1))^2, alpha, beta = +-1/h + c/2 with
+        c^2 = threshold, less the lumped r^2 a = threshold - V, and s is
+        B^(-1/2) for the lumped mass B = h e^(-2x), a half cell at X."""
+        h, c2 = self.h, self.threshold
+        w = np.full(len(self.x) - 1, h)
+        w[-1] = 0.5 * h
+        d = w * (self.V[1:] - 0.5 * c2) + 2.0 / h
+        d[-1] += math.sqrt(c2) - 1.0 / h
+        e = np.full(len(w) - 1, 0.25 * h * c2 - 1.0 / h)
+        s = np.exp(self.x[1:]) / np.sqrt(w)
+        return d * s * s, e * s[:-1] * s[1:], s
 
     def coarsened(self):
         """Every other node of an even grid: for n cells, bitwise the grid
@@ -184,16 +197,21 @@ def liouville_transform(prob: WeightedSLProblem, x_max: float,
     return LiouvilleProblem(x=x, V=V, h=x_max / n, threshold=prob.threshold)
 
 
-def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
-    """Pick X so the potential has flattened and target decay is reached."""
+def _flat_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
+    """X past which the singular-kind potential V is flat: 8 beyond the last
+    x where e^(-2x) |a| exceeds 1e-10 max(1, threshold), in [20, cap]."""
     cap = cfg.x_max_cap
     xs = np.linspace(0.0, cap, 4097)
     w = np.exp(-2 * xs) * np.abs(prob.a(np.exp(-xs)))
     tol = 1e-10 * max(1.0, prob.threshold)
     above = np.nonzero(w > tol)[0]
     x_flat = xs[above[-1]] if len(above) else 0.0
-    x0 = min(cap, max(20.0, x_flat + 8.0))
+    return min(cap, max(20.0, x_flat + 8.0))
 
+
+def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
+    """Pick X so the potential has flattened and target decay is reached."""
+    x0 = _flat_x_max(prob, cfg)
     grid = liouville_transform(prob, x0, 1024)
     d, e = grid.tridiagonal()
     below = bisect_eigenvalues(d, e, below=prob.threshold - cfg.margin,
@@ -202,7 +220,7 @@ def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
         return x0
     top = rayleigh_refine(d, e, below[-1:])[0][0]
     kappa_min = math.sqrt(max(prob.threshold - top, 1e-30))
-    return min(cap, max(x0, cfg.kappa_x_target / kappa_min))
+    return min(cfg.x_max_cap, max(x0, cfg.kappa_x_target / kappa_min))
 
 
 def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float,
@@ -217,6 +235,35 @@ def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float,
     return min(n, n_cap), n_req > n_cap
 
 
+def _fine_grid(prob: WeightedSLProblem, x_max: float, cfg: SpectralConfig):
+    """The fine Liouville grid of singular-kind `prob`, its n (_resolution
+    on a 2048-cell probe of V), and whether n hit the cap."""
+    probe = liouville_transform(prob, x_max, 2048)
+    n, capped = _resolution(cfg.n, x_max, float(np.min(probe.V)),
+                            prob.threshold, cfg.n_cap)
+    return liouville_transform(prob, x_max, n), n, capped
+
+
+def _richardson(vals_f, vals_c, cfg: SpectralConfig, grid: LiouvilleProblem,
+                kind: str):
+    """Richardson values and bars (infinite without a coarse partner);
+    ResolutionError when a bar exceeds cfg.tol relative."""
+    n_found = len(vals_f)
+    n_common = min(n_found, len(vals_c))
+    values = vals_f.copy()
+    bars = np.full(n_found, np.inf)
+    values[:n_common] = (4 * vals_f[:n_common] - vals_c[:n_common]) / 3
+    bars[:n_common] = np.abs(vals_f[:n_common] - vals_c[:n_common]) / 3
+    bad = bars > cfg.tol * np.maximum(1.0, np.abs(values))
+    if np.any(bad):
+        raise ResolutionError(
+            f"grid too coarse: Richardson bar {bars[bad][0]:.3e} on {kind} "
+            f"eigenvalue {values[bad][0]:.6g} (n={len(grid.x) - 1}, "
+            f"x_max={grid.x[-1]:.3g})")
+    _assert_simple(values, cfg)
+    return values, bars
+
+
 def count_interior_nodes_sampled(vals: np.ndarray, tol_frac: float) -> int:
     """Sign changes of a sampled function, ignoring sub-tolerance samples."""
     cut = tol_frac * float(np.max(np.abs(vals)))
@@ -228,16 +275,13 @@ def count_interior_nodes_sampled(vals: np.ndarray, tol_frac: float) -> int:
 
 
 def count_interior_nodes(pair: EigenPair) -> int:
-    """Nodes of the eigenfunction strictly inside (0, 1).
+    """Nodes of a solver eigenfunction strictly inside (0, 1).
 
-    Counted on the Liouville samples when present: u and psi share their
-    sign pattern, but u stays bounded while psi may grow toward the origin
-    for eigenvalues above 0, which would starve a relative node tolerance.
+    Counted on the Liouville samples: u and psi share their sign pattern,
+    but u stays bounded while psi may grow toward the origin for eigenvalues
+    above 0, which would starve a relative node tolerance.
     """
-    if pair.u_samples is not None:
-        return count_interior_nodes_sampled(pair.u_samples[1:-1], 1e-8)
-    inner = (pair.grid > 0.0) & (pair.grid < 1.0)
-    return count_interior_nodes_sampled(pair.samples[inner], 1e-8)
+    return count_interior_nodes_sampled(pair.u_samples[1:-1], 1e-8)
 
 
 def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
@@ -259,16 +303,11 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     if prob.kind != "singular":
         raise ValueError("solve_singular_spectrum needs the singular kind")
     x_max = cfg.x_max if cfg.x_max is not None else _auto_x_max(prob, cfg)
-    thr = prob.threshold
-    hi = thr - cfg.margin
-
-    probe = liouville_transform(prob, x_max, 2048)
-    n, capped = _resolution(cfg.n, x_max, float(np.min(probe.V)), thr,
-                            cfg.n_cap)
+    hi = prob.threshold - cfg.margin
+    g_f, n, capped = _fine_grid(prob, x_max, cfg)
 
     # every eigenvalue below the margin is bracketed on both grids; the k
     # lowest are finished by their Rayleigh quotients
-    g_f = liouville_transform(prob, x_max, n)
     d_f, e_f = g_f.tridiagonal()
     below_f = bisect_eigenvalues(d_f, e_f, below=hi, abstol=BRACKET)
     count_f = len(below_f)
@@ -276,42 +315,112 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     d_c, e_c = g_f.coarsened().tridiagonal()
     below_c = bisect_eigenvalues(d_c, e_c, below=hi, abstol=BRACKET)
     vals_c = rayleigh_refine(d_c, e_c, below_c[:max(k, 0)])[0]
-    n_found = len(vals_f)
-    n_common = min(n_found, len(vals_c))
-    values = vals_f.copy()
-    bars = np.full(n_found, np.inf)
-    values[:n_common] = (4 * vals_f[:n_common] - vals_c[:n_common]) / 3
-    bars[:n_common] = np.abs(vals_f[:n_common] - vals_c[:n_common]) / 3
-    bad = bars > cfg.tol * np.maximum(1.0, np.abs(values))
-    if np.any(bad):
-        raise ResolutionError(
-            f"grid too coarse: Richardson bar {bars[bad][0]:.3e} on "
-            f"eigenvalue {values[bad][0]:.6g} (n={n}, x_max={x_max:.3g})")
-    _assert_simple(values, cfg)
+    values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
+    n_found = len(values)
 
     zero_cut_count = sturm_count(d_f, e_f, -cfg.zero_cut)
     zero_band = sturm_count(d_f, e_f, cfg.zero_cut) - zero_cut_count
-    pairs = []
-    h = g_f.h
-    x = g_f.x
+    # the next eigenvalue bounds what was left out
+    exhausted = (float(bisect_eigenvalues(d_f, e_f, n_found + 1,
+                                          n_found + 1).values[0])
+                 if count_f > n_found else hi)
+    meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
+            "resolution_capped": bool(capped),
+            "zero_band_count": int(zero_band), "eigvec_residual": residual}
+    return Spectrum(kind="singular", M=prob.M, threshold=prob.threshold,
+                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs, cfg),
+                    exhausted_below=exhausted,
+                    negative_count=int(zero_cut_count), meta=meta)
+
+
+def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
+                            cfg: SpectralConfig = SpectralConfig()
+                            ) -> Spectrum:
+    """First k eigenvalues of the standard-weight problem on the Liouville
+    grid (LiouvilleProblem.standard_tridiagonal).
+
+    X is where the potential has flattened (cfg.x_max when set), n that of
+    the singular kind, and h is halved, up to cfg.n_cap, while a Richardson
+    bar exceeds cfg.tol.  By Sylvester's law of inertia the negative count
+    and zero band (all that k = 0 takes) are those of the form alone.
+    """
+    if prob.kind != "standard":
+        raise ValueError("solve_standard_spectrum needs the standard kind")
+    twin = WeightedSLProblem(M=prob.M, a=prob.a, kind="singular")
+    x_max = cfg.x_max if cfg.x_max is not None else _flat_x_max(twin, cfg)
+    g_f, _, capped = _fine_grid(twin, x_max, cfg)
+    d_f, e_f, s_f = g_f.standard_tridiagonal()
+    values = bars = vecs = np.empty(0)
+    residual = 0.0
+    if k:
+        # the scaled matrix is graded (||T|| about e^(2X) / h^2): keep the
+        # fully bisected values, and take only vectors and residual
+        d_c, e_c, _ = g_f.coarsened().standard_tridiagonal()
+        vals_c = bisect_eigenvalues(d_c, e_c, 1, k).values
+        while True:
+            # no value lies below -max a (the form less its potential is a
+            # sum of squares), and a resolved one within 3 tol of its coarse
+            # partner: that window spares dstebz its search down from ||T||
+            floor = -2.0 * float(np.max(np.maximum(
+                (g_f.threshold - g_f.V) * np.exp(2 * g_f.x), 0.0))) - 1.0
+            top = vals_c[-1] + 4.0 * cfg.tol * max(1.0, abs(vals_c[-1]))
+            eig_f = bisect_eigenvalues(d_f, e_f, above=floor, below=top)[:k]
+            if len(eig_f) < k:
+                eig_f = bisect_eigenvalues(d_f, e_f, 1, k)
+            try:
+                values, bars = _richardson(eig_f.values, vals_c, cfg, g_f,
+                                           "standard")
+                break
+            except ResolutionError:
+                if 2 * len(d_f) > cfg.n_cap:
+                    raise
+                # the old fine grid is bitwise the new one's coarsening
+                vals_c = eig_f.values
+                g_f = liouville_transform(twin, x_max, 2 * len(d_f))
+                d_f, e_f, s_f = g_f.standard_tridiagonal()
+        vecs = inverse_iteration(d_f, e_f, eig_f)
+        residual = residual_norm(d_f, e_f, vecs, eig_f.values)
+        vecs = s_f[:, None] * vecs              # generalized eigenvectors
+
+    negative_count = sturm_count(d_f, e_f, -cfg.zero_cut)
+    zero_band = sturm_count(d_f, e_f, cfg.zero_cut) - negative_count
+    exhausted = float(values[-1]) if len(values) else -math.inf
+    meta = {"n": len(d_f), "x_max": float(x_max),
+            "zero_band_count": int(zero_band),
+            "resolution_capped": bool(capped), "eigvec_residual": residual}
+    return Spectrum(kind="standard", M=prob.M, threshold=math.inf,
+                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs, cfg),
+                    exhausted_below=exhausted,
+                    negative_count=int(negative_count), meta=meta)
+
+
+def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
+                bars, vecs, cfg: SpectralConfig) -> tuple:
+    """EigenPairs from the unknowns, node 1 on, in the columns of vecs: u
+    positive next to r=1 and normalized in the kind's mass, psi = e^(cx) u;
+    singular pairs get their decay fits and uncertain flags."""
+    singular = prob.kind == "singular"
+    x, h = grid.x, grid.h
     r_desc = np.exp(-x)
+    weight = 1.0 if singular else r_desc * r_desc
     a_half = (prob.M - 2.0) / 2.0
-    for i in range(n_found):
+    pairs = []
+    for i in range(len(values)):
         u = np.zeros(len(x))
-        u[1:-1] = vecs[:, i]
+        u[1:1 + len(vecs)] = vecs[:, i]
         if u[1] < 0:
             u = -u
-        u /= math.sqrt(_simpson(u * u, h))
+        u = u / math.sqrt(_simpson(weight * u * u, h))
         du = np.gradient(u, h, edge_order=2)
         psi = u * np.exp(a_half * x)
         dpsi = -np.exp(0.5 * prob.M * x) * (a_half * u + du)
-        kappa = math.sqrt(max(thr - values[i], 0.0))
-        uncertain = kappa * x_max < cfg.certify_kappa_x
-        theta_fit = None
-        theta_an = None
-        if values[i] < 0:
-            theta_an = theta_analytic(values[i], prob.M)
-            theta_fit = _fit_decay(x, u, a_half, None)
+        uncertain, theta_fit, theta_an = False, None, None
+        if singular:
+            kappa = math.sqrt(max(prob.threshold - values[i], 0.0))
+            uncertain = kappa * x[-1] < cfg.certify_kappa_x
+            if values[i] < 0:
+                theta_an = theta_analytic(values[i], prob.M)
+                theta_fit = _fit_decay(x, u, a_half, None)
         nodes = count_interior_nodes_sampled(u[1:-1], cfg.node_tol)
         pairs.append(EigenPair(
             value=float(values[i]), error_bar=float(bars[i]),
@@ -320,117 +429,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
             boundary_slope=float(dpsi[0]), decay_exponent=theta_fit,
             theta_analytic=theta_an, uncertain=bool(uncertain),
             x_grid=x.copy(), u_samples=u.copy()))
-
-    # the next eigenvalue bounds what was left out
-    exhausted = (float(bisect_eigenvalues(d_f, e_f, n_found + 1,
-                                          n_found + 1).values[0])
-                 if count_f > n_found else hi)
-    meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
-            "resolution_capped": bool(capped),
-            "zero_band_count": int(zero_band), "eigvec_residual": residual}
-    return Spectrum(kind="singular", M=prob.M, threshold=thr,
-                    eigenpairs=tuple(pairs), exhausted_below=exhausted,
-                    negative_count=int(zero_cut_count), meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# finite-volume path (standard kind)
-# ---------------------------------------------------------------------------
-
-def _standard_tridiag(prob: WeightedSLProblem, n: int):
-    """Symmetric form of the FV pencil on the uniform grid with n cells.
-
-    Exact cell masses of r^(M-1) keep the scheme well behaved at r=0, where
-    the natural (zero-flux) closure encodes psi'(0)=0.
-    """
-    M = prob.M
-    r = np.linspace(0.0, 1.0, n + 1)
-    rm = 0.5 * (r[:-1] + r[1:])
-    k = rm ** (M - 1.0) / np.diff(r)
-    edges = np.concatenate(([0.0], rm, [1.0]))
-    mass = (edges[1:] ** M - edges[:-1] ** M) / M
-    diag = np.empty(n)
-    diag[0] = k[0]
-    diag[1:] = k[:-1] + k[1:]
-    off = -k[:-1]
-    m_u = mass[:n]
-    a_vals = np.asarray(prob.a(np.maximum(r[:n], 1e-300)), dtype=float)
-    diag = diag - a_vals * m_u
-    s = 1.0 / np.sqrt(m_u)
-    return r, m_u, s, diag * s * s, off * s[:-1] * s[1:]
-
-
-def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
-                            cfg: SpectralConfig = SpectralConfig()
-                            ) -> Spectrum:
-    """First k eigenvalues of the standard-weight problem.
-
-    Self-adjoint three-point discretization with half-cell natural closure at
-    r=0 and Dirichlet at r=1, reduced to a symmetric tridiagonal matrix by
-    the diagonal weight; bisection plus Richardson as in the singular
-    path.  The grid is refined automatically until the deepest potential well
-    is resolved.
-    """
-    if prob.kind != "standard":
-        raise ValueError("solve_standard_spectrum needs the standard kind")
-    rs = np.linspace(1e-9, 1.0, 4097)
-    amax = float(np.max(np.abs(prob.a(rs))))
-    n_req = 16.0 * math.sqrt(amax + 1.0)
-    n = cfg.n
-    while n < min(n_req, cfg.n_cap):
-        n *= 2
-    capped = n_req > cfg.n_cap
-
-    data = {}
-    grids = (n,) if k == 0 else (n // 2, n)
-    for nn in grids:
-        r, m_u, s, d, e = _standard_tridiag(prob, nn)
-        eig = bisect_eigenvalues(d, e, 1, k) if k else None
-        data[nn] = (r, m_u, s, d, e, eig)
-
-    r_f, m_f, s_f, d_f, e_f, eig_f = data[n]
-    if k == 0:
-        values = np.empty(0)
-        bars = np.empty(0)
-    else:
-        vals_f = eig_f.values
-        vals_c = data[n // 2][5].values
-        values = (4 * vals_f - vals_c) / 3
-        bars = np.abs(vals_f - vals_c) / 3
-        bad = bars > cfg.tol * np.maximum(1.0, np.abs(values))
-        if np.any(bad):
-            raise ResolutionError(
-                f"grid too coarse: Richardson bar {bars[bad][0]:.3e} on "
-                f"standard eigenvalue {values[bad][0]:.6g} (n={n})")
-        _assert_simple(values, cfg)
-
-    negative_count = sturm_count(d_f, e_f, -cfg.zero_cut)
-    zero_band = sturm_count(d_f, e_f, cfg.zero_cut) - negative_count
-    pairs = []
-    # this matrix is graded: keep its fully bisected values, and take only
-    # the vectors and the residual
-    vecs, residual = (rayleigh_refine(d_f, e_f, eig_f)[1:] if k
-                      else (None, 0.0))
-    for i in range(len(values)):
-        psi_in = vecs[:, i] * s_f               # generalized eigenvector
-        psi = np.concatenate((psi_in, [0.0]))   # append Dirichlet node r=1
-        if psi_in[-1] != 0 and psi_in[-1] < 0:
-            psi = -psi
-        nrm = math.sqrt(float(np.dot(psi[:-1] ** 2, m_f)))
-        psi /= nrm
-        dpsi = np.gradient(psi, r_f, edge_order=2)
-        nodes = count_interior_nodes_sampled(psi[:-1], cfg.node_tol)
-        pairs.append(EigenPair(
-            value=float(values[i]), error_bar=float(bars[i]), grid=r_f.copy(),
-            samples=psi, derivative=dpsi, interior_nodes=nodes,
-            boundary_slope=float(dpsi[-1]), decay_exponent=None,
-            theta_analytic=None, uncertain=False))
-    exhausted = float(values[-1]) if len(values) else -math.inf
-    meta = {"n": n, "amax": amax, "zero_band_count": int(zero_band),
-            "resolution_capped": bool(capped), "eigvec_residual": residual}
-    return Spectrum(kind="standard", M=prob.M, threshold=math.inf,
-                    eigenpairs=tuple(pairs), exhausted_below=exhausted,
-                    negative_count=int(negative_count), meta=meta)
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +596,12 @@ def weighted_inner_product(pi: EigenPair, pj: EigenPair) -> float:
 def rayleigh_quotient(w, prob: WeightedSLProblem) -> float:
     """Quadratic form over weighted mass for a trial function.
 
-    `w` is an EigenPair or a tuple (r, values[, derivative]) with w(1) = 0.
-    Evaluated on the i-th eigenfunction this reproduces the i-th eigenvalue
-    up to quadrature accuracy.
+    `w` is a solver EigenPair (its Liouville samples are used) or a tuple
+    (r, values[, derivative]) with w(1) = 0.  Evaluated on the i-th
+    eigenfunction this reproduces the i-th eigenvalue up to quadrature
+    accuracy.
     """
-    if isinstance(w, EigenPair) and w.x_grid is not None:
+    if isinstance(w, EigenPair):
         x, u = w.x_grid, w.u_samples
         h = x[1] - x[0]
         a_half = (prob.M - 2.0) / 2.0
@@ -614,13 +614,10 @@ def rayleigh_quotient(w, prob: WeightedSLProblem) -> float:
         else:
             den = _simpson(r * r * u * u, h)
         return float(num / den)
-    if isinstance(w, EigenPair):
-        r, vals, dvals = w.grid, w.samples, w.derivative
-    else:
-        r = np.asarray(w[0], dtype=float)
-        vals = np.asarray(w[1], dtype=float)
-        dvals = np.asarray(w[2], dtype=float) if len(w) > 2 else \
-            np.gradient(vals, r, edge_order=2)
+    r = np.asarray(w[0], dtype=float)
+    vals = np.asarray(w[1], dtype=float)
+    dvals = np.asarray(w[2], dtype=float) if len(w) > 2 else \
+        np.gradient(vals, r, edge_order=2)
     if abs(vals[-1]) > 1e-9 * float(np.max(np.abs(vals))):
         raise ValueError("trial function must vanish at r = 1")
     M = prob.M

@@ -59,6 +59,20 @@ def test_flags_override_config(tmp_path):
     assert doc["nodal_zones"] == 2
 
 
+def test_config_string_for_a_bool_field_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"a_zero": "false"}))
+    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
+    assert "field 'a_zero'" in capsys.readouterr().err
+
+
+def test_config_bool_for_an_int_field_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"m": True}))
+    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
+    assert "field 'm'" in capsys.readouterr().err
+
+
 def test_config_round_trip():
     cfg = RunConfig.from_sources({"N": 5, "alpha": 2.7, "p": 2.2, "m": 3,
                                   "k": 4, "grid": 2048}, {})
@@ -147,23 +161,25 @@ def test_morse_desk_scale_example(tmp_path):
     e1, e2 = doc["per_eigenvalue"]
     assert 1.0 < e1["J"] < 2.0
     assert abs(e2["J"] - 1.0) < 1e-5 and e2["integer_collision"]
-    # the standard-kind origin well at this exponent is too narrow for the
-    # untransformed grid cap; the pipeline degrades to a count-only solve
-    # and marks the resolution cap (only the transformed path certifies
-    # anything here, which is the point of the change of variables)
+    # the standard kind's origin well is narrow in r but shallow on the
+    # Liouville grid: its values are certified there, and by Sylvester's
+    # law of inertia its negative count is the singular one
     spec_out = tmp_path / "desk_spec"
     assert run(["spectrum", "--N", 3, "--alpha", 0, "--p", 4.9, "--m", 2,
                 "--k", 2, "--out", spec_out]) == 0
     std = json.loads((spec_out / "spectrum_standard.json").read_text())
-    assert std["meta"]["resolution_capped"] is True
+    assert std["negative_count"] == 2
+    assert std["meta"]["resolution_capped"] is False
+    assert len(std["eigenvalues"]) == 4          # max(k, m + 2)
+    assert "values_uncertified" not in std["meta"]
     sing = json.loads((spec_out / "spectrum_singular.json").read_text())
     assert sing["negative_count"] == 2
     assert sing["meta"]["resolution_capped"] is False
 
 
 def test_morse_standard_solver_failure_exits_3(tmp_path, monkeypatch):
-    # only a grid too coarse for the standard values may fall back to a
-    # count-only spectrum; a failed LAPACK call is a solver failure
+    # a failed LAPACK call in the standard solve is a solver failure, and
+    # nothing is cached for it
     real = cli.solve_standard_spectrum
 
     def failing(prob, k, cfg):

@@ -137,6 +137,52 @@ def test_rayleigh_quotient_eigen_consistency(lane_emden_case):
         assert q == pytest.approx(p.value, rel=1e-6)
 
 
+def test_standard_pairs_carry_liouville_samples(lane_emden_case):
+    # the standard kind is solved on the Liouville grid: its pairs feed the
+    # standard branch of the Liouville quotient (mass e^(-2x) u^2)
+    _, prob, _ = lane_emden_case
+    std_prob = WeightedSLProblem(M=3.0, a=prob.a, kind="standard")
+    spec = solve_standard_spectrum(std_prob, 3)
+    for i, p in enumerate(spec.eigenpairs):
+        assert p.x_grid is not None
+        assert len(p.u_samples) == len(p.x_grid) == spec.meta["n"] + 1
+        assert p.interior_nodes == i
+        assert rayleigh_quotient(p, std_prob) == pytest.approx(p.value,
+                                                               rel=1e-6)
+
+
+def test_standard_grid_halves_h_until_the_bars_pass(lane_emden_case):
+    # the 7th and 8th eigenfunctions need a finer grid than n = 4096; the
+    # refined solve is the solve on that grid, up to bisection's last bits
+    _, prob, _ = lane_emden_case
+    std_prob = WeightedSLProblem(M=3.0, a=prob.a, kind="standard")
+    refined = solve_standard_spectrum(std_prob, 8, SpectralConfig(n=4096))
+    direct = solve_standard_spectrum(std_prob, 8, SpectralConfig(n=8192))
+    assert refined.meta["n"] == direct.meta["n"] == 8192
+    np.testing.assert_allclose(refined.values, direct.values, rtol=1e-12)
+    with pytest.raises(ResolutionError, match="standard eigenvalue"):
+        solve_standard_spectrum(std_prob, 8,
+                                SpectralConfig(n=4096, n_cap=4096))
+    # no grid meets this tolerance: the fine values leave the window around
+    # the coarse ones and are bisected by index before the bars are refused
+    with pytest.raises(ResolutionError, match="standard eigenvalue"):
+        solve_standard_spectrum(std_prob, 2,
+                                SpectralConfig(tol=1e-12, n_cap=8192))
+
+
+@pytest.mark.parametrize("n", [2048, 4096, 8192])
+def test_standard_count_at_the_desk_point(n):
+    # p = 4.9 near the critical exponent: the origin well is 1.8e12 deep in
+    # r but shallow on the Liouville grid, and the count is the singular 2
+    a = linearized_potential(solve_nodal_power(3.0, 4.9, 2))
+    spec = solve_standard_spectrum(
+        WeightedSLProblem(M=3.0, a=a, kind="standard"), 0,
+        SpectralConfig(n=n))
+    assert spec.negative_count == 2
+    assert spec.meta["zero_band_count"] == 0
+    assert spec.meta["n"] == n and not spec.meta["resolution_capped"]
+
+
 def test_rayleigh_quotient_symbolic_cases():
     # w = 1 - r^2, a = 0, M = 3, standard weight:
     #   num = int r^2 (2r)^2 = 4/5, den = int r^2 (1-r^2)^2 = 8/105
