@@ -5,13 +5,15 @@ document may supply any field; command-line flags override file fields, and
 built-in defaults fill the rest (precedence: flags > config file > defaults).
 Every subcommand builds its results through a Pipeline, which solves the
 profile at most once per configuration.  Results are cached under
-<out>/cache, one entry per stage and spectrum kind, keyed by a content hash
-of exactly the fields that feed the stage, so spectra survive report-level
-changes, and of the package version and CACHE_REVISION, so entries written
-by older solver code are not served.  Cache files are moved into place
-whole; an entry that cannot be read is recomputed.
+<out>/cache, one entry per stage, spectrum kind and number of values held,
+keyed by a content hash of exactly the fields that feed the stage, so
+spectra survive report-level changes, and of the package version and
+CACHE_REVISION, so entries written by older solver code are not served.
+Cache files are moved into place whole; an entry that cannot be read is
+recomputed.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 oracle mismatch:
+Exit codes: 0 success, 2 config error, 3 solver failure (including a morse
+run whose standard and singular negative counts differ), 4 oracle mismatch:
 an eigenvalue beyond tolerance, differing negative counts, or a certified
 solver eigenvalue the oracle did not find.
 """
@@ -190,16 +192,18 @@ def _cache_dir(cfg: RunConfig) -> str:
 class Pipeline:
     """The profile -> potential -> spectra chain of one configuration.
 
-    The profile is solved at most once per Pipeline, on first use.  Each
-    spectrum kind has its own entry under <out>/cache: it is read from
-    there when readable, and otherwise solved and written there.
+    The profile is solved at most once per Pipeline, on first use.  A
+    spectrum entry under <out>/cache is keyed by its kind and by k, the
+    number of values it holds: the standard kind has a count-only entry
+    (k = 0, what morse reads) and a values entry (what spectrum publishes),
+    and neither serves the other.  An entry is read from there when
+    readable, and otherwise solved and written there.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.dmap = generalized_dimension(cfg.N, cfg.alpha)
         self.cache = _cache_dir(cfg)
-        self._key = _stage_key(cfg.subsection("spectrum"))
 
     @functools.cached_property
     def profile(self) -> RadialProfile:
@@ -212,31 +216,30 @@ class Pipeline:
             return zero_potential
         return linearized_potential(self.profile)
 
-    def entry(self, kind: str) -> str:
-        return os.path.join(self.cache, f"{kind}-{self._key}.json")
+    def entry(self, kind: str, k: int) -> str:
+        key = _stage_key(dict(self.cfg.subsection("spectrum"), k=k))
+        return os.path.join(self.cache, f"{kind}-{key}.json")
 
-    def cached(self, kind: str) -> Spectrum | None:
-        """The cached spectrum of this kind, or None when its entry is
+    def cached(self, kind: str, k: int) -> Spectrum | None:
+        """The cached spectrum of this kind and k, or None when its entry is
         missing or unreadable."""
         try:
-            return spectrum_from_json(self.entry(kind))
+            return spectrum_from_json(self.entry(kind, k))
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def spectrum(self, kind: str) -> Spectrum:
-        spec = self.cached(kind)
+    def spectrum(self, kind: str, k: int) -> Spectrum:
+        spec = self.cached(kind, k)
         if spec is None:
-            spec = self._solve(kind)
-            _write_cache(spectrum_to_json, spec, self.entry(kind))
+            spec = self._solve(kind, k)
+            _write_cache(spectrum_to_json, spec, self.entry(kind, k))
         return spec
 
-    def _solve(self, kind: str) -> Spectrum:
-        cfg = self.cfg
+    def _solve(self, kind: str, k: int) -> Spectrum:
         prob = WeightedSLProblem(M=self.dmap.M, a=self.potential(), kind=kind)
-        scfg = cfg.spectral_config()
-        if kind == "singular":
-            return solve_singular_spectrum(prob, cfg.k, scfg)
-        return solve_standard_spectrum(prob, max(cfg.k, cfg.m + 2), scfg)
+        solve = (solve_singular_spectrum if kind == "singular"
+                 else solve_standard_spectrum)
+        return solve(prob, k, self.cfg.spectral_config())
 
 
 def _check_profile_entry(csv_path, json_path) -> None:
@@ -278,10 +281,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     pipe = Pipeline(cfg)
-    sing = pipe.spectrum("singular")
-    std = pipe.spectrum("standard")
-    for kind in ("singular", "standard"):
-        shutil.copyfile(pipe.entry(kind),
+    ks = {"singular": cfg.k, "standard": max(cfg.k, cfg.m + 2)}
+    sing, std = (pipe.spectrum(kind, k) for kind, k in ks.items())
+    for kind, k in ks.items():
+        shutil.copyfile(pipe.entry(kind, k),
                         os.path.join(cfg.out, f"spectrum_{kind}.json"))
     # a spectrum read back from the cache carries no eigenfunction samples
     if len(sing.eigenpairs) and sing.eigenpairs[0].grid.size:
@@ -296,8 +299,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_morse(cfg: RunConfig) -> int:
     pipe = Pipeline(cfg)
-    sing = pipe.spectrum("singular")
-    degen = degeneracy_scan(sing, pipe.spectrum("standard"), pipe.dmap)
+    sing = pipe.spectrum("singular", cfg.k)
+    # the report reads only the standard kind's counts: solve no values
+    std = pipe.spectrum("standard", 0)
+    if std.negative_count != sing.negative_count:
+        # by Sylvester's law of inertia the two closures of one form agree
+        raise SpectralError(
+            f"standard negative count {std.negative_count} differs from "
+            f"singular negative count {sing.negative_count}")
+    degen = degeneracy_scan(sing, std, pipe.dmap)
     report = morse_index(sing, pipe.dmap, m=cfg.m, degeneracy=degen)
     doc = morse_report_doc(report)
     if cfg.symmetry:
@@ -340,7 +350,7 @@ def _sweep_row(pipe: Pipeline, axis: str) -> list:
     """One sweep.csv row: the axis value, the m lowest negative singular
     eigenvalues (nan when missing), the Morse total and the bounds."""
     cfg = pipe.cfg
-    sing = pipe.spectrum("singular")
+    sing = pipe.spectrum("singular", cfg.k)
     report = morse_index(sing, pipe.dmap, m=cfg.m)
     nus = [p.value for p in sing.eigenpairs if p.value < 0][:cfg.m]
     nus += [math.nan] * (cfg.m - len(nus))
@@ -352,7 +362,7 @@ def _sweep_row(pipe: Pipeline, axis: str) -> list:
 def _cache_singular(pipe: Pipeline) -> None:
     """Solve and cache one sweep point; top-level so that process pools can
     pickle it."""
-    pipe.spectrum("singular")
+    pipe.spectrum("singular", pipe.cfg.k)
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
@@ -366,7 +376,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
     if cfg.workers > 1:
         # the pool solves the points missing from the cache; the rows are
         # then read back from it
-        missed = [pipe for pipe in pipes if pipe.cached("singular") is None]
+        missed = [pipe for pipe in pipes
+                  if pipe.cached("singular", cfg.k) is None]
         if len(missed) > 1:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=cfg.workers) as pool:
@@ -384,7 +395,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
 
 def cmd_oracle(cfg: RunConfig) -> int:
     pipe = Pipeline(cfg)
-    sing = pipe.spectrum("singular")
+    sing = pipe.spectrum("singular", cfg.k)
     orc = dense_oracle_spectrum(
         WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential(), kind="singular"),
         n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut, margin=cfg.margin)

@@ -186,28 +186,31 @@ def degeneracy_scan(spec_singular: Spectrum, spec_standard: Spectrum | None,
 
     Radial degeneracy is a zero eigenvalue: of the singular problem when
     N >= 3, of the standard problem when N = 2 (where the weighted space is
-    strictly smaller and zero modes can fall outside it).  Nonradial
-    degeneracy matches singular eigenvalues against the angular-order
-    targets.
+    strictly smaller and zero modes can fall outside it).  The N = 2 branch
+    reads only the standard counts, so a count-only spectrum (k = 0)
+    decides it too: the solution is degenerate when the zero band is not
+    empty, and the offender is the first eigenvalue above the negative
+    ones.  Nonradial degeneracy matches singular eigenvalues against the
+    angular-order targets.
     """
     if dmap.N == 2:
         if spec_standard is None:
             raise ValueError("N=2 radial degeneracy requires the standard "
                              "spectrum")
-        probe_vals = spec_standard.values
-        source = "standard"
         band = spec_standard.meta.get("zero_band_count")
+        if band is None:
+            raise ValueError("N=2 radial degeneracy requires the standard "
+                             "spectrum's zero_band_count")
+        source = "standard"
+        rad_idx = spec_standard.negative_count + 1 if band else None
+        radially_degenerate = band > 0
     else:
-        probe_vals = spec_singular.values
         source = "singular"
         band = spec_singular.meta.get("zero_band_count")
-    rad_idx = None
-    for i, v in enumerate(probe_vals):
-        if abs(v) < zero_tol:
-            rad_idx = i + 1
-            break
-    # a count-only spectrum still decides degeneracy through the zero band
-    radially_degenerate = rad_idx is not None or bool(band)
+        rad_idx = next((i + 1 for i, v in enumerate(spec_singular.values)
+                        if abs(v) < zero_tol), None)
+        # the zero band decides even when no value was solved near zero
+        radially_degenerate = rad_idx is not None or bool(band)
 
     hits = []
     vals = spec_singular.values

@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -177,21 +178,37 @@ def test_morse_desk_scale_example(tmp_path):
     assert sing["meta"]["resolution_capped"] is False
 
 
-def test_morse_standard_solver_failure_exits_3(tmp_path, monkeypatch):
-    # a failed LAPACK call in the standard solve is a solver failure, and
-    # nothing is cached for it
+def _failing_standard_solve(k_min):
+    """The standard solve, failing in LAPACK whenever k >= k_min."""
     real = cli.solve_standard_spectrum
 
     def failing(prob, k, cfg):
-        if k > 0:
+        if k >= k_min:
             raise SpectralError("LAPACK dstein failed with info=1")
         return real(prob, k, cfg)
 
-    monkeypatch.setattr(cli, "solve_standard_spectrum", failing)
+    return failing
+
+
+def test_morse_standard_solver_failure_exits_3(tmp_path, monkeypatch):
+    # a failed LAPACK call in the standard solve is a solver failure, and
+    # nothing is cached for it
+    monkeypatch.setattr(cli, "solve_standard_spectrum",
+                        _failing_standard_solve(0))
     out = tmp_path / "fail"
     assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
                 "--out", out]) == 3
     assert not list(out.glob("cache/standard-*.json"))
+
+
+def test_spectrum_standard_solver_failure_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "solve_standard_spectrum",
+                        _failing_standard_solve(1))
+    out = tmp_path / "fail"
+    assert run(["spectrum", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
+                "--out", out]) == 3
+    assert not list(out.glob("cache/standard-*.json"))
+    assert not (out / "spectrum_standard.json").exists()
 
 
 REFERENCE = ["--N", 3, "--alpha", 0, "--p", 3, "--m", 2]
@@ -417,3 +434,78 @@ def test_cold_morse_solves_the_profile_once_per_run(tmp_path, monkeypatch):
         assert run(["morse"] + REFERENCE + ["--out", tmp_path / name]) == 0
         assert len(calls) == 1
         calls.clear()
+
+
+def test_morse_refuses_differing_negative_counts(tmp_path, monkeypatch,
+                                                 capsys):
+    # criterion 04 at run time: the standard and singular counts are
+    # inertias of one form, so a difference is a numerical defect
+    real = cli.solve_standard_spectrum
+
+    def off_by_one(prob, k, cfg):
+        spec = real(prob, k, cfg)
+        return dataclasses.replace(spec,
+                                   negative_count=spec.negative_count + 1)
+
+    monkeypatch.setattr(cli, "solve_standard_spectrum", off_by_one)
+    out = tmp_path / "c04"
+    assert run(["morse"] + REFERENCE + ["--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "standard negative count 3" in err
+    assert "singular negative count 2" in err
+    assert not (out / "morse.json").exists()
+    assert not (out / "morse.csv").exists()
+
+
+def _cache_files(out):
+    return {p.name: p.stat().st_mtime_ns for p in out.glob("cache/*")}
+
+
+def test_cold_morse_caches_the_standard_count_only(tmp_path, monkeypatch):
+    calls = []
+    real = cli.solve_standard_spectrum
+
+    def recorded(prob, k, cfg):
+        calls.append(k)
+        return real(prob, k, cfg)
+
+    monkeypatch.setattr(cli, "solve_standard_spectrum", recorded)
+    out = tmp_path / "m"
+    args = ["morse"] + REFERENCE + ["--out", out]
+    assert run(args) == 0
+    assert calls == [0]
+    (entry,) = out.glob("cache/standard-*.json")
+    doc = json.loads(entry.read_text())
+    assert doc["eigenvalues"] == []
+    assert doc["negative_count"] == 2
+    assert doc["meta"]["zero_band_count"] == 0
+    # a warm rerun reads both spectra and writes no cache file
+    first = _cache_files(out)
+    monkeypatch.setattr(cli, "solve_standard_spectrum", _refuse)
+    monkeypatch.setattr(cli, "solve_singular_spectrum", _refuse)
+    assert run(args) == 0
+    assert _cache_files(out) == first
+
+
+def test_spectrum_after_morse_publishes_the_standard_values(tmp_path):
+    fresh = tmp_path / "fresh"
+    assert run(["spectrum"] + REFERENCE + ["--out", fresh]) == 0
+    out = tmp_path / "m"
+    assert run(["morse"] + REFERENCE + ["--out", out]) == 0
+    assert run(["spectrum"] + REFERENCE + ["--out", out]) == 0
+    for kind in ("singular", "standard"):
+        name = f"spectrum_{kind}.json"
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    doc = json.loads((out / "spectrum_standard.json").read_text())
+    assert len(doc["eigenvalues"]) == 6            # max(k, m + 2)
+    assert len(list(out.glob("cache/standard-*.json"))) == 2
+
+
+def test_morse_after_spectrum_matches_a_fresh_morse(tmp_path):
+    fresh = tmp_path / "fresh"
+    assert run(["morse"] + REFERENCE + ["--out", fresh]) == 0
+    out = tmp_path / "s"
+    assert run(["spectrum"] + REFERENCE + ["--out", out]) == 0
+    assert run(["morse"] + REFERENCE + ["--out", out]) == 0
+    for name in REPORT:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()

@@ -1,5 +1,6 @@
 """Morse assembly: tables, index formulas, degeneracy, bounds, predictions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,9 @@ def synthetic_spectrum(values, M, kind="singular"):
     return Spectrum(kind=kind, M=M, threshold=thr, eigenpairs=pairs,
                     exhausted_below=thr - 1e-6 if kind == "singular"
                     else -math.inf,
-                    negative_count=sum(1 for v in values if v < -1e-7))
+                    negative_count=sum(1 for v in values if v < -1e-7),
+                    meta={"zero_band_count": sum(1 for v in values
+                                                 if abs(v) <= 1e-7)})
 
 
 def test_beltrami_eigenvalues():
@@ -158,6 +161,34 @@ def test_degeneracy_scan_radial_routes():
     assert rep2.radially_degenerate and rep2.source == "standard"
     with pytest.raises(ValueError):
         degeneracy_scan(sing2, None, dm2)
+
+
+def planar_standard(values, negative_count, zero_band):
+    """A standard spectrum as the solver leaves it: the counts always, the
+    values only when some were asked for."""
+    spec = synthetic_spectrum(values, 2.0, kind="standard")
+    return dataclasses.replace(spec, negative_count=negative_count,
+                               meta={"zero_band_count": zero_band})
+
+
+@pytest.mark.parametrize("values", [[-4.0, -1.0, 1e-9, 3.0], []],
+                         ids=["values", "count-only"])
+def test_planar_radial_degeneracy_from_counts(values):
+    dm = generalized_dimension(2, 1.0)
+    sing = synthetic_spectrum([-3.0, -0.5], dm.M)
+    rep = degeneracy_scan(sing, planar_standard(values, 2, 1), dm)
+    assert rep.radially_degenerate and rep.radial_offender == 3
+    assert rep.source == "standard"
+    rep0 = degeneracy_scan(sing, planar_standard(values, 2, 0), dm)
+    assert not rep0.radially_degenerate and rep0.radial_offender is None
+
+
+def test_planar_radial_degeneracy_needs_the_zero_band():
+    dm = generalized_dimension(2, 1.0)
+    sing = synthetic_spectrum([-3.0], dm.M)
+    std = dataclasses.replace(planar_standard([], 1, 0), meta={})
+    with pytest.raises(ValueError, match="zero_band_count"):
+        degeneracy_scan(sing, std, dm)
 
 
 def test_power_case_nondegenerate():
