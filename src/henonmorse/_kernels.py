@@ -8,15 +8,62 @@ of width BRACKET; the Rayleigh quotient of each eigenvector then finishes
 its eigenvalue.  The standard kind keeps ABSTOL: its mass e^(-2x) grades
 its matrix to ||T|| = 5e25 (N=3, p=3), and at p=4.9 the Rayleigh quotient
 of its lowest eigenvalue, -4.4e11, misses the bisected value by 0.1.
+
+The LAPACK routines come from scipy's compiled modules, loaded from their
+files by lapack_module without running the scipy.linalg package __init__,
+which imports scipy._lib._array_api and, through it, numpy.f2py,
+numpy.testing, numpy.ma and numpy.random: about half of a CLI start-up.
+The wrappers are the objects scipy.linalg.lapack exports.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
+import scipy
+
+LINALG_DIR = os.path.join(scipy.__path__[0], "linalg")
+
+
+def lapack_module(name: str):
+    """The compiled module scipy.linalg.<name> (_flapack: the f2py wrappers
+    of scipy.linalg.lapack; cython_lapack: the C functions), loaded from
+    LINALG_DIR without importing the scipy.linalg package.
+
+    A module already in sys.modules is reused; a loaded one is registered
+    there under its own name, so a later import of scipy.linalg shares it.
+    (The package, imported later, then lacks it as an attribute: use
+    ``from scipy.linalg import <name>``, which finds it in sys.modules.)
+    """
+    full = f"scipy.linalg.{name}"
+    module = sys.modules.get(full)
+    if module is not None:
+        return module
+    finder = importlib.machinery.FileFinder(
+        LINALG_DIR, (importlib.machinery.ExtensionFileLoader,
+                     importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(full)
+    if spec is None:
+        raise ImportError(f"no extension module {full} in {LINALG_DIR}",
+                          name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[full]
+        raise
+    return module
+
+
+_flapack = lapack_module("_flapack")
+dstebz, dstein = _flapack.dstebz, _flapack.dstein
 
 
 # ---------------------------------------------------------------------------

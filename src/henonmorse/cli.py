@@ -283,11 +283,19 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     pipe = Pipeline(cfg)
     ks = {"singular": cfg.k, "standard": max(cfg.k, cfg.m + 2)}
     sing, std = (pipe.spectrum(kind, k) for kind, k in ks.items())
+    if len(sing.eigenpairs) and not sing.eigenpairs[0].grid.size:
+        # a spectrum read back from the cache carries no eigenfunction
+        # samples: solve again for them, and refuse a cache that disagrees
+        cached = [p.value for p in sing.eigenpairs]
+        sing = pipe._solve("singular", cfg.k)
+        solved = [p.value for p in sing.eigenpairs]
+        if solved != cached:
+            raise SpectralError(f"singular eigenvalues {solved} differ from "
+                                f"the cached {cached}")
     for kind, k in ks.items():
         shutil.copyfile(pipe.entry(kind, k),
                         os.path.join(cfg.out, f"spectrum_{kind}.json"))
-    # a spectrum read back from the cache carries no eigenfunction samples
-    if len(sing.eigenpairs) and sing.eigenpairs[0].grid.size:
+    if len(sing.eigenpairs):
         eigenfunction_to_csv(sing.eigenpairs[0],
                              os.path.join(cfg.out, "eigenfunction_1.csv"))
     print(f"spectra written to {cfg.out} "

@@ -11,10 +11,13 @@ Liouville grid in x = -ln r: dstemr refines the window's eigenvalues with
 its own routines (dlarre, dlarrb), by bisection on a shifted LDL^T
 factorization (Dhillon, Parlett & Voemel, ACM TOMS 32, 2006).
 
-dstemr is called through the C function that scipy.linalg.cython_lapack
-exports, with ctypes, because scipy's f2py wrapper allocates and zero-fills
-an n x n eigenvector array even when no eigenvectors are asked for (32 MB
-at n = 2000); this call needs O(n) workspace.  dstemr splits the matrix at
+The LAPACK routines come from scipy's compiled modules, which the kernels
+module's lapack_module loads without the scipy.linalg package: dsterf and
+dgtsv from the f2py wrappers (_flapack), dstemr from cython_lapack.
+dstemr is called through the C function that cython_lapack exports, with
+ctypes, because scipy's f2py wrapper allocates and zero-fills an n x n
+eigenvector array even when no eigenvectors are asked for (32 MB at
+n = 2000); this call needs O(n) workspace.  dstemr splits the matrix at
 off-diagonals below eps * ||T||, which loses the bound states of the
 strongly graded matrices that an epsilon_cut above about 1e-3 gives at
 n = 2000; those matrices get the full spectrum from root-free QR (dsterf).
@@ -26,11 +29,13 @@ import ctypes
 import math
 
 import numpy as np
-from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgtsv, dsterf
 
+from ._kernels import lapack_module
 from .spectral import (EigenPair, SpectralError, Spectrum,
                        WeightedSLProblem, count_interior_nodes_sampled)
+
+_flapack = lapack_module("_flapack")
+dgtsv, dsterf = _flapack.dgtsv, _flapack.dsterf
 
 DENSE_N_GUARD = 4000
 
@@ -38,7 +43,7 @@ DENSE_N_GUARD = 4000
 def _cython_lapack_function(name: str, *argtypes):
     """ctypes handle, with the given argument types, on the LAPACK function
     that scipy.linalg.cython_lapack exports under `name`."""
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = lapack_module("cython_lapack").__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,

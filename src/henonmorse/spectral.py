@@ -18,8 +18,9 @@ bisected to 1e-300, and Richardson bars come from a coarse/fine grid pair.
 Quadrature (normalization, inner products, Rayleigh quotients, the Picone
 residual) is an in-house composite Simpson rule on the uniform Liouville
 grid, so the module needs numpy and the LAPACK kernels only: the runtime
-imports numpy, scipy.linalg and the standard library, and no other part
-of scipy.
+imports numpy, scipy's top-level package, the two compiled LAPACK modules
+the kernels module loads from their files (not the scipy.linalg package)
+and the standard library, and no other part of scipy.
 """
 
 from __future__ import annotations

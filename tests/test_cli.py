@@ -354,24 +354,29 @@ def test_truncated_profile_table_is_recomputed(tmp_path):
 
 
 HEAVY_SCIPY = ("scipy.integrate", "scipy.special", "scipy.optimize",
-               "scipy.sparse")
+               "scipy.sparse", "scipy.linalg", "scipy._lib._array_api",
+               "numpy.f2py", "numpy.testing")
 
 
 def test_morse_run_loads_no_heavy_scipy_package(tmp_path):
-    """Importing the CLI and running a cold morse report loads none of
-    HEAVY_SCIPY: together they would add about 0.3 s to every start-up."""
-    args = [str(a) for a in ["morse"] + REFERENCE + ["--k", 3,
-                                                     "--out", tmp_path]]
-    code = ("import sys\n"
-            "from henonmorse import cli\n"
-            f"status = cli.main({args!r})\n"
-            f"print(status, [m for m in {HEAVY_SCIPY!r} if m in sys.modules])")
+    """Importing the CLI and running a cold morse report, or a cold oracle
+    check, loads none of HEAVY_SCIPY.  The scipy.linalg package __init__
+    alone, through scipy._lib._array_api, would take a bare import of the
+    CLI from 0.20 to 0.42 s and its max RSS from 38 to 57 MB."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    for command in ("morse", "oracle"):
+        args = [str(a) for a in [command] + REFERENCE + [
+            "--k", 3, "--out", tmp_path / command]]
+        code = ("import sys\n"
+                "from henonmorse import cli\n"
+                f"status = cli.main({args!r})\n"
+                f"print(status, [m for m in {HEAVY_SCIPY!r} "
+                "if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", command
 
 
 def _refuse(*args, **kwargs):
@@ -499,6 +504,33 @@ def test_spectrum_after_morse_publishes_the_standard_values(tmp_path):
     doc = json.loads((out / "spectrum_standard.json").read_text())
     assert len(doc["eigenvalues"]) == 6            # max(k, m + 2)
     assert len(list(out.glob("cache/standard-*.json"))) == 2
+
+
+def test_spectrum_after_morse_publishes_the_eigenfunction(tmp_path):
+    fresh = tmp_path / "fresh"
+    assert run(["spectrum"] + REFERENCE + ["--out", fresh]) == 0
+    out = tmp_path / "m"
+    assert run(["morse"] + REFERENCE + ["--out", out]) == 0
+    assert run(["spectrum"] + REFERENCE + ["--out", out]) == 0
+    name = "eigenfunction_1.csv"
+    assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_spectrum_refuses_a_cached_entry_its_solve_disagrees_with(
+        tmp_path, capsys):
+    out = tmp_path / "s"
+    args = ["spectrum"] + REFERENCE + ["--out", out]
+    assert run(args) == 0
+    (entry,) = out.glob("cache/singular-*.json")
+    doc = json.loads(entry.read_text())
+    doc["eigenvalues"][0]["value"] *= 1.5
+    entry.write_text(json.dumps(doc))
+    published = sorted(out.glob("*.*"))
+    for path in published:
+        path.unlink()
+    assert run(args) == 3
+    assert "differ from the cached" in capsys.readouterr().err
+    assert not any(path.exists() for path in published)
 
 
 def test_morse_after_spectrum_matches_a_fresh_morse(tmp_path):

@@ -1,6 +1,10 @@
 """Kernel-level checks: eigen-kernels against closed forms and LAPACK
 counts, the integrator against step halving."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
@@ -215,3 +219,43 @@ def test_critical_points_located():
     # interior minimum between the two zeros, negative value
     assert out[4][0] < crit_t[0] < out[4][1]
     assert crit_v[0] < 0
+
+
+# The package's LAPACK wrappers must be the objects scipy.linalg.lapack
+# exports, whichever is imported first, and the scipy.linalg package must
+# still work after henonmorse loaded its modules.
+LAPACK_PARITY = """\
+import sys
+if sys.argv[1] == "scipy":
+    import scipy.linalg.lapack
+from henonmorse import _kernels, oracle
+loaded = _kernels.lapack_module("cython_lapack")
+import scipy.linalg
+import scipy.linalg.lapack as lapack
+from scipy.linalg import cython_lapack
+same = [_kernels.dstebz is lapack.dstebz, _kernels.dstein is lapack.dstein,
+        oracle.dsterf is lapack.dsterf, oracle.dgtsv is lapack.dgtsv,
+        _kernels._flapack is lapack._flapack, loaded is cython_lapack]
+works = list(scipy.linalg.eigvalsh_tridiagonal([2.0, 2.0], [1.0])) == [1, 3]
+print(same, works)
+"""
+
+
+@pytest.mark.parametrize("first", ["henonmorse", "scipy"])
+def test_lapack_routines_are_the_ones_scipy_exports(first):
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    proc = subprocess.run([sys.executable, "-c", LAPACK_PARITY, first],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == f"{[True] * 6} True"
+
+
+@pytest.mark.parametrize("name", ["_flapack", "cython_lapack"])
+def test_missing_lapack_module_is_an_import_error(tmp_path, monkeypatch,
+                                                  name):
+    monkeypatch.setattr(K, "LINALG_DIR", str(tmp_path))
+    monkeypatch.delitem(sys.modules, f"scipy.linalg.{name}", raising=False)
+    with pytest.raises(ImportError, match=f"scipy\\.linalg\\.{name}"):
+        K.lapack_module(name)
+    assert f"scipy.linalg.{name}" not in sys.modules
