@@ -5,7 +5,7 @@ reports built from them."""
 from .dimension import (DimensionMap, angular_threshold, degeneracy_targets,
                         eigenvalue_pullback, generalized_dimension,
                         map_radius)
-from .morse import (BETA_PLANAR, BeltramiTable, DegeneracyReport, MorseReport,
+from .morse import (BETA_PLANAR, DegeneracyReport, MorseReport,
                     SymmetryMultiplicity, asymptotic_prediction,
                     beltrami_eigen, beltrami_multiplicity, degeneracy_scan,
                     lower_bound, morse_index, symmetric_morse_index)
@@ -17,9 +17,8 @@ from .radial import (AuxiliaryZ, BracketError, EmdenTrajectory,
                      solve_nodal_power, solve_nodal_shooting,
                      validate_profile)
 from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
-                       WeightedSLProblem, count_interior_nodes,
-                       fit_decay_exponent, liouville_transform,
-                       picone_residual, rayleigh_quotient,
+                       WeightedSLProblem, fit_decay_exponent,
+                       liouville_transform, picone_residual, rayleigh_quotient,
                        solve_singular_spectrum, solve_standard_spectrum,
                        theta_analytic, weighted_inner_product,
                        zero_potential)
@@ -36,10 +35,10 @@ __all__ = [
     "validate_profile", "auxiliary_z", "linearized_potential",
     "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",
     "Spectrum", "liouville_transform", "solve_singular_spectrum",
-    "solve_standard_spectrum", "count_interior_nodes", "fit_decay_exponent",
+    "solve_standard_spectrum", "fit_decay_exponent",
     "picone_residual", "rayleigh_quotient", "weighted_inner_product",
     "theta_analytic", "zero_potential", "dense_oracle_spectrum",
-    "BeltramiTable", "SymmetryMultiplicity", "MorseReport",
+    "SymmetryMultiplicity", "MorseReport",
     "DegeneracyReport", "beltrami_eigen", "beltrami_multiplicity",
     "morse_index", "degeneracy_scan", "symmetric_morse_index", "lower_bound",
     "asymptotic_prediction",

@@ -13,7 +13,7 @@ hit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +47,6 @@ def beltrami_multiplicity(N: int, j: int) -> int:
     if num % den:
         raise ArithmeticError("multiplicity did not come out integer")
     return num // den
-
-
-@dataclass(frozen=True)
-class BeltramiTable:
-    N: int
-    j_max: int
-    eigenvalues: tuple = field(init=False)
-    multiplicities: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", tuple(
-            beltrami_eigen(self.N, j) for j in range(self.j_max + 1)))
-        object.__setattr__(self, "multiplicities", tuple(
-            beltrami_multiplicity(self.N, j) for j in range(self.j_max + 1)))
 
 
 @dataclass(frozen=True)
@@ -137,8 +123,7 @@ def _contribution(nu_hat: float, dmap: DimensionMap, collision_tol: float):
 
 
 def morse_index(spec: Spectrum, dmap: DimensionMap, *,
-                m: int | None = None, has_f3: bool = True,
-                collision_tol: float = 1e-5,
+                m: int | None = None, collision_tol: float = 1e-5,
                 degeneracy: DegeneracyReport | None = None) -> MorseReport:
     """Assemble the full Morse count from a singular spectrum.
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._kernels import lapack_module
 from .spectral import (EigenPair, SpectralError, Spectrum,
-                       WeightedSLProblem, count_interior_nodes_sampled)
+                       WeightedSLProblem, count_sign_changes)
 
 _flapack = lapack_module("_flapack")
 dgtsv, dsterf = _flapack.dgtsv, _flapack.dsterf
@@ -234,12 +234,13 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = 2000,
         anchor = psi_u[-1]
         if anchor != 0 and anchor < 0:
             psi = -psi
-        dpsi = np.gradient(psi, r, edge_order=2)
-        nodes = count_interior_nodes_sampled(psi_u, 1e-8)
+        slope = np.gradient(psi, r, edge_order=2)[-1]
+        nodes = count_sign_changes(psi_u,
+                                   1e-8 * float(np.max(np.abs(psi_u))))
         pairs.append(EigenPair(
             value=float(values[i]), error_bar=float(bars[i]), grid=r.copy(),
-            samples=psi, derivative=dpsi, interior_nodes=nodes,
-            boundary_slope=float(dpsi[-1]), decay_exponent=None,
+            samples=psi, interior_nodes=nodes,
+            boundary_slope=float(slope), decay_exponent=None,
             theta_analytic=None, uncertain=False))
     meta = {"n": n, "epsilon_cut": epsilon_cut, "grading": grading,
             "oracle": True, "richardson": bool(richardson)}

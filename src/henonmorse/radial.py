@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .dimension import generalized_dimension
+from .spectral import count_sign_changes
 
 
 class IntegrationError(RuntimeError):
@@ -188,15 +189,6 @@ def _hermite(x, y, dy, q, derivative=False):
     return out[0] if scalar else out
 
 
-def _count_sign_changes(vals, tol):
-    """Sign changes in a sampled sequence, ignoring sub-tolerance samples."""
-    big = np.abs(vals) > tol
-    signs = np.sign(vals[big])
-    if signs.size < 2:
-        return 0
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
 def solve_nodal_power(M: float, p: float, m: int, *, rtol: float = 1e-10,
                       atol: float = 1e-12, zero_tol: float = 1e-12,
                       t_max: float = 1e10,
@@ -239,8 +231,7 @@ def solve_nodal_power(M: float, p: float, m: int, *, rtol: float = 1e-10,
             "supercritical": supercritical}
     return RadialProfile(variable="emden", M=float(M), grid=grid,
                          values=values, derivative=derivative, zeros=zeros,
-                         critical_points=crits[:m - 1] if len(crits) >= m - 1
-                         else crits,
+                         critical_points=crits[:m - 1],
                          extremal_values=extremal[:m],
                          nodal_zones=m, nonlinearity=Nonlinearity.power(p),
                          coupling=1.0, meta=meta)
@@ -342,8 +333,7 @@ def solve_nodal_shooting(M: float, nl: Nonlinearity, c: float, m: int,
             "atol": atol}
     return RadialProfile(variable="emden", M=float(M), grid=grid,
                          values=values, derivative=derivative, zeros=zeros,
-                         critical_points=crits[:m - 1] if len(crits) >= m - 1
-                         else crits,
+                         critical_points=crits[:m - 1],
                          extremal_values=extremal[:m], nodal_zones=m,
                          nonlinearity=nl, coupling=float(c), meta=meta)
 
@@ -514,7 +504,7 @@ def auxiliary_z(prof: RadialProfile) -> AuxiliaryZ:
     p = prof.nonlinearity.p
     z = prof.grid * prof.derivative + 2.0 / (p - 1.0) * prof.values
     inner = (prof.grid > 0.0) & (prof.grid < 1.0)
-    count = _count_sign_changes(z[inner], 1e-12 * float(np.max(np.abs(z))))
+    count = count_sign_changes(z[inner], 1e-12 * float(np.max(np.abs(z))))
     return AuxiliaryZ(grid=prof.grid, values=z, interior_zero_count=count)
 
 

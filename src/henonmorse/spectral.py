@@ -15,6 +15,13 @@ counts and zero bands.  The singular grids are bisected to 1e-4 brackets
 and finished by Rayleigh quotients, the standard kind's graded matrix is
 bisected to 1e-300, and Richardson bars come from a coarse/fine grid pair.
 
+A run sets the fine grid n, the interval length X, the Richardson tolerance
+and the threshold margin (SpectralConfig).  The rest of the policy is fixed
+in module constants: the caps on n and X (N_CAP, X_MAX_CAP), the decay the
+adaptive X aims at and the one below which a pair is flagged uncertain
+(KAPPA_X_TARGET, CERTIFY_KAPPA_X), and the node, zero and simple-eigenvalue
+cuts (NODE_TOL, ZERO_CUT, EIG_TOL).
+
 Quadrature (normalization, inner products, Rayleigh quotients, the Picone
 residual) is an in-house composite Simpson rule on the uniform Liouville
 grid, so the module needs numpy and the LAPACK kernels only: the runtime
@@ -36,6 +43,14 @@ import numpy as np
 from ._kernels import (BRACKET, SpectralError, bisect_eigenvalues,
                        inverse_iteration, rayleigh_refine, residual_norm,
                        sturm_count)
+
+N_CAP = 1 << 19          # largest fine grid, in cells
+X_MAX_CAP = 60.0         # largest Liouville interval length X
+KAPPA_X_TARGET = 30.0    # adaptive X aims at sqrt(threshold - nu) X >= this
+CERTIFY_KAPPA_X = 12.0   # below this a singular pair is flagged uncertain
+NODE_TOL = 1e-8          # node-count cut, relative to max |u|
+ZERO_CUT = 1e-7          # |value| below this counts as zero
+EIG_TOL = 1e-13          # relative gap resolution of the bisection
 
 
 class ResolutionError(SpectralError):
@@ -70,35 +85,15 @@ def zero_potential(r):
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
-def potential_from_samples(r_samples, a_samples) -> Callable:
-    """Linear interpolant of sampled a(r), extended by its edge values.
-
-    Below the smallest sample the potential continues with that sample's
-    value (the linearized potentials of interest tend to a constant at 0).
-    """
-    rs = np.asarray(r_samples, dtype=float)
-    av = np.asarray(a_samples, dtype=float)
-
-    def a(r):
-        return np.interp(np.asarray(r, dtype=float), rs, av,
-                         left=av[0], right=av[-1])
-
-    return a
-
-
 @dataclass(frozen=True)
 class SpectralConfig:
+    """The settings of one solve; the fixed policy is in the module
+    constants (N_CAP, X_MAX_CAP, ...)."""
+
     n: int = 4096                 # fine grid (rounded up to even)
-    n_cap: int = 1 << 19
     x_max: float | None = None    # None selects the adaptive policy
-    x_max_cap: float = 60.0
-    kappa_x_target: float = 30.0  # aim sqrt(threshold - nu) * X >= this
-    certify_kappa_x: float = 12.0  # below this the pair is flagged uncertain
-    margin: float = 1e-6          # near-threshold exclusion band
     tol: float = 5e-4             # max relative Richardson error bar
-    node_tol: float = 1e-8
-    zero_cut: float = 1e-7        # |value| below this counts as zero
-    eig_tol: float = 1e-13
+    margin: float = 1e-6          # near-threshold exclusion band
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,6 @@ class EigenPair:
     error_bar: float
     grid: np.ndarray              # r, ascending
     samples: np.ndarray           # psi(r), unit norm in the problem's weight
-    derivative: np.ndarray        # psi'(r)
     interior_nodes: int
     boundary_slope: float         # psi'(1)
     decay_exponent: float | None  # fitted theta, singular negative pairs
@@ -198,21 +192,20 @@ def liouville_transform(prob: WeightedSLProblem, x_max: float,
     return LiouvilleProblem(x=x, V=V, h=x_max / n, threshold=prob.threshold)
 
 
-def _flat_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
+def _flat_x_max(prob: WeightedSLProblem) -> float:
     """X past which the singular-kind potential V is flat: 8 beyond the last
-    x where e^(-2x) |a| exceeds 1e-10 max(1, threshold), in [20, cap]."""
-    cap = cfg.x_max_cap
-    xs = np.linspace(0.0, cap, 4097)
+    x where e^(-2x) |a| exceeds 1e-10 max(1, threshold), in [20, X_MAX_CAP]."""
+    xs = np.linspace(0.0, X_MAX_CAP, 4097)
     w = np.exp(-2 * xs) * np.abs(prob.a(np.exp(-xs)))
     tol = 1e-10 * max(1.0, prob.threshold)
     above = np.nonzero(w > tol)[0]
     x_flat = xs[above[-1]] if len(above) else 0.0
-    return min(cap, max(20.0, x_flat + 8.0))
+    return min(X_MAX_CAP, max(20.0, x_flat + 8.0))
 
 
 def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
     """Pick X so the potential has flattened and target decay is reached."""
-    x0 = _flat_x_max(prob, cfg)
+    x0 = _flat_x_max(prob)
     grid = liouville_transform(prob, x0, 1024)
     d, e = grid.tridiagonal()
     below = bisect_eigenvalues(d, e, below=prob.threshold - cfg.margin,
@@ -221,19 +214,18 @@ def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
         return x0
     top = rayleigh_refine(d, e, below[-1:])[0][0]
     kappa_min = math.sqrt(max(prob.threshold - top, 1e-30))
-    return min(cfg.x_max_cap, max(x0, cfg.kappa_x_target / kappa_min))
+    return min(X_MAX_CAP, max(x0, KAPPA_X_TARGET / kappa_min))
 
 
-def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float,
-                n_cap: int):
-    """Grid size large enough to resolve the fastest local oscillation;
-    even, so that every other node makes the coarse grid."""
+def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float):
+    """Grid size large enough to resolve the fastest local oscillation, up
+    to N_CAP; even, so that every other node makes the coarse grid."""
     k_osc = math.sqrt(max(threshold - v_min, 1.0))
     n_req = 2.0 * x_max * k_osc
     n = n_cfg + n_cfg % 2
-    while n < min(n_req, n_cap):
+    while n < min(n_req, N_CAP):
         n *= 2
-    return min(n, n_cap), n_req > n_cap
+    return min(n, N_CAP), n_req > N_CAP
 
 
 def _fine_grid(prob: WeightedSLProblem, x_max: float, cfg: SpectralConfig):
@@ -241,7 +233,7 @@ def _fine_grid(prob: WeightedSLProblem, x_max: float, cfg: SpectralConfig):
     on a 2048-cell probe of V), and whether n hit the cap."""
     probe = liouville_transform(prob, x_max, 2048)
     n, capped = _resolution(cfg.n, x_max, float(np.min(probe.V)),
-                            prob.threshold, cfg.n_cap)
+                            prob.threshold)
     return liouville_transform(prob, x_max, n), n, capped
 
 
@@ -261,28 +253,17 @@ def _richardson(vals_f, vals_c, cfg: SpectralConfig, grid: LiouvilleProblem,
             f"grid too coarse: Richardson bar {bars[bad][0]:.3e} on {kind} "
             f"eigenvalue {values[bad][0]:.6g} (n={len(grid.x) - 1}, "
             f"x_max={grid.x[-1]:.3g})")
-    _assert_simple(values, cfg)
+    _assert_simple(values)
     return values, bars
 
 
-def count_interior_nodes_sampled(vals: np.ndarray, tol_frac: float) -> int:
-    """Sign changes of a sampled function, ignoring sub-tolerance samples."""
-    cut = tol_frac * float(np.max(np.abs(vals)))
-    big = np.abs(vals) > cut
-    signs = np.sign(vals[big])
+def count_sign_changes(vals: np.ndarray, cut: float) -> int:
+    """Sign changes of a sampled function, ignoring samples with
+    |value| <= cut."""
+    signs = np.sign(vals[np.abs(vals) > cut])
     if signs.size < 2:
         return 0
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
-def count_interior_nodes(pair: EigenPair) -> int:
-    """Nodes of a solver eigenfunction strictly inside (0, 1).
-
-    Counted on the Liouville samples: u and psi share their sign pattern,
-    but u stays bounded while psi may grow toward the origin for eigenvalues
-    above 0, which would starve a relative node tolerance.
-    """
-    return count_interior_nodes_sampled(pair.u_samples[1:-1], 1e-8)
 
 
 def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
@@ -297,8 +278,8 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     give Richardson-extrapolated values and error bars; disagreement beyond
     cfg.tol raises ResolutionError.  Two eigenvalues closer than 2e-4, whose
     brackets overlap, raise SpectralError.  Pairs whose decay rate cannot
-    satisfy sqrt(threshold - nu) * X >= cfg.certify_kappa_x within the x_max
-    cap are flagged uncertain (truncation-limited accuracy near the
+    satisfy sqrt(threshold - nu) * X >= CERTIFY_KAPPA_X within X_MAX_CAP
+    are flagged uncertain (truncation-limited accuracy near the
     threshold).
     """
     if prob.kind != "singular":
@@ -319,8 +300,8 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
     n_found = len(values)
 
-    zero_cut_count = sturm_count(d_f, e_f, -cfg.zero_cut)
-    zero_band = sturm_count(d_f, e_f, cfg.zero_cut) - zero_cut_count
+    zero_cut_count = sturm_count(d_f, e_f, -ZERO_CUT)
+    zero_band = sturm_count(d_f, e_f, ZERO_CUT) - zero_cut_count
     # the next eigenvalue bounds what was left out
     exhausted = (float(bisect_eigenvalues(d_f, e_f, n_found + 1,
                                           n_found + 1).values[0])
@@ -329,7 +310,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
             "resolution_capped": bool(capped),
             "zero_band_count": int(zero_band), "eigvec_residual": residual}
     return Spectrum(kind="singular", M=prob.M, threshold=prob.threshold,
-                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs, cfg),
+                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs),
                     exhausted_below=exhausted,
                     negative_count=int(zero_cut_count), meta=meta)
 
@@ -341,14 +322,14 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     grid (LiouvilleProblem.standard_tridiagonal).
 
     X is where the potential has flattened (cfg.x_max when set), n that of
-    the singular kind, and h is halved, up to cfg.n_cap, while a Richardson
+    the singular kind, and h is halved, up to N_CAP, while a Richardson
     bar exceeds cfg.tol.  By Sylvester's law of inertia the negative count
     and zero band (all that k = 0 takes) are those of the form alone.
     """
     if prob.kind != "standard":
         raise ValueError("solve_standard_spectrum needs the standard kind")
     twin = WeightedSLProblem(M=prob.M, a=prob.a, kind="singular")
-    x_max = cfg.x_max if cfg.x_max is not None else _flat_x_max(twin, cfg)
+    x_max = cfg.x_max if cfg.x_max is not None else _flat_x_max(twin)
     g_f, _, capped = _fine_grid(twin, x_max, cfg)
     d_f, e_f, s_f = g_f.standard_tridiagonal()
     values = bars = vecs = np.empty(0)
@@ -373,7 +354,7 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
                                            "standard")
                 break
             except ResolutionError:
-                if 2 * len(d_f) > cfg.n_cap:
+                if 2 * len(d_f) > N_CAP:
                     raise
                 # the old fine grid is bitwise the new one's coarsening
                 vals_c = eig_f.values
@@ -383,23 +364,27 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
         residual = residual_norm(d_f, e_f, vecs, eig_f.values)
         vecs = s_f[:, None] * vecs              # generalized eigenvectors
 
-    negative_count = sturm_count(d_f, e_f, -cfg.zero_cut)
-    zero_band = sturm_count(d_f, e_f, cfg.zero_cut) - negative_count
+    negative_count = sturm_count(d_f, e_f, -ZERO_CUT)
+    zero_band = sturm_count(d_f, e_f, ZERO_CUT) - negative_count
     exhausted = float(values[-1]) if len(values) else -math.inf
     meta = {"n": len(d_f), "x_max": float(x_max),
             "zero_band_count": int(zero_band),
             "resolution_capped": bool(capped), "eigvec_residual": residual}
     return Spectrum(kind="standard", M=prob.M, threshold=math.inf,
-                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs, cfg),
+                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs),
                     exhausted_below=exhausted,
                     negative_count=int(negative_count), meta=meta)
 
 
 def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
-                bars, vecs, cfg: SpectralConfig) -> tuple:
+                bars, vecs) -> tuple:
     """EigenPairs from the unknowns, node 1 on, in the columns of vecs: u
     positive next to r=1 and normalized in the kind's mass, psi = e^(cx) u;
-    singular pairs get their decay fits and uncertain flags."""
+    singular pairs get their decay fits and uncertain flags.
+
+    Nodes are counted on u, not psi: the two share their sign pattern, but
+    u stays bounded while psi may grow toward the origin for eigenvalues
+    above 0, which would starve a node cut relative to the maximum."""
     singular = prob.kind == "singular"
     x, h = grid.x, grid.h
     r_desc = np.exp(-x)
@@ -412,23 +397,25 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
         if u[1] < 0:
             u = -u
         u = u / math.sqrt(_simpson(weight * u * u, h))
-        du = np.gradient(u, h, edge_order=2)
         psi = u * np.exp(a_half * x)
-        dpsi = -np.exp(0.5 * prob.M * x) * (a_half * u + du)
+        # psi'(1) = -(c u + u') at x = 0, u' one-sided to second order
+        slope = -(a_half * u[0] + np.gradient(u[:3], h, edge_order=2)[0])
         uncertain, theta_fit, theta_an = False, None, None
         if singular:
             kappa = math.sqrt(max(prob.threshold - values[i], 0.0))
-            uncertain = kappa * x[-1] < cfg.certify_kappa_x
+            uncertain = kappa * x[-1] < CERTIFY_KAPPA_X
             if values[i] < 0:
                 theta_an = theta_analytic(values[i], prob.M)
-                theta_fit = _fit_decay(x, u, a_half, None)
-        nodes = count_interior_nodes_sampled(u[1:-1], cfg.node_tol)
+                theta_fit = _fit_decay(x, u, a_half, None)[0]
+        inner = u[1:-1]
+        nodes = count_sign_changes(inner,
+                                   NODE_TOL * float(np.max(np.abs(inner))))
         pairs.append(EigenPair(
             value=float(values[i]), error_bar=float(bars[i]),
             grid=r_desc[::-1].copy(), samples=psi[::-1].copy(),
-            derivative=dpsi[::-1].copy(), interior_nodes=nodes,
-            boundary_slope=float(dpsi[0]), decay_exponent=theta_fit,
-            theta_analytic=theta_an, uncertain=bool(uncertain),
+            interior_nodes=nodes, boundary_slope=float(slope),
+            decay_exponent=theta_fit, theta_analytic=theta_an,
+            uncertain=bool(uncertain),
             x_grid=x.copy(), u_samples=u.copy()))
     return tuple(pairs)
 
@@ -437,11 +424,11 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
 # diagnostics on eigenpairs
 # ---------------------------------------------------------------------------
 
-def _assert_simple(values, cfg):
+def _assert_simple(values):
     """Every eigenvalue is simple: two bisection results closer than the
     certified gap resolution signal a defective solve, not a pair."""
     for a, b in zip(values[:-1], values[1:]):
-        if b - a < 100.0 * (cfg.eig_tol * max(1.0, abs(a)) + 1e-300):
+        if b - a < 100.0 * (EIG_TOL * max(1.0, abs(a)) + 1e-300):
             raise SpectralError(
                 f"near-degenerate eigenvalues {a:.12g}, {b:.12g}: below the "
                 "gap resolution of the bisection")
@@ -453,22 +440,25 @@ def theta_analytic(nu_hat: float, M: float) -> float:
 
 
 def _fit_decay(x, u, a_half, window_x):
-    """Least-squares slope of ln|psi| against ln r deep in the tail."""
+    """(slope, samples used) of the least-squares fit of ln|psi| against
+    ln r deep in the tail; the slope is None when the samples are fewer
+    than 8 or change sign."""
     umax = float(np.max(np.abs(u)))
     if window_x is None:
         mask = (np.abs(u) > 1e-11 * umax) & (np.abs(u) < 1e-4 * umax)
         mask &= x > 2.0
     else:
         mask = (x >= window_x[0]) & (x <= window_x[1]) & (np.abs(u) > 0)
-    if np.count_nonzero(mask) < 8:
-        return None
+    n_used = int(np.count_nonzero(mask))
+    if n_used < 8:
+        return None, n_used
     xs = x[mask]
     if np.any(np.sign(u[mask])[1:] != np.sign(u[mask])[:-1]):
-        return None
+        return None, n_used
     # ln|psi| = a_half * x + ln|u|; ln r = -x
     ln_psi = a_half * xs + np.log(np.abs(u[mask]))
     slope = np.polyfit(-xs, ln_psi, 1)[0]
-    return float(slope)
+    return float(slope), n_used
 
 
 @dataclass(frozen=True)
@@ -492,6 +482,7 @@ def fit_decay_exponent(pair: EigenPair, M: float,
         raise ValueError("pair carries no Liouville samples")
     x, u = pair.x_grid, pair.u_samples
     a_half = (M - 2.0) / 2.0
+    wx = None
     if window is not None:
         r_lo, r_hi = window
         wx = (max(-math.log(r_hi), 0.0), -math.log(r_lo))
@@ -500,11 +491,7 @@ def fit_decay_exponent(pair: EigenPair, M: float,
         signs = np.sign(seg[np.abs(seg) > 0])
         if signs.size and np.any(signs[1:] != signs[:-1]):
             raise ValueError("window contains a node of the eigenfunction")
-        theta = _fit_decay(x, u, a_half, wx)
-        n_pts = int(np.count_nonzero(sel))
-    else:
-        theta = _fit_decay(x, u, a_half, None)
-        n_pts = 0
+    theta, n_pts = _fit_decay(x, u, a_half, wx)
     if theta is None:
         raise ValueError("window has too few usable samples for a fit")
     return DecayFit(theta_fit=theta,
@@ -674,7 +661,7 @@ def spectrum_from_json(path) -> Spectrum:
     pairs = tuple(
         EigenPair(value=e["value"], error_bar=e["error_bar"],
                   grid=np.empty(0), samples=np.empty(0),
-                  derivative=np.empty(0), interior_nodes=e["nodes"],
+                  interior_nodes=e["nodes"],
                   boundary_slope=math.nan, decay_exponent=e["theta_fit"],
                   theta_analytic=e["theta_analytic"],
                   uncertain=e["uncertain"])

@@ -81,6 +81,15 @@ def test_config_round_trip():
     assert again == cfg
 
 
+def test_spectral_config_carries_only_what_a_run_sets():
+    # every SpectralConfig field comes from RunConfig: a field no run sets
+    # keeps its default here and belongs in a module constant instead
+    cfg = RunConfig(grid=2048, xmax=35.0, tol=1e-3, margin=1e-5)
+    got = dataclasses.asdict(cfg.spectral_config())
+    default = dataclasses.asdict(type(cfg.spectral_config())())
+    assert [k for k in got if got[k] == default[k]] == []
+
+
 def test_spectrum_command_and_cache_determinism(tmp_path):
     out = tmp_path / "s"
     args = ["spectrum", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,

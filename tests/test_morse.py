@@ -8,7 +8,7 @@ import pytest
 
 from henonmorse.dimension import (angular_threshold, degeneracy_targets,
                                   eigenvalue_pullback, generalized_dimension)
-from henonmorse.morse import (BETA_PLANAR, BeltramiTable, SymmetryMultiplicity,
+from henonmorse.morse import (BETA_PLANAR, SymmetryMultiplicity,
                               asymptotic_prediction, beltrami_eigen,
                               beltrami_multiplicity, degeneracy_scan,
                               lower_bound, morse_index, symmetric_morse_index)
@@ -21,9 +21,9 @@ from henonmorse.spectral import (EigenPair, Spectrum, WeightedSLProblem,
 def synthetic_spectrum(values, M, kind="singular"):
     pairs = tuple(
         EigenPair(value=float(v), error_bar=0.0, grid=np.empty(0),
-                  samples=np.empty(0), derivative=np.empty(0),
-                  interior_nodes=i, boundary_slope=math.nan,
-                  decay_exponent=None, theta_analytic=None, uncertain=False)
+                  samples=np.empty(0), interior_nodes=i,
+                  boundary_slope=math.nan, decay_exponent=None,
+                  theta_analytic=None, uncertain=False)
         for i, v in enumerate(values))
     thr = ((M - 2.0) / 2.0) ** 2 if kind == "singular" else math.inf
     return Spectrum(kind=kind, M=M, threshold=thr, eigenpairs=pairs,
@@ -38,6 +38,8 @@ def test_beltrami_eigenvalues():
     assert beltrami_eigen(3, 0) == 0
     assert beltrami_eigen(3, 1) == 2
     assert beltrami_eigen(2, 5) == 25
+    assert [beltrami_eigen(4, j) for j in range(7)] == [
+        j * (4 + j - 2) for j in range(7)]
     for N in (2, 3, 4, 7):
         lams = [beltrami_eigen(N, j) for j in range(12)]
         assert all(b > a for a, b in zip(lams, lams[1:]))
@@ -54,12 +56,6 @@ def test_beltrami_multiplicities():
         assert total == (jtop + 1) ** 2
     # large order stays exact
     assert beltrami_multiplicity(9, 40) > 0
-
-
-def test_beltrami_table():
-    tab = BeltramiTable(N=4, j_max=6)
-    assert tab.multiplicities[0] == 1
-    assert tab.eigenvalues == tuple(j * (4 + j - 2) for j in range(7))
 
 
 def test_morse_index_synthetic_example():

@@ -8,9 +8,10 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from henonmorse._kernels import bisect_eigenvalues, sturm_count
 from henonmorse.radial import linearized_potential, solve_nodal_power
+from henonmorse import spectral
 from henonmorse.spectral import (ResolutionError, SpectralConfig,
                                  WeightedSLProblem, _cumulative_simpson,
-                                 _simpson, count_interior_nodes,
+                                 _simpson, count_sign_changes,
                                  fit_decay_exponent, liouville_transform,
                                  picone_residual, rayleigh_quotient,
                                  solve_singular_spectrum,
@@ -105,8 +106,6 @@ def test_singular_spectrum_shape(lane_emden_case):
     assert vals[0] < -2.0 < vals[1] < 0.0
     assert np.all(np.diff(vals) > 0)          # simple, strictly increasing
     assert [p.interior_nodes for p in spec.eigenpairs[:3]] == [0, 1, 2]
-    # the public node counter agrees with the stored counts
-    assert [count_interior_nodes(p) for p in spec.eigenpairs[:3]] == [0, 1, 2]
 
 
 def test_eigenpair_normalization_and_sign(lane_emden_case):
@@ -123,11 +122,11 @@ def test_eigenpair_normalization_and_sign(lane_emden_case):
 
 def test_node_counting_synthetic():
     r = np.linspace(0, 1, 500)
-    pair = type("P", (), {})()
     vals = np.cos(3.5 * math.pi * r)  # 3 interior sign changes in (0,1)
-    from henonmorse.spectral import count_interior_nodes_sampled
-    assert count_interior_nodes_sampled(vals[1:-1], 1e-8) == 3
-    assert count_interior_nodes_sampled(np.ones(100), 1e-8) == 0
+    assert count_sign_changes(vals[1:-1], 1e-8) == 3
+    assert count_sign_changes(np.ones(100), 1e-8) == 0
+    # samples at or below the cut are skipped, not counted as sign changes
+    assert count_sign_changes(np.array([1.0, -1e-3, 1.0, -2.0]), 1e-3) == 1
 
 
 def test_rayleigh_quotient_eigen_consistency(lane_emden_case):
@@ -151,7 +150,8 @@ def test_standard_pairs_carry_liouville_samples(lane_emden_case):
                                                                rel=1e-6)
 
 
-def test_standard_grid_halves_h_until_the_bars_pass(lane_emden_case):
+def test_standard_grid_halves_h_until_the_bars_pass(lane_emden_case,
+                                                   monkeypatch):
     # the 7th and 8th eigenfunctions need a finer grid than n = 4096; the
     # refined solve is the solve on that grid, up to bisection's last bits
     _, prob, _ = lane_emden_case
@@ -160,14 +160,14 @@ def test_standard_grid_halves_h_until_the_bars_pass(lane_emden_case):
     direct = solve_standard_spectrum(std_prob, 8, SpectralConfig(n=8192))
     assert refined.meta["n"] == direct.meta["n"] == 8192
     np.testing.assert_allclose(refined.values, direct.values, rtol=1e-12)
+    monkeypatch.setattr(spectral, "N_CAP", 4096)
     with pytest.raises(ResolutionError, match="standard eigenvalue"):
-        solve_standard_spectrum(std_prob, 8,
-                                SpectralConfig(n=4096, n_cap=4096))
+        solve_standard_spectrum(std_prob, 8, SpectralConfig(n=4096))
     # no grid meets this tolerance: the fine values leave the window around
     # the coarse ones and are bisected by index before the bars are refused
+    monkeypatch.setattr(spectral, "N_CAP", 8192)
     with pytest.raises(ResolutionError, match="standard eigenvalue"):
-        solve_standard_spectrum(std_prob, 2,
-                                SpectralConfig(tol=1e-12, n_cap=8192))
+        solve_standard_spectrum(std_prob, 2, SpectralConfig(tol=1e-12))
 
 
 @pytest.mark.parametrize("n", [2048, 4096, 8192])
@@ -231,6 +231,19 @@ def test_decay_exponent_fit(lane_emden_case):
     with pytest.raises(ValueError, match="node"):
         fit_decay_exponent(p2, 3.0, window=(node_r * 0.5, min(0.9,
                                                               node_r * 1.5)))
+
+
+def test_automatic_decay_window_reports_its_sample_count(lane_emden_case):
+    # the automatic band holds the tail samples between 1e-11 and 1e-4 of
+    # max |u| beyond x = 2; the fit reports how many it used
+    _, _, spec = lane_emden_case
+    for p in spec.eigenpairs[:2]:
+        assert p.value < 0
+        x, u = p.x_grid, np.abs(p.u_samples)
+        band = (u > 1e-11 * u.max()) & (u < 1e-4 * u.max()) & (x > 2.0)
+        fit = fit_decay_exponent(p, 3.0)
+        assert fit.n_points == np.count_nonzero(band) >= 8
+        assert fit.theta_fit == p.decay_exponent
 
 
 def test_picone_identity_residuals():
