@@ -38,8 +38,6 @@ def test_beltrami_eigenvalues():
     assert beltrami_eigen(3, 0) == 0
     assert beltrami_eigen(3, 1) == 2
     assert beltrami_eigen(2, 5) == 25
-    assert [beltrami_eigen(4, j) for j in range(7)] == [
-        j * (4 + j - 2) for j in range(7)]
     for N in (2, 3, 4, 7):
         lams = [beltrami_eigen(N, j) for j in range(12)]
         assert all(b > a for a, b in zip(lams, lams[1:]))
@@ -56,6 +54,12 @@ def test_beltrami_multiplicities():
         assert total == (jtop + 1) ** 2
     # large order stays exact
     assert beltrami_multiplicity(9, 40) > 0
+
+
+def test_beltrami_table():
+    assert beltrami_multiplicity(4, 0) == 1
+    assert [beltrami_eigen(4, j) for j in range(7)] == [
+        j * (4 + j - 2) for j in range(7)]
 
 
 def test_morse_index_synthetic_example():
