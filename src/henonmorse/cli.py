@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, spectrum, morse, sweep, oracle.  A single JSON config
-document may supply any field; command-line flags override file fields, and
-built-in defaults fill the rest (precedence: flags > config file > defaults).
+document may supply any RunConfig field; command-line flags override file
+fields, and defaults fill the rest (precedence: flags > file > defaults).
+Numerical defaults and bounds are SpectralConfig's and the oracle's; the
+other solver settings are module constants, not config fields.
 Every subcommand builds its results through a Pipeline, which solves the
 profile at most once per configuration.  Results are cached under
 <out>/cache, one entry per stage, spectrum kind and number of values held,
@@ -40,7 +42,8 @@ from .dimension import generalized_dimension
 from .morse import (SymmetryMultiplicity, degeneracy_scan, morse_index,
                     morse_report_doc, morse_report_rows,
                     symmetric_morse_index)
-from .oracle import dense_oracle_spectrum
+from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
+                     dense_oracle_spectrum)
 from .radial import (BracketError, IntegrationError, RadialProfile,
                      Nonlinearity, linearized_potential, profile_to_csv,
                      profile_to_json, solve_nodal_power)
@@ -68,13 +71,10 @@ class RunConfig:
     p: float = 3.0
     m: int = 2
     k: int = 6
-    grid: int = 4096
+    grid: int = SpectralConfig.n
     xmax: float | None = None
-    tol: float = 5e-4
-    margin: float = 1e-6
-    ode_rtol: float = 1e-10
-    ode_atol: float = 1e-12
-    oracle_n: int = 2000
+    tol: float = SpectralConfig.tol
+    oracle_n: int = DENSE_N
     oracle_tol: float = 1e-3
     epsilon_cut: float | None = None
     a_zero: bool = False
@@ -92,17 +92,13 @@ class RunConfig:
         "xmax": ("float?", lambda v: v is None or v > 0,
                  "xmax must be positive"),
         "tol": ("float", lambda v: v > 0, "tol must be positive"),
-        "margin": ("float", lambda v: v > 0, "margin must be positive"),
-        "ode_rtol": ("float", lambda v: 0 < v < 1e-2,
-                     "ode_rtol must be in (0, 1e-2)"),
-        "ode_atol": ("float", lambda v: 0 < v < 1e-2,
-                     "ode_atol must be in (0, 1e-2)"),
-        "oracle_n": ("int", lambda v: 16 <= v <= 4000,
-                     "oracle_n must be an integer in [16, 4000]"),
+        "oracle_n": ("int", lambda v: 16 <= v <= DENSE_N_GUARD,
+                     f"oracle_n must be an integer in [16, {DENSE_N_GUARD}]"),
         "oracle_tol": ("float", lambda v: v > 0, "oracle_tol must be "
                        "positive"),
-        "epsilon_cut": ("float?", lambda v: v is None or 0 < v < 0.1,
-                        "epsilon_cut must be in (0, 0.1)"),
+        "epsilon_cut": ("float?",
+                        lambda v: v is None or 0 < v < EPSILON_CUT_MAX,
+                        f"epsilon_cut must be in (0, {EPSILON_CUT_MAX})"),
         "a_zero": ("bool", lambda v: True, ""),
         "out": ("str", lambda v: True, ""),
         "workers": ("int", lambda v: v >= 1, "workers must be >= 1"),
@@ -119,44 +115,46 @@ class RunConfig:
             for name, value in src.items():
                 if value is not None:
                     merged[name] = value
-        out = {}
-        for name, value in merged.items():
-            kind, check, msg = cls._DOMAINS[name]
-            try:
-                # JSON true/false fill the bool fields, and nothing else
-                if isinstance(value, bool) != (kind == "bool"):
+        return cls(**{name: cls.checked(name, value)
+                      for name, value in merged.items()})
+
+    @classmethod
+    def checked(cls, name: str, value):
+        """`value` parsed into field `name`'s type; ConfigError naming the
+        field when it does not parse or lies outside the field's domain."""
+        kind, check, msg = cls._DOMAINS[name]
+        try:
+            # JSON true/false fill the bool fields, and nothing else
+            if isinstance(value, bool) != (kind == "bool"):
+                raise ValueError
+            if kind == "int":
+                if isinstance(value, float) and value != int(value):
                     raise ValueError
-                if kind == "int":
-                    if isinstance(value, float) and value != int(value):
-                        raise ValueError
-                    value = int(value)
-                elif kind == "float":
-                    value = float(value)
-                elif kind == "float?":
-                    value = None if value is None else float(value)
-                elif kind in ("str", "str?"):
-                    value = None if value is None else str(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field '{name}': cannot parse "
-                                  f"{value!r}") from None
-            if not check(value):
-                raise ConfigError(f"field '{name}': {msg}")
-            out[name] = value
-        return cls(**out)
+                value = int(value)
+            elif kind == "float":
+                value = float(value)
+            elif kind == "float?":
+                value = None if value is None else float(value)
+            elif kind in ("str", "str?"):
+                value = None if value is None else str(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"field '{name}': cannot parse "
+                              f"{value!r}") from None
+        if not check(value):
+            raise ConfigError(f"field '{name}': {msg}")
+        return value
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def spectral_config(self) -> SpectralConfig:
-        return SpectralConfig(n=self.grid, x_max=self.xmax, tol=self.tol,
-                              margin=self.margin)
+        return SpectralConfig(n=self.grid, x_max=self.xmax, tol=self.tol)
 
     def subsection(self, stage: str) -> dict:
         """Fields feeding a stage, in hash-canonical form."""
         d = self.to_dict()
-        profile_keys = ("N", "alpha", "p", "m", "ode_rtol", "ode_atol")
-        spectrum_keys = profile_keys + ("k", "grid", "xmax", "tol", "margin",
-                                        "a_zero")
+        profile_keys = ("N", "alpha", "p", "m")
+        spectrum_keys = profile_keys + ("k", "grid", "xmax", "tol", "a_zero")
         keys = {"profile": profile_keys, "spectrum": spectrum_keys}[stage]
         return {k: d[k] for k in keys}
 
@@ -207,9 +205,7 @@ class Pipeline:
 
     @functools.cached_property
     def profile(self) -> RadialProfile:
-        return solve_nodal_power(self.dmap.M, self.cfg.p, self.cfg.m,
-                                 rtol=self.cfg.ode_rtol,
-                                 atol=self.cfg.ode_atol)
+        return solve_nodal_power(self.dmap.M, self.cfg.p, self.cfg.m)
 
     def potential(self):
         if self.cfg.a_zero:
@@ -379,8 +375,9 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
     if axis not in ("p", "alpha"):
         raise ConfigError("field 'axis': must be 'p' or 'alpha'")
     params = list(np.linspace(lo, hi, steps)) if steps > 0 else []
-    pipes = [Pipeline(dataclasses.replace(cfg, **{axis: float(v)}))
-             for v in params]
+    # every swept value passes its field's domain check before any solve
+    values = [RunConfig.checked(axis, float(v)) for v in params]
+    pipes = [Pipeline(dataclasses.replace(cfg, **{axis: v})) for v in values]
     if cfg.workers > 1:
         # the pool solves the points missing from the cache; the rows are
         # then read back from it
@@ -406,7 +403,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     sing = pipe.spectrum("singular", cfg.k)
     orc = dense_oracle_spectrum(
         WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential(), kind="singular"),
-        n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut, margin=cfg.margin)
+        n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut)
     rows = []
     unmatched = []      # certified solver pairs the oracle did not find
     worst = 0.0

@@ -3,8 +3,8 @@ degeneracy detection, lower bounds and closed-form large-exponent values.
 
 The count works through the angular threshold J of each negative transformed
 eigenvalue: harmonic orders j with j < J contribute their multiplicity to the
-index.  When J lands on an integer within tolerance the report flags the
-collision (the solution is then numerically indistinguishable from a
+index.  When J lands on an integer within COLLISION_TOL the report flags
+the collision (the solution is then numerically indistinguishable from a
 degenerate one) and resolves the sum with the strict inequality, i.e. the
 boundary order is excluded, which is exactly the closed-form rule at an exact
 hit.
@@ -18,9 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DimensionMap, angular_threshold, degeneracy_targets
-from .spectral import Spectrum
+from .spectral import ZERO_CUT, Spectrum
 
 BETA_PLANAR = math.sqrt(26.9)  # first-eigenvalue decay constant, N=2 limit
+COLLISION_TOL = 1e-5   # |J - round(J)| at or below this flags a collision
+EVEN_TOL = 1e-12       # alpha this close to an even integer is even
+BETA_GUARD = 1e-9      # floor arguments this close to an integer are refused
 
 
 def beltrami_eigen(N: int, j: int) -> int:
@@ -107,11 +110,11 @@ class MorseReport:
     nodal_zones: int | None
 
 
-def _contribution(nu_hat: float, dmap: DimensionMap, collision_tol: float):
+def _contribution(nu_hat: float, dmap: DimensionMap):
     J = angular_threshold(nu_hat, dmap)
     nearest = round(J)
-    collision = abs(J - nearest) <= collision_tol and nearest >= 1
-    j_top = int(math.ceil(J - 1e-300)) - 1  # largest j with j < J
+    collision = abs(J - nearest) <= COLLISION_TOL and nearest >= 1
+    j_top = int(math.ceil(J)) - 1           # largest j with j < J
     if collision:
         j_top = nearest - 1                 # strict rule at an exact hit
     js = tuple(range(0, j_top + 1))
@@ -123,12 +126,12 @@ def _contribution(nu_hat: float, dmap: DimensionMap, collision_tol: float):
 
 
 def morse_index(spec: Spectrum, dmap: DimensionMap, *,
-                m: int | None = None, collision_tol: float = 1e-5,
+                m: int | None = None,
                 degeneracy: DegeneracyReport | None = None) -> MorseReport:
     """Assemble the full Morse count from a singular spectrum.
 
     Each negative eigenvalue nu contributes sum_(j < J(nu)) N_j; entries
-    whose J sits on an integer within collision_tol carry a flag (see module
+    whose J sits on an integer within COLLISION_TOL carry a flag (see module
     docstring).  Bounds and the closed-form large-exponent value are filled
     from the nodal-zone count m (default: the radial index itself).
     """
@@ -147,7 +150,7 @@ def morse_index(spec: Spectrum, dmap: DimensionMap, *,
             raise ValueError(
                 f"eigenvalue {p.value:.6g} is flagged near-threshold; "
                 "refusing to count it")
-    entries = tuple(_contribution(p.value, dmap, collision_tol) for p in neg)
+    entries = tuple(_contribution(p.value, dmap) for p in neg)
     total = sum(e.contribution for e in entries)
     m_zones = m if m is not None else len(neg)
     bounds = {
@@ -165,18 +168,18 @@ def morse_index(spec: Spectrum, dmap: DimensionMap, *,
 
 
 def degeneracy_scan(spec_singular: Spectrum, spec_standard: Spectrum | None,
-                    dmap: DimensionMap, tol: float = 1e-6,
-                    zero_tol: float = 1e-7) -> DegeneracyReport:
+                    dmap: DimensionMap, tol: float = 1e-6) -> DegeneracyReport:
     """Detect radial and nonradial kernel directions from the spectra.
 
-    Radial degeneracy is a zero eigenvalue: of the singular problem when
-    N >= 3, of the standard problem when N = 2 (where the weighted space is
-    strictly smaller and zero modes can fall outside it).  The N = 2 branch
-    reads only the standard counts, so a count-only spectrum (k = 0)
-    decides it too: the solution is degenerate when the zero band is not
-    empty, and the offender is the first eigenvalue above the negative
-    ones.  Nonradial degeneracy matches singular eigenvalues against the
-    angular-order targets.
+    Radial degeneracy is a zero eigenvalue (|value| < ZERO_CUT, the cut of
+    the negative counts): of the singular problem when N >= 3, of the
+    standard problem when N = 2 (where the weighted space is strictly
+    smaller and zero modes can fall outside it).  The N = 2 branch reads
+    only the standard counts, so a count-only spectrum (k = 0) decides it
+    too: the solution is degenerate when the zero band is not empty, and the
+    offender is the first eigenvalue above the negative ones.  Nonradial
+    degeneracy matches singular eigenvalues against the angular-order
+    targets.
     """
     if dmap.N == 2:
         if spec_standard is None:
@@ -193,7 +196,7 @@ def degeneracy_scan(spec_singular: Spectrum, spec_standard: Spectrum | None,
         source = "singular"
         band = spec_singular.meta.get("zero_band_count")
         rad_idx = next((i + 1 for i, v in enumerate(spec_singular.values)
-                        if abs(v) < zero_tol), None)
+                        if abs(v) < ZERO_CUT), None)
         # the zero band decides even when no value was solved near zero
         radially_degenerate = rad_idx is not None or bool(band)
 
@@ -251,12 +254,7 @@ def lower_bound(N: int, alpha: float, m: int, has_f3: bool) -> int:
     return (m - 1) * s_all
 
 
-def is_even_integer(alpha: float, tol: float = 1e-12) -> bool:
-    return abs(2.0 * round(alpha / 2.0) - alpha) <= tol
-
-
-def asymptotic_prediction(N: int, alpha: float, m: int, *,
-                          guard: float = 1e-9) -> int:
+def asymptotic_prediction(N: int, alpha: float, m: int) -> int:
     """Morse index in the large-exponent regime, from the closed forms.
 
     N >= 3: m * sum_(j=0..1+[alpha/2]) N_j for non-even alpha, and
@@ -270,8 +268,8 @@ def asymptotic_prediction(N: int, alpha: float, m: int, *,
     if m < 1:
         raise ValueError("m must be >= 1")
     j_half = int(math.floor(alpha / 2.0))
-    even = is_even_integer(alpha)
     near = abs(2.0 * round(alpha / 2.0) - alpha)
+    even = near <= EVEN_TOL
     if not even and near < 1e-9:
         # an alpha this close to an even integer is ambiguous: the two
         # branches differ and float noise decides which one fires
@@ -291,7 +289,7 @@ def asymptotic_prediction(N: int, alpha: float, m: int, *,
     arg = (1.0 + alpha / 2.0) * BETA_PLANAR
     # beta is only known approximately; a floor argument this close to an
     # integer (equivalently alpha close to an exceptional value) is unstable
-    if abs(arg - round(arg)) < max(guard, 10 * abs(arg) * 1e-16):
+    if abs(arg - round(arg)) < max(BETA_GUARD, 10 * abs(arg) * 1e-16):
         raise ValueError(
             f"alpha={alpha:g} is within the guard band of an exceptional "
             f"value 2(n/beta - 1); the limit index is not determined there")

@@ -9,7 +9,8 @@ with the pivoted tridiagonal LU (dgtsv).  Neither code nor eigen-driver is
 shared with the production solvers, which run dstebz and dstein on the
 Liouville grid in x = -ln r: dstemr refines the window's eigenvalues with
 its own routines (dlarre, dlarrb), by bisection on a shifted LDL^T
-factorization (Dhillon, Parlett & Voemel, ACM TOMS 32, 2006).
+factorization (Dhillon, Parlett & Voemel, ACM TOMS 32, 2006).  It counts
+with the solvers' cuts: spectral.MARGIN, ZERO_CUT and NODE_TOL.
 
 The LAPACK routines come from scipy's compiled modules, which the kernels
 module's lapack_module loads without the scipy.linalg package: dsterf and
@@ -31,13 +32,18 @@ import math
 import numpy as np
 
 from ._kernels import lapack_module
-from .spectral import (EigenPair, SpectralError, Spectrum,
-                       WeightedSLProblem, count_sign_changes)
+from .spectral import (MARGIN, NODE_TOL, ZERO_CUT, EigenPair,
+                       SpectralError, Spectrum, WeightedSLProblem,
+                       count_sign_changes)
 
 _flapack = lapack_module("_flapack")
 dgtsv, dsterf = _flapack.dgtsv, _flapack.dsterf
 
-DENSE_N_GUARD = 4000
+DENSE_N, DENSE_N_GUARD = 2000, 4000  # default and largest grid, in cells
+EPSILON_CUT_MAX = 0.1      # epsilon_cut lies in (0, EPSILON_CUT_MAX)
+# per kind: r_i = eps + (1-eps) (i/n)^GRADING, eps defaulting to EPSILON_CUT
+GRADING = {"singular": 4.0, "standard": 1.0}
+EPSILON_CUT = {"singular": 1e-10, "standard": 1e-9}
 
 
 def _cython_lapack_function(name: str, *argtypes):
@@ -155,15 +161,15 @@ def _assemble(prob: WeightedSLProblem, n: int, eps: float, grading: float):
     return r, s, diag * s * s, off * s[:-1] * s[1:]
 
 
-def _oracle_values(prob: WeightedSLProblem, d, e, k, margin, zero_cut):
+def _oracle_values(prob: WeightedSLProblem, d, e, k):
     """(values, negative count, exhausted_below) of tridiag(d, e): up to k
-    singular values below threshold - margin, or the k (6) lowest standard."""
+    singular values below threshold - MARGIN, or the k (6) lowest standard."""
     if prob.kind == "singular":
-        exhausted = prob.threshold - margin
-        window = _eigenvalues(d, e, upper=max(exhausted, -zero_cut))
-        neg = int(np.count_nonzero(window <= -zero_cut))
+        exhausted = prob.threshold - MARGIN
+        window = _eigenvalues(d, e, upper=max(exhausted, -ZERO_CUT))
+        neg = int(np.count_nonzero(window <= -ZERO_CUT))
         return window[window <= exhausted][:k], neg, exhausted
-    neg = len(_eigenvalues(d, e, upper=-zero_cut))
+    neg = len(_eigenvalues(d, e, upper=-ZERO_CUT))
     count = min(k if k is not None else 6, len(d))
     vals = _eigenvalues(d, e, count=count) if count else np.empty(0)
     return vals, neg, float(vals[-1]) if len(vals) else -math.inf
@@ -184,61 +190,56 @@ def _eigenvectors(d, e, vals):
     return vecs
 
 
-def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = 2000,
+def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
                           epsilon_cut: float | None = None, *,
-                          grading: float | None = None, k: int | None = None,
-                          margin: float = 1e-6, zero_cut: float = 1e-7,
+                          k: int | None = None,
                           richardson: bool = True) -> Spectrum:
     """All sub-threshold eigenvalues (singular) or the first k (standard).
 
     Verification-only path, kept deliberately independent of the production
-    solvers.  The n <= 4000 guard bounds the dense cost.  Grid defaults per
-    kind: the singular problem gets a strongly graded grid reaching down to
-    1e-10 (its eigenfunctions vanish at the origin like powers), the standard
-    problem a uniform grid from 1e-9 (grading inflates the matrix scale
-    ||T||, and the absolute eigenvalue accuracy of about eps * ||T|| would
-    then swamp the low eigenvalues).  With `richardson` the values are
-    extrapolated from an (n/2, n) pair and each pair carries the
-    extrapolation bar.
+    solvers.  The n <= DENSE_N_GUARD guard bounds the dense cost.  Grids per
+    kind (GRADING, EPSILON_CUT): the singular problem gets a strongly graded
+    grid reaching down to 1e-10 (its eigenfunctions vanish at the origin like
+    powers), the standard problem a uniform grid from 1e-9 (grading inflates
+    the matrix scale ||T||, and the absolute eigenvalue accuracy of about
+    eps * ||T|| would then swamp the low eigenvalues).  With `richardson`
+    the values are extrapolated from an (n/2, n) pair and each pair carries
+    the extrapolation bar.  All pairs share one r grid.
     """
     if n > DENSE_N_GUARD:
         raise ValueError(f"dense oracle refuses n > {DENSE_N_GUARD}")
-    if grading is None:
-        grading = 4.0 if prob.kind == "singular" else 1.0
+    grading = GRADING[prob.kind]
     if epsilon_cut is None:
-        epsilon_cut = 1e-10 if prob.kind == "singular" else 1e-9
-    if not 0 < epsilon_cut < 0.1:
-        raise ValueError("epsilon_cut must lie in (0, 0.1)")
+        epsilon_cut = EPSILON_CUT[prob.kind]
+    if not 0 < epsilon_cut < EPSILON_CUT_MAX:
+        raise ValueError(f"epsilon_cut must lie in (0, {EPSILON_CUT_MAX})")
     r, s, d, e = _assemble(prob, n, epsilon_cut, grading)
-    vals, neg, exhausted = _oracle_values(prob, d, e, k, margin, zero_cut)
+    vals, neg, exhausted = _oracle_values(prob, d, e, k)
     vecs = _eigenvectors(d, e, vals)
 
     values = np.asarray(vals, dtype=float)
     bars = np.full(len(values), float("nan"))
     if richardson:
         d_c, e_c = _assemble(prob, n // 2, epsilon_cut, grading)[2:]
-        coarse = _oracle_values(prob, d_c, e_c, k, margin, zero_cut)[0]
+        coarse = _oracle_values(prob, d_c, e_c, k)[0]
         n_common = min(len(values), len(coarse))
         cv = coarse[:n_common]
         bars[:n_common] = np.abs(values[:n_common] - cv) / 3.0
-        values = values.copy()
         values[:n_common] = (4.0 * values[:n_common] - cv) / 3.0
 
     pairs = []
     for i in range(len(values)):
         psi_u = vecs[:, i] * s          # generalized eigenvector, unit mass
-        if prob.kind == "singular":
-            psi = np.concatenate(([0.0], psi_u, [0.0]))
-        else:
-            psi = np.concatenate((psi_u, [0.0]))
+        psi = np.zeros(len(r))          # zero at the Dirichlet nodes
+        psi[-1 - len(psi_u):-1] = psi_u
         anchor = psi_u[-1]
-        if anchor != 0 and anchor < 0:
+        if anchor < 0:
             psi = -psi
         slope = np.gradient(psi, r, edge_order=2)[-1]
         nodes = count_sign_changes(psi_u,
-                                   1e-8 * float(np.max(np.abs(psi_u))))
+                                   NODE_TOL * float(np.max(np.abs(psi_u))))
         pairs.append(EigenPair(
-            value=float(values[i]), error_bar=float(bars[i]), grid=r.copy(),
+            value=float(values[i]), error_bar=float(bars[i]), grid=r,
             samples=psi, interior_nodes=nodes,
             boundary_slope=float(slope), decay_exponent=None,
             theta_analytic=None, uncertain=False))

@@ -3,7 +3,8 @@
 Power nonlinearities are solved by integrating the initial value problem from
 t=0 and exploiting the scaling symmetry v -> gamma^(2/(p-1)) v(gamma t) to
 move the m-th zero to 1; generic nonlinearities go through a shooting
-bisection on v(0).
+bisection on v(0).  Tolerances, step budgets and the cut of the
+qualitative checks are the module constants below.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ import numpy as np
 from . import _kernels
 from .dimension import generalized_dimension
 from .spectral import count_sign_changes
+
+PROFILE_RTOL, PROFILE_ATOL = 1e-10, 1e-12  # integrator, power profiles
+ZERO_TOL = 1e-12           # zeros are refined to |v| < ZERO_TOL |v(0)|
+POWER_MAX_STEPS = 600_000  # step budget of a power profile
+SHOOT_TOL = 1e-10          # shooting accepts |v(1)| <= SHOOT_TOL |v(0)|
+SHOOT_RTOL, SHOOT_ATOL = 1e-11, 1e-13      # integrator, each shot
+SHOOT_MAX_STEPS = 400_000  # step budget of each shot
+CHECK_TOL = 1e-7           # validate_profile's cut, relative to max |v|
 
 
 class IntegrationError(RuntimeError):
@@ -84,28 +93,27 @@ class EmdenTrajectory:
 
 
 def integrate_emden_ivp(M: float, nl: Nonlinearity, c: float, v0: float,
-                        t_max: float, *, rtol: float = 1e-10,
-                        atol: float = 1e-12, zero_tol: float = 1e-12,
-                        max_zeros: int = 64,
-                        max_steps: int = 600_000) -> EmdenTrajectory:
+                        t_max: float, *, rtol: float = PROFILE_RTOL,
+                        atol: float = PROFILE_ATOL, max_zeros: int = 64,
+                        max_steps: int = POWER_MAX_STEPS) -> EmdenTrajectory:
     """Integrate v'' + (M-1)/t v' + c f(v) = 0 from the regular start at 0.
 
     v(0)=v0, v'(0)=0, v''(0) = -c f(v0)/M.  Each sign change of v is refined
-    to |v| < zero_tol * |v0|; sign changes of v' are refined to critical
+    to |v| < ZERO_TOL * |v0|; sign changes of v' are refined to critical
     points.  Stops after max_zeros zeros or at t_max.
     """
     if v0 == 0:
         raise ValueError("v0 must be nonzero; v0=0 is the trivial solution")
     if M < 2:
         raise ValueError("M must be >= 2")
-    if zero_tol <= 0 or rtol <= 0 or atol <= 0:
+    if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
 
+    budget = (float(rtol), float(atol), int(max_zeros), int(max_steps),
+              ZERO_TOL)
     if nl.kind == "power":
         out = _kernels.integrate_radial_power(
-            float(M), float(c), float(nl.p), float(v0), float(t_max),
-            float(rtol), float(atol), int(max_zeros), int(max_steps),
-            float(zero_tol))
+            float(M), float(c), float(nl.p), float(v0), float(t_max), *budget)
     else:
         fn = nl.f
 
@@ -116,9 +124,7 @@ def integrate_emden_ivp(M: float, nl: Nonlinearity, c: float, v0: float,
             return -(m_dim - 1.0) / t * dv - c_ * fv
 
         out = _kernels.integrate_radial_generic(
-            rhs, float(M), float(c), 0.0, float(v0), float(t_max),
-            float(rtol), float(atol), int(max_zeros), int(max_steps),
-            float(zero_tol))
+            rhs, float(M), float(c), 0.0, float(v0), float(t_max), *budget)
     status, ts, vs, dvs, zt, zdv, ct, cv = out
     if status == _kernels.FAIL_NONFINITE:
         raise IntegrationError("nonlinearity returned a non-finite value")
@@ -189,10 +195,9 @@ def _hermite(x, y, dy, q, derivative=False):
     return out[0] if scalar else out
 
 
-def solve_nodal_power(M: float, p: float, m: int, *, rtol: float = 1e-10,
-                      atol: float = 1e-12, zero_tol: float = 1e-12,
-                      t_max: float = 1e10,
-                      max_steps: int = 600_000) -> RadialProfile:
+def solve_nodal_power(M: float, p: float, m: int, *,
+                      rtol: float = PROFILE_RTOL, atol: float = PROFILE_ATOL,
+                      t_max: float = 1e10) -> RadialProfile:
     """Radial solution with exactly m nodal zones for f(u) = |u|^(p-1) u.
 
     Integrates the IVP with v(0)=1 to its m-th zero T_m and rescales by the
@@ -206,8 +211,7 @@ def solve_nodal_power(M: float, p: float, m: int, *, rtol: float = 1e-10,
         raise ValueError("p must be > 1")
     supercritical = bool(M > 2 and p >= (M + 2) / (M - 2))
     traj = integrate_emden_ivp(M, Nonlinearity.power(p), 1.0, 1.0, t_max,
-                               rtol=rtol, atol=atol, zero_tol=zero_tol,
-                               max_zeros=m, max_steps=max_steps)
+                               rtol=rtol, atol=atol, max_zeros=m)
     if not traj.reached_target:
         raise IntegrationError(
             f"zero #{m} not found before t_max={t_max:g} "
@@ -227,7 +231,7 @@ def solve_nodal_power(M: float, p: float, m: int, *, rtol: float = 1e-10,
     extremal = np.concatenate(([values[0]],
                                np.abs(amp * traj.critical_values)))
     meta = {"raw_final_zero": float(t_m), "p": float(p), "rtol": rtol,
-            "atol": atol, "zero_tol": zero_tol,
+            "atol": atol, "zero_tol": ZERO_TOL,
             "supercritical": supercritical}
     return RadialProfile(variable="emden", M=float(M), grid=grid,
                          values=values, derivative=derivative, zeros=zeros,
@@ -237,23 +241,23 @@ def solve_nodal_power(M: float, p: float, m: int, *, rtol: float = 1e-10,
                          coupling=1.0, meta=meta)
 
 
-def _interior_zero_count(M, nl, c, d, rtol, atol, max_steps):
+def _interior_zero_count(M, nl, c, d):
     """Zeros of the IVP solution with v(0)=d inside (0, 1)."""
-    traj = integrate_emden_ivp(M, nl, c, d, 1.0, rtol=rtol, atol=atol,
-                               max_zeros=64, max_steps=max_steps)
+    traj = integrate_emden_ivp(M, nl, c, d, 1.0, rtol=SHOOT_RTOL,
+                               atol=SHOOT_ATOL, max_zeros=64,
+                               max_steps=SHOOT_MAX_STEPS)
     return int(np.count_nonzero(traj.zeros < 1.0 - 1e-13)), traj
 
 
 def solve_nodal_shooting(M: float, nl: Nonlinearity, c: float, m: int,
-                         bracket=None, *, tol: float = 1e-10,
-                         rtol: float = 1e-11, atol: float = 1e-13,
-                         max_steps: int = 400_000) -> RadialProfile:
+                         bracket=None) -> RadialProfile:
     """Nodal solution for a generic nonlinearity by bisection on v(0).
 
     Finds d with the m-th zero of the IVP solution sitting at t=1, i.e.
-    m-1 interior zeros and |v(1)| < tol * d.  Zero-count monotonicity in d is
-    assumed, not proven; when a bisection midpoint contradicts it the bracket
-    is reported through BracketError instead of being silently accepted.
+    m-1 interior zeros and |v(1)| <= SHOOT_TOL * d.  Zero-count monotonicity
+    in d is assumed, not proven; when a bisection midpoint contradicts it the
+    bracket is reported through BracketError instead of being silently
+    accepted.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -261,8 +265,8 @@ def solve_nodal_shooting(M: float, nl: Nonlinearity, c: float, m: int,
         d_lo, d_hi = float(bracket[0]), float(bracket[1])
         if d_lo == d_hi:
             raise BracketError("empty bracket")
-        k_lo, _ = _interior_zero_count(M, nl, c, d_lo, rtol, atol, max_steps)
-        k_hi, _ = _interior_zero_count(M, nl, c, d_hi, rtol, atol, max_steps)
+        k_lo, _ = _interior_zero_count(M, nl, c, d_lo)
+        k_hi, _ = _interior_zero_count(M, nl, c, d_hi)
         if k_lo > k_hi:
             d_lo, d_hi, k_lo, k_hi = d_hi, d_lo, k_hi, k_lo
         if not (k_lo <= m - 1 and k_hi >= m):
@@ -270,30 +274,27 @@ def solve_nodal_shooting(M: float, nl: Nonlinearity, c: float, m: int,
                 f"bracket zero counts ({k_lo}, {k_hi}) do not straddle m={m}")
     else:
         d_lo = d_hi = 1.0
-        k_lo = k_hi = _interior_zero_count(M, nl, c, 1.0, rtol, atol,
-                                           max_steps)[0]
+        k_lo = k_hi = _interior_zero_count(M, nl, c, 1.0)[0]
         growth = 0
         while k_hi < m:
             d_hi *= 2.0
             growth += 1
             if growth > 60:
                 raise BracketError("no upper bracket below 2^60")
-            k_hi, _ = _interior_zero_count(M, nl, c, d_hi, rtol, atol,
-                                           max_steps)
+            k_hi, _ = _interior_zero_count(M, nl, c, d_hi)
         growth = 0
         while k_lo > m - 1:
             d_lo /= 2.0
             growth += 1
             if growth > 60:
                 raise BracketError("no lower bracket above 2^-60")
-            k_lo, _ = _interior_zero_count(M, nl, c, d_lo, rtol, atol,
-                                           max_steps)
+            k_lo, _ = _interior_zero_count(M, nl, c, d_lo)
 
     traj_final = None
     d = d_hi
     for _ in range(200):
         d = 0.5 * (d_lo + d_hi)
-        k_mid, traj = _interior_zero_count(M, nl, c, d, rtol, atol, max_steps)
+        k_mid, traj = _interior_zero_count(M, nl, c, d)
         if not (k_lo <= k_mid <= k_hi):
             raise BracketError(
                 f"zero count non-monotone in the bracket: "
@@ -306,8 +307,7 @@ def solve_nodal_shooting(M: float, nl: Nonlinearity, c: float, m: int,
         if (d_hi - d_lo) < 1e-15 * max(1.0, abs(d)):
             break
     if traj_final is None:
-        k_mid, traj = _interior_zero_count(M, nl, c, d_lo, rtol, atol,
-                                           max_steps)
+        k_mid, traj = _interior_zero_count(M, nl, c, d_lo)
         if k_mid != m - 1:
             raise BracketError("bisection failed to settle on a shooting "
                                "value with m-1 interior zeros")
@@ -317,9 +317,10 @@ def solve_nodal_shooting(M: float, nl: Nonlinearity, c: float, m: int,
     # solution with m-1 interior zeros; residual at the boundary measures
     # how far the m-th zero is from t=1
     res = abs(traj.vs[-1])
-    if res > tol * abs(d):
+    if res > SHOOT_TOL * abs(d):
         raise IntegrationError(
-            f"shooting residual |v(1)|={res:.3e} above tol*d={tol * abs(d):.3e}")
+            f"shooting residual |v(1)|={res:.3e} above "
+            f"tol*d={SHOOT_TOL * abs(d):.3e}")
     grid = traj.ts.copy()
     values = traj.vs.copy()
     derivative = traj.dvs.copy()
@@ -329,8 +330,8 @@ def solve_nodal_shooting(M: float, nl: Nonlinearity, c: float, m: int,
     zeros = np.concatenate((interior[:m - 1], [1.0]))
     crits = traj.critical_points
     extremal = np.concatenate(([values[0]], np.abs(traj.critical_values)))
-    meta = {"shoot_value": float(d), "residual": float(res), "rtol": rtol,
-            "atol": atol}
+    meta = {"shoot_value": float(d), "residual": float(res),
+            "rtol": SHOOT_RTOL, "atol": SHOOT_ATOL}
     return RadialProfile(variable="emden", M=float(M), grid=grid,
                          values=values, derivative=derivative, zeros=zeros,
                          critical_points=crits[:m - 1],
@@ -352,12 +353,8 @@ def henon_profile(N: int, alpha: float, p: float, m: int,
     amp = s ** (2.0 / (p - 1.0))
     grid_r = base.grid ** (1.0 / s)
     values_u = amp * base.values
-    # u'(r) = amp * v'(t) * s * r^(s-1); r=0 stays 0 for alpha > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rpow = np.where(grid_r > 0, grid_r ** (s - 1.0), 0.0 if s > 1 else 1.0)
-    derivative_u = amp * s * base.derivative * rpow
-    if s == 1.0:
-        derivative_u[0] = amp * base.derivative[0]
+    # u'(r) = amp * v'(t) * s * r^(s-1), with s >= 1 since alpha >= 0
+    derivative_u = amp * s * base.derivative * grid_r ** (s - 1.0)
     meta = dict(base.meta)
     meta.update({"N": int(N), "alpha": float(alpha), "amplitude": float(amp),
                  "emden_M": dmap.M})
@@ -402,10 +399,11 @@ class QualitativeReport:
         return hard
 
 
-def validate_profile(prof: RadialProfile, *, tol: float = 1e-7,
+def validate_profile(prof: RadialProfile, *,
                      assume_positive_ratio: bool | None = None
                      ) -> QualitativeReport:
-    """Check the qualitative structure a nodal solution must carry.
+    """Check the qualitative structure a nodal solution must carry, with
+    values below CHECK_TOL max |v| counted as zero.
 
     Monotonicity of the first zone, one-critical-point-per-zone and the
     extremal chains hold when f(u)/u > 0 off zero; that is automatic for
@@ -423,7 +421,7 @@ def validate_profile(prof: RadialProfile, *, tol: float = 1e-7,
 
     zero_count_ok = len(prof.zeros) == m
     boundary_zero_ok = bool(abs(prof.zeros[-1] - 1.0) < 1e-12
-                            and abs(prof.evaluate(1.0)) < tol * scale)
+                            and abs(prof.evaluate(1.0)) < CHECK_TOL * scale)
     positive_at_origin = prof.values[0] > 0
     if not zero_count_ok:
         msgs.append(f"expected {m} zeros, recorded {len(prof.zeros)}")
@@ -434,7 +432,7 @@ def validate_profile(prof: RadialProfile, *, tol: float = 1e-7,
     sign_alternation_ok = True
     for i in range(len(bounds) - 1):
         inside = (prof.grid > bounds[i]) & (prof.grid < bounds[i + 1]) \
-            & (np.abs(prof.values) > tol * scale)
+            & (np.abs(prof.values) > CHECK_TOL * scale)
         if np.any(np.sign(prof.values[inside]) != (-1.0) ** i):
             sign_alternation_ok = False
             msgs.append(f"sign error inside nodal zone {i}")
@@ -442,7 +440,7 @@ def validate_profile(prof: RadialProfile, *, tol: float = 1e-7,
 
     inside = (prof.grid > 0) & (prof.grid < prof.zeros[0])
     first_zone_decreasing = bool(
-        np.all(prof.derivative[inside] <= tol * scale))
+        np.all(prof.derivative[inside] <= CHECK_TOL * scale))
     if not first_zone_decreasing:
         msgs.append("profile is not decreasing in its first nodal zone")
 
@@ -467,7 +465,7 @@ def validate_profile(prof: RadialProfile, *, tol: float = 1e-7,
         msgs.append("extremal values are not ordered as expected")
 
     slope0 = float(prof.derivative[0])
-    slope_ok = abs(slope0) <= tol * max(scale, 1.0)
+    slope_ok = abs(slope0) <= CHECK_TOL * max(scale, 1.0)
     if not slope_ok:
         msgs.append(f"initial slope {slope0:.3e} above tolerance")
 

@@ -15,12 +15,14 @@ counts and zero bands.  The singular grids are bisected to 1e-4 brackets
 and finished by Rayleigh quotients, the standard kind's graded matrix is
 bisected to 1e-300, and Richardson bars come from a coarse/fine grid pair.
 
-A run sets the fine grid n, the interval length X, the Richardson tolerance
-and the threshold margin (SpectralConfig).  The rest of the policy is fixed
-in module constants: the caps on n and X (N_CAP, X_MAX_CAP), the decay the
-adaptive X aims at and the one below which a pair is flagged uncertain
-(KAPPA_X_TARGET, CERTIFY_KAPPA_X), and the node, zero and simple-eigenvalue
-cuts (NODE_TOL, ZERO_CUT, EIG_TOL).
+A run sets the fine grid n, the interval length X and the Richardson
+tolerance (SpectralConfig).  The rest of the policy is fixed in module
+constants: the caps on n and X (N_CAP, X_MAX_CAP), the decay the adaptive X
+aims at and the one below which a pair is flagged uncertain (KAPPA_X_TARGET,
+CERTIFY_KAPPA_X), the band below the threshold that no reported eigenvalue
+enters (MARGIN), and the node, zero and simple-eigenvalue cuts (NODE_TOL,
+ZERO_CUT, EIG_TOL).  The dense oracle and the Morse report count with the
+same MARGIN, ZERO_CUT and NODE_TOL.
 
 Quadrature (normalization, inner products, Rayleigh quotients, the Picone
 residual) is an in-house composite Simpson rule on the uniform Liouville
@@ -48,6 +50,7 @@ N_CAP = 1 << 19          # largest fine grid, in cells
 X_MAX_CAP = 60.0         # largest Liouville interval length X
 KAPPA_X_TARGET = 30.0    # adaptive X aims at sqrt(threshold - nu) X >= this
 CERTIFY_KAPPA_X = 12.0   # below this a singular pair is flagged uncertain
+MARGIN = 1e-6            # eigenvalues are reported below threshold - MARGIN
 NODE_TOL = 1e-8          # node-count cut, relative to max |u|
 ZERO_CUT = 1e-7          # |value| below this counts as zero
 EIG_TOL = 1e-13          # relative gap resolution of the bisection
@@ -93,7 +96,6 @@ class SpectralConfig:
     n: int = 4096                 # fine grid (rounded up to even)
     x_max: float | None = None    # None selects the adaptive policy
     tol: float = 5e-4             # max relative Richardson error bar
-    margin: float = 1e-6          # near-threshold exclusion band
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ class LiouvilleProblem:
 
 
 def liouville_transform(prob: WeightedSLProblem, x_max: float,
-                        n: int = 4096) -> LiouvilleProblem:
+                        n: int = SpectralConfig.n) -> LiouvilleProblem:
     """Discretize the singular problem in x = -ln r.
 
     The transform u(x) = r^((M-2)/2) psi(r) maps the singular Rayleigh
@@ -203,12 +205,12 @@ def _flat_x_max(prob: WeightedSLProblem) -> float:
     return min(X_MAX_CAP, max(20.0, x_flat + 8.0))
 
 
-def _auto_x_max(prob: WeightedSLProblem, cfg: SpectralConfig) -> float:
+def _auto_x_max(prob: WeightedSLProblem) -> float:
     """Pick X so the potential has flattened and target decay is reached."""
     x0 = _flat_x_max(prob)
     grid = liouville_transform(prob, x0, 1024)
     d, e = grid.tridiagonal()
-    below = bisect_eigenvalues(d, e, below=prob.threshold - cfg.margin,
+    below = bisect_eigenvalues(d, e, below=prob.threshold - MARGIN,
                                abstol=BRACKET)
     if not len(below):
         return x0
@@ -269,7 +271,7 @@ def count_sign_changes(vals: np.ndarray, cut: float) -> int:
 def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
                             cfg: SpectralConfig = SpectralConfig()
                             ) -> Spectrum:
-    """Up to k eigenvalues below threshold - margin, with eigenfunctions.
+    """Up to k eigenvalues below threshold - MARGIN, with eigenfunctions.
 
     On the Liouville tridiagonal and on its every-other-node coarsening,
     bisection brackets every eigenvalue below the margin to width 1e-4; their
@@ -284,8 +286,8 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     """
     if prob.kind != "singular":
         raise ValueError("solve_singular_spectrum needs the singular kind")
-    x_max = cfg.x_max if cfg.x_max is not None else _auto_x_max(prob, cfg)
-    hi = prob.threshold - cfg.margin
+    x_max = cfg.x_max if cfg.x_max is not None else _auto_x_max(prob)
+    hi = prob.threshold - MARGIN
     g_f, n, capped = _fine_grid(prob, x_max, cfg)
 
     # every eigenvalue below the margin is bracketed on both grids; the k
@@ -380,7 +382,8 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
                 bars, vecs) -> tuple:
     """EigenPairs from the unknowns, node 1 on, in the columns of vecs: u
     positive next to r=1 and normalized in the kind's mass, psi = e^(cx) u;
-    singular pairs get their decay fits and uncertain flags.
+    singular pairs get their decay fits and uncertain flags.  All pairs
+    share one r grid and one x grid.
 
     Nodes are counted on u, not psi: the two share their sign pattern, but
     u stays bounded while psi may grow toward the origin for eigenvalues
@@ -388,6 +391,7 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
     singular = prob.kind == "singular"
     x, h = grid.x, grid.h
     r_desc = np.exp(-x)
+    r_grid = r_desc[::-1].copy()
     weight = 1.0 if singular else r_desc * r_desc
     a_half = (prob.M - 2.0) / 2.0
     pairs = []
@@ -412,11 +416,11 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
                                    NODE_TOL * float(np.max(np.abs(inner))))
         pairs.append(EigenPair(
             value=float(values[i]), error_bar=float(bars[i]),
-            grid=r_desc[::-1].copy(), samples=psi[::-1].copy(),
+            grid=r_grid, samples=psi[::-1].copy(),
             interior_nodes=nodes, boundary_slope=float(slope),
             decay_exponent=theta_fit, theta_analytic=theta_an,
             uncertain=bool(uncertain),
-            x_grid=x.copy(), u_samples=u.copy()))
+            x_grid=x, u_samples=u))
     return tuple(pairs)
 
 
@@ -453,7 +457,7 @@ def _fit_decay(x, u, a_half, window_x):
     if n_used < 8:
         return None, n_used
     xs = x[mask]
-    if np.any(np.sign(u[mask])[1:] != np.sign(u[mask])[:-1]):
+    if count_sign_changes(u[mask], 0.0):
         return None, n_used
     # ln|psi| = a_half * x + ln|u|; ln r = -x
     ln_psi = a_half * xs + np.log(np.abs(u[mask]))
@@ -486,10 +490,7 @@ def fit_decay_exponent(pair: EigenPair, M: float,
     if window is not None:
         r_lo, r_hi = window
         wx = (max(-math.log(r_hi), 0.0), -math.log(r_lo))
-        sel = (x >= wx[0]) & (x <= wx[1])
-        seg = u[sel]
-        signs = np.sign(seg[np.abs(seg) > 0])
-        if signs.size and np.any(signs[1:] != signs[:-1]):
+        if count_sign_changes(u[(x >= wx[0]) & (x <= wx[1])], 0.0):
             raise ValueError("window contains a node of the eigenfunction")
     theta, n_pts = _fit_decay(x, u, a_half, wx)
     if theta is None:

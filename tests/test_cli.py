@@ -36,12 +36,15 @@ def test_solve_three_zones(tmp_path):
     assert len(doc["zeros"]) == 3
 
 
-def test_malformed_config_exit_code(tmp_path):
+def test_malformed_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"m": "two"}))
     assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
-    cfg.write_text(json.dumps({"nonsense_field": 1}))
-    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
+    # the threshold margin and the profile tolerances are module constants
+    for name in ("nonsense_field", "margin", "ode_rtol", "ode_atol"):
+        cfg.write_text(json.dumps({name: 1e-6}))
+        assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
+        assert f"unknown config field '{name}'" in capsys.readouterr().err
 
 
 def test_config_error_names_field(tmp_path, capsys):
@@ -49,6 +52,25 @@ def test_config_error_names_field(tmp_path, capsys):
     cfg.write_text(json.dumps({"p": 0.5}))
     assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
     assert "field 'p'" in capsys.readouterr().err
+    # numbers beyond float range overflow the int conversion
+    for name, text in (("k", '{"k": 1e400}'), ("grid", '{"grid": Infinity}')):
+        cfg.write_text(text)
+        assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
+        assert f"field '{name}'" in capsys.readouterr().err
+
+
+def test_sweep_value_outside_the_domain_exits_2(tmp_path, capsys,
+                                                monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the domain check")
+
+    monkeypatch.setattr(cli, "solve_nodal_power", no_solve)
+    for axis, rng, field in (("p", "0.5:2", "p"), ("alpha", "-1:1", "alpha")):
+        out = tmp_path / axis
+        assert run(["sweep", "--N", 3, "--m", 1, "--axis", axis,
+                    f"--range={rng}", "--steps", 3, "--out", out]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
 
 def test_flags_override_config(tmp_path):
@@ -84,7 +106,7 @@ def test_config_round_trip():
 def test_spectral_config_carries_only_what_a_run_sets():
     # every SpectralConfig field comes from RunConfig: a field no run sets
     # keeps its default here and belongs in a module constant instead
-    cfg = RunConfig(grid=2048, xmax=35.0, tol=1e-3, margin=1e-5)
+    cfg = RunConfig(grid=2048, xmax=35.0, tol=1e-3)
     got = dataclasses.asdict(cfg.spectral_config())
     default = dataclasses.asdict(type(cfg.spectral_config())())
     assert [k for k in got if got[k] == default[k]] == []

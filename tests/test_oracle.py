@@ -143,3 +143,9 @@ def test_oracle_lapack_failure_raises(case, monkeypatch):
     monkeypatch.setattr(oracle, "_dstemr", lambda *args: (np.empty(0), 7))
     with pytest.raises(SpectralError, match="dstemr failed with info=7"):
         dense_oracle_spectrum(case, n=200)
+
+
+def test_oracle_pairs_share_their_grid(case):
+    first, second = dense_oracle_spectrum(case, n=200).eigenpairs[:2]
+    assert first.grid is second.grid
+    assert first.samples is not second.samples

@@ -319,10 +319,19 @@ def test_exhausted_below_when_k_leaves_eigenvalues_out():
     assert len(one.eigenpairs) == 1 < count
     grid = liouville_transform(prob, one.meta["x_max"], one.meta["n"])
     d, e = grid.tridiagonal()
-    assert count == sturm_count(d, e,
-                                prob.threshold - SpectralConfig().margin)
+    assert count == sturm_count(d, e, prob.threshold - spectral.MARGIN)
     second = bisect_eigenvalues(d, e, 2, 2).values[0]
     assert one.exhausted_below == pytest.approx(second, rel=1e-14)
     # the same eigenvalue, Richardson-extrapolated, from a k=2 solve
     pair = solve_singular_spectrum(prob, 2).eigenpairs[1]
     assert abs(one.exhausted_below - pair.value) <= 1.5 * pair.error_bar
+
+
+def test_pairs_of_one_spectrum_share_their_grids(lane_emden_case):
+    _, prob, spec = lane_emden_case
+    std = solve_standard_spectrum(
+        WeightedSLProblem(M=3.0, a=prob.a, kind="standard"), 2)
+    for first, second in (spec.eigenpairs[:2], std.eigenpairs[:2]):
+        assert first.grid is second.grid
+        assert first.x_grid is second.x_grid
+        assert first.samples is not second.samples
