@@ -14,6 +14,10 @@ CACHE_REVISION, so entries written by older solver code are not served.
 Cache files are moved into place whole; an entry that cannot be read is
 recomputed.
 
+The argument parser is built once per process, on the first main call, and
+reused by every later call.  Non-finite float values (inf, nan), in a flag,
+a config file or a sweep --range, are config errors.
+
 Exit codes: 0 success, 2 config error, 3 solver failure (including a morse
 run whose standard and singular negative counts differ), 4 oracle mismatch:
 an eigenvalue beyond tolerance, differing negative counts, or a certified
@@ -23,7 +27,6 @@ solver eigenvalue the oracle did not find.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -140,6 +143,11 @@ class RunConfig:
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"field '{name}': cannot parse "
                               f"{value!r}") from None
+        # inf passes the lower-bound checks and nan fails them under a
+        # misleading message
+        if kind in ("float", "float?") and value is not None \
+                and not math.isfinite(value):
+            raise ConfigError(f"field '{name}': must be finite, got {value}")
         if not check(value):
             raise ConfigError(f"field '{name}': {msg}")
         return value
@@ -150,13 +158,13 @@ class RunConfig:
     def spectral_config(self) -> SpectralConfig:
         return SpectralConfig(n=self.grid, x_max=self.xmax, tol=self.tol)
 
+    _STAGE_FIELDS = {"profile": ("N", "alpha", "p", "m"),
+                     "spectrum": ("N", "alpha", "p", "m", "k", "grid",
+                                  "xmax", "tol", "a_zero")}
+
     def subsection(self, stage: str) -> dict:
         """Fields feeding a stage, in hash-canonical form."""
-        d = self.to_dict()
-        profile_keys = ("N", "alpha", "p", "m")
-        spectrum_keys = profile_keys + ("k", "grid", "xmax", "tol", "a_zero")
-        keys = {"profile": profile_keys, "spectrum": spectrum_keys}[stage]
-        return {k: d[k] for k in keys}
+        return {k: getattr(self, k) for k in self._STAGE_FIELDS[stage]}
 
 
 def _stage_key(sub: dict) -> str:
@@ -255,8 +263,7 @@ def _check_profile_entry(csv_path, json_path) -> None:
 
 def _write_json(doc: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -384,6 +391,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
         missed = [pipe for pipe in pipes
                   if pipe.cached("singular", cfg.k) is None]
         if len(missed) > 1:
+            import concurrent.futures  # 12 ms at import: only when pooling
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=cfg.workers) as pool:
                 list(pool.map(_cache_singular, missed))
@@ -440,39 +448,41 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call of a process
+    and reused by later ones.  The shared options are declared once, on a
+    parent parser that every subcommand inherits."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH",
+                        help="JSON config file (flags override its fields)")
+    common.add_argument("--N", type=int, dest="N")
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--p", type=float, dest="p")
+    common.add_argument("--m", type=int, dest="m")
+    common.add_argument("--k", type=int, dest="k")
+    common.add_argument("--grid", type=int)
+    common.add_argument("--xmax", type=float)
+    common.add_argument("--tol", type=float)
+    common.add_argument("--out", metavar="DIR")
+    common.add_argument("--workers", type=int)
+    common.add_argument("--symmetry", metavar="LABEL",
+                        help="'full' or 'cyclic:<q>' (N=2)")
+    common.add_argument("--a-zero", action="store_const", const=True,
+                        dest="a_zero", help="replace the potential by 0")
+    common.add_argument("--oracle-n", type=int, dest="oracle_n")
+    common.add_argument("--oracle-tol", type=float, dest="oracle_tol")
+    common.add_argument("--epsilon-cut", type=float, dest="epsilon_cut")
+
     ap = argparse.ArgumentParser(
         prog="henonmorse",
         description="Nodal radial solutions, singular weighted "
                     "Sturm-Liouville spectra and Morse-index reports for "
                     "Henon-type problems on the unit ball.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", metavar="PATH",
-                       help="JSON config file (flags override its fields)")
-        p.add_argument("--N", type=int, dest="N")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--p", type=float, dest="p")
-        p.add_argument("--m", type=int, dest="m")
-        p.add_argument("--k", type=int, dest="k")
-        p.add_argument("--grid", type=int)
-        p.add_argument("--xmax", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out", metavar="DIR")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--symmetry", metavar="LABEL",
-                       help="'full' or 'cyclic:<q>' (N=2)")
-        p.add_argument("--a-zero", action="store_const", const=True,
-                       dest="a_zero", help="replace the potential by 0")
-        p.add_argument("--oracle-n", type=int, dest="oracle_n")
-        p.add_argument("--oracle-tol", type=float, dest="oracle_tol")
-        p.add_argument("--epsilon-cut", type=float, dest="epsilon_cut")
-
     for name in ("solve", "spectrum", "morse", "oracle"):
-        common(sub.add_parser(name))
-    sw = sub.add_parser("sweep")
-    common(sw)
+        sub.add_parser(name, parents=[common])
+    sw = sub.add_parser("sweep", parents=[common])
     sw.add_argument("--axis", choices=("p", "alpha"), required=True)
     sw.add_argument("--range", required=True, metavar="LO:HI")
     sw.add_argument("--steps", type=int, required=True)
@@ -505,6 +515,9 @@ def main(argv=None) -> int:
                 lo, hi = (float(x) for x in args.range.split(":"))
             except ValueError:
                 raise ConfigError("field 'range': expected LO:HI") from None
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"field 'range': endpoints must be "
+                                  f"finite, got {args.range}")
             if args.steps < 0:
                 raise ConfigError("field 'steps': must be >= 0")
             return cmd_sweep(cfg, args.axis, lo, hi, args.steps)

@@ -544,5 +544,4 @@ def profile_to_json(prof: RadialProfile, path) -> None:
                    if isinstance(v, (int, float, bool, str))},
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

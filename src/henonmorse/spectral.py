@@ -650,8 +650,7 @@ def spectrum_to_json(spec: Spectrum, path) -> None:
                  if isinstance(v, (int, float, bool, str))},
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def spectrum_from_json(path) -> Spectrum:

@@ -1,13 +1,17 @@
 """End-to-end command-line interface checks."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
+import pytest
 
 from henonmorse import cli, oracle
 from henonmorse.cli import RunConfig, main
@@ -73,6 +77,44 @@ def test_sweep_value_outside_the_domain_exits_2(tmp_path, capsys,
         assert not (out / "sweep.csv").exists()
 
 
+FLOAT_FIELDS = [name for name, (kind, _, _) in RunConfig._DOMAINS.items()
+                if kind in ("float", "float?")]
+
+
+def test_non_finite_values_exit_2(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with a non-finite config value")
+
+    monkeypatch.setattr(cli, "solve_nodal_power", no_solve)
+    assert FLOAT_FIELDS == ["alpha", "p", "xmax", "tol", "oracle_tol",
+                            "epsilon_cut"]
+    cfg = tmp_path / "cfg.json"
+    for name in FLOAT_FIELDS:
+        flag = "--" + name.replace("_", "-")
+        for text in ("inf", "-inf", "nan"):
+            assert run(["morse", f"{flag}={text}", "--out", tmp_path]) == 2
+            err = capsys.readouterr().err
+            assert f"field '{name}': must be finite" in err, (flag, text)
+        # JSON's 1e999 parses to inf
+        cfg.write_text(f'{{"{name}": 1e999}}')
+        assert run(["oracle", "--config", cfg, "--out", tmp_path]) == 2
+        assert f"field '{name}': must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "morse.json").exists()
+    assert not (tmp_path / "oracle.json").exists()
+
+
+def test_sweep_non_finite_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "sw"
+    for rng in ("2:inf", "-inf:3", "nan:3", "2:nan"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sweep", "--N", 3, "--m", 1, "--axis", "p",
+                        f"--range={rng}", "--steps", 2, "--out", out]) == 2
+        assert "field 'range': endpoints must be finite" in \
+            capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 3, "alpha": 0.0, "p": 3.0, "m": 1}))
@@ -110,6 +152,24 @@ def test_spectral_config_carries_only_what_a_run_sets():
     got = dataclasses.asdict(cfg.spectral_config())
     default = dataclasses.asdict(type(cfg.spectral_config())())
     assert [k for k in got if got[k] == default[k]] == []
+
+
+def test_stage_subsections_keep_their_cache_keys():
+    # the fields and the order the cache keys were built from with
+    # dataclasses.asdict; a change here moves every cache entry
+    old = {"profile": ("N", "alpha", "p", "m"),
+           "spectrum": ("N", "alpha", "p", "m", "k", "grid", "xmax", "tol",
+                        "a_zero")}
+    for cfg in (RunConfig(),
+                RunConfig(N=5, alpha=2.7, p=2.2, m=3, k=4, grid=2048,
+                          xmax=35.0, tol=1e-3, a_zero=True)):
+        d = dataclasses.asdict(cfg)
+        for stage, keys in old.items():
+            sub = cfg.subsection(stage)
+            assert sub == {k: d[k] for k in keys}
+            assert list(sub) == list(keys)
+            assert [type(v) for v in sub.values()] == \
+                [type(d[k]) for k in keys]
 
 
 def test_spectrum_command_and_cache_determinism(tmp_path):
@@ -393,13 +453,16 @@ def test_morse_run_loads_no_heavy_scipy_package(tmp_path):
     """Importing the CLI and running a cold morse report, or a cold oracle
     check, loads none of HEAVY_SCIPY.  The scipy.linalg package __init__
     alone, through scipy._lib._array_api, would take a bare import of the
-    CLI from 0.20 to 0.42 s and its max RSS from 38 to 57 MB."""
+    CLI from 0.20 to 0.42 s and its max RSS from 38 to 57 MB.  Importing
+    the CLI leaves concurrent.futures unloaded too: only a sweep that
+    starts a process pool imports it."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     for command in ("morse", "oracle"):
         args = [str(a) for a in [command] + REFERENCE + [
             "--k", 3, "--out", tmp_path / command]]
         code = ("import sys\n"
                 "from henonmorse import cli\n"
+                "print('concurrent.futures' in sys.modules)\n"
                 f"status = cli.main({args!r})\n"
                 f"print(status, [m for m in {HEAVY_SCIPY!r} "
                 "if m in sys.modules])")
@@ -407,7 +470,9 @@ def test_morse_run_loads_no_heavy_scipy_package(tmp_path):
                               capture_output=True, text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []", command
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "False", command
+        assert lines[-1] == "0 []", command
 
 
 def _refuse(*args, **kwargs):
@@ -425,7 +490,7 @@ def test_sweep_rerun_reads_every_point_from_the_cache(tmp_path, monkeypatch):
     first = (out / "sweep.csv").read_bytes()
     assert len(list(out.glob("cache/singular-*.json"))) == 3
     monkeypatch.setattr(cli, "solve_singular_spectrum", _refuse)
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _refuse)
     assert run(args) == 0
     assert (out / "sweep.csv").read_bytes() == first
@@ -572,3 +637,35 @@ def test_morse_after_spectrum_matches_a_fresh_morse(tmp_path):
     assert run(["morse"] + REFERENCE + ["--out", out]) == 0
     for name in REPORT:
         assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_in_process_reuse_leaves_no_state_behind(tmp_path, capsys):
+    # one process, one parser: a refused call between two runs changes
+    # nothing the second run writes
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert run(["morse"] + REFERENCE + ["--k", 3, "--out", first]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep"] + REFERENCE + ["--out", tmp_path / "sw"])
+    assert exc.value.code == 2
+    assert run(["morse"] + REFERENCE + ["--p", "inf", "--out",
+                                        tmp_path / "inf"]) == 2
+    assert run(["morse"] + REFERENCE + ["--k", 3, "--out", last]) == 0
+    capsys.readouterr()
+    for name in REPORT:
+        assert (last / name).read_bytes() == (first / name).read_bytes()
+
+
+SHARED_OPTIONS = ["--config", "--N", "--alpha", "--p", "--m", "--k", "--grid",
+                  "--xmax", "--tol", "--out", "--workers", "--symmetry",
+                  "--a-zero", "--oracle-n", "--oracle-tol", "--epsilon-cut"]
+
+
+def test_help_lists_the_shared_options_in_order(capsys):
+    for command in ("solve", "spectrum", "morse", "oracle", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)",
+                            capsys.readouterr().out, re.M)
+        extra = ["--axis", "--range", "--steps"] if command == "sweep" else []
+        assert listed == ["--help"] + SHARED_OPTIONS + extra, command
