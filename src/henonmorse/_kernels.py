@@ -3,11 +3,16 @@ initial value problem, and the symmetric tridiagonal eigen-kernels.
 
 Counts are Sturm counts: a ``dstebz`` call that bisects nothing.  Eigenvalues
 come from LAPACK bisection (``dstebz``) and eigenvectors from inverse
-iteration (``dstein``).  The singular grids are bisected only to a bracket
-of width BRACKET; the Rayleigh quotient of each eigenvector then finishes
-its eigenvalue.  The standard kind keeps ABSTOL: its mass e^(-2x) grades
-its matrix to ||T|| = 5e25 (N=3, p=3), and at p=4.9 the Rayleigh quotient
-of its lowest eigenvalue, -4.4e11, misses the bisected value by 0.1.
+iteration (``dstein``).  A singular coarse grid is bisected only to a
+bracket of width BRACKET; the Rayleigh quotient of each eigenvector then
+finishes its eigenvalue.  Its fine grid is not bisected: dstein runs there
+at the Rayleigh quotients of the coarse vectors, prolongated, and each pair
+is certified by its residual interval [rho - r, rho + r], r = ||T v - rho v||
+for a unit v, which holds an eigenvalue (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4), together with one Sturm count.  The standard kind keeps
+ABSTOL: its mass e^(-2x) grades its matrix to ||T|| = 5e25 (N=3, p=3), and
+at p=4.9 the Rayleigh quotient of its lowest eigenvalue, -4.4e11, misses
+the bisected value by 0.1.
 
 The LAPACK routines come from scipy's compiled modules, loaded from their
 files by lapack_module without running the scipy.linalg package __init__,
@@ -282,7 +287,7 @@ class SpectralError(RuntimeError):
 # tolerance leaves only the relative stop (2 ulp of the eigenvalue).
 ABSTOL = 1e-300
 
-# Absolute width at which the singular grids stop bisecting.  The Rayleigh
+# Absolute width at which a singular grid stops bisecting.  The Rayleigh
 # quotient of the inverse-iteration vector is accurate to second order in
 # the vector's error, so it supplies the remaining digits.
 BRACKET = 1e-4
@@ -307,6 +312,15 @@ class Eigenvalues:
         """The eigenvalues in a slice of this ascending list."""
         return Eigenvalues(self.values[index], self.iblock[index],
                            self.isplit)
+
+    @classmethod
+    def one_block(cls, values, n):
+        """Ascending `values` as shifts for inverse_iteration on an unsplit
+        matrix of order n: one block, rows 1..n."""
+        isplit = np.zeros(n, np.int32)
+        isplit[0] = n
+        return cls(np.asarray(values, dtype=float),
+                   np.ones(len(values), np.int32), isplit)
 
 
 def _check_info(routine, info):
@@ -369,15 +383,31 @@ def inverse_iteration(diag, off, eig):
     return vecs
 
 
-def rayleigh_refine(diag, off, eig):
+def rayleigh_quotients(diag, off, vecs):
+    """v'Tv / v'v of each column v of vecs, as row sums times v^2 minus
+    off-diagonal times squared differences: no cancelling terms of the size
+    of the diagonal."""
+    rows = diag.copy()
+    rows[:-1] += off
+    rows[1:] += off
+    sq = vecs * vecs
+    dv = np.diff(vecs, axis=0)
+    return (rows @ sq - off @ (dv * dv)) / np.sum(sq, axis=0)
+
+
+def rayleigh_refine(diag, off, eig, rounds=1):
     """Eigenpairs of tridiag(diag, off) from the eigenvalues `eig` (a
-    bisect_eigenvalues result, to within BRACKET or finer).
+    bisect_eigenvalues result, to within BRACKET or finer, or shifts from
+    Eigenvalues.one_block).
 
     Returns the Rayleigh quotient of each dstein vector, the unit vectors one
-    per column, and the largest residual ||T v - rho v||.  Each quotient must
-    lie within BRACKET of its bisected value, and consecutive values must be
-    more than 2 * BRACKET apart, so no two brackets can hold the same
-    eigenvalue; otherwise SpectralError names the pair.
+    per column, and each column's residual ||T v - rho v||.  Each quotient
+    must lie within BRACKET of its value in `eig`, and consecutive values
+    must be more than 2 * BRACKET apart, so no two brackets can hold the
+    same eigenvalue; otherwise SpectralError names the pair.  With
+    rounds > 1, for shifts that are estimates rather than brackets, a
+    quotient outside its bracket starts another round at the quotients (a
+    Rayleigh quotient iteration step), up to `rounds` in all.
     """
     lam = eig.values
     for a, b in zip(lam[:-1], lam[1:]):
@@ -386,26 +416,33 @@ def rayleigh_refine(diag, off, eig):
                 f"eigenvalues {a:.12g}, {b:.12g}: brackets of half-width "
                 f"{BRACKET:g} overlap")
     vecs = inverse_iteration(diag, off, eig)
-    # v'Tv as row sums times v^2 minus off-diagonal times squared
-    # differences: no cancelling terms of the size of the diagonal
-    rows = diag.copy()
-    rows[:-1] += off
-    rows[1:] += off
-    sq = vecs * vecs
-    dv = np.diff(vecs, axis=0)
-    rho = (rows @ sq - off @ (dv * dv)) / np.sum(sq, axis=0)
-    for a, r in zip(lam, rho):
-        if not abs(r - a) <= BRACKET:
-            raise SpectralError(
-                f"Rayleigh quotient {r:.12g} lies outside the bracket of "
-                f"eigenvalue {a:.12g}")
-    return rho, vecs, residual_norm(diag, off, vecs, rho)
+    rho = rayleigh_quotients(diag, off, vecs)
+    miss = ~(np.abs(rho - lam) <= BRACKET)
+    if np.any(miss):
+        if rounds > 1:
+            return rayleigh_refine(diag, off,
+                                   Eigenvalues(rho, eig.iblock, eig.isplit),
+                                   rounds - 1)
+        i = int(np.argmax(miss))
+        raise SpectralError(
+            f"Rayleigh quotient {rho[i]:.12g} lies outside the bracket of "
+            f"eigenvalue {lam[i]:.12g}")
+    return rho, vecs, residual_norms(diag, off, vecs, rho)
 
 
-def residual_norm(diag, off, vecs, values) -> float:
-    """max ||T v - lambda v|| over the columns v of vecs."""
+def residual_norms(diag, off, vecs, values):
+    """||T v - lambda v||_2 of each column v of vecs."""
     t = diag[:, None] * vecs
     t[:-1] += off[:, None] * vecs[1:]
     t[1:] += off[:, None] * vecs[:-1]
-    return float(np.max(np.linalg.norm(t - values * vecs, axis=0),
-                        initial=0.0))
+    return np.linalg.norm(t - values * vecs, axis=0)
+
+
+def relative_residual(diag, off, vecs, residuals) -> float:
+    """max over the columns v of vecs of ||T v - lambda v||_2 / (||T||_1
+    ||v||_2), from their residual_norms; 0 without columns."""
+    col = np.abs(diag)
+    col[:-1] += np.abs(off)
+    col[1:] += np.abs(off)
+    scale = float(np.max(col)) * np.linalg.norm(vecs, axis=0)
+    return float(np.max(residuals / scale, initial=0.0))

@@ -64,7 +64,8 @@ class ConfigError(ValueError):
 # 2: singular eigenvalues finished by Rayleigh quotients.
 # 3: profile JSON records the row count of its CSV table.
 # 4: standard kind on the Liouville grid.
-CACHE_REVISION = 4
+# 5: fine singular grid by inverse iteration from its coarsening.
+CACHE_REVISION = 5
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,6 @@ class RunConfig:
         if not check(value):
             raise ConfigError(f"field '{name}': {msg}")
         return value
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def spectral_config(self) -> SpectralConfig:
         return SpectralConfig(n=self.grid, x_max=self.xmax, tol=self.tol)

@@ -11,9 +11,11 @@ c = (M-2)/2 turns the common form into int (u' + c u)^2 - e^(-2x) a u^2 dx
 against the mass e^(-2x) u^2 (standard) or u^2 (singular: -u'' + V u = nu u
 on a half-line, V(x) = c^2 - e^(-2x) a(e^(-x))).  Both reduce to symmetric
 tridiagonal matrices (kernels module), whose Sturm counts give the negative
-counts and zero bands.  The singular grids are bisected to 1e-4 brackets
-and finished by Rayleigh quotients, the standard kind's graded matrix is
-bisected to 1e-300, and Richardson bars come from a coarse/fine grid pair.
+counts and zero bands.  Richardson bars come from a coarse/fine grid pair.
+The singular coarse grid is bisected to 1e-4 brackets and finished by
+Rayleigh quotients; its vectors, prolongated, seed inverse iteration on the
+fine grid, whose pairs a Sturm count and disjoint residual intervals
+certify.  The standard kind's graded matrix is bisected to 1e-300.
 
 A run sets the fine grid n, the interval length X and the Richardson
 tolerance (SpectralConfig).  The rest of the policy is fixed in module
@@ -42,9 +44,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import (BRACKET, SpectralError, bisect_eigenvalues,
-                       inverse_iteration, rayleigh_refine, residual_norm,
-                       sturm_count)
+from ._kernels import (BRACKET, Eigenvalues, SpectralError,
+                       bisect_eigenvalues, inverse_iteration,
+                       rayleigh_quotients, rayleigh_refine,
+                       relative_residual, residual_norms, sturm_count)
 
 N_CAP = 1 << 19          # largest fine grid, in cells
 X_MAX_CAP = 60.0         # largest Liouville interval length X
@@ -54,6 +57,7 @@ MARGIN = 1e-6            # eigenvalues are reported below threshold - MARGIN
 NODE_TOL = 1e-8          # node-count cut, relative to max |u|
 ZERO_CUT = 1e-7          # |value| below this counts as zero
 EIG_TOL = 1e-13          # relative gap resolution of the bisection
+PROBE_N = 2048           # cells of the grid whose minimum of V sets n
 
 
 class ResolutionError(SpectralError):
@@ -171,6 +175,19 @@ class LiouvilleProblem:
                                 threshold=self.threshold)
 
 
+def _prolongate(w):
+    """Columns of w, unknowns at the interior nodes of a grid, carried to the
+    grid of twice its cells: coarse node j is fine node 2j, and odd fine
+    nodes take the cubic stencil (-1, 9, 9, -1)/16, with w extended oddly
+    past both Dirichlet ends."""
+    zero = np.zeros((1, w.shape[1]))
+    wp = np.concatenate((-w[:1], zero, w, zero, -w[-1:]))
+    u = np.empty((2 * len(w) + 1, w.shape[1]))
+    u[::2] = (9.0 * (wp[1:-2] + wp[2:-1]) - (wp[:-3] + wp[3:])) / 16.0
+    u[1::2] = w
+    return u
+
+
 def liouville_transform(prob: WeightedSLProblem, x_max: float,
                         n: int = SpectralConfig.n) -> LiouvilleProblem:
     """Discretize the singular problem in x = -ln r.
@@ -232,11 +249,24 @@ def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float):
 
 def _fine_grid(prob: WeightedSLProblem, x_max: float, cfg: SpectralConfig):
     """The fine Liouville grid of singular-kind `prob`, its n (_resolution
-    on a 2048-cell probe of V), and whether n hit the cap."""
-    probe = liouville_transform(prob, x_max, 2048)
-    n, capped = _resolution(cfg.n, x_max, float(np.min(probe.V)),
-                            prob.threshold)
-    return liouville_transform(prob, x_max, n), n, capped
+    on a PROBE_N-cell probe of V), and whether n hit the cap.
+
+    When the configured n is PROBE_N times a power of two, the probe is
+    every (n / PROBE_N)-th node of the grid of that n, bitwise (as in
+    LiouvilleProblem.coarsened), and that grid is built first and kept
+    unless n must grow."""
+    n_cfg = cfg.n + cfg.n % 2
+    stride, rest = divmod(n_cfg, PROBE_N)
+    grid = None
+    if stride and not rest and not stride & (stride - 1):
+        grid = liouville_transform(prob, x_max, n_cfg)
+        v_min = float(np.min(grid.V[::stride]))
+    else:
+        v_min = float(np.min(liouville_transform(prob, x_max, PROBE_N).V))
+    n, capped = _resolution(cfg.n, x_max, v_min, prob.threshold)
+    if grid is None or n != n_cfg:
+        grid = liouville_transform(prob, x_max, n)
+    return grid, n, capped
 
 
 def _richardson(vals_f, vals_c, cfg: SpectralConfig, grid: LiouvilleProblem,
@@ -273,15 +303,19 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
                             ) -> Spectrum:
     """Up to k eigenvalues below threshold - MARGIN, with eigenfunctions.
 
-    On the Liouville tridiagonal and on its every-other-node coarsening,
-    bisection brackets every eigenvalue below the margin to width 1e-4; their
-    number is the count below the margin.  The k lowest are finished by the
-    Rayleigh quotients of their inverse-iteration vectors, and the two grids
-    give Richardson-extrapolated values and error bars; disagreement beyond
-    cfg.tol raises ResolutionError.  Two eigenvalues closer than 2e-4, whose
-    brackets overlap, raise SpectralError.  Pairs whose decay rate cannot
-    satisfy sqrt(threshold - nu) * X >= CERTIFY_KAPPA_X within X_MAX_CAP
-    are flagged uncertain (truncation-limited accuracy near the
+    On the every-other-node coarsening of the Liouville tridiagonal,
+    bisection brackets every eigenvalue below the margin to width 1e-4, and
+    the k lowest are finished by the Rayleigh quotients of their
+    inverse-iteration vectors.  On the fine grid a Sturm count gives the
+    count below the margin; the coarse vectors, prolongated (_prolongate),
+    give its k lowest eigenpairs by inverse iteration at their Rayleigh
+    quotients (_seeded_pairs).  The two grids give Richardson-extrapolated
+    values and error bars; disagreement beyond cfg.tol, or more fine than
+    coarse eigenvalues among the k lowest, raises ResolutionError.  Two
+    eigenvalues closer than 2e-4, whose brackets overlap, or a fine pair
+    the certificate rejects, raise SpectralError.  Pairs whose decay rate
+    cannot satisfy sqrt(threshold - nu) * X >= CERTIFY_KAPPA_X within
+    X_MAX_CAP are flagged uncertain (truncation-limited accuracy near the
     threshold).
     """
     if prob.kind != "singular":
@@ -290,31 +324,65 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     hi = prob.threshold - MARGIN
     g_f, n, capped = _fine_grid(prob, x_max, cfg)
 
-    # every eigenvalue below the margin is bracketed on both grids; the k
-    # lowest are finished by their Rayleigh quotients
-    d_f, e_f = g_f.tridiagonal()
-    below_f = bisect_eigenvalues(d_f, e_f, below=hi, abstol=BRACKET)
-    count_f = len(below_f)
-    vals_f, vecs, residual = rayleigh_refine(d_f, e_f, below_f[:max(k, 0)])
+    # every eigenvalue below the margin is bracketed on the coarse grid; the
+    # k lowest are finished by their Rayleigh quotients
     d_c, e_c = g_f.coarsened().tridiagonal()
     below_c = bisect_eigenvalues(d_c, e_c, below=hi, abstol=BRACKET)
-    vals_c = rayleigh_refine(d_c, e_c, below_c[:max(k, 0)])[0]
-    values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
-    n_found = len(values)
-
-    zero_cut_count = sturm_count(d_f, e_f, -ZERO_CUT)
-    zero_band = sturm_count(d_f, e_f, ZERO_CUT) - zero_cut_count
+    vals_c, vecs_c, _ = rayleigh_refine(d_c, e_c, below_c[:max(k, 0)])
+    d_f, e_f = g_f.tridiagonal()
+    count_f = sturm_count(d_f, e_f, hi)
+    n_found = min(max(k, 0), count_f)
+    if n_found > len(vals_c):
+        raise ResolutionError(
+            f"grid too coarse: {n_found} singular eigenvalues below the "
+            f"margin on the fine grid against {len(vals_c)} on the coarse "
+            f"one (n={n}, x_max={x_max:.3g})")
     # the next eigenvalue bounds what was left out
     exhausted = (float(bisect_eigenvalues(d_f, e_f, n_found + 1,
                                           n_found + 1).values[0])
                  if count_f > n_found else hi)
+    vals_f, vecs, residuals = _seeded_pairs(d_f, e_f, vecs_c[:, :n_found],
+                                            exhausted)
+    values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
+
+    zero_cut_count = sturm_count(d_f, e_f, -ZERO_CUT)
+    zero_band = sturm_count(d_f, e_f, ZERO_CUT) - zero_cut_count
     meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
             "resolution_capped": bool(capped),
-            "zero_band_count": int(zero_band), "eigvec_residual": residual}
+            "zero_band_count": int(zero_band),
+            "eigvec_rel_residual": relative_residual(d_f, e_f, vecs,
+                                                     residuals)}
     return Spectrum(kind="singular", M=prob.M, threshold=prob.threshold,
                     eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs),
                     exhausted_below=exhausted,
                     negative_count=int(zero_cut_count), meta=meta)
+
+
+def _seeded_pairs(d_f, e_f, coarse_vecs, bound):
+    """Eigenpairs of the fine tridiag(d_f, e_f) from the coarse grid's
+    eigenvectors (columns of coarse_vecs, ascending): inverse iteration at
+    the Rayleigh quotients of their prolongations, checked as rayleigh_refine
+    checks bisected brackets, and finished by Rayleigh quotients.  A seed
+    from an under-resolved coarse grid can miss its fine eigenvalue by more
+    than BRACKET; one more round then starts at the quotients it reached.
+
+    Each residual interval [rho - r, rho + r] holds an eigenvalue; when they
+    are disjoint and all lie below `bound`, which is the threshold margin
+    when the Sturm count there equals their number and else the next
+    eigenvalue, they hold the lowest ones, one each.  Otherwise
+    SpectralError."""
+    shifts = rayleigh_quotients(d_f, e_f, _prolongate(coarse_vecs))
+    vals, vecs, residuals = rayleigh_refine(
+        d_f, e_f, Eigenvalues.one_block(shifts, len(d_f)), rounds=2)
+    lower, upper = vals - residuals, vals + residuals
+    bad = ~np.append(upper[:-1] < lower[1:], upper[-1:] < bound)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise SpectralError(
+            f"fine eigenvalue {vals[i]:.12g} not certified: its residual "
+            f"interval of half-width {residuals[i]:.3g} meets the next "
+            f"eigenvalue's or the bound {bound:.12g}")
+    return vals, vecs, residuals
 
 
 def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
@@ -335,7 +403,7 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     g_f, _, capped = _fine_grid(twin, x_max, cfg)
     d_f, e_f, s_f = g_f.standard_tridiagonal()
     values = bars = vecs = np.empty(0)
-    residual = 0.0
+    rel_residual = 0.0
     if k:
         # the scaled matrix is graded (||T|| about e^(2X) / h^2): keep the
         # fully bisected values, and take only vectors and residual
@@ -363,7 +431,8 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
                 g_f = liouville_transform(twin, x_max, 2 * len(d_f))
                 d_f, e_f, s_f = g_f.standard_tridiagonal()
         vecs = inverse_iteration(d_f, e_f, eig_f)
-        residual = residual_norm(d_f, e_f, vecs, eig_f.values)
+        rel_residual = relative_residual(
+            d_f, e_f, vecs, residual_norms(d_f, e_f, vecs, eig_f.values))
         vecs = s_f[:, None] * vecs              # generalized eigenvectors
 
     negative_count = sturm_count(d_f, e_f, -ZERO_CUT)
@@ -371,7 +440,8 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     exhausted = float(values[-1]) if len(values) else -math.inf
     meta = {"n": len(d_f), "x_max": float(x_max),
             "zero_band_count": int(zero_band),
-            "resolution_capped": bool(capped), "eigvec_residual": residual}
+            "resolution_capped": bool(capped),
+            "eigvec_rel_residual": rel_residual}
     return Spectrum(kind="standard", M=prob.M, threshold=math.inf,
                     eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs),
                     exhausted_below=exhausted,

@@ -141,7 +141,8 @@ def test_config_bool_for_an_int_field_exits_2(tmp_path, capsys):
 def test_config_round_trip():
     cfg = RunConfig.from_sources({"N": 5, "alpha": 2.7, "p": 2.2, "m": 3,
                                   "k": 4, "grid": 2048}, {})
-    again = RunConfig.from_sources(json.loads(json.dumps(cfg.to_dict())), {})
+    again = RunConfig.from_sources(
+        json.loads(json.dumps(dataclasses.asdict(cfg))), {})
     assert again == cfg
 
 

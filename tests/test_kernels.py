@@ -121,11 +121,27 @@ def test_rayleigh_refine_matches_closed_form_from_brackets():
     eig = K.bisect_eigenvalues(d, e, below=c + 0.05, abstol=K.BRACKET)
     j = np.arange(1, len(eig) + 1)
     exact = c + 4.0 / h ** 2 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
-    vals, vecs, residual = K.rayleigh_refine(d, e, eig)
+    vals, vecs, residuals = K.rayleigh_refine(d, e, eig)
     assert len(vals) == 3 and vecs.shape == (n, 3)
     assert np.all(np.abs(eig.values - exact) <= K.BRACKET)
     assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
-    assert residual <= 1e-9
+    assert residuals.shape == (3,) and np.all(residuals <= 1e-9)
+
+
+def test_rayleigh_refine_takes_a_second_round_from_estimated_shifts():
+    # shifts 3 brackets off the closed-form eigenvalues: one round misses,
+    # a second round at the quotients it reached does not
+    n, h, c = 4096, 50.0 / 4097, 1.0
+    d = np.full(n, 2.0 / h ** 2 + c)
+    e = np.full(n - 1, -1.0 / h ** 2)
+    j = np.arange(1, 4)
+    exact = c + 4.0 / h ** 2 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+    eig = K.Eigenvalues.one_block(exact + 3 * K.BRACKET, n)
+    with pytest.raises(SpectralError, match="outside the bracket"):
+        K.rayleigh_refine(d, e, eig)
+    vals, vecs, residuals = K.rayleigh_refine(d, e, eig, rounds=2)
+    assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
+    assert K.relative_residual(d, e, vecs, residuals) < 1e-15
 
 
 def test_rayleigh_refine_refuses_overlapping_brackets():

@@ -1,16 +1,22 @@
 """Eigensolver checks: analytic cases, structure of eigenpairs, identities."""
 
+import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
-from henonmorse._kernels import bisect_eigenvalues, sturm_count
+from henonmorse import _kernels
+from henonmorse._kernels import (BRACKET, bisect_eigenvalues,
+                                 rayleigh_refine, sturm_count)
+from henonmorse.dimension import generalized_dimension
 from henonmorse.radial import linearized_potential, solve_nodal_power
 from henonmorse import spectral
 from henonmorse.spectral import (ResolutionError, SpectralConfig,
-                                 WeightedSLProblem, _cumulative_simpson,
+                                 SpectralError, WeightedSLProblem,
+                                 _cumulative_simpson,
                                  _simpson, count_sign_changes,
                                  fit_decay_exponent, liouville_transform,
                                  picone_residual, rayleigh_quotient,
@@ -19,6 +25,17 @@ from henonmorse.spectral import (ResolutionError, SpectralConfig,
                                  weighted_inner_product, zero_potential)
 
 BESSEL_J0_FIRST_ZERO = 2.404825557695773
+
+# the six (N, alpha, p, m) points of the CLI benchmark, and the desk point
+CLI_POINTS = ((3, 0.0, 3.0, 2), (2, 1.0, 3.0, 2), (5, 0.0, 2.2, 1),
+              (3, 2.7, 3.0, 3), (2, 0.0, 2.2, 1), (3, 1.0, 3.0, 2))
+DESK_POINT = (3, 0.0, 4.9, 2)
+
+
+def singular_problem(N, alpha, p, m):
+    dmap = generalized_dimension(N, alpha)
+    a = linearized_potential(solve_nodal_power(dmap.M, p, m))
+    return WeightedSLProblem(M=dmap.M, a=a, kind="singular")
 
 
 def test_standard_bessel_disc():
@@ -322,9 +339,12 @@ def test_exhausted_below_when_k_leaves_eigenvalues_out():
     assert count == sturm_count(d, e, prob.threshold - spectral.MARGIN)
     second = bisect_eigenvalues(d, e, 2, 2).values[0]
     assert one.exhausted_below == pytest.approx(second, rel=1e-14)
-    # the same eigenvalue, Richardson-extrapolated, from a k=2 solve
-    pair = solve_singular_spectrum(prob, 2).eigenpairs[1]
-    assert abs(one.exhausted_below - pair.value) <= 1.5 * pair.error_bar
+    # the same eigenvalue, Richardson-extrapolated, from a k=2 solve, whose
+    # lowest one the k=1 solve returns
+    two = solve_singular_spectrum(prob, 2).eigenpairs
+    assert abs(one.exhausted_below - two[1].value) <= 1.5 * two[1].error_bar
+    assert one.eigenpairs[0].value == pytest.approx(two[0].value, rel=1e-13)
+    assert one.eigenpairs[0].interior_nodes == 0
 
 
 def test_pairs_of_one_spectrum_share_their_grids(lane_emden_case):
@@ -335,3 +355,212 @@ def test_pairs_of_one_spectrum_share_their_grids(lane_emden_case):
         assert first.grid is second.grid
         assert first.x_grid is second.x_grid
         assert first.samples is not second.samples
+
+
+# ---------------------------------------------------------------------------
+# the fine singular grid, seeded from its coarsening
+# ---------------------------------------------------------------------------
+
+def test_prolongation_is_fourth_order_and_exact_on_cubics():
+    def error(cells):
+        xc = np.linspace(0.0, 1.0, cells + 1)
+        xf = np.linspace(0.0, 1.0, 2 * cells + 1)
+        u = spectral._prolongate(np.sin(np.pi * xc[1:-1])[:, None])[:, 0]
+        return np.max(np.abs(u - np.sin(np.pi * xf[1:-1])))
+
+    # sin(pi x) is odd about both ends, as the reflection assumes
+    assert error(32) < error(16) / 12
+    # away from the ends the stencil reproduces a cubic
+    xc, xf = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 33)
+
+    def cubic(x):
+        return 1 + x - 3 * x ** 2 + 2 * x ** 3
+
+    u = spectral._prolongate(cubic(xc[1:-1])[:, None])[:, 0]
+    np.testing.assert_allclose(u[3:-3], cubic(xf[4:-4]), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(u[1::2], cubic(xc[1:-1]))
+
+
+@pytest.mark.parametrize("point", CLI_POINTS + (DESK_POINT,))
+def test_published_values_match_bisection_of_both_grids(point):
+    prob = singular_problem(*point)
+    spec = solve_singular_spectrum(prob, 6)
+    grid = liouville_transform(prob, spec.meta["x_max"], spec.meta["n"])
+    hi = prob.threshold - spectral.MARGIN
+    d, e = grid.tridiagonal()
+    fine = bisect_eigenvalues(d, e, below=hi).values[:6]
+    coarse = bisect_eigenvalues(*grid.coarsened().tridiagonal(),
+                                below=hi).values[:len(fine)]
+    reference = (4.0 * fine - coarse) / 3.0
+    assert len(spec.values) == len(reference) >= 1
+    # bisection's Sturm counts are exact for a matrix within a few ulp of
+    # T, so the reference is itself good to about eps ||T||_1 only: it
+    # misses an eigenvalue of the (2, 1, 3, 2) fine grid by 1.3e-12, where
+    # the Rayleigh quotients hold 1e-14 (the extended-precision test below)
+    slack = 2.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2 * abs(e[0]))
+    np.testing.assert_array_less(
+        np.abs(spec.values - reference),
+        1e-12 * np.maximum(1.0, np.abs(reference)) + slack)
+
+
+def _sturm_counts_longdouble(d, e, shifts):
+    """Eigenvalues of tridiag(d, e) below each shift, by the LDL^T pivots
+    in extended precision."""
+    s = np.asarray(shifts, dtype=np.longdouble)
+    e2 = e.astype(np.longdouble) ** 2
+    q = np.longdouble(d[0]) - s
+    below = (q < 0).astype(int)
+    for di, e2i in zip(d[1:].astype(np.longdouble), e2):
+        q = di - s - e2i / q
+        below += q < 0
+    return below
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs extended precision")
+def test_seeded_fine_values_are_eigenvalues_of_the_fine_matrix():
+    prob = singular_problem(*CLI_POINTS[1])
+    spec = solve_singular_spectrum(prob, 6)
+    grid = liouville_transform(prob, spec.meta["x_max"], spec.meta["n"])
+    hi = prob.threshold - spectral.MARGIN
+    d_c, e_c = grid.coarsened().tridiagonal()
+    vecs_c = rayleigh_refine(d_c, e_c, bisect_eigenvalues(
+        d_c, e_c, below=hi, abstol=BRACKET))[1]
+    d, e = grid.tridiagonal()
+    vals = spectral._seeded_pairs(d, e, vecs_c, hi)[0]
+    assert len(vals) == spec.meta["count_below_margin"] == 2
+    # each window of half-width 1e-14 max(1, |nu|) holds one eigenvalue
+    win = 1e-14 * np.maximum(1.0, np.abs(vals))
+    below = _sturm_counts_longdouble(d, e, np.concatenate((vals - win,
+                                                           vals + win)))
+    np.testing.assert_array_equal(below[2:] - below[:2], [1, 1])
+    np.testing.assert_array_equal(below[:2], [0, 1])
+
+
+def _counting(fn, name, calls):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_a_singular_solve_bisects_only_the_coarse_grid(lane_emden_case,
+                                                       monkeypatch):
+    # k above the count: the X probe and the coarse grid are bisected; the
+    # fine grid takes one Sturm count at the margin and the two of the
+    # negative count and zero band
+    _, prob, _ = lane_emden_case
+    calls = collections.Counter()
+    for name in ("bisect_eigenvalues", "sturm_count"):
+        monkeypatch.setattr(spectral, name,
+                            _counting(getattr(spectral, name), name, calls))
+    spec = solve_singular_spectrum(prob, 5)
+    assert spec.meta["count_below_margin"] == len(spec.eigenpairs) == 3
+    assert calls == {"bisect_eigenvalues": 2, "sturm_count": 3}
+
+
+def test_a_standard_count_evaluates_the_potential_twice(lane_emden_case):
+    # once for the flat-potential X, once on the fine grid, which is also
+    # the resolution probe
+    _, prob, _ = lane_emden_case
+    sizes = []
+
+    def a(r):
+        sizes.append(np.size(r))
+        return prob.a(r)
+
+    spec = solve_standard_spectrum(
+        WeightedSLProblem(M=3.0, a=a, kind="standard"), 0)
+    assert spec.meta["n"] == 4096
+    assert sizes[1:] == [4097] and len(sizes) == 2
+
+
+@pytest.mark.parametrize("n", [3000, 4096, 8192])
+def test_fine_grid_n_is_set_by_a_2048_cell_probe(lane_emden_case, n):
+    _, prob, _ = lane_emden_case
+    spec = solve_singular_spectrum(prob, 1, SpectralConfig(n=n))
+    x_max = spec.meta["x_max"]
+    probe = liouville_transform(prob, x_max, spectral.PROBE_N)
+    assert spec.meta["n"] == spectral._resolution(
+        n, x_max, float(np.min(probe.V)), prob.threshold)[0]
+    if n % spectral.PROBE_N == 0:
+        # the probe read off the fine grid is bitwise the probe grid
+        fine = liouville_transform(prob, x_max, n)
+        assert np.array_equal(fine.V[::n // spectral.PROBE_N], probe.V)
+
+
+def test_more_fine_than_coarse_eigenvalues_is_a_resolution_error(
+        lane_emden_case, monkeypatch):
+    _, prob, _ = lane_emden_case
+    hi = prob.threshold - spectral.MARGIN
+    real = spectral.sturm_count
+    monkeypatch.setattr(spectral, "sturm_count",
+                        lambda d, e, s: real(d, e, s) + (s == hi))
+    # the fine grid now counts 4 below the margin, the coarse grid 3
+    with pytest.raises(ResolutionError, match="fine grid"):
+        solve_singular_spectrum(prob, 5)
+    assert solve_singular_spectrum(prob, 3).meta["count_below_margin"] == 4
+
+
+def test_a_seed_off_by_more_than_a_bracket_takes_one_more_round(
+        lane_emden_case, monkeypatch):
+    _, prob, spec = lane_emden_case
+    real = spectral.rayleigh_quotients
+
+    def pushed(d, e, vecs):
+        q = real(d, e, vecs)
+        q[0] += 3 * BRACKET
+        return q
+
+    monkeypatch.setattr(spectral, "rayleigh_quotients", pushed)
+    again = solve_singular_spectrum(prob, 3)
+    np.testing.assert_allclose(again.values, spec.values, rtol=1e-13)
+
+
+def test_a_shift_missed_in_both_rounds_is_refused(lane_emden_case,
+                                                  monkeypatch):
+    # fine-grid quotients that drift by 3 brackets a round never settle
+    _, prob, spec = lane_emden_case
+    rows = spec.meta["n"] - 1
+    real = _kernels.rayleigh_quotients
+    drift = itertools.count(1)
+
+    def drifting(d, e, vecs):
+        q = real(d, e, vecs)
+        if len(d) == rows:
+            q[0] += 3 * BRACKET * next(drift)
+        return q
+
+    monkeypatch.setattr(_kernels, "rayleigh_quotients", drifting)
+    with pytest.raises(SpectralError, match="outside the bracket"):
+        solve_singular_spectrum(prob, 3)
+    assert next(drift) == 3
+
+
+@pytest.mark.parametrize("k, widen", [(3, 10.0), (1, 7.0)])
+def test_residual_intervals_that_meet_are_refused(lane_emden_case,
+                                                  monkeypatch, k, widen):
+    # the eigenvalues are -8.55, -1.99 and 0.247: intervals of half-width
+    # 10 overlap, and one of half-width 7 about the first reaches the
+    # second, which bounds a k=1 solve
+    _, prob, spec = lane_emden_case
+    rows = spec.meta["n"] - 1
+    real = spectral.rayleigh_refine
+
+    def wide(d, e, eig, rounds=1):
+        vals, vecs, residuals = real(d, e, eig, rounds)
+        return vals, vecs, residuals + widen * (len(d) == rows)
+
+    monkeypatch.setattr(spectral, "rayleigh_refine", wide)
+    with pytest.raises(SpectralError, match="not certified"):
+        solve_singular_spectrum(prob, k)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.9])
+def test_eigenvector_residuals_are_relative_to_the_matrix(p):
+    a = linearized_potential(solve_nodal_power(3.0, p, 2))
+    for solve, kind in ((solve_singular_spectrum, "singular"),
+                        (solve_standard_spectrum, "standard")):
+        spec = solve(WeightedSLProblem(M=3.0, a=a, kind=kind), 3)
+        assert "eigvec_residual" not in spec.meta
+        assert 0.0 < spec.meta["eigvec_rel_residual"] < 1e-12
