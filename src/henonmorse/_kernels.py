@@ -1,18 +1,24 @@
 """Numerical hot loops: adaptive Runge-Kutta integration of the radial
 initial value problem, and the symmetric tridiagonal eigen-kernels.
 
+integrate_radial is the one integrator: Dormand-Prince 5(4) on
+v'' = -(M-1)/t v' - c f(v) for any scalar nonlinearity f, with the regular
+limit v''(0) = -c f(v0)/M at the start (no later stage sits at t = 0).
+
 Counts are Sturm counts: a ``dstebz`` call that bisects nothing.  Eigenvalues
 come from LAPACK bisection (``dstebz``) and eigenvectors from inverse
-iteration (``dstein``).  A singular coarse grid is bisected only to a
-bracket of width BRACKET; the Rayleigh quotient of each eigenvector then
-finishes its eigenvalue.  Its fine grid is not bisected: dstein runs there
-at the Rayleigh quotients of the coarse vectors, prolongated, and each pair
-is certified by its residual interval [rho - r, rho + r], r = ||T v - rho v||
-for a unit v, which holds an eigenvalue (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4), together with one Sturm count.  The standard kind keeps
-ABSTOL: its mass e^(-2x) grades its matrix to ||T|| = 5e25 (N=3, p=3), and
-at p=4.9 the Rayleigh quotient of its lowest eigenvalue, -4.4e11, misses
-the bisected value by 0.1.
+iteration (``dstein``), always on one unsplit block: the values are plain
+ascending arrays, and a matrix that splits is refused.  A singular coarse
+grid is bisected only to a bracket of width BRACKET; the Rayleigh quotient
+of each eigenvector then finishes its eigenvalue.  Its fine grid is not
+bisected: dstein runs there at the Rayleigh quotients of the coarse
+vectors, prolongated, and each pair is certified by its residual interval
+[rho - r, rho + r], r = ||T v - rho v|| for a unit v, which holds an
+eigenvalue (Parlett, The Symmetric Eigenvalue Problem, ch. 4), together
+with one Sturm count.  The standard kind keeps ABSTOL: its mass e^(-2x)
+grades its matrix to ||T|| = 5e25 (N=3, p=3), and at p=4.9 the Rayleigh
+quotient of its lowest eigenvalue, -4.4e11, misses the bisected value by
+0.1.
 
 The LAPACK routines come from scipy's compiled modules, loaded from their
 files by lapack_module without running the scipy.linalg package __init__,
@@ -28,7 +34,6 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -94,184 +99,137 @@ FAIL_UNDERFLOW = 2   # step size underflow (stiff / blow-up)
 FAIL_NONFINITE = 4   # right-hand side returned a non-finite value
 
 
-def emden_rhs_power(t, v, dv, m_dim, c, p):
-    """v'' for -(t^(M-1) v')' = c t^(M-1) |v|^(p-1) v; regular limit at t=0."""
-    f = abs(v) ** (p - 1.0) * v
-    if t <= 0.0:
-        return -c * f / m_dim
-    return -(m_dim - 1.0) / t * dv - c * f
+def _rk_step(f, m1, c, t, v, dv, h, k1a):
+    """One Dormand-Prince step of v'' = m1 / t v' - c f(v) from t, with
+    k1a = v''(t); no stage sits at t = 0.  Returns v, v' and v'' at t + h
+    and the error estimates of v and v'."""
+    k1v = dv
+    k2v = dv + h * _A21 * k1a
+    k2a = m1 / (t + _C2 * h) * k2v - c * f(v + h * _A21 * k1v)
+    k3v = dv + h * (_A31 * k1a + _A32 * k2a)
+    k3a = (m1 / (t + _C3 * h) * k3v
+           - c * f(v + h * (_A31 * k1v + _A32 * k2v)))
+    k4v = dv + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
+    k4a = (m1 / (t + _C4 * h) * k4v
+           - c * f(v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)))
+    k5v = dv + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
+    k5a = (m1 / (t + _C5 * h) * k5v
+           - c * f(v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v
+                            + _A54 * k4v)))
+    k6v = dv + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a
+                    + _A65 * k5a)
+    k6a = (m1 / (t + h) * k6v
+           - c * f(v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
+                            + _A64 * k4v + _A65 * k5v)))
+    vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+    dvn = dv + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a
+                    + _B6 * k6a)
+    k7a = m1 / (t + h) * dvn - c * f(vn)
+    errv = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
+                + _E7 * dvn)
+    erra = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
+                + _E7 * k7a)
+    return vn, dvn, k7a, errv, erra
 
 
-def make_integrator(rhs):
-    """Build an adaptive integrator around a right-hand side v''=rhs(...).
-
-    `rhs(t, v, dv, m_dim, c, p)` is any callable.  The returned driver has
-    signature
-
-        integrate(m_dim, c, p, v0, t_max, rtol, atol, max_zeros,
-                  max_steps, zero_tol)
-        -> (status, ts, vs, dvs, zeros_t, zeros_dv, crits_t, crits_v)
-
-    It records every accepted step, refines each sign change of v to a zero
-    of v and each sign change of v' to a critical point, and stops after
-    `max_zeros` zeros of v or at t_max.  Event refinement re-takes RK steps
-    from the left node with a bisection-safeguarded Newton update, so event
-    locations carry the integrator's accuracy, not interpolation accuracy.
-    """
-    def rk_step(t, v, dv, h, m_dim, c, p, k1a):
-        k1v = dv
-        k2v = dv + h * _A21 * k1a
-        k2a = rhs(t + _C2 * h, v + h * _A21 * k1v, k2v, m_dim, c, p)
-        k3v = dv + h * (_A31 * k1a + _A32 * k2a)
-        k3a = rhs(t + _C3 * h, v + h * (_A31 * k1v + _A32 * k2v), k3v,
-                  m_dim, c, p)
-        k4v = dv + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
-        k4a = rhs(t + _C4 * h, v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v),
-                  k4v, m_dim, c, p)
-        k5v = dv + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-        k5a = rhs(t + _C5 * h, v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v
-                                        + _A54 * k4v), k5v, m_dim, c, p)
-        k6v = dv + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a
-                        + _A65 * k5a)
-        k6a = rhs(t + h, v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
-                                  + _A64 * k4v + _A65 * k5v), k6v, m_dim, c, p)
-        vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v
-                      + _B6 * k6v)
-        dvn = dv + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a
-                        + _B6 * k6a)
-        k7a = rhs(t + h, vn, dvn, m_dim, c, p)
-        errv = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
-                    + _E7 * dvn)
-        erra = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
-                    + _E7 * k7a)
-        return vn, dvn, k7a, errv, erra
-
-    def refine_event(t, v, dv, k1a, h, m_dim, c, p, on_derivative, ref_scale,
-                     tol):
-        g0 = dv if on_derivative else v
-        lo = 0.0
-        hi = h
-        hh = 0.5 * h
-        vz = v
-        dvz = dv
-        for _ in range(80):
-            vz, dvz, az, _, _ = rk_step(t, v, dv, hh, m_dim, c, p, k1a)
-            g = dvz if on_derivative else vz
-            dg = az if on_derivative else dvz
-            if abs(g) <= tol * ref_scale:
-                break
-            if (g > 0.0) == (g0 > 0.0):
-                lo = hh
-            else:
-                hi = hh
-            step = hh - g / dg if dg != 0.0 else -1.0
-            if step <= lo or step >= hi:
-                step = 0.5 * (lo + hi)
-            if abs(step - hh) < 1e-17 * h:
-                hh = step
-                vz, dvz, az, _, _ = rk_step(t, v, dv, hh, m_dim, c, p, k1a)
-                break
+def _refine_event(f, m1, c, t, v, dv, k1a, h, on_derivative, ref_scale,
+                  tol):
+    """The point of (t, t + h] where v (v' if on_derivative) changes sign,
+    to |v| <= tol * ref_scale, with v and v' there: RK steps from t whose
+    length takes bisection-safeguarded Newton updates."""
+    g0 = dv if on_derivative else v
+    lo, hi, hh = 0.0, h, 0.5 * h
+    vz, dvz = v, dv
+    for _ in range(80):
+        vz, dvz, az, _, _ = _rk_step(f, m1, c, t, v, dv, hh, k1a)
+        g = dvz if on_derivative else vz
+        dg = az if on_derivative else dvz
+        if abs(g) <= tol * ref_scale:
+            break
+        if (g > 0.0) == (g0 > 0.0):
+            lo = hh
+        else:
+            hi = hh
+        step = hh - g / dg if dg != 0.0 else -1.0
+        if step <= lo or step >= hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - hh) < 1e-17 * h:
             hh = step
-        return t + hh, vz, dvz
+            vz, dvz, az, _, _ = _rk_step(f, m1, c, t, v, dv, hh, k1a)
+            break
+        hh = step
+    return t + hh, vz, dvz
 
-    def integrate(m_dim, c, p, v0, t_max, rtol, atol, max_zeros, max_steps,
-                  zero_tol):
-        ts = np.empty(max_steps)
-        vs = np.empty(max_steps)
-        dvs = np.empty(max_steps)
-        zt = np.empty(max_zeros)
-        zdv = np.empty(max_zeros)
-        ct = np.empty(max_zeros + 2)
-        cv = np.empty(max_zeros + 2)
-        vscale = abs(v0)
 
-        t = 0.0
-        v = v0
-        dv = 0.0
-        acc = rhs(0.0, v, dv, m_dim, c, p)
-        ts[0] = t
-        vs[0] = v
-        dvs[0] = dv
-        ns = 1
-        nz = 0
-        nc = 0
-        status = OK_TMAX
+def integrate_radial(f, m_dim, c, v0, t_max, rtol, atol, max_zeros,
+                     max_steps, zero_tol):
+    """Integrate -(t^(M-1) v')' = c t^(M-1) f(v), v(0) = v0, v'(0) = 0, with
+    M = m_dim and f a scalar function, by adaptive Dormand-Prince 5(4).
 
-        h = 1e-4
-        if acc != 0.0 and math.isfinite(acc):
-            hs = 0.1 * (2.0 * max(atol, rtol * vscale) / abs(acc)) ** 0.5
-            if hs < h:
-                h = hs
-        while t < t_max:
-            if ns >= max_steps:
-                status = FAIL_STEPS
-                break
-            if h < 1e-15 * max(t, 1.0):
-                status = FAIL_UNDERFLOW
-                break
-            if t + h > t_max:
-                h = t_max - t
-            vn, dvn, accn, errv, erra = rk_step(t, v, dv, h, m_dim, c, p, acc)
-            if not (math.isfinite(vn) and math.isfinite(dvn)
-                    and math.isfinite(accn)):
-                status = FAIL_NONFINITE
-                break
-            sc_v = atol + rtol * max(abs(v), abs(vn))
-            sc_d = atol + rtol * max(abs(dv), abs(dvn))
-            err = max(abs(errv) / sc_v, abs(erra) / sc_d)
-            if err <= 1.0:
-                if (dv != 0.0 and (dv > 0.0) != (dvn > 0.0)
-                        and nc < max_zeros + 2):
-                    tc, vc, _ = refine_event(t, v, dv, acc, h, m_dim, c, p,
-                                             True, max(abs(dv), abs(dvn)),
-                                             1e-10)
-                    ct[nc] = tc
-                    cv[nc] = vc
-                    nc += 1
-                if (v > 0.0) != (vn > 0.0):
-                    tz, vz, dvz = refine_event(t, v, dv, acc, h, m_dim, c, p,
-                                               False, vscale, zero_tol)
-                    zt[nz] = tz
-                    zdv[nz] = dvz
-                    nz += 1
-                    if nz >= max_zeros:
-                        ts[ns] = tz
-                        vs[ns] = vz
-                        dvs[ns] = dvz
-                        ns += 1
-                        status = OK_EVENTS
-                        break
-                t = t + h
-                v = vn
-                dv = dvn
-                acc = accn
-                ts[ns] = t
-                vs[ns] = v
-                dvs[ns] = dv
+    Returns (status, ts, vs, dvs, zeros_t, zeros_dv, crits_t, crits_v): the
+    status code, every accepted step, each zero of v with v' there and each
+    critical point of v with v there.  It stops after `max_zeros` zeros of
+    v, at t_max, or on a failure status (FAIL_*).  A zero is refined to
+    |v| <= zero_tol |v0| and a critical point to |v'| <= 1e-10 max |v'| of
+    its step.  Event refinement re-takes RK steps from the left node with a
+    bisection-safeguarded Newton update, so event locations carry the
+    integrator's accuracy, not interpolation accuracy.
+    """
+    ts, vs, dvs = np.empty(max_steps), np.empty(max_steps), np.empty(max_steps)
+    zt, zdv = np.empty(max_zeros), np.empty(max_zeros)
+    ct, cv = np.empty(max_zeros + 2), np.empty(max_zeros + 2)
+    vscale = abs(v0)
+    m1 = -(m_dim - 1.0)
+    t, v, dv = 0.0, v0, 0.0
+    acc = -c * f(v0) / m_dim       # the regular limit of v'' at t = 0
+    ts[0], vs[0], dvs[0] = t, v, dv
+    ns, nz, nc = 1, 0, 0
+    status = OK_TMAX
+
+    h = 1e-4
+    if acc != 0.0 and math.isfinite(acc):
+        h = min(h, 0.1 * (2.0 * max(atol, rtol * vscale) / abs(acc)) ** 0.5)
+    while t < t_max:
+        if ns >= max_steps:
+            status = FAIL_STEPS
+            break
+        if h < 1e-15 * max(t, 1.0):
+            status = FAIL_UNDERFLOW
+            break
+        if t + h > t_max:
+            h = t_max - t
+        vn, dvn, accn, errv, erra = _rk_step(f, m1, c, t, v, dv, h, acc)
+        if not (math.isfinite(vn) and math.isfinite(dvn)
+                and math.isfinite(accn)):
+            status = FAIL_NONFINITE
+            break
+        sc_v = atol + rtol * max(abs(v), abs(vn))
+        sc_d = atol + rtol * max(abs(dv), abs(dvn))
+        err = max(abs(errv) / sc_v, abs(erra) / sc_d)
+        if not err <= 1.0:          # rejected, NaN included
+            h *= max(0.9 * err ** -0.2, 0.2)
+            continue
+        if dv != 0.0 and (dv > 0.0) != (dvn > 0.0) and nc < max_zeros + 2:
+            ct[nc], cv[nc], _ = _refine_event(f, m1, c, t, v, dv, acc, h,
+                                              True, max(abs(dv), abs(dvn)),
+                                              1e-10)
+            nc += 1
+        if (v > 0.0) != (vn > 0.0):
+            tz, vz, dvz = _refine_event(f, m1, c, t, v, dv, acc, h, False,
+                                        vscale, zero_tol)
+            zt[nz], zdv[nz] = tz, dvz
+            nz += 1
+            if nz >= max_zeros:
+                ts[ns], vs[ns], dvs[ns] = tz, vz, dvz
                 ns += 1
-                fac = 5.0
-                if err > 0.0:
-                    fac = 0.9 * err ** -0.2
-                    if fac > 5.0:
-                        fac = 5.0
-                h = h * fac
-            else:
-                fac = 0.9 * err ** -0.2
-                if fac < 0.2:
-                    fac = 0.2
-                h = h * fac
-        return (status, ts[:ns], vs[:ns], dvs[:ns], zt[:nz], zdv[:nz],
-                ct[:nc], cv[:nc])
-
-    return integrate
-
-
-integrate_radial_power = make_integrator(emden_rhs_power)
-
-
-def integrate_radial_generic(rhs, *args):
-    """Integrate with an arbitrary Python right-hand side."""
-    return make_integrator(rhs)(*args)
+                status = OK_EVENTS
+                break
+        t, v, dv, acc = t + h, vn, dvn, accn
+        ts[ns], vs[ns], dvs[ns] = t, v, dv
+        ns += 1
+        h *= min(0.9 * err ** -0.2, 5.0) if err > 0.0 else 5.0
+    return (status, ts[:ns], vs[:ns], dvs[:ns], zt[:nz], zdv[:nz], ct[:nc],
+            cv[:nc])
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +249,6 @@ ABSTOL = 1e-300
 # quotient of the inverse-iteration vector is accurate to second order in
 # the vector's error, so it supplies the remaining digits.
 BRACKET = 1e-4
-
-
-@dataclass(frozen=True)
-class Eigenvalues:
-    """Eigenvalues from bisection, ascending, with dstebz's block data.
-
-    `iblock[j]` is the split-off block of `values[j]` and `isplit` the last
-    row of each block; inverse_iteration needs both.
-    """
-
-    values: np.ndarray
-    iblock: np.ndarray
-    isplit: np.ndarray
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, index):
-        """The eigenvalues in a slice of this ascending list."""
-        return Eigenvalues(self.values[index], self.iblock[index],
-                           self.isplit)
-
-    @classmethod
-    def one_block(cls, values, n):
-        """Ascending `values` as shifts for inverse_iteration on an unsplit
-        matrix of order n: one block, rows 1..n."""
-        isplit = np.zeros(n, np.int32)
-        isplit[0] = n
-        return cls(np.asarray(values, dtype=float),
-                   np.ones(len(values), np.int32), isplit)
 
 
 def _check_info(routine, info):
@@ -357,30 +285,38 @@ def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None,
                        above=-np.inf, abstol=ABSTOL):
     """Eigenvalues k_first..k_last (1-based, ascending) of tridiag(diag, off),
     or with `below` all eigenvalues in (above, below), by LAPACK bisection
-    (dstebz) to an interval of width `abstol` (or 2 ulp, if wider)."""
+    (dstebz) to an interval of width `abstol` (or 2 ulp, if wider).
+
+    The matrix must not split (no off-diagonal entry negligible by dstebz's
+    test), so that dstebz's block order is ascending order and
+    inverse_iteration can take the values as one block; SpectralError
+    otherwise.  No Liouville grid splits: its off-diagonal squared is about
+    a quarter of the product of the neighbouring diagonal entries.
+    """
     window = (_window(above, below) if below is not None
               else (2, 0.0, 0.0, k_first, k_last))
-    m, w, iblock, isplit, info = dstebz(diag, off, *window, abstol, b"B")
+    m, w, _, isplit, info = dstebz(diag, off, *window, abstol, b"B")
     _check_info("dstebz", info)
-    # block order equals ascending order unless the matrix splits
-    order = np.argsort(w[:m], kind="stable")
-    return Eigenvalues(w[order], iblock[order], isplit)
+    if isplit[0] != len(diag):
+        raise SpectralError(
+            f"tridiagonal matrix of order {len(diag)} splits after row "
+            f"{isplit[0]}")
+    return w[:m]
 
 
-def inverse_iteration(diag, off, eig):
-    """Unit eigenvectors of tridiag(diag, off), one column per eigenvalue of
-    `eig` (a bisect_eigenvalues result), by LAPACK inverse iteration
-    (dstein)."""
-    m = len(eig)
-    # dstein takes the eigenvalues grouped by block, ascending within each
-    order = np.argsort(eig.iblock, kind="stable")
-    iblock = np.zeros(len(diag), dtype=eig.iblock.dtype)
-    iblock[:m] = eig.iblock[order]
-    z, info = dstein(diag, off, eig.values[order], iblock, eig.isplit)
+def inverse_iteration(diag, off, values):
+    """Unit eigenvectors of the unsplit tridiag(diag, off), one column per
+    value of the ascending `values` (eigenvalues from bisect_eigenvalues or
+    shifts near them), by LAPACK inverse iteration (dstein) on one block,
+    rows 1..n."""
+    n = len(diag)
+    iblock = np.zeros(n, np.int32)
+    iblock[:len(values)] = 1
+    isplit = np.zeros(n, np.int32)
+    isplit[0] = n
+    z, info = dstein(diag, off, values, iblock, isplit)
     _check_info("dstein", info)
-    vecs = np.empty_like(z)
-    vecs[:, order] = z
-    return vecs
+    return z
 
 
 def rayleigh_quotients(diag, off, vecs):
@@ -395,38 +331,34 @@ def rayleigh_quotients(diag, off, vecs):
     return (rows @ sq - off @ (dv * dv)) / np.sum(sq, axis=0)
 
 
-def rayleigh_refine(diag, off, eig, rounds=1):
-    """Eigenpairs of tridiag(diag, off) from the eigenvalues `eig` (a
-    bisect_eigenvalues result, to within BRACKET or finer, or shifts from
-    Eigenvalues.one_block).
+def rayleigh_refine(diag, off, values, rounds=1):
+    """Eigenpairs of tridiag(diag, off) from the ascending `values` (from
+    bisect_eigenvalues, to within BRACKET or finer, or estimated shifts).
 
     Returns the Rayleigh quotient of each dstein vector, the unit vectors one
     per column, and each column's residual ||T v - rho v||.  Each quotient
-    must lie within BRACKET of its value in `eig`, and consecutive values
-    must be more than 2 * BRACKET apart, so no two brackets can hold the
-    same eigenvalue; otherwise SpectralError names the pair.  With
-    rounds > 1, for shifts that are estimates rather than brackets, a
-    quotient outside its bracket starts another round at the quotients (a
-    Rayleigh quotient iteration step), up to `rounds` in all.
+    must lie within BRACKET of its value, and consecutive values must be
+    more than 2 * BRACKET apart, so no two brackets can hold the same
+    eigenvalue; otherwise SpectralError names the pair.  With rounds > 1,
+    for shifts that are estimates rather than brackets, a quotient outside
+    its bracket starts another round at the quotients (a Rayleigh quotient
+    iteration step), up to `rounds` in all.
     """
-    lam = eig.values
-    for a, b in zip(lam[:-1], lam[1:]):
+    for a, b in zip(values[:-1], values[1:]):
         if b - a <= 2.0 * BRACKET:
             raise SpectralError(
                 f"eigenvalues {a:.12g}, {b:.12g}: brackets of half-width "
                 f"{BRACKET:g} overlap")
-    vecs = inverse_iteration(diag, off, eig)
+    vecs = inverse_iteration(diag, off, values)
     rho = rayleigh_quotients(diag, off, vecs)
-    miss = ~(np.abs(rho - lam) <= BRACKET)
+    miss = ~(np.abs(rho - values) <= BRACKET)
     if np.any(miss):
         if rounds > 1:
-            return rayleigh_refine(diag, off,
-                                   Eigenvalues(rho, eig.iblock, eig.isplit),
-                                   rounds - 1)
+            return rayleigh_refine(diag, off, rho, rounds - 1)
         i = int(np.argmax(miss))
         raise SpectralError(
             f"Rayleigh quotient {rho[i]:.12g} lies outside the bracket of "
-            f"eigenvalue {lam[i]:.12g}")
+            f"eigenvalue {values[i]:.12g}")
     return rho, vecs, residual_norms(diag, off, vecs, rho)
 
 

@@ -1,10 +1,14 @@
 """Nodal radial solutions of -(t^(M-1) v')' = c t^(M-1) f(v) on [0, 1].
 
-Power nonlinearities are solved by integrating the initial value problem from
-t=0 and exploiting the scaling symmetry v -> gamma^(2/(p-1)) v(gamma t) to
-move the m-th zero to 1; generic nonlinearities go through a shooting
-bisection on v(0).  Tolerances, step budgets and the cut of the
-qualitative checks are the module constants below.
+Every profile comes from one initial value problem integrator,
+_kernels.integrate_radial, started regularly at t=0 and given f as a scalar
+function: |v|^(p-1) v for a power, the user's f otherwise.  A power profile
+is one integration to the m-th zero, moved to 1 by the scaling symmetry
+v -> gamma^(2/(p-1)) v(gamma t); a generic nonlinearity goes through a
+shooting bisection on v(0).  An integration that cannot finish (non-finite
+values, step size underflow, a spent step budget) raises IntegrationError.
+Tolerances, step budgets and the cut of the qualitative checks are the
+module constants below.
 """
 
 from __future__ import annotations
@@ -96,11 +100,14 @@ def integrate_emden_ivp(M: float, nl: Nonlinearity, c: float, v0: float,
                         t_max: float, *, rtol: float = PROFILE_RTOL,
                         atol: float = PROFILE_ATOL, max_zeros: int = 64,
                         max_steps: int = POWER_MAX_STEPS) -> EmdenTrajectory:
-    """Integrate v'' + (M-1)/t v' + c f(v) = 0 from the regular start at 0.
+    """Integrate v'' + (M-1)/t v' + c f(v) = 0 from the regular start at 0
+    (_kernels.integrate_radial).
 
     v(0)=v0, v'(0)=0, v''(0) = -c f(v0)/M.  Each sign change of v is refined
     to |v| < ZERO_TOL * |v0|; sign changes of v' are refined to critical
-    points.  Stops after max_zeros zeros or at t_max.
+    points.  Stops after max_zeros zeros or at t_max.  A non-finite value,
+    a step size underflow or a spent budget of max_steps accepted steps
+    raises IntegrationError.
     """
     if v0 == 0:
         raise ValueError("v0 must be nonzero; v0=0 is the trivial solution")
@@ -109,28 +116,20 @@ def integrate_emden_ivp(M: float, nl: Nonlinearity, c: float, v0: float,
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
 
-    budget = (float(rtol), float(atol), int(max_zeros), int(max_steps),
-              ZERO_TOL)
-    if nl.kind == "power":
-        out = _kernels.integrate_radial_power(
-            float(M), float(c), float(nl.p), float(v0), float(t_max), *budget)
-    else:
-        fn = nl.f
-
-        def rhs(t, v, dv, m_dim, c_, p_):
-            fv = fn(v)
-            if t <= 0.0:
-                return -c_ * fv / m_dim
-            return -(m_dim - 1.0) / t * dv - c_ * fv
-
-        out = _kernels.integrate_radial_generic(
-            rhs, float(M), float(c), 0.0, float(v0), float(t_max), *budget)
-    status, ts, vs, dvs, zt, zdv, ct, cv = out
+    p = nl.p
+    f = nl.f if nl.kind == "custom" else lambda v: abs(v) ** (p - 1.0) * v
+    status, ts, vs, dvs, zt, zdv, ct, cv = _kernels.integrate_radial(
+        f, float(M), float(c), float(v0), float(t_max), float(rtol),
+        float(atol), int(max_zeros), int(max_steps), ZERO_TOL)
     if status == _kernels.FAIL_NONFINITE:
         raise IntegrationError("nonlinearity returned a non-finite value")
     if status == _kernels.FAIL_UNDERFLOW:
         raise IntegrationError(
             "step size underflow (stiff or blow-up region reached)")
+    if status == _kernels.FAIL_STEPS:
+        raise IntegrationError(
+            f"step budget of {int(max_steps)} steps exhausted at "
+            f"t={ts[-1]:.6g} (t_max={t_max:g})")
     return EmdenTrajectory(ts=ts, vs=vs, dvs=dvs, zeros=zt, zero_slopes=zdv,
                            critical_points=ct, critical_values=cv,
                            status=status)

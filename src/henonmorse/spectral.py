@@ -44,10 +44,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import (BRACKET, Eigenvalues, SpectralError,
-                       bisect_eigenvalues, inverse_iteration,
-                       rayleigh_quotients, rayleigh_refine,
-                       relative_residual, residual_norms, sturm_count)
+from ._kernels import (BRACKET, SpectralError, bisect_eigenvalues,
+                       inverse_iteration, rayleigh_quotients,
+                       rayleigh_refine, relative_residual, residual_norms,
+                       sturm_count)
 
 N_CAP = 1 << 19          # largest fine grid, in cells
 X_MAX_CAP = 60.0         # largest Liouville interval length X
@@ -339,7 +339,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
             f"one (n={n}, x_max={x_max:.3g})")
     # the next eigenvalue bounds what was left out
     exhausted = (float(bisect_eigenvalues(d_f, e_f, n_found + 1,
-                                          n_found + 1).values[0])
+                                          n_found + 1)[0])
                  if count_f > n_found else hi)
     vals_f, vecs, residuals = _seeded_pairs(d_f, e_f, vecs_c[:, :n_found],
                                             exhausted)
@@ -372,8 +372,7 @@ def _seeded_pairs(d_f, e_f, coarse_vecs, bound):
     eigenvalue, they hold the lowest ones, one each.  Otherwise
     SpectralError."""
     shifts = rayleigh_quotients(d_f, e_f, _prolongate(coarse_vecs))
-    vals, vecs, residuals = rayleigh_refine(
-        d_f, e_f, Eigenvalues.one_block(shifts, len(d_f)), rounds=2)
+    vals, vecs, residuals = rayleigh_refine(d_f, e_f, shifts, rounds=2)
     lower, upper = vals - residuals, vals + residuals
     bad = ~np.append(upper[:-1] < lower[1:], upper[-1:] < bound)
     if np.any(bad):
@@ -408,7 +407,7 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
         # the scaled matrix is graded (||T|| about e^(2X) / h^2): keep the
         # fully bisected values, and take only vectors and residual
         d_c, e_c, _ = g_f.coarsened().standard_tridiagonal()
-        vals_c = bisect_eigenvalues(d_c, e_c, 1, k).values
+        vals_c = bisect_eigenvalues(d_c, e_c, 1, k)
         while True:
             # no value lies below -max a (the form less its potential is a
             # sum of squares), and a resolved one within 3 tol of its coarse
@@ -420,19 +419,19 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
             if len(eig_f) < k:
                 eig_f = bisect_eigenvalues(d_f, e_f, 1, k)
             try:
-                values, bars = _richardson(eig_f.values, vals_c, cfg, g_f,
+                values, bars = _richardson(eig_f, vals_c, cfg, g_f,
                                            "standard")
                 break
             except ResolutionError:
                 if 2 * len(d_f) > N_CAP:
                     raise
                 # the old fine grid is bitwise the new one's coarsening
-                vals_c = eig_f.values
+                vals_c = eig_f
                 g_f = liouville_transform(twin, x_max, 2 * len(d_f))
                 d_f, e_f, s_f = g_f.standard_tridiagonal()
         vecs = inverse_iteration(d_f, e_f, eig_f)
         rel_residual = relative_residual(
-            d_f, e_f, vecs, residual_norms(d_f, e_f, vecs, eig_f.values))
+            d_f, e_f, vecs, residual_norms(d_f, e_f, vecs, eig_f))
         vecs = s_f[:, None] * vecs              # generalized eigenvectors
 
     negative_count = sturm_count(d_f, e_f, -ZERO_CUT)

@@ -68,9 +68,9 @@ def test_value_window_and_index_range_bisection_agree():
         for sigma in sigmas:
             below = K.bisect_eigenvalues(d, e, below=sigma)
             assert len(below) == K.sturm_count(d, e, sigma)
-            assert np.all(below.values < sigma)
+            assert np.all(below < sigma)
             ranged = K.bisect_eigenvalues(d, e, 1, len(below))
-            assert np.all(np.abs(below.values - ranged.values)
+            assert np.all(np.abs(below - ranged)
                           <= 1e-14 * norm_t)
 
 
@@ -82,7 +82,7 @@ def test_bisect_eigenvalues_match_closed_form_on_a_fine_grid():
     e = np.full(n - 1, -1.0 / h ** 2)
     j = np.arange(1, 5)
     exact = c + 4.0 / h ** 2 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
-    vals = K.bisect_eigenvalues(d, e, 1, 4).values
+    vals = K.bisect_eigenvalues(d, e, 1, 4)
     assert np.all(np.abs(vals - exact) <= 1e-9 * exact)
 
 
@@ -97,20 +97,17 @@ def test_inverse_iteration_returns_orthonormal_eigenvectors():
     t[:-1] += e[:, None] * vecs[1:]
     t[1:] += e[:, None] * vecs[:-1]
     norm_t = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
-    res = np.linalg.norm(t - eig.values * vecs, axis=0)
+    res = np.linalg.norm(t - eig * vecs, axis=0)
     assert np.all(res <= 1e-10 * norm_t)
 
 
-def test_inverse_iteration_across_split_blocks():
-    # e[2] = 0 splits the matrix; the lowest eigenvalues alternate blocks
+def test_bisection_refuses_a_matrix_that_splits():
+    # e[2] = 0 splits the matrix into two blocks; the kernels take one
     d = np.array([10.0, 11.0, 12.0, 1.0, 2.0, 3.0])
     e = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
-    eig = K.bisect_eigenvalues(d, e, 1, 5)
-    assert np.all(np.diff(eig.values) > 0)
-    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    assert np.allclose(eig.values, np.linalg.eigvalsh(t)[:5])
-    vecs = K.inverse_iteration(d, e, eig)
-    assert np.allclose(t @ vecs, vecs * eig.values, atol=1e-12)
+    for window in ({"k_first": 1, "k_last": 5}, {"below": 5.0}):
+        with pytest.raises(SpectralError, match="order 6 splits after row 3"):
+            K.bisect_eigenvalues(d, e, **window)
 
 
 def test_rayleigh_refine_matches_closed_form_from_brackets():
@@ -123,7 +120,7 @@ def test_rayleigh_refine_matches_closed_form_from_brackets():
     exact = c + 4.0 / h ** 2 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
     vals, vecs, residuals = K.rayleigh_refine(d, e, eig)
     assert len(vals) == 3 and vecs.shape == (n, 3)
-    assert np.all(np.abs(eig.values - exact) <= K.BRACKET)
+    assert np.all(np.abs(eig - exact) <= K.BRACKET)
     assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
     assert residuals.shape == (3,) and np.all(residuals <= 1e-9)
 
@@ -136,7 +133,7 @@ def test_rayleigh_refine_takes_a_second_round_from_estimated_shifts():
     e = np.full(n - 1, -1.0 / h ** 2)
     j = np.arange(1, 4)
     exact = c + 4.0 / h ** 2 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
-    eig = K.Eigenvalues.one_block(exact + 3 * K.BRACKET, n)
+    eig = exact + 3 * K.BRACKET
     with pytest.raises(SpectralError, match="outside the bracket"):
         K.rayleigh_refine(d, e, eig)
     vals, vecs, residuals = K.rayleigh_refine(d, e, eig, rounds=2)
@@ -145,9 +142,10 @@ def test_rayleigh_refine_takes_a_second_round_from_estimated_shifts():
 
 
 def test_rayleigh_refine_refuses_overlapping_brackets():
-    # two equal blocks: every eigenvalue is double
+    # two equal blocks coupled by 1e-6: every eigenvalue is a pair about
+    # 1e-6 apart, far closer than 2 * BRACKET, and the matrix does not split
     d = np.full(6, 2.0)
-    e = np.array([-1.0, -1.0, 0.0, -1.0, -1.0])
+    e = np.array([-1.0, -1.0, 1e-6, -1.0, -1.0])
     eig = K.bisect_eigenvalues(d, e, below=2.5, abstol=K.BRACKET)
     assert len(eig) == 4
     with pytest.raises(SpectralError, match="overlap"):
@@ -164,7 +162,7 @@ def test_rayleigh_refine_agrees_with_full_bisection_on_a_lane_emden_grid():
     full = K.bisect_eigenvalues(d, e, below=hi, abstol=K.ABSTOL)
     vals = K.rayleigh_refine(d, e, brackets)[0]
     assert len(vals) == len(full) == 3
-    assert np.all(np.abs(vals - full.values) <= 1e-10 * np.abs(full.values))
+    assert np.all(np.abs(vals - full) <= 1e-10 * np.abs(full))
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
@@ -190,12 +188,16 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
             K.rayleigh_refine(d, e, eig)
 
 
+def cube(v):
+    return abs(v) ** 2.0 * v
+
+
 def test_integrator_zero_locations_against_step_halving():
     # the same integration at tighter tolerance is the independent check
-    loose = K.integrate_radial_power(3.0, 1.0, 3.0, 1.0, 1e3, 1e-8, 1e-10,
-                                     2, 200000, 1e-12)
-    tight = K.integrate_radial_power(3.0, 1.0, 3.0, 1.0, 1e3, 1e-12, 1e-14,
-                                     2, 400000, 1e-13)
+    loose = K.integrate_radial(cube, 3.0, 1.0, 1.0, 1e3, 1e-8, 1e-10, 2,
+                               200000, 1e-12)
+    tight = K.integrate_radial(cube, 3.0, 1.0, 1.0, 1e3, 1e-12, 1e-14, 2,
+                               400000, 1e-13)
     assert loose[0] == K.OK_EVENTS and tight[0] == K.OK_EVENTS
     z_loose, z_tight = loose[4], tight[4]
     assert np.allclose(z_loose, z_tight, rtol=1e-7)
@@ -204,32 +206,21 @@ def test_integrator_zero_locations_against_step_halving():
                        rtol=1e-9)
 
 
-def test_generic_driver_matches_power_driver():
-    # both drivers run the same step loop, so every output agrees bitwise
-    args = (3.0, 1.0, 3.0, 1.0, 1e3, 1e-10, 1e-12, 2, 200000, 1e-12)
-    a = K.integrate_radial_power(*args)
-    b = K.integrate_radial_generic(K.emden_rhs_power, *args)
-    assert a[0] == b[0]
-    for x, y in zip(a[1:], b[1:], strict=True):
-        assert np.array_equal(x, y)
-
-
 def test_integrator_nonfinite_rhs_reported():
     # an infinite value at t = 0 must not shrink the first step to nothing
     # (a step-size underflow) before the step that exposes it
     for bad in (np.nan, np.float64("inf")):
-        def bad_rhs(t, v, dv, m_dim, c, p):
+        def bad_f(v):
             return bad
         with np.errstate(invalid="ignore"):
-            out = K.integrate_radial_generic(bad_rhs, 3.0, 1.0, 3.0, 1.0,
-                                             1e3, 1e-10, 1e-12, 2, 1000,
-                                             1e-12)
+            out = K.integrate_radial(bad_f, 3.0, 1.0, 1.0, 1e3, 1e-10,
+                                     1e-12, 2, 1000, 1e-12)
         assert out[0] == K.FAIL_NONFINITE, bad
 
 
 def test_critical_points_located():
-    out = K.integrate_radial_power(3.0, 1.0, 3.0, 1.0, 1e3, 1e-10, 1e-12,
-                                   2, 200000, 1e-12)
+    out = K.integrate_radial(cube, 3.0, 1.0, 1.0, 1e3, 1e-10, 1e-12, 2,
+                             200000, 1e-12)
     crit_t, crit_v = out[6], out[7]
     assert len(crit_t) == 1
     # interior minimum between the two zeros, negative value

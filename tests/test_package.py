@@ -1,6 +1,12 @@
-"""The package's public names."""
+"""The package's public names, and the functions the benchmark traces."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import henonmorse
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_every_public_name_resolves():
@@ -8,3 +14,27 @@ def test_every_public_name_resolves():
                if not hasattr(henonmorse, name)]
     assert missing == []
     assert len(set(henonmorse.__all__)) == len(henonmorse.__all__)
+
+
+def traced_functions():
+    """(module, function) of each TARGETS entry of the benchmark's tracer,
+    read from its source: importing it would write bytecode beside it."""
+    tree = ast.parse(TRACER.read_text(), str(TRACER))
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["TARGETS"])
+    return [(entry.elts[0].value, entry.elts[1].value)
+            for entry in targets.elts]
+
+
+def test_every_traced_function_resolves():
+    # the tracer skips a renamed function without a word, and its metrics
+    # then read 0; the potential factory is wrapped by name as well
+    hooks = traced_functions() + [("henonmorse.radial",
+                                   "linearized_potential")]
+    assert len(hooks) > 1
+    missing = [f"{module}.{name}" for module, name in hooks
+               if not callable(getattr(importlib.import_module(module), name,
+                                       None))]
+    assert missing == []

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from henonmorse import radial
 from henonmorse.radial import (BracketError, IntegrationError,
                                Nonlinearity, auxiliary_z, henon_profile,
                                integrate_emden_ivp, linearized_potential,
@@ -32,6 +33,36 @@ def test_ivp_basic_power_case():
 def test_ivp_rejects_trivial_start():
     with pytest.raises(ValueError):
         integrate_emden_ivp(2.0, Nonlinearity.power(2.5), 1.0, 0.0, 10.0)
+
+
+def test_ivp_custom_cube_is_the_cubic_power_bitwise():
+    # one integrator for both kinds: f(u) = |u|^2 u given as a custom
+    # nonlinearity runs the same arithmetic as the power p = 3
+    custom = Nonlinearity.custom(lambda u: abs(u) ** 2.0 * u,
+                                 lambda u: 3.0 * u * u, odd=True)
+    a = integrate_emden_ivp(3.0, Nonlinearity.power(3.0), 1.0, 1.0, 1e3,
+                            max_zeros=2)
+    b = integrate_emden_ivp(3.0, custom, 1.0, 1.0, 1e3, max_zeros=2)
+    assert a.status == b.status and a.reached_target
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y), field.name
+
+
+def test_ivp_spent_step_budget_is_an_error():
+    # 60 steps end at t = 0.878, well before the first zero near 6.9
+    with pytest.raises(IntegrationError,
+                       match=r"budget of 60 steps exhausted at t=0\.878"):
+        integrate_emden_ivp(3.0, Nonlinearity.power(3.0), 1.0, 1.0, 40.0,
+                            max_zeros=1, max_steps=60)
+
+
+def test_shooting_names_a_spent_step_budget(monkeypatch):
+    # a shot cut by its budget is neither read as "too few zeros" nor
+    # reported as a step size underflow
+    monkeypatch.setattr(radial, "SHOOT_MAX_STEPS", 60)
+    with pytest.raises(IntegrationError, match="budget of 60 steps"):
+        solve_nodal_shooting(3.0, Nonlinearity.power(3.0), 1.0, 2)
 
 
 def test_ivp_second_derivative_at_origin():

@@ -337,7 +337,7 @@ def test_exhausted_below_when_k_leaves_eigenvalues_out():
     grid = liouville_transform(prob, one.meta["x_max"], one.meta["n"])
     d, e = grid.tridiagonal()
     assert count == sturm_count(d, e, prob.threshold - spectral.MARGIN)
-    second = bisect_eigenvalues(d, e, 2, 2).values[0]
+    second = bisect_eigenvalues(d, e, 2, 2)[0]
     assert one.exhausted_below == pytest.approx(second, rel=1e-14)
     # the same eigenvalue, Richardson-extrapolated, from a k=2 solve, whose
     # lowest one the k=1 solve returns
@@ -388,9 +388,9 @@ def test_published_values_match_bisection_of_both_grids(point):
     grid = liouville_transform(prob, spec.meta["x_max"], spec.meta["n"])
     hi = prob.threshold - spectral.MARGIN
     d, e = grid.tridiagonal()
-    fine = bisect_eigenvalues(d, e, below=hi).values[:6]
+    fine = bisect_eigenvalues(d, e, below=hi)[:6]
     coarse = bisect_eigenvalues(*grid.coarsened().tridiagonal(),
-                                below=hi).values[:len(fine)]
+                                below=hi)[:len(fine)]
     reference = (4.0 * fine - coarse) / 3.0
     assert len(spec.values) == len(reference) >= 1
     # bisection's Sturm counts are exact for a matrix within a few ulp of
