@@ -10,12 +10,10 @@ from .morse import (BETA_PLANAR, DegeneracyReport, MorseReport,
                     beltrami_eigen, beltrami_multiplicity, degeneracy_scan,
                     lower_bound, morse_index, symmetric_morse_index)
 from .oracle import dense_oracle_spectrum
-from .radial import (AuxiliaryZ, BracketError, EmdenTrajectory,
-                     IntegrationError, Nonlinearity, QualitativeReport,
-                     RadialProfile, auxiliary_z, henon_profile,
-                     integrate_emden_ivp, linearized_potential,
-                     solve_nodal_power, solve_nodal_shooting,
-                     validate_profile)
+from .radial import (AuxiliaryZ, EmdenTrajectory, IntegrationError,
+                     QualitativeReport, RadialProfile, auxiliary_z,
+                     henon_profile, integrate_emden_ivp, linearized_potential,
+                     solve_nodal_power, validate_profile)
 from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
                        WeightedSLProblem, fit_decay_exponent,
                        liouville_transform, picone_residual, rayleigh_quotient,
@@ -29,9 +27,9 @@ __all__ = [
     "BETA_PLANAR", "__version__",
     "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
     "angular_threshold", "degeneracy_targets", "map_radius",
-    "Nonlinearity", "RadialProfile", "EmdenTrajectory", "QualitativeReport",
-    "AuxiliaryZ", "IntegrationError", "BracketError", "integrate_emden_ivp",
-    "solve_nodal_power", "solve_nodal_shooting", "henon_profile",
+    "RadialProfile", "EmdenTrajectory", "QualitativeReport",
+    "AuxiliaryZ", "IntegrationError", "integrate_emden_ivp",
+    "solve_nodal_power", "henon_profile",
     "validate_profile", "auxiliary_z", "linearized_potential",
     "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",
     "Spectrum", "liouville_transform", "solve_singular_spectrum",

@@ -2,8 +2,8 @@
 initial value problem, and the symmetric tridiagonal eigen-kernels.
 
 integrate_radial is the one integrator: Dormand-Prince 5(4) on
-v'' = -(M-1)/t v' - c f(v) for any scalar nonlinearity f, with the regular
-limit v''(0) = -c f(v0)/M at the start (no later stage sits at t = 0).
+v'' = -(M-1)/t v' - |v|^(p-1) v, with the regular limit
+v''(0) = -|v0|^(p-1) v0/M at the start (no later stage sits at t = 0).
 
 Counts are Sturm counts: a ``dstebz`` call that bisects nothing.  Eigenvalues
 come from LAPACK bisection (``dstebz``) and eigenvectors from inverse
@@ -99,32 +99,32 @@ FAIL_UNDERFLOW = 2   # step size underflow (stiff / blow-up)
 FAIL_NONFINITE = 4   # right-hand side returned a non-finite value
 
 
-def _rk_step(f, m1, c, t, v, dv, h, k1a):
-    """One Dormand-Prince step of v'' = m1 / t v' - c f(v) from t, with
+def _rk_step(q, m1, t, v, dv, h, k1a):
+    """One Dormand-Prince step of v'' = m1 / t v' - |v|^q v from t, with
     k1a = v''(t); no stage sits at t = 0.  Returns v, v' and v'' at t + h
     and the error estimates of v and v'."""
     k1v = dv
     k2v = dv + h * _A21 * k1a
-    k2a = m1 / (t + _C2 * h) * k2v - c * f(v + h * _A21 * k1v)
+    w = v + h * _A21 * k1v
+    k2a = m1 / (t + _C2 * h) * k2v - abs(w) ** q * w
     k3v = dv + h * (_A31 * k1a + _A32 * k2a)
-    k3a = (m1 / (t + _C3 * h) * k3v
-           - c * f(v + h * (_A31 * k1v + _A32 * k2v)))
+    w = v + h * (_A31 * k1v + _A32 * k2v)
+    k3a = m1 / (t + _C3 * h) * k3v - abs(w) ** q * w
     k4v = dv + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
-    k4a = (m1 / (t + _C4 * h) * k4v
-           - c * f(v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)))
+    w = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
+    k4a = m1 / (t + _C4 * h) * k4v - abs(w) ** q * w
     k5v = dv + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-    k5a = (m1 / (t + _C5 * h) * k5v
-           - c * f(v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v
-                            + _A54 * k4v)))
+    w = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+    k5a = m1 / (t + _C5 * h) * k5v - abs(w) ** q * w
     k6v = dv + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a
                     + _A65 * k5a)
-    k6a = (m1 / (t + h) * k6v
-           - c * f(v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
-                            + _A64 * k4v + _A65 * k5v)))
+    w = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v
+                 + _A65 * k5v)
+    k6a = m1 / (t + h) * k6v - abs(w) ** q * w
     vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
     dvn = dv + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a
                     + _B6 * k6a)
-    k7a = m1 / (t + h) * dvn - c * f(vn)
+    k7a = m1 / (t + h) * dvn - abs(vn) ** q * vn
     errv = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
                 + _E7 * dvn)
     erra = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
@@ -132,8 +132,7 @@ def _rk_step(f, m1, c, t, v, dv, h, k1a):
     return vn, dvn, k7a, errv, erra
 
 
-def _refine_event(f, m1, c, t, v, dv, k1a, h, on_derivative, ref_scale,
-                  tol):
+def _refine_event(q, m1, t, v, dv, k1a, h, on_derivative, ref_scale, tol):
     """The point of (t, t + h] where v (v' if on_derivative) changes sign,
     to |v| <= tol * ref_scale, with v and v' there: RK steps from t whose
     length takes bisection-safeguarded Newton updates."""
@@ -141,7 +140,7 @@ def _refine_event(f, m1, c, t, v, dv, k1a, h, on_derivative, ref_scale,
     lo, hi, hh = 0.0, h, 0.5 * h
     vz, dvz = v, dv
     for _ in range(80):
-        vz, dvz, az, _, _ = _rk_step(f, m1, c, t, v, dv, hh, k1a)
+        vz, dvz, az, _, _ = _rk_step(q, m1, t, v, dv, hh, k1a)
         g = dvz if on_derivative else vz
         dg = az if on_derivative else dvz
         if abs(g) <= tol * ref_scale:
@@ -155,16 +154,16 @@ def _refine_event(f, m1, c, t, v, dv, k1a, h, on_derivative, ref_scale,
             step = 0.5 * (lo + hi)
         if abs(step - hh) < 1e-17 * h:
             hh = step
-            vz, dvz, az, _, _ = _rk_step(f, m1, c, t, v, dv, hh, k1a)
+            vz, dvz, az, _, _ = _rk_step(q, m1, t, v, dv, hh, k1a)
             break
         hh = step
     return t + hh, vz, dvz
 
 
-def integrate_radial(f, m_dim, c, v0, t_max, rtol, atol, max_zeros,
-                     max_steps, zero_tol):
-    """Integrate -(t^(M-1) v')' = c t^(M-1) f(v), v(0) = v0, v'(0) = 0, with
-    M = m_dim and f a scalar function, by adaptive Dormand-Prince 5(4).
+def integrate_radial(p, m_dim, v0, t_max, rtol, atol, max_zeros, max_steps,
+                     zero_tol):
+    """Integrate -(t^(M-1) v')' = t^(M-1) |v|^(p-1) v, v(0) = v0, v'(0) = 0,
+    with M = m_dim, by adaptive Dormand-Prince 5(4).
 
     Returns (status, ts, vs, dvs, zeros_t, zeros_dv, crits_t, crits_v): the
     status code, every accepted step, each zero of v with v' there and each
@@ -180,8 +179,9 @@ def integrate_radial(f, m_dim, c, v0, t_max, rtol, atol, max_zeros,
     ct, cv = np.empty(max_zeros + 2), np.empty(max_zeros + 2)
     vscale = abs(v0)
     m1 = -(m_dim - 1.0)
+    q = p - 1.0
     t, v, dv = 0.0, v0, 0.0
-    acc = -c * f(v0) / m_dim       # the regular limit of v'' at t = 0
+    acc = -(abs(v0) ** q * v0) / m_dim  # the regular limit of v'' at t = 0
     ts[0], vs[0], dvs[0] = t, v, dv
     ns, nz, nc = 1, 0, 0
     status = OK_TMAX
@@ -198,7 +198,7 @@ def integrate_radial(f, m_dim, c, v0, t_max, rtol, atol, max_zeros,
             break
         if t + h > t_max:
             h = t_max - t
-        vn, dvn, accn, errv, erra = _rk_step(f, m1, c, t, v, dv, h, acc)
+        vn, dvn, accn, errv, erra = _rk_step(q, m1, t, v, dv, h, acc)
         if not (math.isfinite(vn) and math.isfinite(dvn)
                 and math.isfinite(accn)):
             status = FAIL_NONFINITE
@@ -210,12 +210,11 @@ def integrate_radial(f, m_dim, c, v0, t_max, rtol, atol, max_zeros,
             h *= max(0.9 * err ** -0.2, 0.2)
             continue
         if dv != 0.0 and (dv > 0.0) != (dvn > 0.0) and nc < max_zeros + 2:
-            ct[nc], cv[nc], _ = _refine_event(f, m1, c, t, v, dv, acc, h,
-                                              True, max(abs(dv), abs(dvn)),
-                                              1e-10)
+            ct[nc], cv[nc], _ = _refine_event(q, m1, t, v, dv, acc, h, True,
+                                              max(abs(dv), abs(dvn)), 1e-10)
             nc += 1
         if (v > 0.0) != (vn > 0.0):
-            tz, vz, dvz = _refine_event(f, m1, c, t, v, dv, acc, h, False,
+            tz, vz, dvz = _refine_event(q, m1, t, v, dv, acc, h, False,
                                         vscale, zero_tol)
             zt[nz], zdv[nz] = tz, dvz
             nz += 1

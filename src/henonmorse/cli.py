@@ -47,9 +47,9 @@ from .morse import (SymmetryMultiplicity, degeneracy_scan, morse_index,
                     symmetric_morse_index)
 from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
                      dense_oracle_spectrum)
-from .radial import (BracketError, IntegrationError, RadialProfile,
-                     Nonlinearity, linearized_potential, profile_to_csv,
-                     profile_to_json, solve_nodal_power)
+from .radial import (IntegrationError, RadialProfile, linearized_potential,
+                     profile_to_csv, profile_to_json, solve_nodal_power,
+                     validate_profile)
 from .spectral import (SpectralConfig, SpectralError, Spectrum,
                        WeightedSLProblem, eigenfunction_to_csv,
                        solve_singular_spectrum, solve_standard_spectrum,
@@ -65,7 +65,8 @@ class ConfigError(ValueError):
 # 3: profile JSON records the row count of its CSV table.
 # 4: standard kind on the Liouville grid.
 # 5: fine singular grid by inverse iteration from its coarsening.
-CACHE_REVISION = 5
+# 6: singular spectra carry no fitted decay exponent (theta_fit).
+CACHE_REVISION = 6
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,8 @@ def _cache_dir(cfg: RunConfig) -> str:
 class Pipeline:
     """The profile -> potential -> spectra chain of one configuration.
 
-    The profile is solved at most once per Pipeline, on first use.  A
+    The profile is solved at most once per Pipeline, on first use, and
+    must pass validate_profile: a failed check is an IntegrationError.  A
     spectrum entry under <out>/cache is keyed by its kind and by k, the
     number of values it holds: the standard kind has a count-only entry
     (k = 0, what morse reads) and a values entry (what spectrum publishes),
@@ -211,7 +213,12 @@ class Pipeline:
 
     @functools.cached_property
     def profile(self) -> RadialProfile:
-        return solve_nodal_power(self.dmap.M, self.cfg.p, self.cfg.m)
+        prof = solve_nodal_power(self.dmap.M, self.cfg.p, self.cfg.m)
+        report = validate_profile(prof)
+        if not report.passed:
+            raise IntegrationError("profile fails its qualitative checks: "
+                                   + "; ".join(report.messages))
+        return prof
 
     def potential(self):
         if self.cfg.a_zero:
@@ -524,7 +531,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, BracketError, SpectralError) as exc:
+    except (IntegrationError, SpectralError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -241,8 +241,8 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
         pairs.append(EigenPair(
             value=float(values[i]), error_bar=float(bars[i]), grid=r,
             samples=psi, interior_nodes=nodes,
-            boundary_slope=float(slope), decay_exponent=None,
-            theta_analytic=None, uncertain=False))
+            boundary_slope=float(slope), theta_analytic=None,
+            uncertain=False))
     meta = {"n": n, "epsilon_cut": epsilon_cut, "grading": grading,
             "oracle": True, "richardson": bool(richardson)}
     return Spectrum(kind=prob.kind, M=prob.M, threshold=prob.threshold,

@@ -1,14 +1,12 @@
-"""Nodal radial solutions of -(t^(M-1) v')' = c t^(M-1) f(v) on [0, 1].
+"""Nodal radial solutions of -(t^(M-1) v')' = t^(M-1) |v|^(p-1) v on [0, 1].
 
 Every profile comes from one initial value problem integrator,
-_kernels.integrate_radial, started regularly at t=0 and given f as a scalar
-function: |v|^(p-1) v for a power, the user's f otherwise.  A power profile
-is one integration to the m-th zero, moved to 1 by the scaling symmetry
-v -> gamma^(2/(p-1)) v(gamma t); a generic nonlinearity goes through a
-shooting bisection on v(0).  An integration that cannot finish (non-finite
-values, step size underflow, a spent step budget) raises IntegrationError.
-Tolerances, step budgets and the cut of the qualitative checks are the
-module constants below.
+_kernels.integrate_radial, started regularly at t=0: one integration to the
+m-th zero, moved to 1 by the scaling symmetry
+v -> gamma^(2/(p-1)) v(gamma t).  An integration that cannot finish
+(non-finite values, step size underflow, a spent step budget) raises
+IntegrationError.  Tolerances, the step budget and the cut of the
+qualitative checks are the module constants below.
 """
 
 from __future__ import annotations
@@ -24,58 +22,14 @@ from . import _kernels
 from .dimension import generalized_dimension
 from .spectral import count_sign_changes
 
-PROFILE_RTOL, PROFILE_ATOL = 1e-10, 1e-12  # integrator, power profiles
+PROFILE_RTOL, PROFILE_ATOL = 1e-10, 1e-12  # integrator tolerances
 ZERO_TOL = 1e-12           # zeros are refined to |v| < ZERO_TOL |v(0)|
-POWER_MAX_STEPS = 600_000  # step budget of a power profile
-SHOOT_TOL = 1e-10          # shooting accepts |v(1)| <= SHOOT_TOL |v(0)|
-SHOOT_RTOL, SHOOT_ATOL = 1e-11, 1e-13      # integrator, each shot
-SHOOT_MAX_STEPS = 400_000  # step budget of each shot
+POWER_MAX_STEPS = 600_000  # step budget of a profile
 CHECK_TOL = 1e-7           # validate_profile's cut, relative to max |v|
 
 
 class IntegrationError(RuntimeError):
     """The IVP integrator could not deliver what was asked of it."""
-
-
-class BracketError(ValueError):
-    """A shooting bracket is degenerate or does not straddle the target."""
-
-
-@dataclass(frozen=True)
-class Nonlinearity:
-    """Right-hand side f(u), either |u|^(p-1) u or a user-supplied pair."""
-
-    kind: str                       # "power" | "custom"
-    p: float | None = None
-    f: Callable | None = None
-    f_prime: Callable | None = None
-    odd: bool = False
-
-    @classmethod
-    def power(cls, p: float) -> "Nonlinearity":
-        if p <= 1:
-            raise ValueError("power exponent must satisfy p > 1")
-        return cls(kind="power", p=float(p), odd=True)
-
-    @classmethod
-    def custom(cls, f: Callable, f_prime: Callable,
-               odd: bool = False) -> "Nonlinearity":
-        return cls(kind="custom", f=f, f_prime=f_prime, odd=bool(odd))
-
-    def __call__(self, u):
-        if self.kind == "power":
-            return np.abs(u) ** (self.p - 1.0) * u
-        return self.f(u)
-
-    def derivative(self, u):
-        if self.kind == "power":
-            return self.p * np.abs(u) ** (self.p - 1.0)
-        return self.f_prime(u)
-
-    def tag(self) -> str:
-        if self.kind == "power":
-            return f"power(p={self.p:.17g})"
-        return f"custom(odd={self.odd})"
 
 
 @dataclass(frozen=True)
@@ -96,30 +50,30 @@ class EmdenTrajectory:
         return self.status == _kernels.OK_EVENTS
 
 
-def integrate_emden_ivp(M: float, nl: Nonlinearity, c: float, v0: float,
-                        t_max: float, *, rtol: float = PROFILE_RTOL,
+def integrate_emden_ivp(M: float, p: float, v0: float, t_max: float, *,
+                        rtol: float = PROFILE_RTOL,
                         atol: float = PROFILE_ATOL, max_zeros: int = 64,
                         max_steps: int = POWER_MAX_STEPS) -> EmdenTrajectory:
-    """Integrate v'' + (M-1)/t v' + c f(v) = 0 from the regular start at 0
-    (_kernels.integrate_radial).
+    """Integrate v'' + (M-1)/t v' + |v|^(p-1) v = 0 from the regular start
+    at 0 (_kernels.integrate_radial).
 
-    v(0)=v0, v'(0)=0, v''(0) = -c f(v0)/M.  Each sign change of v is refined
-    to |v| < ZERO_TOL * |v0|; sign changes of v' are refined to critical
-    points.  Stops after max_zeros zeros or at t_max.  A non-finite value,
-    a step size underflow or a spent budget of max_steps accepted steps
-    raises IntegrationError.
+    v(0)=v0, v'(0)=0, v''(0) = -|v0|^(p-1) v0/M.  Each sign change of v is
+    refined to |v| < ZERO_TOL * |v0|; sign changes of v' are refined to
+    critical points.  Stops after max_zeros zeros or at t_max.  A non-finite
+    value, a step size underflow or a spent budget of max_steps accepted
+    steps raises IntegrationError.
     """
     if v0 == 0:
         raise ValueError("v0 must be nonzero; v0=0 is the trivial solution")
     if M < 2:
         raise ValueError("M must be >= 2")
+    if p <= 1:
+        raise ValueError("p must be > 1")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
 
-    p = nl.p
-    f = nl.f if nl.kind == "custom" else lambda v: abs(v) ** (p - 1.0) * v
     status, ts, vs, dvs, zt, zdv, ct, cv = _kernels.integrate_radial(
-        f, float(M), float(c), float(v0), float(t_max), float(rtol),
+        float(p), float(M), float(v0), float(t_max), float(rtol),
         float(atol), int(max_zeros), int(max_steps), ZERO_TOL)
     if status == _kernels.FAIL_NONFINITE:
         raise IntegrationError("nonlinearity returned a non-finite value")
@@ -157,8 +111,7 @@ class RadialProfile:
     critical_points: np.ndarray
     extremal_values: np.ndarray
     nodal_zones: int
-    nonlinearity: Nonlinearity
-    coupling: float
+    p: float                        # f(u) = |u|^(p-1) u
     meta: dict = field(default_factory=dict)
 
     def evaluate(self, t):
@@ -206,11 +159,9 @@ def solve_nodal_power(M: float, p: float, m: int, *,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p <= 1:
-        raise ValueError("p must be > 1")
     supercritical = bool(M > 2 and p >= (M + 2) / (M - 2))
-    traj = integrate_emden_ivp(M, Nonlinearity.power(p), 1.0, 1.0, t_max,
-                               rtol=rtol, atol=atol, max_zeros=m)
+    traj = integrate_emden_ivp(M, p, 1.0, t_max, rtol=rtol, atol=atol,
+                               max_zeros=m)
     if not traj.reached_target:
         raise IntegrationError(
             f"zero #{m} not found before t_max={t_max:g} "
@@ -236,106 +187,7 @@ def solve_nodal_power(M: float, p: float, m: int, *,
                          values=values, derivative=derivative, zeros=zeros,
                          critical_points=crits[:m - 1],
                          extremal_values=extremal[:m],
-                         nodal_zones=m, nonlinearity=Nonlinearity.power(p),
-                         coupling=1.0, meta=meta)
-
-
-def _interior_zero_count(M, nl, c, d):
-    """Zeros of the IVP solution with v(0)=d inside (0, 1)."""
-    traj = integrate_emden_ivp(M, nl, c, d, 1.0, rtol=SHOOT_RTOL,
-                               atol=SHOOT_ATOL, max_zeros=64,
-                               max_steps=SHOOT_MAX_STEPS)
-    return int(np.count_nonzero(traj.zeros < 1.0 - 1e-13)), traj
-
-
-def solve_nodal_shooting(M: float, nl: Nonlinearity, c: float, m: int,
-                         bracket=None) -> RadialProfile:
-    """Nodal solution for a generic nonlinearity by bisection on v(0).
-
-    Finds d with the m-th zero of the IVP solution sitting at t=1, i.e.
-    m-1 interior zeros and |v(1)| <= SHOOT_TOL * d.  Zero-count monotonicity
-    in d is assumed, not proven; when a bisection midpoint contradicts it the
-    bracket is reported through BracketError instead of being silently
-    accepted.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if bracket is not None:
-        d_lo, d_hi = float(bracket[0]), float(bracket[1])
-        if d_lo == d_hi:
-            raise BracketError("empty bracket")
-        k_lo, _ = _interior_zero_count(M, nl, c, d_lo)
-        k_hi, _ = _interior_zero_count(M, nl, c, d_hi)
-        if k_lo > k_hi:
-            d_lo, d_hi, k_lo, k_hi = d_hi, d_lo, k_hi, k_lo
-        if not (k_lo <= m - 1 and k_hi >= m):
-            raise BracketError(
-                f"bracket zero counts ({k_lo}, {k_hi}) do not straddle m={m}")
-    else:
-        d_lo = d_hi = 1.0
-        k_lo = k_hi = _interior_zero_count(M, nl, c, 1.0)[0]
-        growth = 0
-        while k_hi < m:
-            d_hi *= 2.0
-            growth += 1
-            if growth > 60:
-                raise BracketError("no upper bracket below 2^60")
-            k_hi, _ = _interior_zero_count(M, nl, c, d_hi)
-        growth = 0
-        while k_lo > m - 1:
-            d_lo /= 2.0
-            growth += 1
-            if growth > 60:
-                raise BracketError("no lower bracket above 2^-60")
-            k_lo, _ = _interior_zero_count(M, nl, c, d_lo)
-
-    traj_final = None
-    d = d_hi
-    for _ in range(200):
-        d = 0.5 * (d_lo + d_hi)
-        k_mid, traj = _interior_zero_count(M, nl, c, d)
-        if not (k_lo <= k_mid <= k_hi):
-            raise BracketError(
-                f"zero count non-monotone in the bracket: "
-                f"count({d:g})={k_mid} outside [{k_lo}, {k_hi}]")
-        if k_mid >= m:
-            d_hi = d
-        else:
-            d_lo = d
-            traj_final = (d, traj)
-        if (d_hi - d_lo) < 1e-15 * max(1.0, abs(d)):
-            break
-    if traj_final is None:
-        k_mid, traj = _interior_zero_count(M, nl, c, d_lo)
-        if k_mid != m - 1:
-            raise BracketError("bisection failed to settle on a shooting "
-                               "value with m-1 interior zeros")
-        traj_final = (d_lo, traj)
-    d, traj = traj_final
-
-    # solution with m-1 interior zeros; residual at the boundary measures
-    # how far the m-th zero is from t=1
-    res = abs(traj.vs[-1])
-    if res > SHOOT_TOL * abs(d):
-        raise IntegrationError(
-            f"shooting residual |v(1)|={res:.3e} above "
-            f"tol*d={SHOOT_TOL * abs(d):.3e}")
-    grid = traj.ts.copy()
-    values = traj.vs.copy()
-    derivative = traj.dvs.copy()
-    grid[-1] = 1.0
-    values[-1] = 0.0
-    interior = traj.zeros[traj.zeros < 1.0 - 1e-12]
-    zeros = np.concatenate((interior[:m - 1], [1.0]))
-    crits = traj.critical_points
-    extremal = np.concatenate(([values[0]], np.abs(traj.critical_values)))
-    meta = {"shoot_value": float(d), "residual": float(res),
-            "rtol": SHOOT_RTOL, "atol": SHOOT_ATOL}
-    return RadialProfile(variable="emden", M=float(M), grid=grid,
-                         values=values, derivative=derivative, zeros=zeros,
-                         critical_points=crits[:m - 1],
-                         extremal_values=extremal[:m], nodal_zones=m,
-                         nonlinearity=nl, coupling=float(c), meta=meta)
+                         nodal_zones=m, p=float(p), meta=meta)
 
 
 def henon_profile(N: int, alpha: float, p: float, m: int,
@@ -362,8 +214,7 @@ def henon_profile(N: int, alpha: float, p: float, m: int,
                          zeros=base.zeros ** (1.0 / s),
                          critical_points=base.critical_points ** (1.0 / s),
                          extremal_values=amp * base.extremal_values,
-                         nodal_zones=m, nonlinearity=base.nonlinearity,
-                         coupling=1.0, meta=meta)
+                         nodal_zones=m, p=base.p, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -379,44 +230,27 @@ class QualitativeReport:
     first_zone_decreasing: bool
     critical_points_ok: bool
     extremal_chain_ok: bool
-    extremal_chain_enforced: bool
-    structure_enforced: bool
     initial_slope: float
     initial_slope_ok: bool
     messages: list
 
     @property
     def passed(self) -> bool:
-        hard = (self.zero_count_ok and self.boundary_zero_ok
+        return (self.zero_count_ok and self.boundary_zero_ok
                 and self.positive_at_origin and self.sign_alternation_ok
-                and self.initial_slope_ok)
-        if self.structure_enforced:
-            hard = hard and self.first_zone_decreasing \
-                and self.critical_points_ok
-            if self.extremal_chain_enforced:
-                hard = hard and self.extremal_chain_ok
-        return hard
+                and self.first_zone_decreasing and self.critical_points_ok
+                and self.extremal_chain_ok and self.initial_slope_ok)
 
 
-def validate_profile(prof: RadialProfile, *,
-                     assume_positive_ratio: bool | None = None
-                     ) -> QualitativeReport:
+def validate_profile(prof: RadialProfile) -> QualitativeReport:
     """Check the qualitative structure a nodal solution must carry, with
-    values below CHECK_TOL max |v| counted as zero.
-
-    Monotonicity of the first zone, one-critical-point-per-zone and the
-    extremal chains hold when f(u)/u > 0 off zero; that is automatic for
-    powers but not checkable for user nonlinearities, so for those the
-    structural checks only warn unless `assume_positive_ratio` is set.
-    """
+    values below CHECK_TOL max |v| counted as zero: m zeros, the last at 1,
+    alternating signs from a positive v(0), a decreasing first zone, one
+    critical point per later zone, strictly falling extremal values |v| and
+    a flat start.  Each message names a failed check."""
     msgs = []
     m = prof.nodal_zones
     scale = float(np.max(np.abs(prof.values)))
-    if assume_positive_ratio is None:
-        assume_positive_ratio = prof.nonlinearity.kind == "power"
-    if not assume_positive_ratio:
-        msgs.append("f(u)/u > 0 not assumed: structural checks are "
-                    "advisory only")
 
     zero_count_ok = len(prof.zeros) == m
     boundary_zero_ok = bool(abs(prof.zeros[-1] - 1.0) < 1e-12
@@ -424,6 +258,10 @@ def validate_profile(prof: RadialProfile, *,
     positive_at_origin = prof.values[0] > 0
     if not zero_count_ok:
         msgs.append(f"expected {m} zeros, recorded {len(prof.zeros)}")
+    if not boundary_zero_ok:
+        msgs.append("profile does not vanish at t=1")
+    if not positive_at_origin:
+        msgs.append(f"v(0)={prof.values[0]:.6g} is not positive")
 
     # sign alternation: every clearly-nonzero sample inside zone i must
     # carry the sign (-1)^i
@@ -455,11 +293,6 @@ def validate_profile(prof: RadialProfile, *,
 
     ext = prof.extremal_values
     chain_ok = bool(np.all(np.diff(ext) < 0)) if len(ext) > 1 else True
-    enforced = prof.nonlinearity.odd
-    if not enforced and len(ext) > 2:
-        # without oddness only the same-sign chains are ordered
-        chain_ok = (bool(np.all(np.diff(ext[0::2]) < 0))
-                    and bool(np.all(np.diff(ext[1::2]) < 0)))
     if not chain_ok:
         msgs.append("extremal values are not ordered as expected")
 
@@ -474,8 +307,6 @@ def validate_profile(prof: RadialProfile, *,
         sign_alternation_ok=sign_alternation_ok,
         first_zone_decreasing=first_zone_decreasing,
         critical_points_ok=crit_ok, extremal_chain_ok=chain_ok,
-        extremal_chain_enforced=enforced,
-        structure_enforced=bool(assume_positive_ratio),
         initial_slope=slope0, initial_slope_ok=slope_ok, messages=msgs)
 
 
@@ -489,16 +320,13 @@ class AuxiliaryZ:
 def auxiliary_z(prof: RadialProfile) -> AuxiliaryZ:
     """z = t v' + 2/(p-1) v on the profile grid, with its interior zero count.
 
-    Only defined for power profiles in the transformed variable; z vanishes
-    exactly m times in (0, 1) for an m-nodal solution.
+    Defined for profiles in the transformed variable; z vanishes exactly m
+    times in (0, 1) for an m-nodal solution.
     """
-    if prof.nonlinearity.kind != "power":
-        raise ValueError("the auxiliary function is defined for power "
-                         "nonlinearities only")
     if prof.variable != "emden":
         raise ValueError("auxiliary_z expects a profile in the transformed "
                          "(emden) variable")
-    p = prof.nonlinearity.p
+    p = prof.p
     z = prof.grid * prof.derivative + 2.0 / (p - 1.0) * prof.values
     inner = (prof.grid > 0.0) & (prof.grid < 1.0)
     count = count_sign_changes(z[inner], 1e-12 * float(np.max(np.abs(z))))
@@ -506,12 +334,12 @@ def auxiliary_z(prof: RadialProfile) -> AuxiliaryZ:
 
 
 def linearized_potential(prof: RadialProfile) -> Callable:
-    """Potential a(t) = c f'(v(t)) of the linearization along the profile."""
-    nl = prof.nonlinearity
-    c = prof.coupling
+    """Potential a(t) = f'(v(t)) = p |v(t)|^(p-1) of the linearization along
+    the profile."""
+    p = prof.p
 
     def a(t):
-        return c * nl.derivative(prof.evaluate(t))
+        return p * np.abs(prof.evaluate(t)) ** (p - 1.0)
 
     return a
 
@@ -532,8 +360,8 @@ def profile_to_json(prof: RadialProfile, path) -> None:
     doc = {
         "variable": prof.variable,
         "M": prof.M,
-        "nonlinearity": prof.nonlinearity.tag(),
-        "coupling": prof.coupling,
+        "nonlinearity": f"power(p={prof.p:.17g})",
+        "coupling": 1.0,
         "nodal_zones": prof.nodal_zones,
         "rows": len(prof.grid),
         "zeros": [float(z) for z in prof.zeros],

@@ -110,8 +110,7 @@ class EigenPair:
     samples: np.ndarray           # psi(r), unit norm in the problem's weight
     interior_nodes: int
     boundary_slope: float         # psi'(1)
-    decay_exponent: float | None  # fitted theta, singular negative pairs
-    theta_analytic: float | None
+    theta_analytic: float | None  # singular negative pairs
     uncertain: bool = False
     x_grid: np.ndarray | None = None   # Liouville nodes, when applicable
     u_samples: np.ndarray | None = None
@@ -451,8 +450,8 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
                 bars, vecs) -> tuple:
     """EigenPairs from the unknowns, node 1 on, in the columns of vecs: u
     positive next to r=1 and normalized in the kind's mass, psi = e^(cx) u;
-    singular pairs get their decay fits and uncertain flags.  All pairs
-    share one r grid and one x grid.
+    singular pairs get their analytic decay rates and uncertain flags.  All
+    pairs share one r grid and one x grid.
 
     Nodes are counted on u, not psi: the two share their sign pattern, but
     u stays bounded while psi may grow toward the origin for eigenvalues
@@ -473,13 +472,12 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
         psi = u * np.exp(a_half * x)
         # psi'(1) = -(c u + u') at x = 0, u' one-sided to second order
         slope = -(a_half * u[0] + np.gradient(u[:3], h, edge_order=2)[0])
-        uncertain, theta_fit, theta_an = False, None, None
+        uncertain, theta_an = False, None
         if singular:
             kappa = math.sqrt(max(prob.threshold - values[i], 0.0))
             uncertain = kappa * x[-1] < CERTIFY_KAPPA_X
             if values[i] < 0:
                 theta_an = theta_analytic(values[i], prob.M)
-                theta_fit = _fit_decay(x, u, a_half, None)[0]
         inner = u[1:-1]
         nodes = count_sign_changes(inner,
                                    NODE_TOL * float(np.max(np.abs(inner))))
@@ -487,7 +485,7 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
             value=float(values[i]), error_bar=float(bars[i]),
             grid=r_grid, samples=psi[::-1].copy(),
             interior_nodes=nodes, boundary_slope=float(slope),
-            decay_exponent=theta_fit, theta_analytic=theta_an,
+            theta_analytic=theta_an,
             uncertain=bool(uncertain),
             x_grid=x, u_samples=u))
     return tuple(pairs)
@@ -709,7 +707,6 @@ def spectrum_to_json(spec: Spectrum, path) -> None:
                 "value": p.value,
                 "error_bar": p.error_bar,
                 "nodes": p.interior_nodes,
-                "theta_fit": p.decay_exponent,
                 "theta_analytic": p.theta_analytic,
                 "uncertain": p.uncertain,
             }
@@ -731,7 +728,7 @@ def spectrum_from_json(path) -> Spectrum:
         EigenPair(value=e["value"], error_bar=e["error_bar"],
                   grid=np.empty(0), samples=np.empty(0),
                   interior_nodes=e["nodes"],
-                  boundary_slope=math.nan, decay_exponent=e["theta_fit"],
+                  boundary_slope=math.nan,
                   theta_analytic=e["theta_analytic"],
                   uncertain=e["uncertain"])
         for e in doc["eigenvalues"])

@@ -559,6 +559,28 @@ def test_morse_refuses_differing_negative_counts(tmp_path, monkeypatch,
     assert not (out / "morse.csv").exists()
 
 
+def test_profile_failing_its_checks_publishes_nothing(tmp_path, monkeypatch,
+                                                      capsys):
+    # every solved profile passes validate_profile before any stage reads it
+    real = cli.solve_nodal_power
+
+    def one_sign_flipped(*args, **kwargs):
+        prof = real(*args, **kwargs)
+        values = prof.values.copy()
+        i = np.searchsorted(prof.grid, 0.1)  # inside the positive zone
+        values[i] = -values[i]
+        return dataclasses.replace(prof, values=values)
+
+    monkeypatch.setattr(cli, "solve_nodal_power", one_sign_flipped)
+    for command in ("solve", "morse"):
+        out = tmp_path / command
+        assert run([command] + REFERENCE + ["--out", out]) == 3
+        assert "sign error inside nodal zone 0" in capsys.readouterr().err
+        assert not list(out.glob("profile.*"))
+        assert not list(out.glob("morse.*"))
+        assert not list(out.glob("cache/*"))
+
+
 def _cache_files(out):
     return {p.name: p.stat().st_mtime_ns for p in out.glob("cache/*")}
 

@@ -188,16 +188,12 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
             K.rayleigh_refine(d, e, eig)
 
 
-def cube(v):
-    return abs(v) ** 2.0 * v
-
-
 def test_integrator_zero_locations_against_step_halving():
     # the same integration at tighter tolerance is the independent check
-    loose = K.integrate_radial(cube, 3.0, 1.0, 1.0, 1e3, 1e-8, 1e-10, 2,
-                               200000, 1e-12)
-    tight = K.integrate_radial(cube, 3.0, 1.0, 1.0, 1e3, 1e-12, 1e-14, 2,
-                               400000, 1e-13)
+    loose = K.integrate_radial(3.0, 3.0, 1.0, 1e3, 1e-8, 1e-10, 2, 200000,
+                               1e-12)
+    tight = K.integrate_radial(3.0, 3.0, 1.0, 1e3, 1e-12, 1e-14, 2, 400000,
+                               1e-13)
     assert loose[0] == K.OK_EVENTS and tight[0] == K.OK_EVENTS
     z_loose, z_tight = loose[4], tight[4]
     assert np.allclose(z_loose, z_tight, rtol=1e-7)
@@ -209,18 +205,15 @@ def test_integrator_zero_locations_against_step_halving():
 def test_integrator_nonfinite_rhs_reported():
     # an infinite value at t = 0 must not shrink the first step to nothing
     # (a step-size underflow) before the step that exposes it
-    for bad in (np.nan, np.float64("inf")):
-        def bad_f(v):
-            return bad
-        with np.errstate(invalid="ignore"):
-            out = K.integrate_radial(bad_f, 3.0, 1.0, 1.0, 1e3, 1e-10,
-                                     1e-12, 2, 1000, 1e-12)
+    for bad in (float("nan"), float("inf")):
+        out = K.integrate_radial(3.0, 3.0, bad, 1e3, 1e-10, 1e-12, 2, 1000,
+                                 1e-12)
         assert out[0] == K.FAIL_NONFINITE, bad
 
 
 def test_critical_points_located():
-    out = K.integrate_radial(cube, 3.0, 1.0, 1.0, 1e3, 1e-10, 1e-12, 2,
-                             200000, 1e-12)
+    out = K.integrate_radial(3.0, 3.0, 1.0, 1e3, 1e-10, 1e-12, 2, 200000,
+                             1e-12)
     crit_t, crit_v = out[6], out[7]
     assert len(crit_t) == 1
     # interior minimum between the two zeros, negative value

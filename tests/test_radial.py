@@ -6,12 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from henonmorse import radial
-from henonmorse.radial import (BracketError, IntegrationError,
-                               Nonlinearity, auxiliary_z, henon_profile,
-                               integrate_emden_ivp, linearized_potential,
-                               profile_to_csv, profile_to_json,
-                               solve_nodal_power, solve_nodal_shooting,
+from henonmorse.radial import (IntegrationError, auxiliary_z,
+                               henon_profile, integrate_emden_ivp,
+                               linearized_potential, profile_to_csv,
+                               profile_to_json, solve_nodal_power,
                                validate_profile)
 
 # frozen from an independent high-order adaptive run (rtol 1e-12) of the
@@ -21,8 +19,7 @@ T2_REF = 35.96194003077796
 
 
 def test_ivp_basic_power_case():
-    traj = integrate_emden_ivp(3.0, Nonlinearity.power(3.0), 1.0, 1.0, 40.0,
-                               max_zeros=1)
+    traj = integrate_emden_ivp(3.0, 3.0, 1.0, 40.0, max_zeros=1)
     assert traj.reached_target
     assert traj.zeros[0] == pytest.approx(T1_REF, rel=1e-8)
     assert traj.zero_slopes[0] < 0
@@ -32,43 +29,22 @@ def test_ivp_basic_power_case():
 
 def test_ivp_rejects_trivial_start():
     with pytest.raises(ValueError):
-        integrate_emden_ivp(2.0, Nonlinearity.power(2.5), 1.0, 0.0, 10.0)
-
-
-def test_ivp_custom_cube_is_the_cubic_power_bitwise():
-    # one integrator for both kinds: f(u) = |u|^2 u given as a custom
-    # nonlinearity runs the same arithmetic as the power p = 3
-    custom = Nonlinearity.custom(lambda u: abs(u) ** 2.0 * u,
-                                 lambda u: 3.0 * u * u, odd=True)
-    a = integrate_emden_ivp(3.0, Nonlinearity.power(3.0), 1.0, 1.0, 1e3,
-                            max_zeros=2)
-    b = integrate_emden_ivp(3.0, custom, 1.0, 1.0, 1e3, max_zeros=2)
-    assert a.status == b.status and a.reached_target
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        assert np.array_equal(x, y), field.name
+        integrate_emden_ivp(2.0, 2.5, 0.0, 10.0)
+    for p in (1.0, 0.5):
+        with pytest.raises(ValueError, match="p must be > 1"):
+            integrate_emden_ivp(2.0, p, 1.0, 10.0)
 
 
 def test_ivp_spent_step_budget_is_an_error():
     # 60 steps end at t = 0.878, well before the first zero near 6.9
     with pytest.raises(IntegrationError,
                        match=r"budget of 60 steps exhausted at t=0\.878"):
-        integrate_emden_ivp(3.0, Nonlinearity.power(3.0), 1.0, 1.0, 40.0,
-                            max_zeros=1, max_steps=60)
-
-
-def test_shooting_names_a_spent_step_budget(monkeypatch):
-    # a shot cut by its budget is neither read as "too few zeros" nor
-    # reported as a step size underflow
-    monkeypatch.setattr(radial, "SHOOT_MAX_STEPS", 60)
-    with pytest.raises(IntegrationError, match="budget of 60 steps"):
-        solve_nodal_shooting(3.0, Nonlinearity.power(3.0), 1.0, 2)
+        integrate_emden_ivp(3.0, 3.0, 1.0, 40.0, max_zeros=1, max_steps=60)
 
 
 def test_ivp_second_derivative_at_origin():
-    # regular start: v''(0) = -c f(v0)/M = -1/3 for M=3, f(1)=1
-    traj = integrate_emden_ivp(3.0, Nonlinearity.power(3.0), 1.0, 1.0, 0.02,
-                               max_zeros=1)
+    # regular start: v''(0) = -|v0|^(p-1) v0/M = -1/3 for M=3, v0=1
+    traj = integrate_emden_ivp(3.0, 3.0, 1.0, 0.02, max_zeros=1)
     t, v = traj.ts, traj.vs
     small = (t > 0) & (t < 0.02)
     est = 2.0 * (v[small] - 1.0) / t[small] ** 2
@@ -77,8 +53,7 @@ def test_ivp_second_derivative_at_origin():
 
 def test_ivp_energy_monotonicity():
     # F(v0) - F(v(t)) - (v'(t))^2/2 equals (M-1) int_0^t v'^2/s ds >= 0
-    traj = integrate_emden_ivp(3.0, Nonlinearity.power(3.0), 1.0, 1.0, 30.0,
-                               max_zeros=2)
+    traj = integrate_emden_ivp(3.0, 3.0, 1.0, 30.0, max_zeros=2)
     t, v, dv = traj.ts, traj.vs, traj.dvs
     F = lambda u: 0.25 * np.abs(u) ** 4
     lhs = F(1.0) - F(v) - 0.5 * dv ** 2
@@ -145,31 +120,6 @@ def test_residual_shrinks_under_solver_refinement():
     loose, tight = defect_norm(1e-6), defect_norm(1e-10)
     assert tight < 0.05 * loose
     assert tight < 1e-7
-
-
-def test_shooting_matches_power_scaling():
-    prof_p = solve_nodal_power(3.0, 3.0, 2)
-    prof_s = solve_nodal_shooting(3.0, Nonlinearity.power(3.0), 1.0, 2)
-    t = np.linspace(0.0, 1.0, 801)
-    diff = np.max(np.abs(prof_p.evaluate(t) - prof_s.evaluate(t)))
-    assert diff < 1e-6 * np.max(np.abs(prof_p.values))
-
-
-def test_shooting_generic_cubic_plus_linear():
-    nl = Nonlinearity.custom(lambda u: u + u ** 3,
-                             lambda u: 1.0 + 3.0 * u ** 2, odd=True)
-    prof = solve_nodal_shooting(3.0, nl, 1.0, 2)
-    assert prof.nodal_zones == 2
-    # regression value recorded from the first verified run (also confirmed
-    # against an independent adaptive integrator)
-    assert prof.meta["shoot_value"] == pytest.approx(34.8458961576, rel=1e-8)
-    assert validate_profile(prof, assume_positive_ratio=True).passed
-
-
-def test_shooting_degenerate_bracket():
-    with pytest.raises(BracketError):
-        solve_nodal_shooting(3.0, Nonlinearity.power(3.0), 1.0, 2,
-                             bracket=(1.0, 1.0))
 
 
 def test_henon_profile_alpha_zero_identity():
@@ -246,14 +196,6 @@ def test_auxiliary_z_alternates_at_profile_zeros():
     assert np.all(np.sign(vals) == [-1.0, 1.0])
 
 
-def test_auxiliary_z_rejects_custom():
-    nl = Nonlinearity.custom(lambda u: u, lambda u: np.ones_like(u))
-    prof = solve_nodal_power(3.0, 3.0, 1)
-    bad = dataclasses.replace(prof, nonlinearity=nl)
-    with pytest.raises(ValueError):
-        auxiliary_z(bad)
-
-
 def test_linearized_potential_matches_power_formula():
     prof = solve_nodal_power(3.0, 3.0, 2)
     a = linearized_potential(prof)
@@ -274,5 +216,5 @@ def test_profile_serialization(tmp_path):
     assert doc["nodal_zones"] == 2
     assert doc["rows"] == len(csv_path.read_text().splitlines()) - 1
     assert len(doc["zeros"]) == 2
-    assert doc["nonlinearity"].startswith("power")
+    assert doc["nonlinearity"] == "power(p=3)" and doc["coupling"] == 1.0
     assert doc["solver"]["rtol"] == 1e-10
