@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that reads or writes files.
 
 Subcommands: solve, spectrum, morse, sweep, oracle.  A single JSON config
 document may supply any RunConfig field; command-line flags override file
@@ -6,22 +6,29 @@ fields, and defaults fill the rest (precedence: flags > file > defaults).
 Numerical defaults and bounds are SpectralConfig's and the oracle's; the
 other solver settings are module constants, not config fields.
 Every subcommand builds its results through a Pipeline, which solves the
-profile at most once per configuration.  Results are cached under
-<out>/cache, one entry per stage, spectrum kind and number of values held,
-keyed by a content hash of exactly the fields that feed the stage, so
-spectra survive report-level changes, and of the package version and
-CACHE_REVISION, so entries written by older solver code are not served.
-Cache files are moved into place whole; an entry that cannot be read is
-recomputed.
+profile at most once per run.  Spectra are cached under <out>/cache, one
+entry per kind and number of values held, keyed by a content hash of
+exactly the fields that feed a spectrum, so spectra survive report-level
+changes, and of the package version and CACHE_REVISION, so entries written
+by older solver code are not served.  Cache files are moved into place
+whole; an entry that cannot be read is recomputed.  Profiles are not
+cached: each solve run solves its profile again, in a few ms.
+
+Result files and cache entries are JSON documents (_write_json) or CSV
+tables (_write_csv, every float as %.17g, which reads back bitwise), so
+reruns write byte-identical files.  The numerical modules import neither
+csv nor json.
 
 The argument parser is built once per process, on the first main call, and
 reused by every later call.  Non-finite float values (inf, nan), in a flag,
 a config file or a sweep --range, are config errors.
 
 Exit codes: 0 success, 2 config error, 3 solver failure (including a morse
-run whose standard and singular negative counts differ), 4 oracle mismatch:
-an eigenvalue beyond tolerance, differing negative counts, or a certified
-solver eigenvalue the oracle did not find.
+run whose standard and singular negative counts differ, and a morse or
+sweep run whose singular spectrum holds fewer negative pairs than it counts
+or a near-threshold one), 4 oracle mismatch: an eigenvalue beyond
+tolerance, differing negative counts, or a certified solver eigenvalue the
+oracle did not find.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import hashlib
 import json
 import math
 import os
-import shutil
 import sys
 from dataclasses import dataclass
 
@@ -42,18 +48,15 @@ import numpy as np
 
 from . import __version__
 from .dimension import generalized_dimension
-from .morse import (SymmetryMultiplicity, degeneracy_scan, morse_index,
-                    morse_report_doc, morse_report_rows,
-                    symmetric_morse_index)
+from .morse import (MorseReport, SymmetryMultiplicity, degeneracy_scan,
+                    morse_index, symmetric_morse_index)
 from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
                      dense_oracle_spectrum)
 from .radial import (IntegrationError, RadialProfile, linearized_potential,
-                     profile_to_csv, profile_to_json, solve_nodal_power,
-                     validate_profile)
-from .spectral import (SpectralConfig, SpectralError, Spectrum,
-                       WeightedSLProblem, eigenfunction_to_csv,
-                       solve_singular_spectrum, solve_standard_spectrum,
-                       spectrum_from_json, spectrum_to_json, zero_potential)
+                     solve_nodal_power, validate_profile)
+from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
+                       WeightedSLProblem, solve_singular_spectrum,
+                       solve_standard_spectrum, zero_potential)
 
 
 class ConfigError(ValueError):
@@ -157,37 +160,12 @@ class RunConfig:
     def spectral_config(self) -> SpectralConfig:
         return SpectralConfig(n=self.grid, x_max=self.xmax, tol=self.tol)
 
-    _STAGE_FIELDS = {"profile": ("N", "alpha", "p", "m"),
-                     "spectrum": ("N", "alpha", "p", "m", "k", "grid",
-                                  "xmax", "tol", "a_zero")}
+    _SPECTRUM_FIELDS = ("N", "alpha", "p", "m", "k", "grid", "xmax", "tol",
+                        "a_zero")
 
-    def subsection(self, stage: str) -> dict:
-        """Fields feeding a stage, in hash-canonical form."""
-        return {k: getattr(self, k) for k in self._STAGE_FIELDS[stage]}
-
-
-def _stage_key(sub: dict) -> str:
-    doc = {"fields": sub, "version": __version__, "revision": CACHE_REVISION}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _write_cache(write, obj, path) -> None:
-    """write(obj, tmp), then move tmp onto path: a reader sees the whole
-    file or none."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        write(obj, tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _cache_dir(cfg: RunConfig) -> str:
-    path = os.path.join(cfg.out, "cache")
-    os.makedirs(path, exist_ok=True)
-    return path
+    def spectrum_fields(self) -> dict:
+        """The fields feeding a spectrum, in hash-canonical form."""
+        return {k: getattr(self, k) for k in self._SPECTRUM_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +187,7 @@ class Pipeline:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.dmap = generalized_dimension(cfg.N, cfg.alpha)
-        self.cache = _cache_dir(cfg)
+        self.cache = os.path.join(cfg.out, "cache")
 
     @functools.cached_property
     def profile(self) -> RadialProfile:
@@ -226,14 +204,17 @@ class Pipeline:
         return linearized_potential(self.profile)
 
     def entry(self, kind: str, k: int) -> str:
-        key = _stage_key(dict(self.cfg.subsection("spectrum"), k=k))
+        doc = {"fields": dict(self.cfg.spectrum_fields(), k=k),
+               "version": __version__, "revision": CACHE_REVISION}
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        key = hashlib.sha256(blob.encode()).hexdigest()[:16]
         return os.path.join(self.cache, f"{kind}-{key}.json")
 
     def cached(self, kind: str, k: int) -> Spectrum | None:
         """The cached spectrum of this kind and k, or None when its entry is
         missing or unreadable."""
         try:
-            return spectrum_from_json(self.entry(kind, k))
+            return _read_spectrum(self.entry(kind, k))
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
@@ -241,7 +222,7 @@ class Pipeline:
         spec = self.cached(kind, k)
         if spec is None:
             spec = self._solve(kind, k)
-            _write_cache(spectrum_to_json, spec, self.entry(kind, k))
+            _write_cache(_spectrum_doc(spec), self.entry(kind, k))
         return spec
 
     def _solve(self, kind: str, k: int) -> Spectrum:
@@ -251,38 +232,131 @@ class Pipeline:
         return solve(prob, k, self.cfg.spectral_config())
 
 
-def _check_profile_entry(csv_path, json_path) -> None:
-    """Raise OSError or ValueError unless both profile files parse and the
-    table has the row count the JSON records (a cut table can still
-    parse)."""
-    with open(json_path) as fh:
-        doc = json.load(fh)
-    with open(csv_path, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    if header != ["t", "v", "v_prime"] or any(len(r) != 3 for r in rows):
-        raise ValueError(f"{csv_path}: not a profile table")
-    if not isinstance(doc, dict) or doc.get("rows") != len(rows):
-        raise ValueError(f"{csv_path}: row count differs from {json_path}")
-    np.array(rows, dtype=float)
-
+# ---------------------------------------------------------------------------
+# files
+# ---------------------------------------------------------------------------
 
 def _write_json(doc: dict, path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    pipe = Pipeline(cfg)
-    key = _stage_key(cfg.subsection("profile"))
-    csv_cache = os.path.join(pipe.cache, f"profile-{key}.csv")
-    json_cache = os.path.join(pipe.cache, f"profile-{key}.json")
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row]
+                    for row in rows)
+
+
+def _write_cache(doc: dict, path) -> None:
+    """_write_json to a temporary file, then moved onto path: a reader sees
+    the whole entry or none."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        _check_profile_entry(csv_cache, json_cache)
-    except (OSError, ValueError):  # missing or unreadable: recompute
-        _write_cache(profile_to_csv, pipe.profile, csv_cache)
-        _write_cache(profile_to_json, pipe.profile, json_cache)
-    shutil.copyfile(csv_cache, os.path.join(cfg.out, "profile.csv"))
-    shutil.copyfile(json_cache, os.path.join(cfg.out, "profile.json"))
+        _write_json(doc, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _scalars(meta: dict) -> dict:
+    return {k: v for k, v in meta.items()
+            if isinstance(v, (int, float, bool, str))}
+
+
+def _profile_doc(prof: RadialProfile) -> dict:
+    """profile.json; `rows` is the number of data rows of profile.csv."""
+    return {
+        "variable": prof.variable,
+        "M": prof.M,
+        "nonlinearity": f"power(p={prof.p:.17g})",
+        "coupling": 1.0,
+        "nodal_zones": prof.nodal_zones,
+        "rows": len(prof.grid),
+        "zeros": [float(z) for z in prof.zeros],
+        "critical_points": [float(s) for s in prof.critical_points],
+        "extremal_values": [float(v) for v in prof.extremal_values],
+        "solver": _scalars(prof.meta),
+    }
+
+
+def _spectrum_doc(spec: Spectrum) -> dict:
+    """A cache entry, and what spectrum_<kind>.json publishes."""
+    return {
+        "kind": spec.kind,
+        "M": spec.M,
+        "threshold": None if math.isinf(spec.threshold) else spec.threshold,
+        "exhausted_below": None if math.isinf(spec.exhausted_below)
+        else spec.exhausted_below,
+        "negative_count": spec.negative_count,
+        "eigenvalues": [
+            {
+                "value": p.value,
+                "error_bar": p.error_bar,
+                "nodes": p.interior_nodes,
+                "theta_analytic": p.theta_analytic,
+                "uncertain": p.uncertain,
+            }
+            for p in spec.eigenpairs
+        ],
+        "meta": _scalars(spec.meta),
+    }
+
+
+def _read_spectrum(path) -> Spectrum:
+    """The spectrum _spectrum_doc wrote to path: eigenvalues and flags, no
+    eigenfunction samples."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    pairs = tuple(
+        EigenPair(value=e["value"], error_bar=e["error_bar"],
+                  grid=np.empty(0), samples=np.empty(0),
+                  interior_nodes=e["nodes"],
+                  boundary_slope=math.nan,
+                  theta_analytic=e["theta_analytic"],
+                  uncertain=e["uncertain"])
+        for e in doc["eigenvalues"])
+    thr = doc["threshold"]
+    exh = doc["exhausted_below"]
+    return Spectrum(kind=doc["kind"], M=doc["M"],
+                    threshold=math.inf if thr is None else thr,
+                    eigenpairs=pairs,
+                    exhausted_below=-math.inf if exh is None else exh,
+                    negative_count=doc["negative_count"], meta=doc["meta"])
+
+
+def _morse_doc(report: MorseReport) -> dict:
+    """morse.json, less the symmetric index; the per-eigenvalue entries and
+    the degeneracy report keep their field names (tuples become lists)."""
+    return {
+        "N": report.dmap.N,
+        "alpha": report.dmap.alpha,
+        "M": report.dmap.M,
+        "radial_morse": report.radial_morse,
+        "total": report.total,
+        "nodal_zones": report.nodal_zones,
+        "bounds": report.bounds,
+        "prediction": report.prediction,
+        "per_eigenvalue": [dataclasses.asdict(e)
+                           for e in report.per_eigenvalue],
+        "degeneracy": None if report.degeneracy is None
+        else dataclasses.asdict(report.degeneracy),
+    }
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def cmd_solve(cfg: RunConfig) -> int:
+    prof = Pipeline(cfg).profile
+    os.makedirs(cfg.out, exist_ok=True)
+    _write_csv(os.path.join(cfg.out, "profile.csv"), ["t", "v", "v_prime"],
+               zip(prof.grid, prof.values, prof.derivative))
+    _write_json(_profile_doc(prof), os.path.join(cfg.out, "profile.json"))
     print(f"profile written to {cfg.out}/profile.csv|json")
     return 0
 
@@ -300,12 +374,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         if solved != cached:
             raise SpectralError(f"singular eigenvalues {solved} differ from "
                                 f"the cached {cached}")
-    for kind, k in ks.items():
-        shutil.copyfile(pipe.entry(kind, k),
-                        os.path.join(cfg.out, f"spectrum_{kind}.json"))
+    for kind, spec in (("singular", sing), ("standard", std)):
+        _write_json(_spectrum_doc(spec),
+                    os.path.join(cfg.out, f"spectrum_{kind}.json"))
     if len(sing.eigenpairs):
-        eigenfunction_to_csv(sing.eigenpairs[0],
-                             os.path.join(cfg.out, "eigenfunction_1.csv"))
+        first = sing.eigenpairs[0]
+        _write_csv(os.path.join(cfg.out, "eigenfunction_1.csv"),
+                   ["r", "psi"], zip(first.grid, first.samples))
     print(f"spectra written to {cfg.out} "
           f"(singular: {len(sing.eigenpairs)} below threshold, "
           f"{sing.negative_count} negative; standard negatives: "
@@ -325,7 +400,7 @@ def cmd_morse(cfg: RunConfig) -> int:
             f"singular negative count {sing.negative_count}")
     degen = degeneracy_scan(sing, std, pipe.dmap)
     report = morse_index(sing, pipe.dmap, m=cfg.m, degeneracy=degen)
-    doc = morse_report_doc(report)
+    doc = _morse_doc(report)
     if cfg.symmetry:
         sym = _symmetry_table(cfg.symmetry, cfg.N, report)
         doc["symmetric_index"] = {
@@ -333,12 +408,10 @@ def cmd_morse(cfg: RunConfig) -> int:
             "value": symmetric_morse_index(report, sym),
         }
     _write_json(doc, os.path.join(cfg.out, "morse.json"))
-    with open(os.path.join(cfg.out, "morse.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "nu_hat", "lambda_hat", "J", "contribution"])
-        for row in morse_report_rows(report):
-            w.writerow([row[0]] + [f"{x:.17g}" for x in row[1:4]]
-                       + [row[4]])
+    _write_csv(os.path.join(cfg.out, "morse.csv"),
+               ["i", "nu_hat", "lambda_hat", "J", "contribution"],
+               [(i + 1, e.nu_hat, e.lambda_hat_rad, e.J, e.contribution)
+                for i, e in enumerate(report.per_eigenvalue)])
     print(f"morse report: total={report.total} radial={report.radial_morse} "
           f"bounds={report.bounds} prediction={report.prediction}")
     return 0
@@ -355,10 +428,10 @@ def _symmetry_table(label: str, N: int, report) -> SymmetryMultiplicity:
                               "(N=2) only")
         try:
             q = int(label.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError("field 'symmetry': expected cyclic:<q>") \
-                from None
-        return SymmetryMultiplicity.planar_cyclic(q, max_j)
+            return SymmetryMultiplicity.planar_cyclic(q, max_j)
+        except ValueError:  # not an integer, or q < 1
+            raise ConfigError("field 'symmetry': expected cyclic:<q> with "
+                              "an integer q >= 1") from None
     raise ConfigError(f"field 'symmetry': unknown label {label!r}")
 
 
@@ -370,7 +443,7 @@ def _sweep_row(pipe: Pipeline, axis: str) -> list:
     report = morse_index(sing, pipe.dmap, m=cfg.m)
     nus = [p.value for p in sing.eigenpairs if p.value < 0][:cfg.m]
     nus += [math.nan] * (cfg.m - len(nus))
-    return ([f"{getattr(cfg, axis):.17g}"] + [f"{v:.17g}" for v in nus]
+    return ([getattr(cfg, axis)] + nus
             + [report.total, report.bounds["general"],
                report.bounds["with_f3"]])
 
@@ -402,11 +475,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
                 list(pool.map(_cache_singular, missed))
     rows = [_sweep_row(pipe, axis) for pipe in pipes]
     path = os.path.join(cfg.out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([axis] + [f"nu_hat_{i + 1}" for i in range(cfg.m)]
-                   + ["total", "bound_general", "bound_f3"])
-        w.writerows(rows)
+    _write_csv(path, [axis] + [f"nu_hat_{i + 1}" for i in range(cfg.m)]
+               + ["total", "bound_general", "bound_f3"], rows)
     print(f"sweep written to {path} ({len(rows)} rows)")
     return 0
 
@@ -417,7 +487,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     orc = dense_oracle_spectrum(
         WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential(), kind="singular"),
         n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut)
-    rows = []
+    comparisons = []
     unmatched = []      # certified solver pairs the oracle did not find
     worst = 0.0
     for i, pair in enumerate(sing.eigenpairs):
@@ -429,13 +499,12 @@ def cmd_oracle(cfg: RunConfig) -> int:
         ov = orc.eigenpairs[i].value
         rel = abs(pair.value - ov) / max(abs(ov), 1e-300)
         worst = max(worst, rel)
-        rows.append((i + 1, pair.value, ov, rel))
+        comparisons.append({"index": i + 1, "solver": pair.value,
+                            "oracle": ov, "rel_diff": rel})
     counts = {"solver": sing.negative_count, "oracle": orc.negative_count}
     path = os.path.join(cfg.out, "oracle.json")
     _write_json({
-        "comparisons": [
-            {"index": i, "solver": sv, "oracle": ov, "rel_diff": rel}
-            for i, sv, ov, rel in rows],
+        "comparisons": comparisons,
         "worst_rel_diff": worst,
         "tolerance": cfg.oracle_tol,
         "negative_count": counts,

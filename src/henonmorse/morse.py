@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DimensionMap, angular_threshold, degeneracy_targets
-from .spectral import ZERO_CUT, Spectrum
+from .spectral import ZERO_CUT, SpectralError, Spectrum
 
 BETA_PLANAR = math.sqrt(26.9)  # first-eigenvalue decay constant, N=2 limit
 COLLISION_TOL = 1e-5   # |J - round(J)| at or below this flags a collision
@@ -133,7 +133,9 @@ def morse_index(spec: Spectrum, dmap: DimensionMap, *,
     Each negative eigenvalue nu contributes sum_(j < J(nu)) N_j; entries
     whose J sits on an integer within COLLISION_TOL carry a flag (see module
     docstring).  Bounds and the closed-form large-exponent value are filled
-    from the nodal-zone count m (default: the radial index itself).
+    from the nodal-zone count m (default: the radial index itself).  A
+    spectrum holding fewer negative pairs than it counts, or a negative
+    pair flagged near-threshold, cannot be counted: SpectralError.
     """
     if spec.kind != "singular":
         raise ValueError("morse_index consumes a singular-kind spectrum")
@@ -141,13 +143,13 @@ def morse_index(spec: Spectrum, dmap: DimensionMap, *,
         raise ValueError("spectrum and dimension map disagree on M")
     neg = [p for p in spec.eigenpairs if p.value < 0]
     if spec.negative_count > len(neg):
-        raise ValueError(
+        raise SpectralError(
             f"spectrum carries {len(neg)} negative pairs but counts "
             f"{spec.negative_count} negative eigenvalues; request "
             "k >= negative_count")
     for p in neg:
         if p.uncertain:
-            raise ValueError(
+            raise SpectralError(
                 f"eigenvalue {p.value:.6g} is flagged near-threshold; "
                 "refusing to count it")
     entries = tuple(_contribution(p.value, dmap) for p in neg)
@@ -295,46 +297,3 @@ def asymptotic_prediction(N: int, alpha: float, m: int) -> int:
             f"value 2(n/beta - 1); the limit index is not determined there")
     base = 2 if even else 4
     return base + 2 * int(math.floor(arg)) + 2 * j_half
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def morse_report_doc(report: MorseReport) -> dict:
-    """The report as the JSON document that morse.json holds."""
-    return {
-        "N": report.dmap.N,
-        "alpha": report.dmap.alpha,
-        "M": report.dmap.M,
-        "radial_morse": report.radial_morse,
-        "total": report.total,
-        "nodal_zones": report.nodal_zones,
-        "bounds": report.bounds,
-        "prediction": report.prediction,
-        "per_eigenvalue": [
-            {
-                "nu_hat": e.nu_hat,
-                "lambda_hat_rad": e.lambda_hat_rad,
-                "J": e.J,
-                "contributing_j": list(e.contributing_j),
-                "contribution": e.contribution,
-                "integer_collision": e.integer_collision,
-            }
-            for e in report.per_eigenvalue
-        ],
-        "degeneracy": None if report.degeneracy is None else {
-            "radially_degenerate": report.degeneracy.radially_degenerate,
-            "radial_offender": report.degeneracy.radial_offender,
-            "nonradial_hits": [list(h) for h in
-                               report.degeneracy.nonradial_hits],
-            "tolerance": report.degeneracy.tolerance,
-            "source": report.degeneracy.source,
-        },
-    }
-
-
-def morse_report_rows(report: MorseReport):
-    """Compact (i, nu_hat, lambda_hat, J, contribution) rows for CSV sweeps."""
-    return [(i + 1, e.nu_hat, e.lambda_hat_rad, e.J, e.contribution)
-            for i, e in enumerate(report.per_eigenvalue)]

@@ -4,15 +4,13 @@ Every profile comes from one initial value problem integrator,
 _kernels.integrate_radial, started regularly at t=0: one integration to the
 m-th zero, moved to 1 by the scaling symmetry
 v -> gamma^(2/(p-1)) v(gamma t).  An integration that cannot finish
-(non-finite values, step size underflow, a spent step budget) raises
-IntegrationError.  Tolerances, the step budget and the cut of the
-qualitative checks are the module constants below.
+(non-finite values, a float overflow, step size underflow, a spent step
+budget) raises IntegrationError.  Tolerances, the step budget and the cut
+of the qualitative checks are the module constants below.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,8 +58,8 @@ def integrate_emden_ivp(M: float, p: float, v0: float, t_max: float, *,
     v(0)=v0, v'(0)=0, v''(0) = -|v0|^(p-1) v0/M.  Each sign change of v is
     refined to |v| < ZERO_TOL * |v0|; sign changes of v' are refined to
     critical points.  Stops after max_zeros zeros or at t_max.  A non-finite
-    value, a step size underflow or a spent budget of max_steps accepted
-    steps raises IntegrationError.
+    value, a float overflow, a step size underflow or a spent budget of
+    max_steps accepted steps raises IntegrationError.
     """
     if v0 == 0:
         raise ValueError("v0 must be nonzero; v0=0 is the trivial solution")
@@ -72,9 +70,13 @@ def integrate_emden_ivp(M: float, p: float, v0: float, t_max: float, *,
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
 
-    status, ts, vs, dvs, zt, zdv, ct, cv = _kernels.integrate_radial(
-        float(p), float(M), float(v0), float(t_max), float(rtol),
-        float(atol), int(max_zeros), int(max_steps), ZERO_TOL)
+    try:
+        status, ts, vs, dvs, zt, zdv, ct, cv = _kernels.integrate_radial(
+            float(p), float(M), float(v0), float(t_max), float(rtol),
+            float(atol), int(max_zeros), int(max_steps), ZERO_TOL)
+    except OverflowError:
+        raise IntegrationError(f"|v|^(p-1) overflows a float (v0={v0:g}, "
+                               f"p={p:g})") from None
     if status == _kernels.FAIL_NONFINITE:
         raise IntegrationError("nonlinearity returned a non-finite value")
     if status == _kernels.FAIL_UNDERFLOW:
@@ -342,33 +344,3 @@ def linearized_potential(prof: RadialProfile) -> Callable:
         return p * np.abs(prof.evaluate(t)) ** (p - 1.0)
 
     return a
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def profile_to_csv(prof: RadialProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "v", "v_prime"])
-        for t, v, dv in zip(prof.grid, prof.values, prof.derivative):
-            w.writerow([f"{t:.17g}", f"{v:.17g}", f"{dv:.17g}"])
-
-
-def profile_to_json(prof: RadialProfile, path) -> None:
-    doc = {
-        "variable": prof.variable,
-        "M": prof.M,
-        "nonlinearity": f"power(p={prof.p:.17g})",
-        "coupling": 1.0,
-        "nodal_zones": prof.nodal_zones,
-        "rows": len(prof.grid),
-        "zeros": [float(z) for z in prof.zeros],
-        "critical_points": [float(s) for s in prof.critical_points],
-        "extremal_values": [float(v) for v in prof.extremal_values],
-        "solver": {k: v for k, v in prof.meta.items()
-                   if isinstance(v, (int, float, bool, str))},
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -36,8 +36,6 @@ and the standard library, and no other part of scipy.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -688,62 +686,3 @@ def rayleigh_quotient(w, prob: WeightedSLProblem) -> float:
     if den == 0:
         raise ZeroDivisionError("trial function has zero weighted mass")
     return float(num / den)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def spectrum_to_json(spec: Spectrum, path) -> None:
-    doc = {
-        "kind": spec.kind,
-        "M": spec.M,
-        "threshold": None if math.isinf(spec.threshold) else spec.threshold,
-        "exhausted_below": None if math.isinf(spec.exhausted_below)
-        else spec.exhausted_below,
-        "negative_count": spec.negative_count,
-        "eigenvalues": [
-            {
-                "value": p.value,
-                "error_bar": p.error_bar,
-                "nodes": p.interior_nodes,
-                "theta_analytic": p.theta_analytic,
-                "uncertain": p.uncertain,
-            }
-            for p in spec.eigenpairs
-        ],
-        "meta": {k: v for k, v in spec.meta.items()
-                 if isinstance(v, (int, float, bool, str))},
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def spectrum_from_json(path) -> Spectrum:
-    """Read back what spectrum_to_json wrote: eigenvalues and flags, no
-    eigenfunction samples."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    pairs = tuple(
-        EigenPair(value=e["value"], error_bar=e["error_bar"],
-                  grid=np.empty(0), samples=np.empty(0),
-                  interior_nodes=e["nodes"],
-                  boundary_slope=math.nan,
-                  theta_analytic=e["theta_analytic"],
-                  uncertain=e["uncertain"])
-        for e in doc["eigenvalues"])
-    thr = doc["threshold"]
-    exh = doc["exhausted_below"]
-    return Spectrum(kind=doc["kind"], M=doc["M"],
-                    threshold=math.inf if thr is None else thr,
-                    eigenpairs=pairs,
-                    exhausted_below=-math.inf if exh is None else exh,
-                    negative_count=doc["negative_count"], meta=doc["meta"])
-
-
-def eigenfunction_to_csv(pair: EigenPair, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "psi"])
-        for r, v in zip(pair.grid, pair.samples):
-            w.writerow([f"{r:.17g}", f"{v:.17g}"])

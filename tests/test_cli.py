@@ -30,6 +30,8 @@ def test_solve_writes_profile(tmp_path):
     assert len(doc["zeros"]) == 2
     header = (out / "profile.csv").read_text().splitlines()[0]
     assert header == "t,v,v_prime"
+    # the profile is solved on each run and never cached
+    assert not list(out.glob("cache/*"))
 
 
 def test_solve_three_zones(tmp_path):
@@ -156,21 +158,17 @@ def test_spectral_config_carries_only_what_a_run_sets():
 
 
 def test_stage_subsections_keep_their_cache_keys():
-    # the fields and the order the cache keys were built from with
+    # the fields and the order the spectrum cache keys were built from with
     # dataclasses.asdict; a change here moves every cache entry
-    old = {"profile": ("N", "alpha", "p", "m"),
-           "spectrum": ("N", "alpha", "p", "m", "k", "grid", "xmax", "tol",
-                        "a_zero")}
+    keys = ("N", "alpha", "p", "m", "k", "grid", "xmax", "tol", "a_zero")
     for cfg in (RunConfig(),
                 RunConfig(N=5, alpha=2.7, p=2.2, m=3, k=4, grid=2048,
                           xmax=35.0, tol=1e-3, a_zero=True)):
         d = dataclasses.asdict(cfg)
-        for stage, keys in old.items():
-            sub = cfg.subsection(stage)
-            assert sub == {k: d[k] for k in keys}
-            assert list(sub) == list(keys)
-            assert [type(v) for v in sub.values()] == \
-                [type(d[k]) for k in keys]
+        sub = cfg.spectrum_fields()
+        assert sub == {k: d[k] for k in keys}
+        assert list(sub) == list(keys)
+        assert [type(v) for v in sub.values()] == [type(d[k]) for k in keys]
 
 
 def test_spectrum_command_and_cache_determinism(tmp_path):
@@ -327,7 +325,7 @@ def test_cache_entry_from_older_solver_code_is_recomputed(tmp_path):
     # under that key whose values differ from today's solve
     out = tmp_path / "old"
     (out / "cache").mkdir(parents=True)
-    sub = RunConfig(N=3, alpha=0.0, p=3.0, m=2).subsection("spectrum")
+    sub = RunConfig(N=3, alpha=0.0, p=3.0, m=2).spectrum_fields()
     old_key = hashlib.sha256(json.dumps(
         sub, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
     for kind in ("singular", "standard"):
@@ -415,23 +413,27 @@ def test_oracle_guard_refused(tmp_path):
                 "--oracle-n", 4001, "--out", tmp_path]) == 2
 
 
-def test_unknown_symmetry_label(tmp_path):
-    assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 1,
-                "--symmetry", "dodecahedral", "--out", tmp_path]) == 2
+def test_unknown_symmetry_label(tmp_path, capsys):
+    for N, m, label in ((3, 1, "dodecahedral"), (2, 2, "cyclic:0"),
+                        (2, 2, "cyclic:-2")):
+        assert run(["morse", "--N", N, "--alpha", 0, "--p", 3, "--m", m,
+                    "--symmetry", label, "--out", tmp_path / str(N)]) == 2
+        assert "field 'symmetry'" in capsys.readouterr().err
 
 
 def test_damaged_profile_entry_is_recomputed(tmp_path):
+    # solve re-solves the profile on each run: a damaged profile.json from
+    # an earlier run is overwritten whole, byte-identical to the first
     out = tmp_path / "p"
     args = ["solve"] + REFERENCE + ["--out", out]
     assert run(args) == 0
     first = [(out / name).read_bytes() for name in ("profile.csv",
                                                      "profile.json")]
-    (entry,) = out.glob("cache/profile-*.json")
-    entry.write_bytes(entry.read_bytes()[:100])
+    (out / "profile.json").write_bytes(first[1][:100])
     assert run(args) == 0
     assert [(out / name).read_bytes() for name in ("profile.csv",
                                                    "profile.json")] == first
-    assert not list(out.glob("cache/*.tmp"))
+    assert not list(out.glob("cache/*"))
 
 
 def test_truncated_profile_table_is_recomputed(tmp_path):
@@ -439,10 +441,10 @@ def test_truncated_profile_table_is_recomputed(tmp_path):
     args = ["solve"] + REFERENCE + ["--out", out]
     assert run(args) == 0
     fresh = (out / "profile.csv").read_bytes()
-    (entry,) = out.glob("cache/profile-*.csv")
-    entry.write_bytes(b"".join(entry.read_bytes().splitlines(True)[:50]))
+    table = out / "profile.csv"
+    table.write_bytes(b"".join(fresh.splitlines(True)[:50]))
     assert run(args) == 0
-    assert (out / "profile.csv").read_bytes() == fresh
+    assert table.read_bytes() == fresh
 
 
 HEAVY_SCIPY = ("scipy.integrate", "scipy.special", "scipy.optimize",
@@ -536,6 +538,34 @@ def test_cold_morse_solves_the_profile_once_per_run(tmp_path, monkeypatch):
         assert run(["morse"] + REFERENCE + ["--out", tmp_path / name]) == 0
         assert len(calls) == 1
         calls.clear()
+
+
+def test_a_spectrum_morse_cannot_count_exits_3(tmp_path, monkeypatch,
+                                              capsys):
+    # k = 1 holds one of the two negative pairs; no report is written
+    out = tmp_path / "k1"
+    assert run(["morse"] + REFERENCE + ["--k", 1, "--out", out]) == 3
+    assert "request k >= negative_count" in capsys.readouterr().err
+    assert not list(out.glob("morse.*"))
+    assert run(["sweep", "--N", 3, "--alpha", 0, "--m", 2, "--k", 1,
+                "--axis", "p", "--range", "2.2:3.0", "--steps", 2,
+                "--out", out]) == 3
+    assert "request k >= negative_count" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    # a near-threshold pair is refused the same way
+    real = cli.solve_singular_spectrum
+
+    def flagged(prob, k, cfg):
+        spec = real(prob, k, cfg)
+        pair = dataclasses.replace(spec.eigenpairs[0], uncertain=True)
+        return dataclasses.replace(
+            spec, eigenpairs=(pair,) + spec.eigenpairs[1:])
+
+    monkeypatch.setattr(cli, "solve_singular_spectrum", flagged)
+    out = tmp_path / "flagged"
+    assert run(["morse"] + REFERENCE + ["--out", out]) == 3
+    assert "near-threshold" in capsys.readouterr().err
+    assert not list(out.glob("morse.*"))
 
 
 def test_morse_refuses_differing_negative_counts(tmp_path, monkeypatch,

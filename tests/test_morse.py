@@ -13,8 +13,8 @@ from henonmorse.morse import (BETA_PLANAR, SymmetryMultiplicity,
                               beltrami_multiplicity, degeneracy_scan,
                               lower_bound, morse_index, symmetric_morse_index)
 from henonmorse.radial import linearized_potential, solve_nodal_power
-from henonmorse.spectral import (EigenPair, Spectrum, WeightedSLProblem,
-                                 solve_singular_spectrum,
+from henonmorse.spectral import (EigenPair, SpectralError, Spectrum,
+                                 WeightedSLProblem, solve_singular_spectrum,
                                  solve_standard_spectrum)
 
 
@@ -87,7 +87,7 @@ def test_morse_index_refuses_truncated_spectrum():
     dm = generalized_dimension(3, 0.0)
     spec = synthetic_spectrum([-2.5], 3.0)
     truncated = dataclasses.replace(spec, negative_count=2)
-    with pytest.raises(ValueError, match="negative_count"):
+    with pytest.raises(SpectralError, match="negative_count"):
         morse_index(truncated, dm)
 
 
@@ -119,7 +119,7 @@ def test_morse_index_refuses_uncertain_pairs():
     spec = synthetic_spectrum([-1.0], 3.0)
     flagged = dataclasses.replace(spec.eigenpairs[0], uncertain=True)
     bad = dataclasses.replace(spec, eigenpairs=(flagged,))
-    with pytest.raises(ValueError, match="near-threshold"):
+    with pytest.raises(SpectralError, match="near-threshold"):
         morse_index(bad, dm)
 
 

@@ -1,4 +1,5 @@
-"""The package's public names, and the functions the benchmark traces."""
+"""The package's public names, the functions the benchmark traces, and the
+one module that reads and writes files."""
 
 import ast
 import importlib
@@ -38,3 +39,22 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(module), name,
                                        None))]
     assert missing == []
+
+
+def test_only_cli_reads_or_writes_files():
+    # every result and cache format lives in cli; a csv or json import
+    # elsewhere is a second home for one
+    importers = {}
+    for path in Path(henonmorse.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top in ("csv", "json"):
+                    importers.setdefault(top, set()).add(path.stem)
+    assert importers == {"csv": {"cli"}, "json": {"cli"}}

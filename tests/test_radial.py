@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from henonmorse.cli import _profile_doc, _write_csv, _write_json
 from henonmorse.radial import (IntegrationError, auxiliary_z,
                                henon_profile, integrate_emden_ivp,
-                               linearized_potential, profile_to_csv,
-                               profile_to_json, solve_nodal_power,
+                               linearized_potential, solve_nodal_power,
                                validate_profile)
 
 # frozen from an independent high-order adaptive run (rtol 1e-12) of the
@@ -40,6 +40,10 @@ def test_ivp_spent_step_budget_is_an_error():
     with pytest.raises(IntegrationError,
                        match=r"budget of 60 steps exhausted at t=0\.878"):
         integrate_emden_ivp(3.0, 3.0, 1.0, 40.0, max_zeros=1, max_steps=60)
+    # a start whose |v0|^(p-1) exceeds the float range fails by name too
+    for v0 in (1e200, 1e160):
+        with pytest.raises(IntegrationError, match="overflows a float"):
+            integrate_emden_ivp(3.0, 3.0, v0, 1e3, max_zeros=1)
 
 
 def test_ivp_second_derivative_at_origin():
@@ -205,11 +209,13 @@ def test_linearized_potential_matches_power_formula():
 
 
 def test_profile_serialization(tmp_path):
+    # the profile.csv/profile.json pair solve publishes, from the cli writers
     prof = solve_nodal_power(3.0, 3.0, 2)
     csv_path = tmp_path / "p.csv"
     json_path = tmp_path / "p.json"
-    profile_to_csv(prof, csv_path)
-    profile_to_json(prof, json_path)
+    _write_csv(csv_path, ["t", "v", "v_prime"],
+               zip(prof.grid, prof.values, prof.derivative))
+    _write_json(_profile_doc(prof), json_path)
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,v,v_prime"
     doc = json.loads(json_path.read_text())
