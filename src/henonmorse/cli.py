@@ -3,8 +3,9 @@
 Subcommands: solve, spectrum, morse, sweep, oracle.  A single JSON config
 document may supply any RunConfig field; command-line flags override file
 fields, and defaults fill the rest (precedence: flags > file > defaults).
-Numerical defaults and bounds are SpectralConfig's and the oracle's; the
-other solver settings are module constants, not config fields.
+Numerical defaults and bounds are SpectralConfig's, spectral.N_CAP and the
+oracle's; the other solver settings are module constants, not config
+fields.
 Every subcommand builds its results through a Pipeline, which solves the
 profile at most once per run.  Spectra are cached under <out>/cache, one
 entry per kind and number of values held, keyed by a content hash of
@@ -54,8 +55,8 @@ from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
                      dense_oracle_spectrum)
 from .radial import (IntegrationError, RadialProfile, linearized_potential,
                      solve_nodal_power, validate_profile)
-from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
-                       WeightedSLProblem, solve_singular_spectrum,
+from .spectral import (N_CAP, EigenPair, SpectralConfig, SpectralError,
+                       Spectrum, WeightedSLProblem, solve_singular_spectrum,
                        solve_standard_spectrum, zero_potential)
 
 
@@ -96,7 +97,8 @@ class RunConfig:
         "p": ("float", lambda v: v > 1, "p must be > 1"),
         "m": ("int", lambda v: v >= 1, "m must be an integer >= 1"),
         "k": ("int", lambda v: v >= 1, "k must be an integer >= 1"),
-        "grid": ("int", lambda v: v >= 128, "grid must be an integer >= 128"),
+        "grid": ("int", lambda v: 128 <= v <= N_CAP,
+                 f"grid must be an integer in [128, {N_CAP}]"),
         "xmax": ("float?", lambda v: v is None or v > 0,
                  "xmax must be positive"),
         "tol": ("float", lambda v: v > 0, "tol must be positive"),
@@ -108,7 +110,8 @@ class RunConfig:
                         lambda v: v is None or 0 < v < EPSILON_CUT_MAX,
                         f"epsilon_cut must be in (0, {EPSILON_CUT_MAX})"),
         "a_zero": ("bool", lambda v: True, ""),
-        "out": ("str", lambda v: True, ""),
+        "out": ("str", lambda v: os.path.isdir(v) or not os.path.exists(v),
+                "out must name a directory, not an existing file"),
         "workers": ("int", lambda v: v >= 1, "workers must be >= 1"),
         "symmetry": ("str?", lambda v: True, ""),
     }
@@ -262,11 +265,6 @@ def _write_cache(doc: dict, path) -> None:
             os.remove(tmp)
 
 
-def _scalars(meta: dict) -> dict:
-    return {k: v for k, v in meta.items()
-            if isinstance(v, (int, float, bool, str))}
-
-
 def _profile_doc(prof: RadialProfile) -> dict:
     """profile.json; `rows` is the number of data rows of profile.csv."""
     return {
@@ -279,7 +277,7 @@ def _profile_doc(prof: RadialProfile) -> dict:
         "zeros": [float(z) for z in prof.zeros],
         "critical_points": [float(s) for s in prof.critical_points],
         "extremal_values": [float(v) for v in prof.extremal_values],
-        "solver": _scalars(prof.meta),
+        "solver": prof.meta,
     }
 
 
@@ -302,7 +300,7 @@ def _spectrum_doc(spec: Spectrum) -> dict:
             }
             for p in spec.eigenpairs
         ],
-        "meta": _scalars(spec.meta),
+        "meta": spec.meta,
     }
 
 
@@ -389,6 +387,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_morse(cfg: RunConfig) -> int:
+    table = _symmetry_table(cfg.symmetry, cfg.N) if cfg.symmetry else None
     pipe = Pipeline(cfg)
     sing = pipe.spectrum("singular", cfg.k)
     # the report reads only the standard kind's counts: solve no values
@@ -401,8 +400,9 @@ def cmd_morse(cfg: RunConfig) -> int:
     degen = degeneracy_scan(sing, std, pipe.dmap)
     report = morse_index(sing, pipe.dmap, m=cfg.m, degeneracy=degen)
     doc = _morse_doc(report)
-    if cfg.symmetry:
-        sym = _symmetry_table(cfg.symmetry, cfg.N, report)
+    if table:
+        sym = table(max((e.contributing_j[-1] for e in report.per_eigenvalue
+                         if e.contributing_j), default=0))
         doc["symmetric_index"] = {
             "label": sym.label,
             "value": symmetric_morse_index(report, sym),
@@ -417,21 +417,24 @@ def cmd_morse(cfg: RunConfig) -> int:
     return 0
 
 
-def _symmetry_table(label: str, N: int, report) -> SymmetryMultiplicity:
-    max_j = max((e.contributing_j[-1] for e in report.per_eigenvalue
-                 if e.contributing_j), default=0)
+def _symmetry_table(label: str, N: int):
+    """The SymmetryMultiplicity constructor of `label`, taking the largest
+    harmonic order: the label is checked before any solve, and that order
+    is known only from the report."""
     if label == "full":
-        return SymmetryMultiplicity.full_rotation(max_j)
+        return SymmetryMultiplicity.full_rotation
     if label.startswith("cyclic:"):
         if N != 2:
             raise ConfigError("field 'symmetry': cyclic tables are planar "
                               "(N=2) only")
         try:
             q = int(label.split(":", 1)[1])
-            return SymmetryMultiplicity.planar_cyclic(q, max_j)
-        except ValueError:  # not an integer, or q < 1
+        except ValueError:
+            q = 0
+        if q < 1:
             raise ConfigError("field 'symmetry': expected cyclic:<q> with "
-                              "an integer q >= 1") from None
+                              "an integer q >= 1")
+        return functools.partial(SymmetryMultiplicity.planar_cyclic, q)
     raise ConfigError(f"field 'symmetry': unknown label {label!r}")
 
 
@@ -457,8 +460,6 @@ def _cache_singular(pipe: Pipeline) -> None:
 def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
               steps: int) -> int:
     os.makedirs(cfg.out, exist_ok=True)
-    if axis not in ("p", "alpha"):
-        raise ConfigError("field 'axis': must be 'p' or 'alpha'")
     params = list(np.linspace(lo, hi, steps)) if steps > 0 else []
     # every swept value passes its field's domain check before any solve
     values = [RunConfig.checked(axis, float(v)) for v in params]

@@ -1,16 +1,19 @@
-"""Independent dense eigensolver used only to cross-check the main solvers.
+"""Independent dense eigensolver used only to cross-check the singular
+solver.
 
-Discretizes both problem kinds directly in the r variable on a power-graded
-grid truncated at [epsilon_cut, 1].  Only the eigenvalues the oracle reports
-are computed, by LAPACK's MRRR driver dstemr without eigenvectors: those in
-a value window up to the singular threshold, and for the standard kind the
-negative ones and the lowest k.  The eigenvectors come from shifted solves
-with the pivoted tridiagonal LU (dgtsv).  Neither code nor eigen-driver is
-shared with the production solvers, which run dstebz and dstein on the
-Liouville grid in x = -ln r: dstemr refines the window's eigenvalues with
-its own routines (dlarre, dlarrb), by bisection on a shifted LDL^T
-factorization (Dhillon, Parlett & Voemel, ACM TOMS 32, 2006).  It counts
-with the solvers' cuts: spectral.MARGIN, ZERO_CUT and NODE_TOL.
+Discretizes the singular kind directly in the r variable on a power-graded
+grid truncated at [epsilon_cut, 1], Dirichlet at both ends.  Only the
+eigenvalues the oracle reports are computed, by LAPACK's MRRR driver dstemr
+without eigenvectors: those in a value window up to the singular threshold.
+The eigenvectors come from shifted solves with the pivoted tridiagonal LU
+(dgtsv).  The standard kind has no oracle; its solver is checked against
+Bessel zeros and by the Sylvester count equality that morse enforces.
+Neither code nor eigen-driver is shared with the production solvers, which
+run dstebz and dstein on the Liouville grid in x = -ln r: dstemr refines
+the window's eigenvalues with its own routines (dlarre, dlarrb), by
+bisection on a shifted LDL^T factorization (Dhillon, Parlett & Voemel, ACM
+TOMS 32, 2006).  It counts with the solvers' cuts: spectral.MARGIN,
+ZERO_CUT and NODE_TOL.
 
 The LAPACK routines come from scipy's compiled modules, which the kernels
 module's lapack_module loads without the scipy.linalg package: dsterf and
@@ -27,7 +30,6 @@ n = 2000; those matrices get the full spectrum from root-free QR (dsterf).
 from __future__ import annotations
 
 import ctypes
-import math
 
 import numpy as np
 
@@ -41,9 +43,9 @@ dgtsv, dsterf = _flapack.dgtsv, _flapack.dsterf
 
 DENSE_N, DENSE_N_GUARD = 2000, 4000  # default and largest grid, in cells
 EPSILON_CUT_MAX = 0.1      # epsilon_cut lies in (0, EPSILON_CUT_MAX)
-# per kind: r_i = eps + (1-eps) (i/n)^GRADING, eps defaulting to EPSILON_CUT
-GRADING = {"singular": 4.0, "standard": 1.0}
-EPSILON_CUT = {"singular": 1e-10, "standard": 1e-9}
+# r_i = eps + (1-eps) (i/n)^GRADING, eps defaulting to EPSILON_CUT
+GRADING = 4.0
+EPSILON_CUT = 1e-10
 
 
 def _cython_lapack_function(name: str, *argtypes):
@@ -67,10 +69,10 @@ _DSTEMR_C = _cython_lapack_function(
     _INT, _INT, _INT)
 
 
-def _dstemr(d, e, vl: float, vu: float, il: int, iu: int):
-    """Values-only dstemr (JOBZ='N') on tridiag(d, e): the eigenvalues in
-    (vl, vu] when il == 0 (RANGE='V'), else those of 1-based index il..iu
-    (RANGE='I'), ascending, and LAPACK's INFO.  d and e are not modified."""
+def _dstemr(d, e, vl: float, vu: float):
+    """Values-only dstemr (JOBZ='N', RANGE='V') on tridiag(d, e): the
+    eigenvalues in (vl, vu], ascending, and LAPACK's INFO.  d and e are not
+    modified."""
     n = len(d)
     if len(e) != n - 1:
         raise ValueError("e must have one element less than d")
@@ -84,10 +86,10 @@ def _dstemr(d, e, vl: float, vu: float, il: int, iu: int):
     iwork = np.empty(8 * n, dtype=np.intc)
     c_int, c_double = ctypes.c_int, ctypes.c_double
     m, info = c_int(0), c_int(0)
-    _DSTEMR_C(b"N", b"V" if il == 0 else b"I", ctypes.byref(c_int(n)),
+    _DSTEMR_C(b"N", b"V", ctypes.byref(c_int(n)),
               d.ctypes.data_as(_DBL), e_n.ctypes.data_as(_DBL),
               ctypes.byref(c_double(vl)), ctypes.byref(c_double(vu)),
-              ctypes.byref(c_int(il)), ctypes.byref(c_int(iu)),
+              ctypes.byref(c_int(0)), ctypes.byref(c_int(0)),  # IL, IU
               ctypes.byref(m), w.ctypes.data_as(_DBL), z.ctypes.data_as(_DBL),
               ctypes.byref(c_int(1)), ctypes.byref(c_int(0)),
               isuppz.ctypes.data_as(_INT), ctypes.byref(c_int(1)),
@@ -97,10 +99,8 @@ def _dstemr(d, e, vl: float, vu: float, il: int, iu: int):
     return w[:m.value].copy(), info.value
 
 
-def _eigenvalues(d, e, *, upper: float | None = None,
-                 count: int | None = None):
-    """Ascending eigenvalues of tridiag(d, e): all those <= `upper`, or the
-    `count` lowest."""
+def _eigenvalues(d, e, upper: float):
+    """Ascending eigenvalues of tridiag(d, e), all those <= `upper`."""
     radius = np.zeros(len(d))
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
@@ -112,13 +112,11 @@ def _eigenvalues(d, e, *, upper: float | None = None,
     splits = np.min(np.abs(e)) <= 4.0 * np.finfo(float).eps * (hi - lo)
     if splits:
         w, info = dsterf(d, e)
-        w = w[:count] if count is not None else w[w <= upper]
-    elif count is not None:
-        w, info = _dstemr(d, e, 0.0, 0.0, 1, count)
+        w = w[w <= upper]
     else:
         # the window's open lower end lies below Gershgorin's bound, by a
         # margin that survives rounding
-        w, info = _dstemr(d, e, min(lo, upper) - abs(lo) - 1.0, upper, 0, 0)
+        w, info = _dstemr(d, e, min(lo, upper) - abs(lo) - 1.0, upper)
     if info != 0:
         driver = "dsterf" if splits else "dstemr"
         raise SpectralError(f"LAPACK {driver} failed with info={info}")
@@ -126,53 +124,35 @@ def _eigenvalues(d, e, *, upper: float | None = None,
 
 
 def _assemble(prob: WeightedSLProblem, n: int, eps: float, grading: float):
-    """FD/FV pencil (A, D) on r_i = eps + (1-eps) (i/n)^grading."""
+    """FD/FV pencil (A, D) on r_i = eps + (1-eps) (i/n)^grading, Dirichlet
+    at both ends: the unknowns are nodes 1..n-1."""
     M = prob.M
     xi = np.arange(n + 1) / n
     r = eps + (1.0 - eps) * xi ** grading
     rm = 0.5 * (r[:-1] + r[1:])
     cond = rm ** (M - 1.0) / np.diff(r)
     edges = np.concatenate(([r[0]], rm, [r[-1]]))
-    if prob.kind == "singular":
-        ex = M - 2.0
-        if abs(ex) < 1e-13:
-            mass = np.log(edges[1:] / edges[:-1])
-        else:
-            mass = (edges[1:] ** ex - edges[:-1] ** ex) / ex
+    ex = M - 2.0
+    if abs(ex) < 1e-13:
+        mass = np.log(edges[1:] / edges[:-1])
     else:
-        mass = (edges[1:] ** M - edges[:-1] ** M) / M
+        mass = (edges[1:] ** ex - edges[:-1] ** ex) / ex
     mass_pot = (edges[1:] ** M - edges[:-1] ** M) / M
     a_vals = np.asarray(prob.a(r), dtype=float)
-
-    if prob.kind == "singular":
-        # Dirichlet at both ends: unknowns are nodes 1..n-1
-        sl = slice(1, n)
-        diag = cond[:-1] + cond[1:] - a_vals[sl] * mass_pot[sl]
-        off = -cond[1:-1]
-    else:
-        # natural closure at the left end, Dirichlet at r=1
-        sl = slice(0, n)
-        diag = np.empty(n)
-        diag[0] = cond[0]
-        diag[1:] = cond[:-1] + cond[1:]
-        diag = diag - a_vals[sl] * mass_pot[sl]
-        off = -cond[:-1]
+    sl = slice(1, n)
+    diag = cond[:-1] + cond[1:] - a_vals[sl] * mass_pot[sl]
+    off = -cond[1:-1]
     s = 1.0 / np.sqrt(mass[sl])
     return r, s, diag * s * s, off * s[:-1] * s[1:]
 
 
-def _oracle_values(prob: WeightedSLProblem, d, e, k):
-    """(values, negative count, exhausted_below) of tridiag(d, e): up to k
-    singular values below threshold - MARGIN, or the k (6) lowest standard."""
-    if prob.kind == "singular":
-        exhausted = prob.threshold - MARGIN
-        window = _eigenvalues(d, e, upper=max(exhausted, -ZERO_CUT))
-        neg = int(np.count_nonzero(window <= -ZERO_CUT))
-        return window[window <= exhausted][:k], neg, exhausted
-    neg = len(_eigenvalues(d, e, upper=-ZERO_CUT))
-    count = min(k if k is not None else 6, len(d))
-    vals = _eigenvalues(d, e, count=count) if count else np.empty(0)
-    return vals, neg, float(vals[-1]) if len(vals) else -math.inf
+def _oracle_values(prob: WeightedSLProblem, d, e):
+    """(values, negative count, exhausted_below) of tridiag(d, e): every
+    value below threshold - MARGIN."""
+    exhausted = prob.threshold - MARGIN
+    window = _eigenvalues(d, e, upper=max(exhausted, -ZERO_CUT))
+    neg = int(np.count_nonzero(window <= -ZERO_CUT))
+    return window[window <= exhausted], neg, exhausted
 
 
 def _eigenvectors(d, e, vals):
@@ -192,36 +172,34 @@ def _eigenvectors(d, e, vals):
 
 def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
                           epsilon_cut: float | None = None, *,
-                          k: int | None = None,
                           richardson: bool = True) -> Spectrum:
-    """All sub-threshold eigenvalues (singular) or the first k (standard).
+    """All sub-threshold eigenvalues of the singular-kind `prob`.
 
     Verification-only path, kept deliberately independent of the production
-    solvers.  The n <= DENSE_N_GUARD guard bounds the dense cost.  Grids per
-    kind (GRADING, EPSILON_CUT): the singular problem gets a strongly graded
-    grid reaching down to 1e-10 (its eigenfunctions vanish at the origin like
-    powers), the standard problem a uniform grid from 1e-9 (grading inflates
-    the matrix scale ||T||, and the absolute eigenvalue accuracy of about
-    eps * ||T|| would then swamp the low eigenvalues).  With `richardson`
-    the values are extrapolated from an (n/2, n) pair and each pair carries
-    the extrapolation bar.  All pairs share one r grid.
+    solvers; a standard-kind problem is a ValueError.  The n <= DENSE_N_GUARD
+    guard bounds the dense cost.  The grid (GRADING, EPSILON_CUT) is
+    strongly graded and reaches down to 1e-10, because the eigenfunctions
+    vanish at the origin like powers.  With `richardson` the values are
+    extrapolated from an (n/2, n) pair and each pair carries the
+    extrapolation bar.  All pairs share one r grid.
     """
+    if prob.kind != "singular":
+        raise ValueError("the dense oracle solves the singular kind only")
     if n > DENSE_N_GUARD:
         raise ValueError(f"dense oracle refuses n > {DENSE_N_GUARD}")
-    grading = GRADING[prob.kind]
     if epsilon_cut is None:
-        epsilon_cut = EPSILON_CUT[prob.kind]
+        epsilon_cut = EPSILON_CUT
     if not 0 < epsilon_cut < EPSILON_CUT_MAX:
         raise ValueError(f"epsilon_cut must lie in (0, {EPSILON_CUT_MAX})")
-    r, s, d, e = _assemble(prob, n, epsilon_cut, grading)
-    vals, neg, exhausted = _oracle_values(prob, d, e, k)
+    r, s, d, e = _assemble(prob, n, epsilon_cut, GRADING)
+    vals, neg, exhausted = _oracle_values(prob, d, e)
     vecs = _eigenvectors(d, e, vals)
 
     values = np.asarray(vals, dtype=float)
     bars = np.full(len(values), float("nan"))
     if richardson:
-        d_c, e_c = _assemble(prob, n // 2, epsilon_cut, grading)[2:]
-        coarse = _oracle_values(prob, d_c, e_c, k)[0]
+        d_c, e_c = _assemble(prob, n // 2, epsilon_cut, GRADING)[2:]
+        coarse = _oracle_values(prob, d_c, e_c)[0]
         n_common = min(len(values), len(coarse))
         cv = coarse[:n_common]
         bars[:n_common] = np.abs(values[:n_common] - cv) / 3.0
@@ -243,7 +221,7 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
             samples=psi, interior_nodes=nodes,
             boundary_slope=float(slope), theta_analytic=None,
             uncertain=False))
-    meta = {"n": n, "epsilon_cut": epsilon_cut, "grading": grading,
+    meta = {"n": n, "epsilon_cut": epsilon_cut, "grading": GRADING,
             "oracle": True, "richardson": bool(richardson)}
     return Spectrum(kind=prob.kind, M=prob.M, threshold=prob.threshold,
                     eigenpairs=tuple(pairs), exhausted_below=float(exhausted),

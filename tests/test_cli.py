@@ -58,8 +58,10 @@ def test_config_error_names_field(tmp_path, capsys):
     cfg.write_text(json.dumps({"p": 0.5}))
     assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
     assert "field 'p'" in capsys.readouterr().err
-    # numbers beyond float range overflow the int conversion
-    for name, text in (("k", '{"k": 1e400}'), ("grid", '{"grid": Infinity}')):
+    # numbers beyond float range overflow the int conversion, and no grid
+    # beyond spectral.N_CAP = 2^19 cells is solved
+    for name, text in (("k", '{"k": 1e400}'), ("grid", '{"grid": Infinity}'),
+                       ("grid", '{"grid": 1048576}')):
         cfg.write_text(text)
         assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
         assert f"field '{name}'" in capsys.readouterr().err
@@ -71,12 +73,19 @@ def test_sweep_value_outside_the_domain_exits_2(tmp_path, capsys,
         raise AssertionError("solved before the domain check")
 
     monkeypatch.setattr(cli, "solve_nodal_power", no_solve)
-    for axis, rng, field in (("p", "0.5:2", "p"), ("alpha", "-1:1", "alpha")):
-        out = tmp_path / axis
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    for axis, rng, field, out in (("p", "0.5:2", "p", tmp_path / "p"),
+                                  ("alpha", "-1:1", "alpha", tmp_path / "a"),
+                                  ("p", "2:3", "out", blocker)):
         assert run(["sweep", "--N", 3, "--m", 1, "--axis", axis,
                     f"--range={rng}", "--steps", 3, "--out", out]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+    # an --out naming a file is refused before any solve by every command
+    for command in ("solve", "spectrum", "morse", "oracle"):
+        assert run([command, "--out", blocker]) == 2
+        assert "field 'out'" in capsys.readouterr().err
 
 
 FLOAT_FIELDS = [name for name, (kind, _, _) in RunConfig._DOMAINS.items()
@@ -415,10 +424,13 @@ def test_oracle_guard_refused(tmp_path):
 
 def test_unknown_symmetry_label(tmp_path, capsys):
     for N, m, label in ((3, 1, "dodecahedral"), (2, 2, "cyclic:0"),
-                        (2, 2, "cyclic:-2")):
+                        (2, 2, "cyclic:-2"), (3, 2, "cyclic:2")):
+        out = tmp_path / f"{N}-{label}"
         assert run(["morse", "--N", N, "--alpha", 0, "--p", 3, "--m", m,
-                    "--symmetry", label, "--out", tmp_path / str(N)]) == 2
+                    "--symmetry", label, "--out", out]) == 2
         assert "field 'symmetry'" in capsys.readouterr().err
+        # the label is checked before any spectrum is solved and cached
+        assert not (out / "cache").exists()
 
 
 def test_damaged_profile_entry_is_recomputed(tmp_path):

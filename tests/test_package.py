@@ -1,5 +1,5 @@
-"""The package's public names, the functions the benchmark traces, and the
-one module that reads and writes files."""
+"""The package's public names, the functions the benchmark traces, the
+one module that reads and writes files, and the oracle's independence."""
 
 import ast
 import importlib
@@ -58,3 +58,32 @@ def test_only_cli_reads_or_writes_files():
                 if top in ("csv", "json"):
                     importers.setdefault(top, set()).add(path.stem)
     assert importers == {"csv": {"cli"}, "json": {"cli"}}
+
+
+def test_the_oracle_shares_no_solver_code():
+    # the dense oracle is a cross-check only while it shares no grid, solver
+    # or eigen-kernel with the production solvers: from the package it takes
+    # the LAPACK loader, the data types and the counting cuts
+    path = Path(henonmorse.__file__).parent / "oracle.py"
+    imported, names = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "henonmorse"):
+            module = (node.module or "").removeprefix("henonmorse.")
+            imported.setdefault(module, set()).update(
+                alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not [alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "henonmorse"]
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)      # getattr(module, "dstebz")
+    assert imported.pop("_kernels") == {"lapack_module"}
+    assert imported.pop("spectral") <= {
+        "MARGIN", "NODE_TOL", "ZERO_CUT", "EigenPair", "SpectralError",
+        "Spectrum", "WeightedSLProblem", "count_sign_changes"}
+    assert imported == {}
+    assert names & {"dstebz", "dstein"} == set()
