@@ -6,13 +6,13 @@ from .dimension import (DimensionMap, angular_threshold, degeneracy_targets,
                         eigenvalue_pullback, generalized_dimension,
                         map_radius)
 from .morse import (BETA_PLANAR, DegeneracyReport, MorseReport,
-                    SymmetryMultiplicity, asymptotic_prediction,
-                    beltrami_eigen, beltrami_multiplicity, degeneracy_scan,
-                    lower_bound, morse_index, symmetric_morse_index)
+                    asymptotic_prediction, beltrami_eigen,
+                    beltrami_multiplicity, degeneracy_scan, lower_bound,
+                    morse_index, symmetric_morse_index)
 from .oracle import dense_oracle_spectrum
 from .radial import (AuxiliaryZ, EmdenTrajectory, IntegrationError,
-                     QualitativeReport, RadialProfile, auxiliary_z,
-                     henon_profile, integrate_emden_ivp, linearized_potential,
+                     RadialProfile, auxiliary_z, henon_profile,
+                     integrate_emden_ivp, linearized_potential,
                      solve_nodal_power, validate_profile)
 from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
                        WeightedSLProblem, fit_decay_exponent,
@@ -27,17 +27,15 @@ __all__ = [
     "BETA_PLANAR", "__version__",
     "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
     "angular_threshold", "degeneracy_targets", "map_radius",
-    "RadialProfile", "EmdenTrajectory", "QualitativeReport",
-    "AuxiliaryZ", "IntegrationError", "integrate_emden_ivp",
-    "solve_nodal_power", "henon_profile",
+    "RadialProfile", "EmdenTrajectory", "AuxiliaryZ", "IntegrationError",
+    "integrate_emden_ivp", "solve_nodal_power", "henon_profile",
     "validate_profile", "auxiliary_z", "linearized_potential",
     "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",
     "Spectrum", "liouville_transform", "solve_singular_spectrum",
     "solve_standard_spectrum", "fit_decay_exponent",
     "picone_residual", "rayleigh_quotient", "weighted_inner_product",
     "theta_analytic", "zero_potential", "dense_oracle_spectrum",
-    "SymmetryMultiplicity", "MorseReport",
-    "DegeneracyReport", "beltrami_eigen", "beltrami_multiplicity",
-    "morse_index", "degeneracy_scan", "symmetric_morse_index", "lower_bound",
-    "asymptotic_prediction",
+    "MorseReport", "DegeneracyReport", "beltrami_eigen",
+    "beltrami_multiplicity", "morse_index", "degeneracy_scan",
+    "symmetric_morse_index", "lower_bound", "asymptotic_prediction",
 ]

@@ -49,8 +49,8 @@ import numpy as np
 
 from . import __version__
 from .dimension import generalized_dimension
-from .morse import (MorseReport, SymmetryMultiplicity, degeneracy_scan,
-                    morse_index, symmetric_morse_index)
+from .morse import (MorseReport, degeneracy_scan, morse_index,
+                    symmetric_morse_index)
 from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
                      dense_oracle_spectrum)
 from .radial import (IntegrationError, RadialProfile, linearized_potential,
@@ -62,6 +62,14 @@ from .spectral import (N_CAP, EigenPair, SpectralConfig, SpectralError,
 
 class ConfigError(ValueError):
     pass
+
+
+def _directory_or_new(path: str) -> bool:
+    """Whether path, or else its nearest existing ancestor, is a directory."""
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path)
 
 
 # Raise whenever the solver's published numbers or the cache layout change.
@@ -110,8 +118,8 @@ class RunConfig:
                         lambda v: v is None or 0 < v < EPSILON_CUT_MAX,
                         f"epsilon_cut must be in (0, {EPSILON_CUT_MAX})"),
         "a_zero": ("bool", lambda v: True, ""),
-        "out": ("str", lambda v: os.path.isdir(v) or not os.path.exists(v),
-                "out must name a directory, not an existing file"),
+        "out": ("str", _directory_or_new,
+                "out must name a directory or a new path below one"),
         "workers": ("int", lambda v: v >= 1, "workers must be >= 1"),
         "symmetry": ("str?", lambda v: True, ""),
     }
@@ -195,10 +203,10 @@ class Pipeline:
     @functools.cached_property
     def profile(self) -> RadialProfile:
         prof = solve_nodal_power(self.dmap.M, self.cfg.p, self.cfg.m)
-        report = validate_profile(prof)
-        if not report.passed:
+        failures = validate_profile(prof)
+        if failures:
             raise IntegrationError("profile fails its qualitative checks: "
-                                   + "; ".join(report.messages))
+                                   + "; ".join(failures))
         return prof
 
     def potential(self):
@@ -387,7 +395,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_morse(cfg: RunConfig) -> int:
-    table = _symmetry_table(cfg.symmetry, cfg.N) if cfg.symmetry else None
+    sym = _symmetry(cfg.symmetry, cfg.N) if cfg.symmetry else None
     pipe = Pipeline(cfg)
     sing = pipe.spectrum("singular", cfg.k)
     # the report reads only the standard kind's counts: solve no values
@@ -400,13 +408,10 @@ def cmd_morse(cfg: RunConfig) -> int:
     degen = degeneracy_scan(sing, std, pipe.dmap)
     report = morse_index(sing, pipe.dmap, m=cfg.m, degeneracy=degen)
     doc = _morse_doc(report)
-    if table:
-        sym = table(max((e.contributing_j[-1] for e in report.per_eigenvalue
-                         if e.contributing_j), default=0))
-        doc["symmetric_index"] = {
-            "label": sym.label,
-            "value": symmetric_morse_index(report, sym),
-        }
+    if sym:
+        label, q = sym
+        doc["symmetric_index"] = {"label": label,
+                                  "value": symmetric_morse_index(report, q)}
     _write_json(doc, os.path.join(cfg.out, "morse.json"))
     _write_csv(os.path.join(cfg.out, "morse.csv"),
                ["i", "nu_hat", "lambda_hat", "J", "contribution"],
@@ -417,12 +422,12 @@ def cmd_morse(cfg: RunConfig) -> int:
     return 0
 
 
-def _symmetry_table(label: str, N: int):
-    """The SymmetryMultiplicity constructor of `label`, taking the largest
-    harmonic order: the label is checked before any solve, and that order
-    is known only from the report."""
+def _symmetry(label: str, N: int) -> tuple[str, int | None]:
+    """The published label and the rotation order q of a --symmetry label:
+    'full' is the full rotation group (q None), 'cyclic:<q>' the planar
+    cyclic group of order q.  Checked before any solve."""
     if label == "full":
-        return SymmetryMultiplicity.full_rotation
+        return "full-rotation", None
     if label.startswith("cyclic:"):
         if N != 2:
             raise ConfigError("field 'symmetry': cyclic tables are planar "
@@ -434,7 +439,7 @@ def _symmetry_table(label: str, N: int):
         if q < 1:
             raise ConfigError("field 'symmetry': expected cyclic:<q> with "
                               "an integer q >= 1")
-        return functools.partial(SymmetryMultiplicity.planar_cyclic, q)
+        return f"cyclic-{q}", q
     raise ConfigError(f"field 'symmetry': unknown label {label!r}")
 
 

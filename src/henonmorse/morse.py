@@ -7,7 +7,8 @@ index.  When J lands on an integer within COLLISION_TOL the report flags
 the collision (the solution is then numerically indistinguishable from a
 degenerate one) and resolves the sum with the strict inequality, i.e. the
 boundary order is excluded, which is exactly the closed-form rule at an exact
-hit.
+hit.  The symmetric index keeps the orders a rotation group leaves invariant:
+the full rotation group, or the planar cyclic group of order q.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimension import DimensionMap, angular_threshold, degeneracy_targets
+from .dimension import (DimensionMap, angular_threshold, degeneracy_targets,
+                        eigenvalue_pullback)
 from .spectral import ZERO_CUT, SpectralError, Spectrum
 
 BETA_PLANAR = math.sqrt(26.9)  # first-eigenvalue decay constant, N=2 limit
@@ -50,33 +52,6 @@ def beltrami_multiplicity(N: int, j: int) -> int:
     if num % den:
         raise ArithmeticError("multiplicity did not come out integer")
     return num // den
-
-
-@dataclass(frozen=True)
-class SymmetryMultiplicity:
-    """Multiplicities of the invariant harmonics of a symmetry subgroup."""
-
-    label: str
-    table: tuple   # entry j is the invariant multiplicity at order j
-
-    def __post_init__(self):
-        if not self.table or self.table[0] != 1:
-            raise ValueError("constants are invariant: the j=0 entry must "
-                             "be 1")
-
-    @classmethod
-    def full_rotation(cls, j_max: int) -> "SymmetryMultiplicity":
-        return cls(label="full-rotation",
-                   table=(1,) + (0,) * j_max)
-
-    @classmethod
-    def planar_cyclic(cls, q: int, j_max: int) -> "SymmetryMultiplicity":
-        """Rotations by 2*pi/q in the plane: order j survives iff q | j."""
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        return cls(label=f"cyclic-{q}",
-                   table=tuple(1 if j == 0 else (2 if j % q == 0 else 0)
-                               for j in range(j_max + 1)))
 
 
 @dataclass(frozen=True)
@@ -119,7 +94,7 @@ def _contribution(nu_hat: float, dmap: DimensionMap):
         j_top = nearest - 1                 # strict rule at an exact hit
     js = tuple(range(0, j_top + 1))
     contrib = sum(beltrami_multiplicity(dmap.N, j) for j in js)
-    lam = dmap.exponent ** 2 * nu_hat
+    lam = eigenvalue_pullback(nu_hat, dmap)
     return EigenContribution(nu_hat=nu_hat, lambda_hat_rad=lam, J=J,
                              contributing_j=js, contribution=contrib,
                              integer_collision=collision)
@@ -221,21 +196,16 @@ def degeneracy_scan(spec_singular: Spectrum, spec_standard: Spectrum | None,
                             source=source)
 
 
-def symmetric_morse_index(report: MorseReport,
-                          sym: SymmetryMultiplicity) -> int:
-    """Morse index restricted to functions invariant under the subgroup.
-
-    Same double sum as the full index with the subgroup's invariant
-    multiplicities in place of the full ones.
-    """
-    max_j = max((e.contributing_j[-1] for e in report.per_eigenvalue
-                 if e.contributing_j), default=-1)
-    if max_j >= len(sym.table):
-        raise ValueError(
-            f"symmetry table covers j <= {len(sym.table) - 1}, "
-            f"need j <= {max_j}")
-    return sum(sym.table[j] for e in report.per_eigenvalue
-               for j in e.contributing_j)
+def symmetric_morse_index(report: MorseReport, q: int | None = None) -> int:
+    """Morse index restricted to functions invariant under a rotation group:
+    the full index's double sum with multiplicity 1 at j = 0 and, for the
+    planar cyclic group of order q (N = 2), 2 at each j >= 1 that q divides;
+    q None is the full rotation group, which keeps j = 0 alone."""
+    if q is not None and (q < 1 or report.dmap.N != 2):
+        raise ValueError("cyclic groups need N = 2 and q >= 1")
+    return sum(1 if j == 0 else 2
+               for e in report.per_eigenvalue for j in e.contributing_j
+               if j == 0 or (q is not None and j % q == 0))
 
 
 def lower_bound(N: int, alpha: float, m: int, has_f3: bool) -> int:

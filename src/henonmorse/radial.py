@@ -223,93 +223,54 @@ def henon_profile(N: int, alpha: float, p: float, m: int,
 # qualitative validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QualitativeReport:
-    zero_count_ok: bool
-    boundary_zero_ok: bool
-    positive_at_origin: bool
-    sign_alternation_ok: bool
-    first_zone_decreasing: bool
-    critical_points_ok: bool
-    extremal_chain_ok: bool
-    initial_slope: float
-    initial_slope_ok: bool
-    messages: list
-
-    @property
-    def passed(self) -> bool:
-        return (self.zero_count_ok and self.boundary_zero_ok
-                and self.positive_at_origin and self.sign_alternation_ok
-                and self.first_zone_decreasing and self.critical_points_ok
-                and self.extremal_chain_ok and self.initial_slope_ok)
-
-
-def validate_profile(prof: RadialProfile) -> QualitativeReport:
+def validate_profile(prof: RadialProfile) -> list[str]:
     """Check the qualitative structure a nodal solution must carry, with
     values below CHECK_TOL max |v| counted as zero: m zeros, the last at 1,
     alternating signs from a positive v(0), a decreasing first zone, one
     critical point per later zone, strictly falling extremal values |v| and
-    a flat start.  Each message names a failed check."""
+    a flat start.  Returns one message per failed check, none on a pass."""
     msgs = []
     m = prof.nodal_zones
     scale = float(np.max(np.abs(prof.values)))
 
-    zero_count_ok = len(prof.zeros) == m
-    boundary_zero_ok = bool(abs(prof.zeros[-1] - 1.0) < 1e-12
-                            and abs(prof.evaluate(1.0)) < CHECK_TOL * scale)
-    positive_at_origin = prof.values[0] > 0
-    if not zero_count_ok:
+    if len(prof.zeros) != m:
         msgs.append(f"expected {m} zeros, recorded {len(prof.zeros)}")
-    if not boundary_zero_ok:
+    if not (abs(prof.zeros[-1] - 1.0) < 1e-12
+            and abs(prof.evaluate(1.0)) < CHECK_TOL * scale):
         msgs.append("profile does not vanish at t=1")
-    if not positive_at_origin:
+    if not prof.values[0] > 0:
         msgs.append(f"v(0)={prof.values[0]:.6g} is not positive")
 
     # sign alternation: every clearly-nonzero sample inside zone i must
     # carry the sign (-1)^i
     bounds = np.concatenate(([0.0], prof.zeros))
-    sign_alternation_ok = True
     for i in range(len(bounds) - 1):
         inside = (prof.grid > bounds[i]) & (prof.grid < bounds[i + 1]) \
             & (np.abs(prof.values) > CHECK_TOL * scale)
         if np.any(np.sign(prof.values[inside]) != (-1.0) ** i):
-            sign_alternation_ok = False
             msgs.append(f"sign error inside nodal zone {i}")
             break
 
     inside = (prof.grid > 0) & (prof.grid < prof.zeros[0])
-    first_zone_decreasing = bool(
-        np.all(prof.derivative[inside] <= CHECK_TOL * scale))
-    if not first_zone_decreasing:
+    if not np.all(prof.derivative[inside] <= CHECK_TOL * scale):
         msgs.append("profile is not decreasing in its first nodal zone")
 
-    crit_ok = True
     for i in range(m - 1):
         lo, hi = prof.zeros[i], prof.zeros[i + 1]
         n_in = int(np.count_nonzero((prof.critical_points > lo)
                                     & (prof.critical_points < hi)))
         if n_in != 1:
-            crit_ok = False
             msgs.append(f"zone ({lo:.6g}, {hi:.6g}) has {n_in} critical "
                         f"points, expected 1")
 
     ext = prof.extremal_values
-    chain_ok = bool(np.all(np.diff(ext) < 0)) if len(ext) > 1 else True
-    if not chain_ok:
+    if len(ext) > 1 and not np.all(np.diff(ext) < 0):
         msgs.append("extremal values are not ordered as expected")
 
     slope0 = float(prof.derivative[0])
-    slope_ok = abs(slope0) <= CHECK_TOL * max(scale, 1.0)
-    if not slope_ok:
+    if not abs(slope0) <= CHECK_TOL * max(scale, 1.0):
         msgs.append(f"initial slope {slope0:.3e} above tolerance")
-
-    return QualitativeReport(
-        zero_count_ok=zero_count_ok, boundary_zero_ok=boundary_zero_ok,
-        positive_at_origin=bool(positive_at_origin),
-        sign_alternation_ok=sign_alternation_ok,
-        first_zone_decreasing=first_zone_decreasing,
-        critical_points_ok=crit_ok, extremal_chain_ok=chain_ok,
-        initial_slope=slope0, initial_slope_ok=slope_ok, messages=msgs)
+    return msgs
 
 
 @dataclass(frozen=True)

@@ -199,13 +199,17 @@ def liouville_transform(prob: WeightedSLProblem, x_max: float,
         raise ValueError("liouville_transform applies to the singular kind")
     if x_max <= 0:
         raise ValueError("x_max must be positive")
+    h = x_max / n
+    if h * h == 0.0:
+        raise SpectralError(f"x_max={x_max:g} over n={n} cells: the squared "
+                            "step underflows to 0")
     x = np.linspace(0.0, x_max, n + 1)
     r = np.exp(-x)
     a_vals = np.asarray(prob.a(r), dtype=float)
     if not np.all(np.isfinite(a_vals)):
         raise SpectralError("potential not evaluable on the Liouville grid")
     V = prob.threshold - r * r * a_vals
-    return LiouvilleProblem(x=x, V=V, h=x_max / n, threshold=prob.threshold)
+    return LiouvilleProblem(x=x, V=V, h=h, threshold=prob.threshold)
 
 
 def _flat_x_max(prob: WeightedSLProblem) -> float:

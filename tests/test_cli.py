@@ -77,15 +77,19 @@ def test_sweep_value_outside_the_domain_exits_2(tmp_path, capsys,
     blocker.write_text("")
     for axis, rng, field, out in (("p", "0.5:2", "p", tmp_path / "p"),
                                   ("alpha", "-1:1", "alpha", tmp_path / "a"),
-                                  ("p", "2:3", "out", blocker)):
+                                  ("p", "2:3", "out", blocker),
+                                  ("p", "2:3", "out", blocker / "sub")):
         assert run(["sweep", "--N", 3, "--m", 1, "--axis", axis,
                     f"--range={rng}", "--steps", 3, "--out", out]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
-    # an --out naming a file is refused before any solve by every command
+    # an --out naming a file, or a path below one, is refused before any
+    # solve by every command
     for command in ("solve", "spectrum", "morse", "oracle"):
-        assert run([command, "--out", blocker]) == 2
-        assert "field 'out'" in capsys.readouterr().err
+        for out in (blocker, blocker / "sub"):
+            assert run([command, "--out", out]) == 2
+            assert "field 'out'" in capsys.readouterr().err
+    assert blocker.is_file()
 
 
 FLOAT_FIELDS = [name for name, (kind, _, _) in RunConfig._DOMAINS.items()
@@ -220,12 +224,25 @@ def test_morse_command(tmp_path):
     assert len(rows) == 3
 
 
-def test_morse_symmetry_full(tmp_path):
-    out = tmp_path / "sym"
-    assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
-                "--k", 3, "--symmetry", "full", "--out", out]) == 0
-    doc = json.loads((out / "morse.json").read_text())
-    assert doc["symmetric_index"]["value"] == doc["radial_morse"]
+def test_morse_symmetric_index(tmp_path):
+    # (N, alpha, p, m, --symmetry) -> the published object, and the Morse
+    # total it is part of
+    for (N, alpha, p, m, label), sym, total in (
+            ((3, 0, 3, 2, "full"), {"label": "full-rotation", "value": 2},
+             10),
+            ((2, 3, 3, 2, "cyclic:4"), {"label": "cyclic-4", "value": 6}, 24),
+            # every harmonic is invariant under the trivial group
+            ((2, 1, 3, 2, "cyclic:1"), {"label": "cyclic-1", "value": 14},
+             14)):
+        out = tmp_path / f"{N}-{label}"
+        assert run(["morse", "--N", N, "--alpha", alpha, "--p", p, "--m", m,
+                    "--symmetry", label, "--out", out]) == 0
+        doc = json.loads((out / "morse.json").read_text())
+        assert doc["symmetric_index"] == sym
+        assert doc["total"] == total
+        if label == "full":
+            # the full rotation group keeps the radial part alone
+            assert sym["value"] == doc["radial_morse"]
 
 
 def test_sweep_deterministic_and_parallel(tmp_path):
@@ -298,6 +315,17 @@ def test_morse_standard_solver_failure_exits_3(tmp_path, monkeypatch):
     assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
                 "--out", out]) == 3
     assert not list(out.glob("cache/standard-*.json"))
+
+
+def test_xmax_whose_grid_step_squares_to_zero_exits_3(tmp_path, capsys):
+    # the Liouville grid refuses a step that squares to 0 instead of
+    # dividing by it, with the potential and without
+    for extra in ([], ["--a-zero"]):
+        out = tmp_path / f"x{len(extra)}"
+        assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
+                    "--xmax", "1e-160", "--out", out] + extra) == 3
+        assert "solver failure: x_max=1e-160" in capsys.readouterr().err
+        assert not (out / "morse.json").exists()
 
 
 def test_spectrum_standard_solver_failure_exits_3(tmp_path, monkeypatch):

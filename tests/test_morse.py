@@ -8,10 +8,10 @@ import pytest
 
 from henonmorse.dimension import (angular_threshold, degeneracy_targets,
                                   eigenvalue_pullback, generalized_dimension)
-from henonmorse.morse import (BETA_PLANAR, SymmetryMultiplicity,
-                              asymptotic_prediction, beltrami_eigen,
-                              beltrami_multiplicity, degeneracy_scan,
-                              lower_bound, morse_index, symmetric_morse_index)
+from henonmorse.morse import (BETA_PLANAR, asymptotic_prediction,
+                              beltrami_eigen, beltrami_multiplicity,
+                              degeneracy_scan, lower_bound, morse_index,
+                              symmetric_morse_index)
 from henonmorse.radial import linearized_potential, solve_nodal_power
 from henonmorse.spectral import (EigenPair, SpectralError, Spectrum,
                                  WeightedSLProblem, solve_singular_spectrum,
@@ -203,23 +203,30 @@ def test_power_case_nondegenerate():
     assert not rep.radially_degenerate
 
 
-def test_symmetric_index_builtin_tables():
+def test_symmetric_index_full_rotation():
     dm = generalized_dimension(3, 0.0)
     spec = synthetic_spectrum([-2.5, -0.5], 3.0)
     rep = morse_index(spec, dm)
-    full = SymmetryMultiplicity.full_rotation(5)
-    assert symmetric_morse_index(rep, full) == rep.radial_morse
-    # the trivial "subgroup" with every harmonic invariant returns the total
-    every = SymmetryMultiplicity(label="all", table=tuple(
-        beltrami_multiplicity(3, j) for j in range(6)))
-    assert symmetric_morse_index(rep, every) == rep.total
-    with pytest.raises(ValueError, match="table"):
-        symmetric_morse_index(rep, SymmetryMultiplicity(label="short",
-                                                        table=(1,)))
+    assert rep.total > rep.radial_morse
+    assert symmetric_morse_index(rep) == rep.radial_morse
+    # cyclic groups are planar, and their order is positive
+    for q in (1, 2):
+        with pytest.raises(ValueError, match="N = 2"):
+            symmetric_morse_index(rep, q)
+    # in the plane, q = 1 leaves every harmonic invariant: the total
+    dm2 = generalized_dimension(2, 0.0)
+    rep2 = morse_index(synthetic_spectrum([-2.5, -0.5], 2.0), dm2)
+    assert rep2.total > rep2.radial_morse
+    assert symmetric_morse_index(rep2, 1) == rep2.total
+    assert symmetric_morse_index(rep2) == rep2.radial_morse
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="q >= 1"):
+            symmetric_morse_index(rep2, q)
 
 
 def test_symmetric_index_planar_cyclic():
-    # N=2, alpha=3, m=2: orders 1 and 2 never survive the cyclic-4 table;
+    # N=2, alpha=3, m=2: orders 1 and 2 never survive the cyclic group of
+    # order 4;
     # whether anything beyond the radial part survives depends on how far
     # the first eigenvalue sits below the threshold
     dm = generalized_dimension(2, 3.0)
@@ -230,19 +237,19 @@ def test_symmetric_index_planar_cyclic():
     rep = morse_index(sing, dm, m=2)
     js = rep.per_eigenvalue[0].contributing_j
     q = 4
-    cyc = SymmetryMultiplicity.planar_cyclic(q, js[-1] + 1)
-    got = symmetric_morse_index(rep, cyc)
-    # independent evaluation of the same double sum
-    expect = sum((1 if j == 0 else (2 if j % q == 0 else 0))
-                 for e in rep.per_eigenvalue for j in e.contributing_j)
+    got = symmetric_morse_index(rep, q)
+    # independent evaluation of the same double sum, from the invariant
+    # multiplicity of each order: 1 at j = 0, 2 where q | j, else 0
+    table = [1] + [2 if j % q == 0 else 0 for j in range(1, js[-1] + 1)]
+    expect = sum(table[j] for e in rep.per_eigenvalue
+                 for j in e.contributing_j)
     assert got == expect
-    assert cyc.table[1] == 0 and cyc.table[2] == 0
+    assert table[1] == 0 and table[2] == 0
     # a rotation order beyond every contributing j leaves only the radial
     # part; profiles this far from the limit exponent carry J_1 > 4, so
     # q = 4 itself retains a j = 4k contribution and exceeds radial_morse
     q_big = js[-1] + 1
-    cyc_big = SymmetryMultiplicity.planar_cyclic(q_big, js[-1] + 1)
-    assert symmetric_morse_index(rep, cyc_big) == rep.radial_morse
+    assert symmetric_morse_index(rep, q_big) == rep.radial_morse
     assert got > rep.radial_morse
 
 

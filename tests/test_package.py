@@ -17,6 +17,26 @@ def test_every_public_name_resolves():
     assert len(set(henonmorse.__all__)) == len(henonmorse.__all__)
 
 
+def test_the_public_names_are_these():
+    # adding or removing a public name is an edit of this list
+    assert henonmorse.__all__ == [
+        "BETA_PLANAR", "__version__",
+        "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
+        "angular_threshold", "degeneracy_targets", "map_radius",
+        "RadialProfile", "EmdenTrajectory", "AuxiliaryZ", "IntegrationError",
+        "integrate_emden_ivp", "solve_nodal_power", "henon_profile",
+        "validate_profile", "auxiliary_z", "linearized_potential",
+        "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",
+        "Spectrum", "liouville_transform", "solve_singular_spectrum",
+        "solve_standard_spectrum", "fit_decay_exponent",
+        "picone_residual", "rayleigh_quotient", "weighted_inner_product",
+        "theta_analytic", "zero_potential", "dense_oracle_spectrum",
+        "MorseReport", "DegeneracyReport", "beltrami_eigen",
+        "beltrami_multiplicity", "morse_index", "degeneracy_scan",
+        "symmetric_morse_index", "lower_bound", "asymptotic_prediction",
+    ]
+
+
 def traced_functions():
     """(module, function) of each TARGETS entry of the benchmark's tracer,
     read from its source: importing it would write bytecode beside it."""

@@ -76,7 +76,7 @@ def test_solve_nodal_power_regression():
     assert prof.zeros[0] == pytest.approx(T1_REF / T2_REF, rel=1e-8)
     assert prof.values[0] == pytest.approx(T2_REF, rel=1e-8)  # T^(2/(p-1))
     assert prof.values[-1] == 0.0
-    assert validate_profile(prof).passed
+    assert validate_profile(prof) == []
 
 
 def test_solve_nodal_power_single_zone():
@@ -85,8 +85,7 @@ def test_solve_nodal_power_single_zone():
     assert np.all(prof.values[:-1] > 0)
     assert np.all(prof.derivative[1:] < 0)
     assert len(prof.critical_points) == 0
-    rep = validate_profile(prof)
-    assert rep.passed and rep.critical_points_ok
+    assert validate_profile(prof) == []
 
 
 def test_solve_nodal_power_budget_error():
@@ -171,16 +170,14 @@ def test_validate_profile_detects_injected_fault():
     idx = np.searchsorted(prof.grid, 0.1)  # inside the first (positive) zone
     bad_values[idx] = -bad_values[idx]
     bad = dataclasses.replace(prof, values=bad_values)
-    rep = validate_profile(bad)
-    assert not rep.sign_alternation_ok
-    assert not rep.passed
+    # the sign check names the zone, and no other check fails
+    assert validate_profile(bad) == ["sign error inside nodal zone 0"]
 
 
 def test_validate_profile_m1_vacuous_critical_check():
     prof = solve_nodal_power(2.0, 3.0, 1)
-    rep = validate_profile(prof)
-    assert rep.critical_points_ok  # no interior zones to check
-    assert rep.passed
+    # no interior zones to check, so no critical-point message
+    assert validate_profile(prof) == []
 
 
 def test_auxiliary_z_counts():

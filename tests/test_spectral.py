@@ -91,6 +91,9 @@ def test_liouville_transform_structure():
         liouville_transform(
             WeightedSLProblem(M=3.0, a=zero_potential, kind="standard"),
             30.0)
+    # (1e-160 / 2048)^2 underflows to 0, and the stencil's 1/h^2 with it
+    with pytest.raises(SpectralError, match=r"x_max=1e-160 over n=2048"):
+        liouville_transform(prob, 1e-160, 2048)
 
 
 @pytest.fixture(scope="module")
