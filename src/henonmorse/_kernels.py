@@ -1,9 +1,5 @@
-"""Numerical hot loops: adaptive Runge-Kutta integration of the radial
-initial value problem, and the symmetric tridiagonal eigen-kernels.
-
-integrate_radial is the one integrator: Dormand-Prince 5(4) on
-v'' = -(M-1)/t v' - |v|^(p-1) v, with the regular limit
-v''(0) = -|v0|^(p-1) v0/M at the start (no later stage sits at t = 0).
+"""The LAPACK layer: symmetric tridiagonal counts, eigenvalues and
+eigenvectors.
 
 Counts are Sturm counts: a ``dstebz`` call that bisects nothing.  Eigenvalues
 come from LAPACK bisection (``dstebz``) and eigenvectors from inverse
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 
@@ -75,165 +70,6 @@ def lapack_module(name: str):
 _flapack = lapack_module("_flapack")
 dstebz, dstein = _flapack.dstebz, _flapack.dstein
 
-
-# ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) embedded pair
-# ---------------------------------------------------------------------------
-
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
-
-# integrator status codes
-OK_EVENTS = 0        # requested number of zeros located
-OK_TMAX = 3          # reached t_max without finding them all
-FAIL_STEPS = 1       # step budget exhausted
-FAIL_UNDERFLOW = 2   # step size underflow (stiff / blow-up)
-FAIL_NONFINITE = 4   # right-hand side returned a non-finite value
-
-
-def _rk_step(q, m1, t, v, dv, h, k1a):
-    """One Dormand-Prince step of v'' = m1 / t v' - |v|^q v from t, with
-    k1a = v''(t); no stage sits at t = 0.  Returns v, v' and v'' at t + h
-    and the error estimates of v and v'."""
-    k1v = dv
-    k2v = dv + h * _A21 * k1a
-    w = v + h * _A21 * k1v
-    k2a = m1 / (t + _C2 * h) * k2v - abs(w) ** q * w
-    k3v = dv + h * (_A31 * k1a + _A32 * k2a)
-    w = v + h * (_A31 * k1v + _A32 * k2v)
-    k3a = m1 / (t + _C3 * h) * k3v - abs(w) ** q * w
-    k4v = dv + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
-    w = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-    k4a = m1 / (t + _C4 * h) * k4v - abs(w) ** q * w
-    k5v = dv + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-    w = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-    k5a = m1 / (t + _C5 * h) * k5v - abs(w) ** q * w
-    k6v = dv + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a
-                    + _A65 * k5a)
-    w = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v
-                 + _A65 * k5v)
-    k6a = m1 / (t + h) * k6v - abs(w) ** q * w
-    vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-    dvn = dv + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a
-                    + _B6 * k6a)
-    k7a = m1 / (t + h) * dvn - abs(vn) ** q * vn
-    errv = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v
-                + _E7 * dvn)
-    erra = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a
-                + _E7 * k7a)
-    return vn, dvn, k7a, errv, erra
-
-
-def _refine_event(q, m1, t, v, dv, k1a, h, on_derivative, ref_scale, tol):
-    """The point of (t, t + h] where v (v' if on_derivative) changes sign,
-    to |v| <= tol * ref_scale, with v and v' there: RK steps from t whose
-    length takes bisection-safeguarded Newton updates."""
-    g0 = dv if on_derivative else v
-    lo, hi, hh = 0.0, h, 0.5 * h
-    vz, dvz = v, dv
-    for _ in range(80):
-        vz, dvz, az, _, _ = _rk_step(q, m1, t, v, dv, hh, k1a)
-        g = dvz if on_derivative else vz
-        dg = az if on_derivative else dvz
-        if abs(g) <= tol * ref_scale:
-            break
-        if (g > 0.0) == (g0 > 0.0):
-            lo = hh
-        else:
-            hi = hh
-        step = hh - g / dg if dg != 0.0 else -1.0
-        if step <= lo or step >= hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - hh) < 1e-17 * h:
-            hh = step
-            vz, dvz, az, _, _ = _rk_step(q, m1, t, v, dv, hh, k1a)
-            break
-        hh = step
-    return t + hh, vz, dvz
-
-
-def integrate_radial(p, m_dim, v0, t_max, rtol, atol, max_zeros, max_steps,
-                     zero_tol):
-    """Integrate -(t^(M-1) v')' = t^(M-1) |v|^(p-1) v, v(0) = v0, v'(0) = 0,
-    with M = m_dim, by adaptive Dormand-Prince 5(4).
-
-    Returns (status, ts, vs, dvs, zeros_t, zeros_dv, crits_t, crits_v): the
-    status code, every accepted step, each zero of v with v' there and each
-    critical point of v with v there.  It stops after `max_zeros` zeros of
-    v, at t_max, or on a failure status (FAIL_*).  A zero is refined to
-    |v| <= zero_tol |v0| and a critical point to |v'| <= 1e-10 max |v'| of
-    its step.  Event refinement re-takes RK steps from the left node with a
-    bisection-safeguarded Newton update, so event locations carry the
-    integrator's accuracy, not interpolation accuracy.
-    """
-    ts, vs, dvs = np.empty(max_steps), np.empty(max_steps), np.empty(max_steps)
-    zt, zdv = np.empty(max_zeros), np.empty(max_zeros)
-    ct, cv = np.empty(max_zeros + 2), np.empty(max_zeros + 2)
-    vscale = abs(v0)
-    m1 = -(m_dim - 1.0)
-    q = p - 1.0
-    t, v, dv = 0.0, v0, 0.0
-    acc = -(abs(v0) ** q * v0) / m_dim  # the regular limit of v'' at t = 0
-    ts[0], vs[0], dvs[0] = t, v, dv
-    ns, nz, nc = 1, 0, 0
-    status = OK_TMAX
-
-    h = 1e-4
-    if acc != 0.0 and math.isfinite(acc):
-        h = min(h, 0.1 * (2.0 * max(atol, rtol * vscale) / abs(acc)) ** 0.5)
-    while t < t_max:
-        if ns >= max_steps:
-            status = FAIL_STEPS
-            break
-        if h < 1e-15 * max(t, 1.0):
-            status = FAIL_UNDERFLOW
-            break
-        if t + h > t_max:
-            h = t_max - t
-        vn, dvn, accn, errv, erra = _rk_step(q, m1, t, v, dv, h, acc)
-        if not (math.isfinite(vn) and math.isfinite(dvn)
-                and math.isfinite(accn)):
-            status = FAIL_NONFINITE
-            break
-        sc_v = atol + rtol * max(abs(v), abs(vn))
-        sc_d = atol + rtol * max(abs(dv), abs(dvn))
-        err = max(abs(errv) / sc_v, abs(erra) / sc_d)
-        if not err <= 1.0:          # rejected, NaN included
-            h *= max(0.9 * err ** -0.2, 0.2)
-            continue
-        if dv != 0.0 and (dv > 0.0) != (dvn > 0.0) and nc < max_zeros + 2:
-            ct[nc], cv[nc], _ = _refine_event(q, m1, t, v, dv, acc, h, True,
-                                              max(abs(dv), abs(dvn)), 1e-10)
-            nc += 1
-        if (v > 0.0) != (vn > 0.0):
-            tz, vz, dvz = _refine_event(q, m1, t, v, dv, acc, h, False,
-                                        vscale, zero_tol)
-            zt[nz], zdv[nz] = tz, dvz
-            nz += 1
-            if nz >= max_zeros:
-                ts[ns], vs[ns], dvs[ns] = tz, vz, dvz
-                ns += 1
-                status = OK_EVENTS
-                break
-        t, v, dv, acc = t + h, vn, dvn, accn
-        ts[ns], vs[ns], dvs[ns] = t, v, dv
-        ns += 1
-        h *= min(0.9 * err ** -0.2, 5.0) if err > 0.0 else 5.0
-    return (status, ts[:ns], vs[:ns], dvs[:ns], zt[:nz], zdv[:nz], ct[:nc],
-            cv[:nc])
-
-
-# ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigenvalues: Sturm counts, bisection, eigenvectors
-# ---------------------------------------------------------------------------
 
 class SpectralError(RuntimeError):
     """A spectral solve could not deliver or certify its result."""

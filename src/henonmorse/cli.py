@@ -22,12 +22,15 @@ csv nor json.
 
 The argument parser is built once per process, on the first main call, and
 reused by every later call.  Non-finite float values (inf, nan), in a flag,
-a config file or a sweep --range, are config errors.
+a config file or a sweep --range, are config errors, and so are a p at or
+above the critical exponent (M+2)/(M-2) and a cyclic --symmetry with N != 2,
+in every command and every swept configuration.
 
 Exit codes: 0 success, 2 config error, 3 solver failure (including a morse
 run whose standard and singular negative counts differ, and a morse or
-sweep run whose singular spectrum holds fewer negative pairs than it counts
-or a near-threshold one), 4 oracle mismatch: an eigenvalue beyond
+sweep run whose singular negative count differs from m, or whose singular
+spectrum holds fewer negative pairs than it counts or a near-threshold
+one), 4 oracle mismatch: an eigenvalue beyond
 tolerance, differing negative counts, or a certified solver eigenvalue the
 oracle did not find.
 """
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dimension import generalized_dimension
+from .dimension import critical_exponent, generalized_dimension
 from .morse import (MorseReport, degeneracy_scan, morse_index,
                     symmetric_morse_index)
 from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
@@ -70,6 +73,12 @@ def _directory_or_new(path: str) -> bool:
     while not os.path.exists(path):
         path = os.path.dirname(path)
     return os.path.isdir(path)
+
+
+def _cyclic_order(label: str) -> int:
+    """q of a --symmetry label 'cyclic:<q>'; 0 for any other label."""
+    head, _, q = label.partition(":")
+    return int(q) if head == "cyclic" and q.isdecimal() else 0
 
 
 # Raise whenever the solver's published numbers or the cache layout change.
@@ -121,7 +130,10 @@ class RunConfig:
         "out": ("str", _directory_or_new,
                 "out must name a directory or a new path below one"),
         "workers": ("int", lambda v: v >= 1, "workers must be >= 1"),
-        "symmetry": ("str?", lambda v: True, ""),
+        "symmetry": ("str?",
+                     lambda v: v in (None, "full") or _cyclic_order(v) >= 1,
+                     "symmetry must be 'full' or 'cyclic:<q>' with an "
+                     "integer q >= 1"),
     }
 
     @classmethod
@@ -186,6 +198,8 @@ class RunConfig:
 class Pipeline:
     """The profile -> potential -> spectra chain of one configuration.
 
+    The rules that join fields are checked here, before any solve: every
+    command makes its Pipeline first, sweep one per swept configuration.
     The profile is solved at most once per Pipeline, on first use, and
     must pass validate_profile: a failed check is an IntegrationError.  A
     spectrum entry under <out>/cache is keyed by its kind and by k, the
@@ -199,6 +213,13 @@ class Pipeline:
         self.cfg = cfg
         self.dmap = generalized_dimension(cfg.N, cfg.alpha)
         self.cache = os.path.join(cfg.out, "cache")
+        p_s = critical_exponent(self.dmap.M)
+        if cfg.p >= p_s:
+            raise ConfigError(f"field 'p': p must be below (M+2)/(M-2) = "
+                              f"{p_s:g} (M = {self.dmap.M:g})")
+        if cfg.symmetry not in (None, "full") and cfg.N != 2:
+            raise ConfigError("field 'symmetry': cyclic tables are planar "
+                              "(N=2) only")
 
     @functools.cached_property
     def profile(self) -> RadialProfile:
@@ -394,10 +415,19 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
+def _radial_spectrum(pipe: Pipeline) -> Spectrum:
+    """The singular spectrum of a morse or sweep run, which must count m
+    negative eigenvalues: the radial Morse index of an m-nodal solution."""
+    sing = pipe.spectrum("singular", pipe.cfg.k)
+    if sing.negative_count != pipe.cfg.m:
+        raise SpectralError(f"singular negative count {sing.negative_count} "
+                            f"differs from m={pipe.cfg.m}")
+    return sing
+
+
 def cmd_morse(cfg: RunConfig) -> int:
-    sym = _symmetry(cfg.symmetry, cfg.N) if cfg.symmetry else None
     pipe = Pipeline(cfg)
-    sing = pipe.spectrum("singular", cfg.k)
+    sing = _radial_spectrum(pipe)
     # the report reads only the standard kind's counts: solve no values
     std = pipe.spectrum("standard", 0)
     if std.negative_count != sing.negative_count:
@@ -408,10 +438,11 @@ def cmd_morse(cfg: RunConfig) -> int:
     degen = degeneracy_scan(sing, std, pipe.dmap)
     report = morse_index(sing, pipe.dmap, m=cfg.m, degeneracy=degen)
     doc = _morse_doc(report)
-    if sym:
-        label, q = sym
-        doc["symmetric_index"] = {"label": label,
-                                  "value": symmetric_morse_index(report, q)}
+    if cfg.symmetry:
+        q = _cyclic_order(cfg.symmetry) or None
+        doc["symmetric_index"] = {
+            "label": f"cyclic-{q}" if q else "full-rotation",
+            "value": symmetric_morse_index(report, q)}
     _write_json(doc, os.path.join(cfg.out, "morse.json"))
     _write_csv(os.path.join(cfg.out, "morse.csv"),
                ["i", "nu_hat", "lambda_hat", "J", "contribution"],
@@ -422,35 +453,14 @@ def cmd_morse(cfg: RunConfig) -> int:
     return 0
 
 
-def _symmetry(label: str, N: int) -> tuple[str, int | None]:
-    """The published label and the rotation order q of a --symmetry label:
-    'full' is the full rotation group (q None), 'cyclic:<q>' the planar
-    cyclic group of order q.  Checked before any solve."""
-    if label == "full":
-        return "full-rotation", None
-    if label.startswith("cyclic:"):
-        if N != 2:
-            raise ConfigError("field 'symmetry': cyclic tables are planar "
-                              "(N=2) only")
-        try:
-            q = int(label.split(":", 1)[1])
-        except ValueError:
-            q = 0
-        if q < 1:
-            raise ConfigError("field 'symmetry': expected cyclic:<q> with "
-                              "an integer q >= 1")
-        return f"cyclic-{q}", q
-    raise ConfigError(f"field 'symmetry': unknown label {label!r}")
-
-
 def _sweep_row(pipe: Pipeline, axis: str) -> list:
-    """One sweep.csv row: the axis value, the m lowest negative singular
-    eigenvalues (nan when missing), the Morse total and the bounds."""
+    """One sweep.csv row: the axis value, the m negative singular
+    eigenvalues, the Morse total and the bounds."""
     cfg = pipe.cfg
-    sing = pipe.spectrum("singular", cfg.k)
+    sing = _radial_spectrum(pipe)
+    # morse_index refuses a spectrum with fewer negative pairs than m
     report = morse_index(sing, pipe.dmap, m=cfg.m)
     nus = [p.value for p in sing.eigenpairs if p.value < 0][:cfg.m]
-    nus += [math.nan] * (cfg.m - len(nus))
     return ([getattr(cfg, axis)] + nus
             + [report.total, report.bounds["general"],
                report.bounds["with_f3"]])
@@ -464,11 +474,11 @@ def _cache_singular(pipe: Pipeline) -> None:
 
 def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
               steps: int) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     params = list(np.linspace(lo, hi, steps)) if steps > 0 else []
-    # every swept value passes its field's domain check before any solve
+    # every swept value and configuration is checked before any solve
     values = [RunConfig.checked(axis, float(v)) for v in params]
     pipes = [Pipeline(dataclasses.replace(cfg, **{axis: v})) for v in values]
+    os.makedirs(cfg.out, exist_ok=True)
     if cfg.workers > 1:
         # the pool solves the points missing from the cache; the rows are
         # then read back from it

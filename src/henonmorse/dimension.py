@@ -52,6 +52,12 @@ def generalized_dimension(N: int, alpha: float) -> DimensionMap:
     return DimensionMap(N=N, alpha=float(alpha))
 
 
+def critical_exponent(M: float) -> float:
+    """(M+2)/(M-2) for M > 2, else inf: by Pohozaev's identity a nodal radial
+    solution of the power problem exists only below it."""
+    return (M + 2.0) / (M - 2.0) if M > 2 else math.inf
+
+
 def eigenvalue_pullback(nu_hat: float, dmap: DimensionMap) -> float:
     """Pull a transformed eigenvalue back to the physical problem.
 

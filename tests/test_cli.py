@@ -328,6 +328,47 @@ def test_xmax_whose_grid_step_squares_to_zero_exits_3(tmp_path, capsys):
         assert not (out / "morse.json").exists()
 
 
+def test_p_at_or_above_the_critical_exponent_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the critical-exponent check")
+
+    monkeypatch.setattr(cli, "solve_nodal_power", no_solve)
+    # at N = 3, alpha = 0 the critical exponent (M+2)/(M-2) is 5
+    for p in (5.0, 5.5):
+        for command in ("solve", "spectrum", "morse", "oracle"):
+            out = tmp_path / f"{command}-{p}"
+            assert run([command, "--N", 3, "--alpha", 0, "--p", p,
+                        "--m", 1, "--out", out]) == 2
+            assert "field 'p'" in capsys.readouterr().err
+            assert not out.exists()
+    # alpha moves the bound: p = 5.5 lies below it at alpha = 1 (M = 8/3,
+    # bound 7) and alpha = 0.5 (bound 6), and every swept configuration is
+    # checked before the first is solved
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--N", 3, "--p", 5.5, "--m", 1, "--axis", "alpha",
+                "--range", "1:0", "--steps", 3, "--out", out]) == 2
+    assert "field 'p'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_radial_index_other_than_m_exits_3(tmp_path, capsys):
+    # an x_max short of the potential well leaves no negative singular
+    # eigenvalue; the radial Morse index of an m-nodal solution is m, so
+    # neither morse nor sweep publishes such a count
+    for xmax in ("1e-8", "1e-20"):
+        out = tmp_path / f"morse-{xmax}"
+        assert run(["morse"] + REFERENCE + ["--xmax", xmax,
+                                            "--out", out]) == 3
+        assert ("singular negative count 0 differs from m=2"
+                in capsys.readouterr().err)
+        assert not (out / "morse.json").exists()
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--N", 3, "--m", 2, "--xmax", "1e-8", "--axis", "p",
+                "--range", "2:3", "--steps", 2, "--out", out]) == 3
+    assert not (out / "sweep.csv").exists()
+
+
 def test_spectrum_standard_solver_failure_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_standard_spectrum",
                         _failing_standard_solve(1))
@@ -451,14 +492,17 @@ def test_oracle_guard_refused(tmp_path):
 
 
 def test_unknown_symmetry_label(tmp_path, capsys):
+    sweep = ["--axis", "p", "--range", "2:3", "--steps", 2]
     for N, m, label in ((3, 1, "dodecahedral"), (2, 2, "cyclic:0"),
                         (2, 2, "cyclic:-2"), (3, 2, "cyclic:2")):
-        out = tmp_path / f"{N}-{label}"
-        assert run(["morse", "--N", N, "--alpha", 0, "--p", 3, "--m", m,
-                    "--symmetry", label, "--out", out]) == 2
-        assert "field 'symmetry'" in capsys.readouterr().err
-        # the label is checked before any spectrum is solved and cached
-        assert not (out / "cache").exists()
+        for command in ("solve", "spectrum", "morse", "oracle", "sweep"):
+            out = tmp_path / f"{command}-{N}-{label}"
+            assert run([command, "--N", N, "--alpha", 0, "--p", 3, "--m", m,
+                        "--symmetry", label, "--out", out]
+                       + (sweep if command == "sweep" else [])) == 2
+            assert "field 'symmetry'" in capsys.readouterr().err
+            # every command checks the label before it solves or writes
+            assert not out.exists()
 
 
 def test_damaged_profile_entry_is_recomputed(tmp_path):

@@ -1,5 +1,5 @@
 """Kernel-level checks: eigen-kernels against closed forms and LAPACK
-counts, the integrator against step halving."""
+counts."""
 
 import os
 import subprocess
@@ -186,39 +186,6 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
     else:
         with pytest.raises(SpectralError, match="dstein.*info=1"):
             K.rayleigh_refine(d, e, eig)
-
-
-def test_integrator_zero_locations_against_step_halving():
-    # the same integration at tighter tolerance is the independent check
-    loose = K.integrate_radial(3.0, 3.0, 1.0, 1e3, 1e-8, 1e-10, 2, 200000,
-                               1e-12)
-    tight = K.integrate_radial(3.0, 3.0, 1.0, 1e3, 1e-12, 1e-14, 2, 400000,
-                               1e-13)
-    assert loose[0] == K.OK_EVENTS and tight[0] == K.OK_EVENTS
-    z_loose, z_tight = loose[4], tight[4]
-    assert np.allclose(z_loose, z_tight, rtol=1e-7)
-    # frozen reference values from an independent high-order adaptive solver
-    assert np.allclose(z_tight, [6.896848619376449, 35.96194003077796],
-                       rtol=1e-9)
-
-
-def test_integrator_nonfinite_rhs_reported():
-    # an infinite value at t = 0 must not shrink the first step to nothing
-    # (a step-size underflow) before the step that exposes it
-    for bad in (float("nan"), float("inf")):
-        out = K.integrate_radial(3.0, 3.0, bad, 1e3, 1e-10, 1e-12, 2, 1000,
-                                 1e-12)
-        assert out[0] == K.FAIL_NONFINITE, bad
-
-
-def test_critical_points_located():
-    out = K.integrate_radial(3.0, 3.0, 1.0, 1e3, 1e-10, 1e-12, 2, 200000,
-                             1e-12)
-    crit_t, crit_v = out[6], out[7]
-    assert len(crit_t) == 1
-    # interior minimum between the two zeros, negative value
-    assert out[4][0] < crit_t[0] < out[4][1]
-    assert crit_v[0] < 0
 
 
 # The package's LAPACK wrappers must be the objects scipy.linalg.lapack

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,11 +21,39 @@ T2_REF = 35.96194003077796
 
 def test_ivp_basic_power_case():
     traj = integrate_emden_ivp(3.0, 3.0, 1.0, 40.0, max_zeros=1)
-    assert traj.reached_target
+    assert len(traj.zeros) == 1
     assert traj.zeros[0] == pytest.approx(T1_REF, rel=1e-8)
     assert traj.zero_slopes[0] < 0
     # the solution decreases from v(0)=1 right away
     assert np.all(traj.vs[1:8] < 1.0)
+
+
+def test_integrator_zero_locations_against_step_halving():
+    # the same integration at tighter tolerance is the independent check
+    loose = integrate_emden_ivp(3.0, 3.0, 1.0, 1e3, rtol=1e-8, atol=1e-10,
+                                max_zeros=2, max_steps=200000)
+    tight = integrate_emden_ivp(3.0, 3.0, 1.0, 1e3, rtol=1e-12, atol=1e-14,
+                                max_zeros=2, max_steps=400000)
+    assert len(loose.zeros) == len(tight.zeros) == 2
+    assert np.allclose(loose.zeros, tight.zeros, rtol=1e-7)
+    assert np.allclose(tight.zeros, [T1_REF, T2_REF], rtol=1e-9)
+
+
+def test_integrator_nonfinite_rhs_reported():
+    # an infinite value at t = 0 must not shrink the first step to nothing
+    # (a step-size underflow) before the step that exposes it
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_emden_ivp(3.0, 3.0, bad, 1e3, max_zeros=2,
+                                max_steps=1000)
+
+
+def test_critical_points_located():
+    traj = integrate_emden_ivp(3.0, 3.0, 1.0, 1e3, max_zeros=2)
+    assert len(traj.critical_points) == 1
+    # interior minimum between the two zeros, negative value
+    assert traj.zeros[0] < traj.critical_points[0] < traj.zeros[1]
+    assert traj.critical_values[0] < 0
 
 
 def test_ivp_rejects_trivial_start():
@@ -44,6 +73,9 @@ def test_ivp_spent_step_budget_is_an_error():
     for v0 in (1e200, 1e160):
         with pytest.raises(IntegrationError, match="overflows a float"):
             integrate_emden_ivp(3.0, 3.0, v0, 1e3, max_zeros=1)
+    # no step meets a tolerance of 1e-300: rejections shrink h below 1e-15
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        integrate_emden_ivp(3.0, 3.0, 1.0, 10.0, rtol=1e-300, atol=1e-300)
 
 
 def test_ivp_second_derivative_at_origin():
@@ -93,12 +125,13 @@ def test_solve_nodal_power_budget_error():
         solve_nodal_power(3.0, 4.9, 2, t_max=100.0)
 
 
-def test_supercritical_runs_and_reports():
-    # beyond the critical exponent the trajectory never crosses zero, so the
-    # solver runs (no precondition stops it) and reports the missing zero
-    with pytest.raises(IntegrationError, match="critical range"):
-        solve_nodal_power(3.0, 5.5, 1, t_max=1e6)
-    assert not solve_nodal_power(3.0, 4.0, 1).meta["supercritical"]
+def test_supercritical_p_is_refused():
+    # for M > 2 no nodal radial solution exists at p >= (M+2)/(M-2)
+    # (Pohozaev's identity): refused before any integration
+    for p in (5.0, 5.5):
+        with pytest.raises(ValueError,
+                           match=r"critical exponent \(M\+2\)/\(M-2\)=5 "):
+            solve_nodal_power(3.0, p, 1)
 
 
 def test_residual_shrinks_under_solver_refinement():
@@ -172,6 +205,42 @@ def test_validate_profile_detects_injected_fault():
     bad = dataclasses.replace(prof, values=bad_values)
     # the sign check names the zone, and no other check fails
     assert validate_profile(bad) == ["sign error inside nodal zone 0"]
+
+
+def _flipped(arr, i, value=None):
+    out = arr.copy()
+    out[i] = -out[i] if value is None else value
+    return out
+
+
+@pytest.mark.parametrize("fault, message", [
+    pytest.param(lambda pr: {"zeros": pr.zeros[:1]},
+                 r"expected 2 zeros, recorded 1", id="zero-count"),
+    pytest.param(lambda pr: {"values": _flipped(pr.values, -1, 1.0)},
+                 r"profile does not vanish at t=1", id="boundary"),
+    pytest.param(lambda pr: {"values": _flipped(pr.values, 0)},
+                 r"v\(0\)=-35\.9619 is not positive", id="start-sign"),
+    pytest.param(lambda pr: {"derivative": _flipped(
+                     pr.derivative, np.searchsorted(pr.grid, 0.1))},
+                 r"profile is not decreasing in its first nodal zone",
+                 id="first-zone"),
+    pytest.param(lambda pr: {"critical_points": pr.critical_points[:0]},
+                 r"zone \(0\.191782, 1\) has 0 critical points, expected 1",
+                 id="critical-points"),
+    pytest.param(lambda pr: {"extremal_values": pr.extremal_values[::-1]},
+                 r"extremal values are not ordered as expected",
+                 id="extremal-order"),
+    pytest.param(lambda pr: {"derivative": _flipped(pr.derivative, 0, 1.0)},
+                 r"initial slope 1\.000e\+00 above tolerance",
+                 id="initial-slope"),
+])
+def test_validate_profile_names_each_fault(fault, message):
+    # each fault, injected into a valid m = 2 profile, fails its own check
+    # and no other; test_validate_profile_detects_injected_fault injects the
+    # sign fault
+    prof = solve_nodal_power(3.0, 3.0, 2)
+    msgs = validate_profile(dataclasses.replace(prof, **fault(prof)))
+    assert len(msgs) == 1 and re.fullmatch(message, msgs[0]), msgs
 
 
 def test_validate_profile_m1_vacuous_critical_check():
