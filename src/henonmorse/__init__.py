@@ -10,10 +10,10 @@ from .morse import (BETA_PLANAR, DegeneracyReport, MorseReport,
                     beltrami_multiplicity, degeneracy_scan, lower_bound,
                     morse_index, symmetric_morse_index)
 from .oracle import dense_oracle_spectrum
-from .radial import (AuxiliaryZ, EmdenTrajectory, IntegrationError,
-                     RadialProfile, auxiliary_z, henon_profile,
-                     integrate_emden_ivp, linearized_potential,
-                     solve_nodal_power, validate_profile)
+from .radial import (EmdenTrajectory, IntegrationError, RadialProfile,
+                     auxiliary_z, henon_profile, integrate_emden_ivp,
+                     linearized_potential, solve_nodal_power,
+                     validate_profile)
 from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
                        WeightedSLProblem, fit_decay_exponent,
                        liouville_transform, picone_residual, rayleigh_quotient,
@@ -27,7 +27,7 @@ __all__ = [
     "BETA_PLANAR", "__version__",
     "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
     "angular_threshold", "degeneracy_targets", "map_radius",
-    "RadialProfile", "EmdenTrajectory", "AuxiliaryZ", "IntegrationError",
+    "RadialProfile", "EmdenTrajectory", "IntegrationError",
     "integrate_emden_ivp", "solve_nodal_power", "henon_profile",
     "validate_profile", "auxiliary_z", "linearized_potential",
     "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",

@@ -3,6 +3,9 @@
 Subcommands: solve, spectrum, morse, sweep, oracle.  A single JSON config
 document may supply any RunConfig field; command-line flags override file
 fields, and defaults fill the rest (precedence: flags > file > defaults).
+Flag text and file values go through one parser (RunConfig.checked), so
+--N 3.0 and {"N": 3.0} are the same config.  A sweep ignores the base value
+of the field it sweeps, in the flags and in the file alike.
 Numerical defaults and bounds are SpectralConfig's, spectral.N_CAP and the
 oracle's; the other solver settings are module constants, not config
 fields.
@@ -60,7 +63,8 @@ from .radial import (IntegrationError, RadialProfile, linearized_potential,
                      solve_nodal_power, validate_profile)
 from .spectral import (N_CAP, EigenPair, SpectralConfig, SpectralError,
                        Spectrum, WeightedSLProblem, solve_singular_spectrum,
-                       solve_standard_spectrum, zero_potential)
+                       solve_standard_spectrum, theta_analytic,
+                       zero_potential)
 
 
 class ConfigError(ValueError):
@@ -108,6 +112,7 @@ class RunConfig:
     workers: int = 1
     symmetry: str | None = None
 
+    # one flag per field, in this order, with the message as its help
     _DOMAINS = {
         "N": ("int", lambda v: v >= 2, "N must be an integer >= 2"),
         "alpha": ("float", lambda v: v >= 0, "alpha must be >= 0"),
@@ -119,14 +124,6 @@ class RunConfig:
         "xmax": ("float?", lambda v: v is None or v > 0,
                  "xmax must be positive"),
         "tol": ("float", lambda v: v > 0, "tol must be positive"),
-        "oracle_n": ("int", lambda v: 16 <= v <= DENSE_N_GUARD,
-                     f"oracle_n must be an integer in [16, {DENSE_N_GUARD}]"),
-        "oracle_tol": ("float", lambda v: v > 0, "oracle_tol must be "
-                       "positive"),
-        "epsilon_cut": ("float?",
-                        lambda v: v is None or 0 < v < EPSILON_CUT_MAX,
-                        f"epsilon_cut must be in (0, {EPSILON_CUT_MAX})"),
-        "a_zero": ("bool", lambda v: True, ""),
         "out": ("str", _directory_or_new,
                 "out must name a directory or a new path below one"),
         "workers": ("int", lambda v: v >= 1, "workers must be >= 1"),
@@ -134,6 +131,14 @@ class RunConfig:
                      lambda v: v in (None, "full") or _cyclic_order(v) >= 1,
                      "symmetry must be 'full' or 'cyclic:<q>' with an "
                      "integer q >= 1"),
+        "a_zero": ("bool", lambda v: True, "replace the potential by 0"),
+        "oracle_n": ("int", lambda v: 16 <= v <= DENSE_N_GUARD,
+                     f"oracle_n must be an integer in [16, {DENSE_N_GUARD}]"),
+        "oracle_tol": ("float", lambda v: v > 0, "oracle_tol must be "
+                       "positive"),
+        "epsilon_cut": ("float?",
+                        lambda v: v is None or 0 < v < EPSILON_CUT_MAX,
+                        f"epsilon_cut must be in (0, {EPSILON_CUT_MAX})"),
     }
 
     @classmethod
@@ -151,17 +156,20 @@ class RunConfig:
 
     @classmethod
     def checked(cls, name: str, value):
-        """`value` parsed into field `name`'s type; ConfigError naming the
-        field when it does not parse or lies outside the field's domain."""
+        """`value`, from a config file or a flag's text, parsed into field
+        `name`'s type; ConfigError naming the field when it does not parse
+        or lies outside the field's domain."""
         kind, check, msg = cls._DOMAINS[name]
         try:
             # JSON true/false fill the bool fields, and nothing else
             if isinstance(value, bool) != (kind == "bool"):
                 raise ValueError
             if kind == "int":
-                if isinstance(value, float) and value != int(value):
+                # any integral number: 3, 3.0, "3" or "3.0"
+                number = value if isinstance(value, int) else float(value)
+                if number != int(number):
                     raise ValueError
-                value = int(value)
+                value = int(number)
             elif kind == "float":
                 value = float(value)
             elif kind == "float?":
@@ -311,7 +319,9 @@ def _profile_doc(prof: RadialProfile) -> dict:
 
 
 def _spectrum_doc(spec: Spectrum) -> dict:
-    """A cache entry, and what spectrum_<kind>.json publishes."""
+    """A cache entry, and what spectrum_<kind>.json publishes: with each
+    negative singular value, the vanishing rate theta_analytic its
+    eigenfunction has at the origin."""
     return {
         "kind": spec.kind,
         "M": spec.M,
@@ -324,7 +334,8 @@ def _spectrum_doc(spec: Spectrum) -> dict:
                 "value": p.value,
                 "error_bar": p.error_bar,
                 "nodes": p.interior_nodes,
-                "theta_analytic": p.theta_analytic,
+                "theta_analytic": theta_analytic(p.value, spec.M)
+                if spec.kind == "singular" and p.value < 0 else None,
                 "uncertain": p.uncertain,
             }
             for p in spec.eigenpairs
@@ -342,9 +353,7 @@ def _read_spectrum(path) -> Spectrum:
         EigenPair(value=e["value"], error_bar=e["error_bar"],
                   grid=np.empty(0), samples=np.empty(0),
                   interior_nodes=e["nodes"],
-                  boundary_slope=math.nan,
-                  theta_analytic=e["theta_analytic"],
-                  uncertain=e["uncertain"])
+                  boundary_slope=math.nan, uncertain=e["uncertain"])
         for e in doc["eigenvalues"])
     thr = doc["threshold"]
     exh = doc["exhausted_below"]
@@ -546,23 +555,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="JSON config file (flags override its fields)")
-    common.add_argument("--N", type=int, dest="N")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--p", type=float, dest="p")
-    common.add_argument("--m", type=int, dest="m")
-    common.add_argument("--k", type=int, dest="k")
-    common.add_argument("--grid", type=int)
-    common.add_argument("--xmax", type=float)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--out", metavar="DIR")
-    common.add_argument("--workers", type=int)
-    common.add_argument("--symmetry", metavar="LABEL",
-                        help="'full' or 'cyclic:<q>' (N=2)")
-    common.add_argument("--a-zero", action="store_const", const=True,
-                        dest="a_zero", help="replace the potential by 0")
-    common.add_argument("--oracle-n", type=int, dest="oracle_n")
-    common.add_argument("--oracle-tol", type=float, dest="oracle_tol")
-    common.add_argument("--epsilon-cut", type=float, dest="epsilon_cut")
+    # flags keep their text, for RunConfig.checked to parse
+    for name, (kind, _, msg) in RunConfig._DOMAINS.items():
+        store = {"action": "store_const", "const": True} if kind == "bool" \
+            else {}
+        common.add_argument("--" + name.replace("_", "-"), help=msg, **store)
 
     ap = argparse.ArgumentParser(
         prog="henonmorse",
@@ -591,8 +588,11 @@ def _config_from_args(args) -> RunConfig:
         if not isinstance(file_fields, dict):
             raise ConfigError("field 'config': document must be a JSON "
                               "object")
-    cli_fields = {name: getattr(args, name, None)
-                  for name in RunConfig._DOMAINS}
+    # every configuration a sweep solves replaces the base's axis field
+    swept = getattr(args, "axis", None)
+    file_fields = {k: v for k, v in file_fields.items() if k != swept}
+    cli_fields = {name: getattr(args, name) for name in RunConfig._DOMAINS
+                  if name != swept}
     return RunConfig.from_sources(file_fields, cli_fields)
 
 

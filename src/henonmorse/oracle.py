@@ -171,17 +171,16 @@ def _eigenvectors(d, e, vals):
 
 
 def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
-                          epsilon_cut: float | None = None, *,
-                          richardson: bool = True) -> Spectrum:
+                          epsilon_cut: float | None = None) -> Spectrum:
     """All sub-threshold eigenvalues of the singular-kind `prob`.
 
     Verification-only path, kept deliberately independent of the production
     solvers; a standard-kind problem is a ValueError.  The n <= DENSE_N_GUARD
     guard bounds the dense cost.  The grid (GRADING, EPSILON_CUT) is
     strongly graded and reaches down to 1e-10, because the eigenfunctions
-    vanish at the origin like powers.  With `richardson` the values are
-    extrapolated from an (n/2, n) pair and each pair carries the
-    extrapolation bar.  All pairs share one r grid.
+    vanish at the origin like powers.  The values are extrapolated from an
+    (n/2, n) pair and each pair carries the extrapolation bar.  All pairs
+    share one r grid.
     """
     if prob.kind != "singular":
         raise ValueError("the dense oracle solves the singular kind only")
@@ -197,13 +196,12 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
 
     values = np.asarray(vals, dtype=float)
     bars = np.full(len(values), float("nan"))
-    if richardson:
-        d_c, e_c = _assemble(prob, n // 2, epsilon_cut, GRADING)[2:]
-        coarse = _oracle_values(prob, d_c, e_c)[0]
-        n_common = min(len(values), len(coarse))
-        cv = coarse[:n_common]
-        bars[:n_common] = np.abs(values[:n_common] - cv) / 3.0
-        values[:n_common] = (4.0 * values[:n_common] - cv) / 3.0
+    d_c, e_c = _assemble(prob, n // 2, epsilon_cut, GRADING)[2:]
+    coarse = _oracle_values(prob, d_c, e_c)[0]
+    n_common = min(len(values), len(coarse))
+    cv = coarse[:n_common]
+    bars[:n_common] = np.abs(values[:n_common] - cv) / 3.0
+    values[:n_common] = (4.0 * values[:n_common] - cv) / 3.0
 
     pairs = []
     for i in range(len(values)):
@@ -219,10 +217,9 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
         pairs.append(EigenPair(
             value=float(values[i]), error_bar=float(bars[i]), grid=r,
             samples=psi, interior_nodes=nodes,
-            boundary_slope=float(slope), theta_analytic=None,
-            uncertain=False))
+            boundary_slope=float(slope)))
     meta = {"n": n, "epsilon_cut": epsilon_cut, "grading": GRADING,
-            "oracle": True, "richardson": bool(richardson)}
+            "oracle": True}
     return Spectrum(kind=prob.kind, M=prob.M, threshold=prob.threshold,
                     eigenpairs=tuple(pairs), exhausted_below=float(exhausted),
                     negative_count=neg, meta=meta)

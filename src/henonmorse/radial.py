@@ -380,15 +380,9 @@ def validate_profile(prof: RadialProfile) -> list[str]:
     return msgs
 
 
-@dataclass(frozen=True)
-class AuxiliaryZ:
-    grid: np.ndarray
-    values: np.ndarray
-    interior_zero_count: int
-
-
-def auxiliary_z(prof: RadialProfile) -> AuxiliaryZ:
-    """z = t v' + 2/(p-1) v on the profile grid, with its interior zero count.
+def auxiliary_z(prof: RadialProfile) -> tuple[np.ndarray, int]:
+    """(z, interior zero count) of z = t v' + 2/(p-1) v, sampled on
+    prof.grid.
 
     Defined for profiles in the transformed variable; z vanishes exactly m
     times in (0, 1) for an m-nodal solution.
@@ -399,13 +393,16 @@ def auxiliary_z(prof: RadialProfile) -> AuxiliaryZ:
     p = prof.p
     z = prof.grid * prof.derivative + 2.0 / (p - 1.0) * prof.values
     inner = (prof.grid > 0.0) & (prof.grid < 1.0)
-    count = count_sign_changes(z[inner], 1e-12 * float(np.max(np.abs(z))))
-    return AuxiliaryZ(grid=prof.grid, values=z, interior_zero_count=count)
+    return z, count_sign_changes(z[inner], 1e-12 * float(np.max(np.abs(z))))
 
 
 def linearized_potential(prof: RadialProfile) -> Callable:
     """Potential a(t) = f'(v(t)) = p |v(t)|^(p-1) of the linearization along
-    the profile."""
+    a profile in the transformed variable; a physical profile, whose
+    linearization carries |x|^alpha, is a ValueError."""
+    if prof.variable != "emden":
+        raise ValueError("linearized_potential expects a profile in the "
+                         "transformed (emden) variable")
     p = prof.p
 
     def a(t):

@@ -108,7 +108,6 @@ class EigenPair:
     samples: np.ndarray           # psi(r), unit norm in the problem's weight
     interior_nodes: int
     boundary_slope: float         # psi'(1)
-    theta_analytic: float | None  # singular negative pairs
     uncertain: bool = False
     x_grid: np.ndarray | None = None   # Liouville nodes, when applicable
     u_samples: np.ndarray | None = None
@@ -452,8 +451,8 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
                 bars, vecs) -> tuple:
     """EigenPairs from the unknowns, node 1 on, in the columns of vecs: u
     positive next to r=1 and normalized in the kind's mass, psi = e^(cx) u;
-    singular pairs get their analytic decay rates and uncertain flags.  All
-    pairs share one r grid and one x grid.
+    singular pairs get their uncertain flags.  All pairs share one r grid
+    and one x grid.
 
     Nodes are counted on u, not psi: the two share their sign pattern, but
     u stays bounded while psi may grow toward the origin for eigenvalues
@@ -474,12 +473,8 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
         psi = u * np.exp(a_half * x)
         # psi'(1) = -(c u + u') at x = 0, u' one-sided to second order
         slope = -(a_half * u[0] + np.gradient(u[:3], h, edge_order=2)[0])
-        uncertain, theta_an = False, None
-        if singular:
-            kappa = math.sqrt(max(prob.threshold - values[i], 0.0))
-            uncertain = kappa * x[-1] < CERTIFY_KAPPA_X
-            if values[i] < 0:
-                theta_an = theta_analytic(values[i], prob.M)
+        kappa = math.sqrt(max(prob.threshold - values[i], 0.0))
+        uncertain = singular and kappa * x[-1] < CERTIFY_KAPPA_X
         inner = u[1:-1]
         nodes = count_sign_changes(inner,
                                    NODE_TOL * float(np.max(np.abs(inner))))
@@ -487,7 +482,6 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
             value=float(values[i]), error_bar=float(bars[i]),
             grid=r_grid, samples=psi[::-1].copy(),
             interior_nodes=nodes, boundary_slope=float(slope),
-            theta_analytic=theta_an,
             uncertain=bool(uncertain),
             x_grid=x, u_samples=u))
     return tuple(pairs)
@@ -512,61 +506,39 @@ def theta_analytic(nu_hat: float, M: float) -> float:
     return (2.0 - M + math.sqrt((M - 2.0) ** 2 - 4.0 * nu_hat)) / 2.0
 
 
-def _fit_decay(x, u, a_half, window_x):
-    """(slope, samples used) of the least-squares fit of ln|psi| against
-    ln r deep in the tail; the slope is None when the samples are fewer
-    than 8 or change sign."""
-    umax = float(np.max(np.abs(u)))
-    if window_x is None:
-        mask = (np.abs(u) > 1e-11 * umax) & (np.abs(u) < 1e-4 * umax)
-        mask &= x > 2.0
-    else:
-        mask = (x >= window_x[0]) & (x <= window_x[1]) & (np.abs(u) > 0)
-    n_used = int(np.count_nonzero(mask))
-    if n_used < 8:
-        return None, n_used
-    xs = x[mask]
-    if count_sign_changes(u[mask], 0.0):
-        return None, n_used
-    # ln|psi| = a_half * x + ln|u|; ln r = -x
-    ln_psi = a_half * xs + np.log(np.abs(u[mask]))
-    slope = np.polyfit(-xs, ln_psi, 1)[0]
-    return float(slope), n_used
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    theta_fit: float
-    theta_analytic: float
-    n_points: int
-    window: tuple
-
-
 def fit_decay_exponent(pair: EigenPair, M: float,
-                       window=None) -> DecayFit:
-    """Fit the vanishing rate of a singular eigenfunction near the origin.
+                       window=None) -> tuple[float, int]:
+    """(theta_fit, n_points): the vanishing rate of a singular
+    eigenfunction near the origin, the slope of the least-squares fit of
+    ln|psi| against ln r on n_points samples, to compare with
+    theta_analytic(pair.value, M).
 
-    `window` is (r_lo, r_hi) inside (0, first node); by default a band deep
-    in the tail where the samples are clean power laws is selected.
+    `window` is (r_lo, r_hi) inside (0, first node); by default the tail
+    samples between 1e-11 and 1e-4 of max |u| beyond x = 2, where they are
+    clean power laws.  Fewer than 8 samples, or samples that change sign,
+    are a ValueError.
     """
     if pair.value >= 0:
         raise ValueError("decay fit expects a negative singular eigenvalue")
     if pair.x_grid is None:
         raise ValueError("pair carries no Liouville samples")
     x, u = pair.x_grid, pair.u_samples
-    a_half = (M - 2.0) / 2.0
-    wx = None
-    if window is not None:
+    au = np.abs(u)
+    if window is None:
+        mask = (au > 1e-11 * au.max()) & (au < 1e-4 * au.max()) & (x > 2.0)
+    else:
         r_lo, r_hi = window
-        wx = (max(-math.log(r_hi), 0.0), -math.log(r_lo))
-        if count_sign_changes(u[(x >= wx[0]) & (x <= wx[1])], 0.0):
+        mask = (x >= max(-math.log(r_hi), 0.0)) & (x <= -math.log(r_lo))
+        if count_sign_changes(u[mask], 0.0):
             raise ValueError("window contains a node of the eigenfunction")
-    theta, n_pts = _fit_decay(x, u, a_half, wx)
-    if theta is None:
+        mask &= au > 0
+    n_points = int(np.count_nonzero(mask))
+    if n_points < 8 or count_sign_changes(u[mask], 0.0):
         raise ValueError("window has too few usable samples for a fit")
-    return DecayFit(theta_fit=theta,
-                    theta_analytic=theta_analytic(pair.value, M),
-                    n_points=n_pts, window=window or ("auto", "auto"))
+    # ln|psi| = c x + ln|u| with c = (M-2)/2, and ln r = -x
+    xs = x[mask]
+    ln_psi = (M - 2.0) / 2.0 * xs + np.log(au[mask])
+    return float(np.polyfit(-xs, ln_psi, 1)[0]), n_points
 
 
 def picone_residual(pi: EigenPair, pj: EigenPair, M: float) -> float:

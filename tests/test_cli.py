@@ -15,7 +15,7 @@ import pytest
 
 from henonmorse import cli, oracle
 from henonmorse.cli import RunConfig, main
-from henonmorse.spectral import SpectralError
+from henonmorse.spectral import SpectralError, theta_analytic
 
 
 def run(args):
@@ -139,6 +139,37 @@ def test_flags_override_config(tmp_path):
     assert doc["nodal_zones"] == 2
 
 
+def test_flags_parse_as_config_values(tmp_path, capsys):
+    # one parser for both sources: an integral float fills an int field,
+    # and a flag that does not parse is a config error naming its field
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 3.0}))
+    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+    assert run(["solve", "--config", cfg, "--out", by_file]) == 0
+    assert run(["solve", "--N", "3.0", "--out", by_flag]) == 0
+    for name in ("profile.csv", "profile.json"):
+        assert (by_flag / name).read_bytes() == (by_file / name).read_bytes()
+    assert run(["morse", "--k", "x", "--out", tmp_path / "k"]) == 2
+    assert "field 'k': cannot parse 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "k").exists()
+
+
+def test_sweep_ignores_the_base_value_of_its_axis(tmp_path):
+    # every swept configuration replaces the axis field, so a base value
+    # outside its domain, from a flag or from the file, is never solved
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 0.5}))
+    for i, (base, axis, rng) in enumerate((
+            (["--p", 0.5], "p", "2:3"), (["--config", cfg], "p", "2:3"),
+            (["--alpha", -1], "alpha", "0:1"))):
+        out = tmp_path / str(i)
+        assert run(["sweep", "--N", 3, "--m", 1] + base
+                   + ["--axis", axis, "--range", rng, "--steps", 2,
+                      "--out", out]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == [axis] + rng.split(":")
+
+
 def test_config_string_for_a_bool_field_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"a_zero": "false"}))
@@ -197,6 +228,26 @@ def test_spectrum_command_and_cache_determinism(tmp_path):
     doc = json.loads(first)
     assert doc["negative_count"] == 2
     assert sum(1 for e in doc["eigenvalues"] if e["value"] < 0) == 2
+
+
+def test_spectrum_publishes_the_analytic_vanishing_rate(tmp_path):
+    # theta_analytic(value, M) with each negative singular value, null with
+    # every other value and throughout the standard spectrum, whether the
+    # spectrum was solved or read from the cache
+    out = tmp_path / "t"
+    args = ["spectrum", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
+            "--out", out]
+    for _ in range(2):
+        assert run(args) == 0
+        sing = json.loads((out / "spectrum_singular.json").read_text())
+        std = json.loads((out / "spectrum_standard.json").read_text())
+        got = [e["theta_analytic"] for e in sing["eigenvalues"]]
+        values = [e["value"] for e in sing["eigenvalues"]]
+        assert got == [theta_analytic(v, sing["M"]) if v < 0 else None
+                       for v in values]
+        assert min(values) < 0 <= max(values)
+        assert [e["theta_analytic"] for e in std["eigenvalues"]] \
+            == [None] * len(std["eigenvalues"]) != []
 
 
 def test_spectrum_a_zero_override(tmp_path):

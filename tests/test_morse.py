@@ -22,8 +22,7 @@ def synthetic_spectrum(values, M, kind="singular"):
     pairs = tuple(
         EigenPair(value=float(v), error_bar=0.0, grid=np.empty(0),
                   samples=np.empty(0), interior_nodes=i,
-                  boundary_slope=math.nan, theta_analytic=None,
-                  uncertain=False)
+                  boundary_slope=math.nan)
         for i, v in enumerate(values))
     thr = ((M - 2.0) / 2.0) ** 2 if kind == "singular" else math.inf
     return Spectrum(kind=kind, M=M, threshold=thr, eigenpairs=pairs,

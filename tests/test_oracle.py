@@ -89,6 +89,13 @@ def full_spectrum(prob, n, epsilon_cut, grading):
     return spectrum
 
 
+def one_grid(prob, n, epsilon_cut):
+    """(values, negative count, exhausted_below) of the oracle's window on
+    the one grid of n cells, with no Richardson partner."""
+    return oracle._oracle_values(
+        prob, *oracle._assemble(prob, n, epsilon_cut, 4.0)[2:])
+
+
 @pytest.mark.parametrize("point", CLI_POINTS)
 def test_oracle_window_matches_full_spectrum(matrix_data, point):
     data, _ = matrix_data
@@ -96,24 +103,22 @@ def test_oracle_window_matches_full_spectrum(matrix_data, point):
     prob = WeightedSLProblem(M=entry["dmap"].M, a=entry["potential"],
                              kind="singular")
     for n in (1000, 2000):       # the two grids of the default oracle
-        orc = dense_oracle_spectrum(prob, n=n, richardson=False)
+        values, negative, exhausted = one_grid(prob, n, 1e-10)
         ref = full_spectrum(prob, n, 1e-10, 4.0)
-        exhausted = prob.threshold - 1e-6
-        ref_vals = ref[ref <= exhausted]
-        assert orc.negative_count == np.count_nonzero(ref <= -1e-7)
-        assert orc.exhausted_below == exhausted
-        assert len(orc.values) == len(ref_vals) >= point[3]
-        np.testing.assert_allclose(orc.values, ref_vals, rtol=1e-10, atol=0)
+        ref_vals = ref[ref <= prob.threshold - 1e-6]
+        assert negative == np.count_nonzero(ref <= -1e-7)
+        assert exhausted == prob.threshold - 1e-6
+        assert len(values) == len(ref_vals) >= point[3]
+        np.testing.assert_allclose(values, ref_vals, rtol=1e-10, atol=0)
 
 
 def test_oracle_keeps_the_bound_states_of_a_large_epsilon_cut(case):
     # at epsilon_cut 1e-2 the graded matrix has ||T|| ~ 1e21, and dstemr's
     # splitting test would decouple its lower rows
-    orc = dense_oracle_spectrum(case, n=2000, epsilon_cut=1e-2,
-                                richardson=False)
+    values, negative, _ = one_grid(case, 2000, 1e-2)
     ref = full_spectrum(case, 2000, 1e-2, 4.0)
-    assert orc.negative_count == 2
-    np.testing.assert_allclose(orc.values, ref[ref <= case.threshold - 1e-6],
+    assert negative == 2
+    np.testing.assert_allclose(values, ref[ref <= case.threshold - 1e-6],
                                rtol=1e-10, atol=0)
 
 

@@ -23,7 +23,7 @@ def test_the_public_names_are_these():
         "BETA_PLANAR", "__version__",
         "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
         "angular_threshold", "degeneracy_targets", "map_radius",
-        "RadialProfile", "EmdenTrajectory", "AuxiliaryZ", "IntegrationError",
+        "RadialProfile", "EmdenTrajectory", "IntegrationError",
         "integrate_emden_ivp", "solve_nodal_power", "henon_profile",
         "validate_profile", "auxiliary_z", "linearized_potential",
         "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",

@@ -252,9 +252,9 @@ def test_validate_profile_m1_vacuous_critical_check():
 def test_auxiliary_z_counts():
     for (M, p, m) in ((3.0, 3.0, 2), (2.0, 2.2, 1), (4.0, 2.2, 3)):
         prof = solve_nodal_power(M, p, m)
-        z = auxiliary_z(prof)
-        assert z.interior_zero_count == m
-        assert z.values[0] == pytest.approx(
+        z, zero_count = auxiliary_z(prof)
+        assert zero_count == m
+        assert z[0] == pytest.approx(
             2.0 / (p - 1.0) * prof.values[0])
 
 
@@ -272,6 +272,13 @@ def test_linearized_potential_matches_power_formula():
     t = np.linspace(0, 1, 7)
     expect = 3.0 * np.abs(prof.evaluate(t)) ** 2
     assert np.allclose(a(t), expect, rtol=1e-12)
+
+
+def test_linearized_potential_refuses_a_physical_profile():
+    # p |u|^(p-1) leaves out the |x|^alpha of the physical linearization:
+    # at (3, 2, 3, 2) it reads 2640.07 at r = 0.25 against 165.00
+    with pytest.raises(ValueError, match="emden"):
+        linearized_potential(henon_profile(3, 2.0, 3.0, 2))
 
 
 def test_profile_serialization(tmp_path):
