@@ -10,11 +10,13 @@ Numerical defaults and bounds are SpectralConfig's, spectral.N_CAP and the
 oracle's; the other solver settings are module constants, not config
 fields.
 Every subcommand builds its results through a Pipeline, which solves the
-profile at most once per run.  Spectra are cached under <out>/cache, one
-entry per kind and number of values held, keyed by a content hash of
-exactly the fields that feed a spectrum, so spectra survive report-level
-changes, and of the package version and CACHE_REVISION, so entries written
-by older solver code are not served.  Cache files are moved into place
+profile at most once per run and hands every solve of the run one potential
+object, so the second spectrum finds the Liouville grids the first one
+built in the spectral module's grid memo (keyed by that object).  Spectra
+are cached under <out>/cache, one entry per kind and number of values held,
+keyed by a content hash of exactly the fields that feed a spectrum, so
+spectra survive report-level changes, and of the package version and
+CACHE_REVISION, so entries written by older solver code are not served.  Cache files are moved into place
 whole; an entry that cannot be read is recomputed.  Profiles are not
 cached: each solve run solves its profile again, in a few ms.
 
@@ -155,11 +157,13 @@ class RunConfig:
                       for name, value in merged.items()})
 
     @classmethod
-    def checked(cls, name: str, value):
+    def checked(cls, name: str, value, domain=None):
         """`value`, from a config file or a flag's text, parsed into field
         `name`'s type; ConfigError naming the field when it does not parse
-        or lies outside the field's domain."""
-        kind, check, msg = cls._DOMAINS[name]
+        or lies outside the field's domain.  A (kind, check, message)
+        `domain` stands in for the _DOMAINS entry of a name that is not a
+        field."""
+        kind, check, msg = domain or cls._DOMAINS[name]
         try:
             # JSON true/false fill the bool fields, and nothing else
             if isinstance(value, bool) != (kind == "bool"):
@@ -238,7 +242,11 @@ class Pipeline:
                                    + "; ".join(failures))
         return prof
 
+    @functools.cached_property
     def potential(self):
+        """The one potential callable of this configuration: every solve of
+        the run passes this object, so the spectral module's grid memo
+        serves the second kind the grids the first one built."""
         if self.cfg.a_zero:
             return zero_potential
         return linearized_potential(self.profile)
@@ -266,7 +274,7 @@ class Pipeline:
         return spec
 
     def _solve(self, kind: str, k: int) -> Spectrum:
-        prob = WeightedSLProblem(M=self.dmap.M, a=self.potential(), kind=kind)
+        prob = WeightedSLProblem(M=self.dmap.M, a=self.potential, kind=kind)
         solve = (solve_singular_spectrum if kind == "singular"
                  else solve_standard_spectrum)
         return solve(prob, k, self.cfg.spectral_config())
@@ -424,10 +432,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _radial_spectrum(pipe: Pipeline) -> Spectrum:
-    """The singular spectrum of a morse or sweep run, which must count m
-    negative eigenvalues: the radial Morse index of an m-nodal solution."""
-    sing = pipe.spectrum("singular", pipe.cfg.k)
+def _radial_spectrum(pipe: Pipeline, sing: Spectrum | None = None
+                     ) -> Spectrum:
+    """The singular spectrum of a morse or sweep run (`sing` when the caller
+    has already read it), which must count m negative eigenvalues: the
+    radial Morse index of an m-nodal solution."""
+    if sing is None:
+        sing = pipe.spectrum("singular", pipe.cfg.k)
     if sing.negative_count != pipe.cfg.m:
         raise SpectralError(f"singular negative count {sing.negative_count} "
                             f"differs from m={pipe.cfg.m}")
@@ -462,11 +473,11 @@ def cmd_morse(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_row(pipe: Pipeline, axis: str) -> list:
+def _sweep_row(pipe: Pipeline, axis: str, sing: Spectrum | None) -> list:
     """One sweep.csv row: the axis value, the m negative singular
     eigenvalues, the Morse total and the bounds."""
     cfg = pipe.cfg
-    sing = _radial_spectrum(pipe)
+    sing = _radial_spectrum(pipe, sing)
     # morse_index refuses a spectrum with fewer negative pairs than m
     report = morse_index(sing, pipe.dmap, m=cfg.m)
     nus = [p.value for p in sing.eigenpairs if p.value < 0][:cfg.m]
@@ -488,17 +499,18 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
     values = [RunConfig.checked(axis, float(v)) for v in params]
     pipes = [Pipeline(dataclasses.replace(cfg, **{axis: v})) for v in values]
     os.makedirs(cfg.out, exist_ok=True)
+    hits = [None] * len(pipes)
     if cfg.workers > 1:
-        # the pool solves the points missing from the cache; the rows are
-        # then read back from it
-        missed = [pipe for pipe in pipes
-                  if pipe.cached("singular", cfg.k) is None]
+        # the pool solves the points missing from the cache; the rows of
+        # those are then read back from it, the others from this scan
+        hits = [pipe.cached("singular", cfg.k) for pipe in pipes]
+        missed = [pipe for pipe, hit in zip(pipes, hits) if hit is None]
         if len(missed) > 1:
             import concurrent.futures  # 12 ms at import: only when pooling
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=cfg.workers) as pool:
                 list(pool.map(_cache_singular, missed))
-    rows = [_sweep_row(pipe, axis) for pipe in pipes]
+    rows = [_sweep_row(pipe, axis, hit) for pipe, hit in zip(pipes, hits)]
     path = os.path.join(cfg.out, "sweep.csv")
     _write_csv(path, [axis] + [f"nu_hat_{i + 1}" for i in range(cfg.m)]
                + ["total", "bound_general", "bound_f3"], rows)
@@ -510,7 +522,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     pipe = Pipeline(cfg)
     sing = pipe.spectrum("singular", cfg.k)
     orc = dense_oracle_spectrum(
-        WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential(), kind="singular"),
+        WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential, kind="singular"),
         n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut)
     comparisons = []
     unmatched = []      # certified solver pairs the oracle did not find
@@ -547,6 +559,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# sweep's --steps is not a config field, but parses as the int fields do
+_STEPS_DOMAIN = ("int", lambda v: v >= 0, "steps must be an integer >= 0")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first main call of a process
@@ -572,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", parents=[common])
     sw.add_argument("--axis", choices=("p", "alpha"), required=True)
     sw.add_argument("--range", required=True, metavar="LO:HI")
-    sw.add_argument("--steps", type=int, required=True)
+    sw.add_argument("--steps", required=True, help=_STEPS_DOMAIN[2])
     return ap
 
 
@@ -608,9 +624,8 @@ def main(argv=None) -> int:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ConfigError(f"field 'range': endpoints must be "
                                   f"finite, got {args.range}")
-            if args.steps < 0:
-                raise ConfigError("field 'steps': must be >= 0")
-            return cmd_sweep(cfg, args.axis, lo, hi, args.steps)
+            steps = RunConfig.checked("steps", args.steps, _STEPS_DOMAIN)
+            return cmd_sweep(cfg, args.axis, lo, hi, steps)
         return {"solve": cmd_solve, "spectrum": cmd_spectrum,
                 "morse": cmd_morse, "oracle": cmd_oracle}[args.command](cfg)
     except ConfigError as exc:

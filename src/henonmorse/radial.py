@@ -249,11 +249,29 @@ def _hermite(x, y, dy, q, derivative=False):
         g11 = 3 * s * s - 2 * s
         out = g00 * y0 / h + g10 * d0 + g01 * y1 / h + g11 * d1
     else:
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+        # h00 y0 + h10 h d0 + h01 y1 + h11 h d1 with h00 = (1 + 2s)(1 - s)^2,
+        # h10 = s (1 - s)^2, h01 = s^2 (3 - 2s) and h11 = s^2 (s - 1),
+        # accumulated in place in that order
+        two_s = 2 * s
+        om2 = 1 - s
+        om2 *= om2
+        s2 = s * s
+        out = two_s + 1
+        out *= om2
+        out *= y0
+        t = s * om2
+        t *= h
+        t *= d0
+        out += t
+        np.subtract(3, two_s, out=t)
+        t *= s2
+        t *= y1
+        out += t
+        np.subtract(s, 1, out=t)
+        t *= s2
+        t *= h
+        t *= d1
+        out += t
     return out[0] if scalar else out
 
 

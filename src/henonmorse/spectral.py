@@ -17,6 +17,15 @@ Rayleigh quotients; its vectors, prolongated, seed inverse iteration on the
 fine grid, whose pairs a Sturm count and disjoint residual intervals
 certify.  The standard kind's graded matrix is bisected to 1e-300.
 
+A report solves both kinds for one potential, and they share its grids:
+each Liouville grid (x, V) a solve builds on its whole interval is kept in
+a small memo keyed by the problem (its a, M and kind) and (X, n), with
+read-only arrays, and the flat-potential X by the problem.  The standard
+kind solves on its singular twin, which compares equal to the singular
+problem, so it finds the flat X and the grid of that X already built: the
+singular kind's adaptive-X probe is read off that grid.  The memo is only
+sound because `a` must be a pure function of r (WeightedSLProblem).
+
 A run sets the fine grid n, the interval length X and the Richardson
 tolerance (SpectralConfig).  The rest of the policy is fixed in module
 constants: the caps on n and X (N_CAP, X_MAX_CAP), the decay the adaptive X
@@ -36,6 +45,7 @@ and the standard library, and no other part of scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,7 +76,11 @@ class ResolutionError(SpectralError):
 @dataclass(frozen=True)
 class WeightedSLProblem:
     """Operator data: dimension parameter M, bounded potential a on (0, 1],
-    and the eigenvalue-weight kind ("standard" or "singular")."""
+    and the eigenvalue-weight kind ("standard" or "singular").
+
+    `a` must be a pure function of r, elementwise on arrays: the solvers
+    keep the grids they build from it for the next solve of an equal
+    problem, which holds the same `a` object."""
 
     M: float
     a: Callable
@@ -161,14 +175,16 @@ class LiouvilleProblem:
         s = np.exp(self.x[1:]) / np.sqrt(w)
         return d * s * s, e * s[:-1] * s[1:], s
 
-    def coarsened(self):
-        """Every other node of an even grid: for n cells, bitwise the grid
-        of n // 2 cells that liouville_transform builds on (0, X)."""
-        if (len(self.x) - 1) % 2:
-            raise ValueError("only a grid with an even number of cells "
-                             "can be coarsened")
-        return LiouvilleProblem(x=self.x[::2], V=self.V[::2], h=2.0 * self.h,
-                                threshold=self.threshold)
+    def coarsened(self, stride: int = 2):
+        """Every stride-th node, stride a power of two that divides the
+        cell count n: bitwise the grid of n // stride cells that
+        liouville_transform builds on (0, X)."""
+        if stride & (stride - 1) or (len(self.x) - 1) % stride:
+            raise ValueError(f"a grid of {len(self.x) - 1} cells cannot be "
+                             f"coarsened by {stride}: the stride must be a "
+                             "power of two that divides an even cell count")
+        return LiouvilleProblem(x=self.x[::stride], V=self.V[::stride],
+                                h=stride * self.h, threshold=self.threshold)
 
 
 def _prolongate(w):
@@ -211,6 +227,29 @@ def liouville_transform(prob: WeightedSLProblem, x_max: float,
     return LiouvilleProblem(x=x, V=V, h=h, threshold=prob.threshold)
 
 
+# three grids: the most a singular solve builds before the standard solve
+# of its report asks again for the first (_auto_x_max's)
+@functools.lru_cache(maxsize=3)
+def _grid(prob: WeightedSLProblem, x_max: float, n: int) -> LiouvilleProblem:
+    """liouville_transform(prob, x_max, n), built once while it is among the
+    last three grids asked for; its arrays are read-only."""
+    grid = liouville_transform(prob, x_max, n)
+    grid.x.flags.writeable = grid.V.flags.writeable = False
+    return grid
+
+
+def _probe(prob: WeightedSLProblem, x_max: float, n: int, cells: int):
+    """The grid of `cells` cells on (0, x_max).  When n is `cells` times a
+    power of two it is every (n / cells)-th node of the memoized grid of n
+    cells, bitwise (LiouvilleProblem.coarsened), and the solve that needs
+    that grid next finds it built."""
+    stride, rest = divmod(n, cells)
+    if stride and not rest and not stride & (stride - 1):
+        return _grid(prob, x_max, n).coarsened(stride)
+    return liouville_transform(prob, x_max, cells)
+
+
+@functools.lru_cache(maxsize=2)
 def _flat_x_max(prob: WeightedSLProblem) -> float:
     """X past which the singular-kind potential V is flat: 8 beyond the last
     x where e^(-2x) |a| exceeds 1e-10 max(1, threshold), in [20, X_MAX_CAP]."""
@@ -222,11 +261,12 @@ def _flat_x_max(prob: WeightedSLProblem) -> float:
     return min(X_MAX_CAP, max(20.0, x_flat + 8.0))
 
 
-def _auto_x_max(prob: WeightedSLProblem) -> float:
-    """Pick X so the potential has flattened and target decay is reached."""
+def _auto_x_max(prob: WeightedSLProblem, n: int) -> float:
+    """Pick X so the potential has flattened and target decay is reached,
+    from the eigenvalues of a 1024-cell probe read off (_probe) the grid of
+    n cells on the flat X, which the standard kind solves on."""
     x0 = _flat_x_max(prob)
-    grid = liouville_transform(prob, x0, 1024)
-    d, e = grid.tridiagonal()
+    d, e = _probe(prob, x0, n, 1024).tridiagonal()
     below = bisect_eigenvalues(d, e, below=prob.threshold - MARGIN,
                                abstol=BRACKET)
     if not len(below):
@@ -249,24 +289,12 @@ def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float):
 
 def _fine_grid(prob: WeightedSLProblem, x_max: float, cfg: SpectralConfig):
     """The fine Liouville grid of singular-kind `prob`, its n (_resolution
-    on a PROBE_N-cell probe of V), and whether n hit the cap.
-
-    When the configured n is PROBE_N times a power of two, the probe is
-    every (n / PROBE_N)-th node of the grid of that n, bitwise (as in
-    LiouvilleProblem.coarsened), and that grid is built first and kept
-    unless n must grow."""
+    on a PROBE_N-cell probe of V, read off the grid of the configured n
+    when _probe can) and whether n hit the cap."""
     n_cfg = cfg.n + cfg.n % 2
-    stride, rest = divmod(n_cfg, PROBE_N)
-    grid = None
-    if stride and not rest and not stride & (stride - 1):
-        grid = liouville_transform(prob, x_max, n_cfg)
-        v_min = float(np.min(grid.V[::stride]))
-    else:
-        v_min = float(np.min(liouville_transform(prob, x_max, PROBE_N).V))
+    v_min = float(np.min(_probe(prob, x_max, n_cfg, PROBE_N).V))
     n, capped = _resolution(cfg.n, x_max, v_min, prob.threshold)
-    if grid is None or n != n_cfg:
-        grid = liouville_transform(prob, x_max, n)
-    return grid, n, capped
+    return _grid(prob, x_max, n), n, capped
 
 
 def _richardson(vals_f, vals_c, cfg: SpectralConfig, grid: LiouvilleProblem,
@@ -320,7 +348,8 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     """
     if prob.kind != "singular":
         raise ValueError("solve_singular_spectrum needs the singular kind")
-    x_max = cfg.x_max if cfg.x_max is not None else _auto_x_max(prob)
+    x_max = cfg.x_max if cfg.x_max is not None else \
+        _auto_x_max(prob, cfg.n + cfg.n % 2)
     hi = prob.threshold - MARGIN
     g_f, n, capped = _fine_grid(prob, x_max, cfg)
 
@@ -392,8 +421,11 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
 
     X is where the potential has flattened (cfg.x_max when set), n that of
     the singular kind, and h is halved, up to N_CAP, while a Richardson
-    bar exceeds cfg.tol.  By Sylvester's law of inertia the negative count
-    and zero band (all that k = 0 takes) are those of the form alone.
+    bar exceeds cfg.tol.  The flat X and the first grid are those of the
+    singular twin, the memoized ones when a singular solve of the same
+    problem has just built them.  By Sylvester's law of inertia the
+    negative count and zero band (all that k = 0 takes) are those of the
+    form alone.
     """
     if prob.kind != "standard":
         raise ValueError("solve_standard_spectrum needs the standard kind")
@@ -463,6 +495,9 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
     r_grid = r_desc[::-1].copy()
     weight = 1.0 if singular else r_desc * r_desc
     a_half = (prob.M - 2.0) / 2.0
+    growth = np.exp(a_half * x)
+    # u'(0) one-sided to second order: np.gradient's edge_order=2 weights
+    w0, w1, w2 = -1.5 / h, 2.0 / h, -0.5 / h
     pairs = []
     for i in range(len(values)):
         u = np.zeros(len(x))
@@ -470,9 +505,9 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
         if u[1] < 0:
             u = -u
         u = u / math.sqrt(_simpson(weight * u * u, h))
-        psi = u * np.exp(a_half * x)
-        # psi'(1) = -(c u + u') at x = 0, u' one-sided to second order
-        slope = -(a_half * u[0] + np.gradient(u[:3], h, edge_order=2)[0])
+        psi = u * growth
+        # psi'(1) = -(c u + u') at x = 0
+        slope = -(a_half * u[0] + (w0 * u[0] + w1 * u[1] + w2 * u[2]))
         kappa = math.sqrt(max(prob.threshold - values[i], 0.0))
         uncertain = singular and kappa * x[-1] < CERTIFY_KAPPA_X
         inner = u[1:-1]

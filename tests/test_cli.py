@@ -154,6 +154,21 @@ def test_flags_parse_as_config_values(tmp_path, capsys):
     assert not (tmp_path / "k").exists()
 
 
+def test_sweep_steps_parse_as_an_int_field(tmp_path, capsys):
+    # --steps goes through the fields' parser: an integral float is that
+    # int, and text that is not one exits 2 naming steps
+    out = tmp_path / "integral"
+    assert run(["sweep", "--N", 3, "--m", 1, "--axis", "p", "--range", "2:3",
+                "--steps", "2.0", "--out", out]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+    for text in ("x", "2.5", "-1"):
+        out = tmp_path / text
+        assert run(["sweep", "--N", 3, "--m", 1, "--axis", "p",
+                    "--range", "2:3", "--steps", text, "--out", out]) == 2
+        assert "field 'steps'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_ignores_the_base_value_of_its_axis(tmp_path):
     # every swept configuration replaces the axis field, so a base value
     # outside its domain, from a flag or from the file, is never solved
@@ -630,8 +645,19 @@ def test_sweep_rerun_reads_every_point_from_the_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_singular_spectrum", _refuse)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _refuse)
+    # the scan for missing points reads each entry, and the rows take what
+    # it read
+    reads = []
+    real = cli._read_spectrum
+
+    def counted(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_read_spectrum", counted)
     assert run(args) == 0
     assert (out / "sweep.csv").read_bytes() == first
+    assert len(reads) == len(set(reads)) == 3
 
 
 def test_sweep_truncated_entry_is_recomputed(tmp_path, capsys):
@@ -673,6 +699,10 @@ def test_cold_morse_solves_the_profile_once_per_run(tmp_path, monkeypatch):
         assert run(["morse"] + REFERENCE + ["--out", tmp_path / name]) == 0
         assert len(calls) == 1
         calls.clear()
+    # and the spectral grid memo carries nothing from one run into the next
+    for name in REPORT:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
 
 
 def test_a_spectrum_morse_cannot_count_exits_3(tmp_path, monkeypatch,

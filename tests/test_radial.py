@@ -260,10 +260,17 @@ def test_auxiliary_z_counts():
 
 def test_auxiliary_z_alternates_at_profile_zeros():
     prof = solve_nodal_power(3.0, 3.0, 3)
-    z = auxiliary_z(prof)
-    # z(t_i) = t_i v'(t_i): alternating, starting negative
-    vals = prof.zeros[:-1] * prof.evaluate_derivative(prof.zeros[:-1])
-    assert np.all(np.sign(vals) == [-1.0, 1.0])
+    z, zero_count = auxiliary_z(prof)
+    assert zero_count == 3
+    # z(t_i) = t_i v'(t_i) at each interior zero t_i of v: the samples on
+    # either side of it carry that sign, alternating from negative; with
+    # z(0) > 0 and z(1) = v'(1) < 0 that makes the three sign changes
+    for t_i, sign in zip(prof.zeros[:-1], (-1.0, 1.0)):
+        assert np.sign(t_i * prof.evaluate_derivative(t_i)) == sign
+        j = np.searchsorted(prof.grid, t_i)
+        assert prof.grid[j - 1] < t_i < prof.grid[j]
+        assert np.sign(z[j - 1]) == np.sign(z[j]) == sign
+    assert z[0] > 0 > z[-1]
 
 
 def test_linearized_potential_matches_power_formula():

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ def test_coarsened_grid_is_the_half_size_transform(n):
         assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="even"):
         liouville_transform(prob, 37.3, n + 1).coarsened()
+    # so is every stride-th node for a power-of-two stride
+    fine = liouville_transform(prob, 37.3, n)
+    for stride in (4, 8):
+        coarse = fine.coarsened(stride)
+        direct = liouville_transform(prob, 37.3, n // stride)
+        assert coarse.h == direct.h
+        assert np.array_equal(coarse.x, direct.x)
+        assert np.array_equal(coarse.V, direct.V)
+    for stride in (3, 6):
+        with pytest.raises(ValueError, match="power of two"):
+            fine.coarsened(stride)
 
 
 def test_singular_spectrum_shape(lane_emden_case):
@@ -475,6 +487,43 @@ def test_a_standard_count_evaluates_the_potential_twice(lane_emden_case):
         WeightedSLProblem(M=3.0, a=a, kind="standard"), 0)
     assert spec.meta["n"] == 4096
     assert sizes[1:] == [4097] and len(sizes) == 2
+
+
+@pytest.mark.parametrize("m, builds", [(2, 3), (1, 2)])
+def test_a_report_builds_each_grid_once(m, builds):
+    # a singular solve and then a standard one, as a report makes them,
+    # evaluate the potential on the flat-X probe, on the grid of n cells on
+    # the flat X (the adaptive-X probe, and the standard fine grid) and on
+    # the singular fine grid, unless that X is the flat X, as at m = 1
+    prof = solve_nodal_power(3.0, 3.0, m)
+    potential = linearized_potential(prof)
+    sizes = []
+
+    def a(r):
+        sizes.append(np.size(r))
+        return potential(r)
+
+    kinds = ((solve_singular_spectrum, "singular", m + 2),
+             (solve_standard_spectrum, "standard", 0))
+    shared = [solve(WeightedSLProblem(M=3.0, a=a, kind=kind), k)
+              for solve, kind, k in kinds]
+    assert sizes == [4097] * builds
+    assert (shared[0].meta["x_max"] == shared[1].meta["x_max"]) == (m == 1)
+    # the same spectra, bitwise, from solves that share nothing
+    spectral._grid.cache_clear()
+    spectral._flat_x_max.cache_clear()
+    alone = [solve(WeightedSLProblem(M=3.0, a=linearized_potential(prof),
+                                     kind=kind), k)
+             for solve, kind, k in kinds]
+    assert pickle.dumps(shared) == pickle.dumps(alone)
+
+
+def test_memoized_grids_are_read_only(lane_emden_case):
+    _, prob, spec = lane_emden_case
+    grid = spectral._grid(prob, spec.meta["x_max"], spec.meta["n"])
+    for values in (grid.x, grid.V, spec.eigenpairs[0].x_grid):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
 
 
 @pytest.mark.parametrize("n", [3000, 4096, 8192])
