@@ -1,13 +1,14 @@
 """The LAPACK layer: symmetric tridiagonal counts, eigenvalues and
 eigenvectors.
 
-Counts are Sturm counts: a ``dstebz`` call that bisects nothing.  Eigenvalues
-come from LAPACK bisection (``dstebz``) and eigenvectors from inverse
-iteration (``dstein``), always on one unsplit block: the values are plain
-ascending arrays, and a matrix that splits is refused.  A singular coarse
-grid is bisected only to a bracket of width BRACKET; the Rayleigh quotient
-of each eigenvector then finishes its eigenvalue.  Its fine grid is not
-bisected: dstein runs there at the Rayleigh quotients of the coarse
+Counts are Sturm counts taken by dlaebz, the routine dstebz counts with:
+one sweep per shift, and one call for all the shifts a solve asks about.
+Eigenvalues come from LAPACK bisection (``dstebz``) and eigenvectors from
+inverse iteration (``dstein``), always on one unsplit block: the values are
+plain ascending arrays, and a matrix that splits is refused.  A singular
+coarse grid is bisected only to a bracket of width BRACKET; the Rayleigh
+quotient of each eigenvector then finishes its eigenvalue.  Its fine grid
+is not bisected: dstein runs there at the Rayleigh quotients of the coarse
 vectors, prolongated, and each pair is certified by its residual interval
 [rho - r, rho + r], r = ||T v - rho v|| for a unit v, which holds an
 eigenvalue (Parlett, The Symmetric Eigenvalue Problem, ch. 4), together
@@ -20,11 +21,14 @@ The LAPACK routines come from scipy's compiled modules, loaded from their
 files by lapack_module without running the scipy.linalg package __init__,
 which imports scipy._lib._array_api and, through it, numpy.f2py,
 numpy.testing, numpy.ma and numpy.random: about half of a CLI start-up.
-The wrappers are the objects scipy.linalg.lapack exports.
+The f2py wrappers are the objects scipy.linalg.lapack exports; dlaebz,
+which has none, is called through the C function scipy.linalg.cython_lapack
+exports (cython_lapack_function).
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -67,8 +71,31 @@ def lapack_module(name: str):
     return module
 
 
+def cython_lapack_function(name: str, *argtypes):
+    """ctypes handle, with the given argument types, on the LAPACK function
+    that scipy.linalg.cython_lapack exports under `name`."""
+    capsule = lapack_module("cython_lapack").__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
 _flapack = lapack_module("_flapack")
 dstebz, dstein = _flapack.dstebz, _flapack.dstein
+
+# scalars by reference, arrays by address (ndarray.ctypes.data): the
+# pointer objects of ndarray.ctypes.data_as and of ndpointer arguments form
+# reference cycles, garbage that outlives the call until the cyclic GC runs
+_INT = ctypes.POINTER(ctypes.c_int)
+_DBL = ctypes.POINTER(ctypes.c_double)
+_ARRAY = ctypes.c_void_p
+_DLAEBZ_C = cython_lapack_function(
+    "dlaebz", _INT, _INT, _INT, _INT, _INT, _INT, _DBL, _DBL, _DBL, _ARRAY,
+    _ARRAY, _ARRAY, _INT, _ARRAY, _DBL, _INT, _ARRAY, _DBL, _INT, _INT)
 
 
 class SpectralError(RuntimeError):
@@ -97,23 +124,81 @@ def _window(lo, hi):
     return 1, lo, np.nextafter(hi, -np.inf), 0, 0
 
 
-def sturm_count(diag, off, sigma):
-    """Number of eigenvalues of tridiag(diag, off) strictly below sigma.
+def dlaebz(d, e, e2, pivmin: float, ab):
+    """LAPACK dlaebz with IJOB=1 on tridiag(d, e), e2 = e^2 with zeros where
+    the matrix splits: for each shift in ab, the number of eigenvalues at or
+    below it, one Sturm sweep each, and LAPACK's INFO.  The shifts are the
+    ends of len(ab) // 2 intervals, lower ends first.  The arrays must be
+    contiguous float64, e and e2 of n - 1 entries at least."""
+    if not (all(a.dtype == np.float64 and a.flags.c_contiguous
+                for a in (d, e, e2, ab))
+            and min(len(e), len(e2)) >= len(d) - 1):
+        raise ValueError("dlaebz takes contiguous float64 arrays, e and e2 "
+                         "of n - 1 entries")
+    minp = len(ab) // 2
+    nab = np.empty(len(ab), np.intc)
+    mout, info = ctypes.c_int(), ctypes.c_int()
+    i, x, ref = ctypes.c_int, ctypes.c_double, ctypes.byref
+    # NVAL, C, WORK and IWORK are not referenced for IJOB=1
+    _DLAEBZ_C(ref(i(1)), ref(i(0)), ref(i(len(d))), ref(i(minp)),
+              ref(i(minp)), ref(i(0)), ref(x(0.0)), ref(x(0.0)),
+              ref(x(pivmin)), d.ctypes.data, e.ctypes.data, e2.ctypes.data,
+              ref(i(0)), ab.ctypes.data, ref(x(0.0)), ref(mout),
+              nab.ctypes.data, ref(x(0.0)), ref(i(0)), ref(info))
+    return nab, info.value
 
-    One dstebz value-window call with abstol=+inf: dstebz takes the Sturm
-    counts at the window edges, finds every interval converged and bisects
-    nothing, so a window of any width costs a few O(n) sweeps.  (With a
-    small abstol dstebz bisects every eigenvalue in the window: that, not
-    the width, is what makes a wide value-window call slow.)  A pivot within
-    LAPACK's floor (about 2e-308 * max(1, max off^2)) of zero counts as
-    negative, so an eigenvalue exactly at sigma = 0 counts as below it.
+
+# dstebz's machine constants: DLAMCH('S') and DLAMCH('P')
+SAFEMIN, ULP = np.finfo(float).tiny, np.finfo(float).eps
+
+
+def sturm_count(diag, off, sigma):
+    """Number of eigenvalues of tridiag(diag, off) strictly below sigma, or
+    the list of those numbers for a sequence of shifts sigma.
+
+    Each count is bitwise the one a dstebz value-window call (-inf, sigma)
+    gives, at one Sturm sweep a shift and one LAPACK call for all shifts:
+    dlaebz (IJOB=1), the counting loop of dstebz, runs at the float just
+    below each sigma, on dstebz's E2 = off^2 with its split test and its
+    pivot floor PIVMIN = 2.2e-308 * max(1, max E2), under which a pivot
+    counts as negative (so an eigenvalue exactly at sigma = 0 counts as
+    below it).  A row split off on both sides counts by dstebz's rule for
+    a one-row block, d - PIVMIN <= shift.  The sweeps dstebz adds, at each
+    block's Gershgorin bounds widened past the sweep's rounding, count 0
+    and every row of the block, so they are left out.
     """
+    if len(off) != len(diag) - 1:
+        raise ValueError(f"a tridiagonal matrix of order n >= 1 takes n - 1 "
+                         f"off-diagonal entries, not {len(off)} for n = "
+                         f"{len(diag)}")
+    shifts = np.nextafter(np.atleast_1d(np.asarray(sigma, float)), -np.inf)
     if len(diag) == 1:
-        # dstebz's wrapper rejects an empty off-diagonal
-        return int(diag[0] < sigma)
-    m, *_, info = dstebz(diag, off, *_window(-np.inf, sigma), np.inf, b"B")
-    _check_info("dstebz", info)
-    return int(m)
+        # dstebz's rule for one row
+        counts = (diag[0] <= shifts).astype(int)
+    else:
+        diag = np.ascontiguousarray(diag, dtype=float)
+        off = np.ascontiguousarray(off, dtype=float)
+        e2 = off * off
+        split = np.abs(diag[1:] * diag[:-1]) * ULP ** 2 + SAFEMIN > e2
+        lone = ()
+        if split.any():
+            e2[split] = 0.0
+            cut = np.concatenate(([True], split, [True]))
+            lone = diag[cut[:-1] & cut[1:], None]
+        pivmin = max(1.0, float(np.max(e2))) * SAFEMIN
+        # dlaebz sweeps at both ends of each interval: pad an odd count
+        ab = np.resize(shifts, len(shifts) + len(shifts) % 2)
+        nab, info = dlaebz(diag, off, e2, pivmin, ab)
+        _check_info("dlaebz", info)
+        counts = nab[:len(shifts)]
+        if len(lone):
+            # a one-row block counts where d - PIVMIN <= shift; the sweep
+            # counted it where d - shift < PIVMIN
+            counts = counts + (np.sum(lone - pivmin <= shifts, axis=0)
+                               - np.sum(lone - shifts < pivmin, axis=0))
+    if np.ndim(sigma) == 0:
+        return int(counts[0])
+    return counts.tolist()
 
 
 def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None,

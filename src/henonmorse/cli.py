@@ -32,12 +32,14 @@ above the critical exponent (M+2)/(M-2) and a cyclic --symmetry with N != 2,
 in every command and every swept configuration.
 
 Exit codes: 0 success, 2 config error, 3 solver failure (including a morse
-run whose standard and singular negative counts differ, and a morse or
-sweep run whose singular negative count differs from m, or whose singular
+run whose standard and singular negative counts differ, and a morse run or
+sweep point whose singular negative count differs from m, or whose singular
 spectrum holds fewer negative pairs than it counts or a near-threshold
 one), 4 oracle mismatch: an eigenvalue beyond
 tolerance, differing negative counts, or a certified solver eigenvalue the
-oracle did not find.
+oracle did not find.  A sweep writes a row for every point, a failed one
+with NaN numbers and its failure in the status column, and exits 3 if any
+point failed.
 """
 
 from __future__ import annotations
@@ -473,23 +475,24 @@ def cmd_morse(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_row(pipe: Pipeline, axis: str, sing: Spectrum | None) -> list:
+def _sweep_row(pipe: Pipeline, axis: str, sing: Spectrum | None = None
+               ) -> list:
     """One sweep.csv row: the axis value, the m negative singular
-    eigenvalues, the Morse total and the bounds."""
+    eigenvalues, the Morse total, the bounds and the status, "ok" or the
+    solver failure, which leaves the numbers NaN.  Top-level so that
+    process pools can pickle it."""
     cfg = pipe.cfg
-    sing = _radial_spectrum(pipe, sing)
-    # morse_index refuses a spectrum with fewer negative pairs than m
-    report = morse_index(sing, pipe.dmap, m=cfg.m)
+    try:
+        sing = _radial_spectrum(pipe, sing)
+        # morse_index refuses a spectrum with fewer negative pairs than m
+        report = morse_index(sing, pipe.dmap, m=cfg.m)
+    except (IntegrationError, SpectralError) as exc:
+        return ([getattr(cfg, axis)] + [math.nan] * (cfg.m + 3)
+                + [f"solver failure: {exc}"])
     nus = [p.value for p in sing.eigenpairs if p.value < 0][:cfg.m]
     return ([getattr(cfg, axis)] + nus
             + [report.total, report.bounds["general"],
-               report.bounds["with_f3"]])
-
-
-def _cache_singular(pipe: Pipeline) -> None:
-    """Solve and cache one sweep point; top-level so that process pools can
-    pickle it."""
-    pipe.spectrum("singular", pipe.cfg.k)
+               report.bounds["with_f3"], "ok"])
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
@@ -500,22 +503,29 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
     pipes = [Pipeline(dataclasses.replace(cfg, **{axis: v})) for v in values]
     os.makedirs(cfg.out, exist_ok=True)
     hits = [None] * len(pipes)
+    pooled = {}
     if cfg.workers > 1:
-        # the pool solves the points missing from the cache; the rows of
-        # those are then read back from it, the others from this scan
+        # the pool makes the rows of the points missing from the cache,
+        # and caches their spectra; the others take what this scan read
         hits = [pipe.cached("singular", cfg.k) for pipe in pipes]
-        missed = [pipe for pipe, hit in zip(pipes, hits) if hit is None]
+        missed = [i for i, hit in enumerate(hits) if hit is None]
         if len(missed) > 1:
             import concurrent.futures  # 12 ms at import: only when pooling
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=cfg.workers) as pool:
-                list(pool.map(_cache_singular, missed))
-    rows = [_sweep_row(pipe, axis, hit) for pipe, hit in zip(pipes, hits)]
+                pooled = dict(zip(missed, pool.map(
+                    functools.partial(_sweep_row, axis=axis),
+                    [pipes[i] for i in missed])))
+    rows = [pooled[i] if i in pooled else _sweep_row(pipe, axis, hit)
+            for i, (pipe, hit) in enumerate(zip(pipes, hits))]
     path = os.path.join(cfg.out, "sweep.csv")
     _write_csv(path, [axis] + [f"nu_hat_{i + 1}" for i in range(cfg.m)]
-               + ["total", "bound_general", "bound_f3"], rows)
+               + ["total", "bound_general", "bound_f3", "status"], rows)
     print(f"sweep written to {path} ({len(rows)} rows)")
-    return 0
+    failed = [row for row in rows if row[-1] != "ok"]
+    for row in failed:
+        print(f"{axis}={row[0]!r}: {row[-1]}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

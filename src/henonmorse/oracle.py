@@ -9,22 +9,23 @@ The eigenvectors come from shifted solves with the pivoted tridiagonal LU
 (dgtsv).  The standard kind has no oracle; its solver is checked against
 Bessel zeros and by the Sylvester count equality that morse enforces.
 Neither code nor eigen-driver is shared with the production solvers, which
-run dstebz and dstein on the Liouville grid in x = -ln r: dstemr refines
-the window's eigenvalues with its own routines (dlarre, dlarrb), by
-bisection on a shifted LDL^T factorization (Dhillon, Parlett & Voemel, ACM
-TOMS 32, 2006).  It counts with the solvers' cuts: spectral.MARGIN,
+run dstebz, dlaebz and dstein on the Liouville grid in x = -ln r: dstemr
+refines the window's eigenvalues with its own routines (dlarre, dlarrb),
+by bisection on a shifted LDL^T factorization (Dhillon, Parlett & Voemel,
+ACM TOMS 32, 2006).  It counts with the solvers' cuts: spectral.MARGIN,
 ZERO_CUT and NODE_TOL.
 
 The LAPACK routines come from scipy's compiled modules, which the kernels
 module's lapack_module loads without the scipy.linalg package: dsterf and
 dgtsv from the f2py wrappers (_flapack), dstemr from cython_lapack.
 dstemr is called through the C function that cython_lapack exports, with
-ctypes, because scipy's f2py wrapper allocates and zero-fills an n x n
-eigenvector array even when no eigenvectors are asked for (32 MB at
-n = 2000); this call needs O(n) workspace.  dstemr splits the matrix at
-off-diagonals below eps * ||T||, which loses the bound states of the
-strongly graded matrices that an epsilon_cut above about 1e-3 gives at
-n = 2000; those matrices get the full spectrum from root-free QR (dsterf).
+ctypes (the kernels module's loader cython_lapack_function), because
+scipy's f2py wrapper allocates and zero-fills an n x n eigenvector array
+even when no eigenvectors are asked for (32 MB at n = 2000); this call
+needs O(n) workspace.  dstemr splits the matrix at off-diagonals below
+eps * ||T||, which loses the bound states of the strongly graded matrices
+that an epsilon_cut above about 1e-3 gives at n = 2000; those matrices get
+the full spectrum from root-free QR (dsterf).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import ctypes
 
 import numpy as np
 
-from ._kernels import lapack_module
+from ._kernels import cython_lapack_function, lapack_module
 from .spectral import (MARGIN, NODE_TOL, ZERO_CUT, EigenPair,
                        SpectralError, Spectrum, WeightedSLProblem,
                        count_sign_changes)
@@ -48,22 +49,9 @@ GRADING = 4.0
 EPSILON_CUT = 1e-10
 
 
-def _cython_lapack_function(name: str, *argtypes):
-    """ctypes handle, with the given argument types, on the LAPACK function
-    that scipy.linalg.cython_lapack exports under `name`."""
-    capsule = lapack_module("cython_lapack").__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                    ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
-
-
 _INT = ctypes.POINTER(ctypes.c_int)
 _DBL = ctypes.POINTER(ctypes.c_double)
-_DSTEMR_C = _cython_lapack_function(
+_DSTEMR_C = cython_lapack_function(
     "dstemr", ctypes.c_char_p, ctypes.c_char_p, _INT, _DBL, _DBL, _DBL,
     _DBL, _INT, _INT, _INT, _DBL, _DBL, _INT, _INT, _INT, _INT, _DBL, _INT,
     _INT, _INT, _INT)

@@ -148,7 +148,14 @@ def integrate_emden_ivp(M: float, p: float, v0: float, t_max: float, *,
     m1 = -(M - 1.0)
     q = p - 1.0
     t, v, dv = 0.0, v0, 0.0
-    steps, zeros, crits = [(t, v, dv)], [], []  # (t, v, v'), (t, v'), (t, v)
+    ts, vs, dvs = [t], [v], [dv]    # every accepted step
+    zeros, crits = [], []           # (t, v'), (t, v)
+    # the loop's names are local, and |v|, |v'| carry over from the
+    # accepted step; a conditional expression stands for each max and min
+    # of two floats, with the builtins' results, NaN included
+    rk_step, isfinite = _rk_step, math.isfinite
+    add_t, add_v, add_dv = ts.append, vs.append, dvs.append
+    av, adv = vscale, 0.0
     try:
         acc = -(abs(v0) ** q * v0) / M  # the regular limit of v'' at t = 0
         h = 1e-4
@@ -156,45 +163,51 @@ def integrate_emden_ivp(M: float, p: float, v0: float, t_max: float, *,
             h = min(h, 0.1 * (2.0 * max(atol, rtol * vscale) / abs(acc))
                     ** 0.5)
         while t < t_max:
-            if len(steps) >= max_steps:
+            if len(ts) >= max_steps:
                 raise IntegrationError(
                     f"step budget of {max_steps} steps exhausted at "
                     f"t={t:.6g} (t_max={t_max:g})")
-            if h < 1e-15 * max(t, 1.0):
+            if h < 1e-15 * (1.0 if 1.0 > t else t):
                 raise IntegrationError(
                     "step size underflow (stiff or blow-up region reached)")
             if t + h > t_max:
                 h = t_max - t
-            vn, dvn, accn, errv, erra = _rk_step(q, m1, t, v, dv, h, acc)
-            if not (math.isfinite(vn) and math.isfinite(dvn)
-                    and math.isfinite(accn)):
+            vn, dvn, accn, errv, erra = rk_step(q, m1, t, v, dv, h, acc)
+            if not (isfinite(vn) and isfinite(dvn) and isfinite(accn)):
                 raise IntegrationError(
                     "nonlinearity returned a non-finite value")
-            sc_v = atol + rtol * max(abs(v), abs(vn))
-            sc_d = atol + rtol * max(abs(dv), abs(dvn))
-            err = max(abs(errv) / sc_v, abs(erra) / sc_d)
+            avn, advn = abs(vn), abs(dvn)
+            dv_scale = advn if advn > adv else adv
+            err_v = abs(errv) / (atol + rtol * (avn if avn > av else av))
+            err_a = abs(erra) / (atol + rtol * dv_scale)
+            err = err_a if err_a > err_v else err_v
             if not err <= 1.0:          # rejected, NaN included
                 h *= max(0.9 * err ** -0.2, 0.2)
                 continue
             if dv != 0.0 and (dv > 0.0) != (dvn > 0.0) \
                     and len(crits) < max_zeros + 2:
                 tc, vc, _ = _refine_event(q, m1, t, v, dv, acc, h, True,
-                                          max(abs(dv), abs(dvn)), 1e-10)
+                                          dv_scale, 1e-10)
                 crits.append((tc, vc))
             if (v > 0.0) != (vn > 0.0):
                 tz, vz, dvz = _refine_event(q, m1, t, v, dv, acc, h, False,
                                             vscale, ZERO_TOL)
                 zeros.append((tz, dvz))
                 if len(zeros) >= max_zeros:
-                    steps.append((tz, vz, dvz))
+                    add_t(tz)
+                    add_v(vz)
+                    add_dv(dvz)
                     break
-            t, v, dv, acc = t + h, vn, dvn, accn
-            steps.append((t, v, dv))
-            h *= min(0.9 * err ** -0.2, 5.0) if err > 0.0 else 5.0
+            t, v, dv, acc, av, adv = t + h, vn, dvn, accn, avn, advn
+            add_t(t)
+            add_v(v)
+            add_dv(dv)
+            grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            h *= 5.0 if 5.0 < grow else grow
     except OverflowError:
         raise IntegrationError(f"|v|^(p-1) overflows a float (v0={v0:g}, "
                                f"p={p:g})") from None
-    return EmdenTrajectory(*np.reshape(steps, (-1, 3)).T,
+    return EmdenTrajectory(np.array(ts), np.array(vs), np.array(dvs),
                            *np.reshape(zeros, (-1, 2)).T,
                            *np.reshape(crits, (-1, 2)).T)
 

@@ -11,7 +11,8 @@ c = (M-2)/2 turns the common form into int (u' + c u)^2 - e^(-2x) a u^2 dx
 against the mass e^(-2x) u^2 (standard) or u^2 (singular: -u'' + V u = nu u
 on a half-line, V(x) = c^2 - e^(-2x) a(e^(-x))).  Both reduce to symmetric
 tridiagonal matrices (kernels module), whose Sturm counts give the negative
-counts and zero bands.  Richardson bars come from a coarse/fine grid pair.
+counts and zero bands: each solve asks for all of its counts on its fine
+grid in one kernel call.  Richardson bars come from a coarse/fine grid pair.
 The singular coarse grid is bisected to 1e-4 brackets and finished by
 Rayleigh quotients; its vectors, prolongated, seed inverse iteration on the
 fine grid, whose pairs a Sturm count and disjoint residual intervals
@@ -334,10 +335,11 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     On the every-other-node coarsening of the Liouville tridiagonal,
     bisection brackets every eigenvalue below the margin to width 1e-4, and
     the k lowest are finished by the Rayleigh quotients of their
-    inverse-iteration vectors.  On the fine grid a Sturm count gives the
-    count below the margin; the coarse vectors, prolongated (_prolongate),
-    give its k lowest eigenpairs by inverse iteration at their Rayleigh
-    quotients (_seeded_pairs).  The two grids give Richardson-extrapolated
+    inverse-iteration vectors.  On the fine grid one call of Sturm counts
+    gives the counts below the margin and below -ZERO_CUT and ZERO_CUT (the
+    negative count and the zero band); the coarse vectors, prolongated
+    (_prolongate), give its k lowest eigenpairs by inverse iteration at
+    their Rayleigh quotients (_seeded_pairs).  The two grids give Richardson-extrapolated
     values and error bars; disagreement beyond cfg.tol, or more fine than
     coarse eigenvalues among the k lowest, raises ResolutionError.  Two
     eigenvalues closer than 2e-4, whose brackets overlap, or a fine pair
@@ -359,7 +361,8 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     below_c = bisect_eigenvalues(d_c, e_c, below=hi, abstol=BRACKET)
     vals_c, vecs_c, _ = rayleigh_refine(d_c, e_c, below_c[:max(k, 0)])
     d_f, e_f = g_f.tridiagonal()
-    count_f = sturm_count(d_f, e_f, hi)
+    count_f, zero_cut_count, zero_top = sturm_count(d_f, e_f,
+                                                    (hi, -ZERO_CUT, ZERO_CUT))
     n_found = min(max(k, 0), count_f)
     if n_found > len(vals_c):
         raise ResolutionError(
@@ -374,8 +377,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
                                             exhausted)
     values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
 
-    zero_cut_count = sturm_count(d_f, e_f, -ZERO_CUT)
-    zero_band = sturm_count(d_f, e_f, ZERO_CUT) - zero_cut_count
+    zero_band = zero_top - zero_cut_count
     meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
             "resolution_capped": bool(capped),
             "zero_band_count": int(zero_band),
@@ -424,8 +426,8 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     bar exceeds cfg.tol.  The flat X and the first grid are those of the
     singular twin, the memoized ones when a singular solve of the same
     problem has just built them.  By Sylvester's law of inertia the
-    negative count and zero band (all that k = 0 takes) are those of the
-    form alone.
+    negative count and zero band (all that k = 0 takes, one call of Sturm
+    counts on the last grid) are those of the form alone.
     """
     if prob.kind != "standard":
         raise ValueError("solve_standard_spectrum needs the standard kind")
@@ -466,8 +468,8 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
             d_f, e_f, vecs, residual_norms(d_f, e_f, vecs, eig_f))
         vecs = s_f[:, None] * vecs              # generalized eigenvectors
 
-    negative_count = sturm_count(d_f, e_f, -ZERO_CUT)
-    zero_band = sturm_count(d_f, e_f, ZERO_CUT) - negative_count
+    negative_count, zero_top = sturm_count(d_f, e_f, (-ZERO_CUT, ZERO_CUT))
+    zero_band = zero_top - negative_count
     exhausted = float(values[-1]) if len(values) else -math.inf
     meta = {"n": len(d_f), "x_max": float(x_max),
             "zero_band_count": int(zero_band),

@@ -432,7 +432,15 @@ def test_radial_index_other_than_m_exits_3(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run(["sweep", "--N", 3, "--m", 2, "--xmax", "1e-8", "--axis", "p",
                 "--range", "2:3", "--steps", 2, "--out", out]) == 3
-    assert not (out / "sweep.csv").exists()
+    assert _failed_rows(out) == 2 * [
+        "nan,nan,nan,nan,nan,solver failure: singular negative count 0 "
+        "differs from m=2"]
+
+
+def _failed_rows(out):
+    """sweep.csv's rows less their axis values."""
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    return [row.split(",", 1)[1] for row in rows]
 
 
 def test_spectrum_standard_solver_failure_exits_3(tmp_path, monkeypatch):
@@ -660,6 +668,58 @@ def test_sweep_rerun_reads_every_point_from_the_cache(tmp_path, monkeypatch):
     assert len(reads) == len(set(reads)) == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_sweep_point_is_a_row(tmp_path, monkeypatch, capsys,
+                                        workers):
+    # p = 2.6 fails in its profile; the pool's workers are forked from this
+    # process and inherit the patch
+    clean = tmp_path / "clean"
+    assert run(SWEEP + ["--out", clean]) == 0
+    real = cli.solve_nodal_power
+
+    def failing(M, p, m):
+        if p == 2.6:
+            raise cli.IntegrationError("injected failure")
+        return real(M, p, m)
+
+    monkeypatch.setattr(cli, "solve_nodal_power", failing)
+    out = tmp_path / "sw"
+    capsys.readouterr()
+    assert run(SWEEP + ["--workers", workers, "--out", out]) == 3
+    assert capsys.readouterr().err == \
+        "p=2.6: solver failure: injected failure\n"
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    assert header == ("p,nu_hat_1,nu_hat_2,total,bound_general,bound_f3,"
+                      "status")
+    assert rows[1] == ("2.6000000000000001,nan,nan,nan,nan,nan,"
+                       "solver failure: injected failure")
+    ok = (clean / "sweep.csv").read_text().splitlines()
+    assert [rows[0], rows[2]] == [ok[1], ok[3]]
+    assert rows[0].endswith(",ok")
+    # the failed point left no cache entry, and a rerun solves it again
+    assert len(list(out.glob("cache/singular-*.json"))) == 2
+    monkeypatch.setattr(cli, "solve_nodal_power", real)
+    assert run(SWEEP + ["--workers", workers, "--out", out]) == 0
+    assert (out / "sweep.csv").read_text() == (clean / "sweep.csv").read_text()
+
+
+def test_the_planar_sweep_keeps_the_points_that_solve(tmp_path, capsys):
+    # the profile's second zero lies past t_max = 1e10 from p = 60 on (7.3e11
+    # at p = 60); the points below still publish their rows
+    out = tmp_path / "planar"
+    assert run(["sweep", "--N", 2, "--m", 2, "--axis", "p", "--range",
+                "20:120", "--steps", 6, "--workers", 2, "--out", out]) == 3
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["20", "40", "60", "80", "100", "120"]
+    assert [r[-1] for r in rows[:2]] == ["ok", "ok"]
+    assert [r[3] for r in rows[:2]] == ["10", "12"]
+    for r in rows[2:]:
+        assert r[1:-1] == ["nan"] * 5
+        assert r[-1] == "solver failure: zero #2 not found before t_max=1e+10"
+    assert len(capsys.readouterr().err.splitlines()) == 4
+
+
 def test_sweep_truncated_entry_is_recomputed(tmp_path, capsys):
     out = tmp_path / "sw"
     args = SWEEP + ["--out", out]
@@ -716,7 +776,9 @@ def test_a_spectrum_morse_cannot_count_exits_3(tmp_path, monkeypatch,
                 "--axis", "p", "--range", "2.2:3.0", "--steps", 2,
                 "--out", out]) == 3
     assert "request k >= negative_count" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    for row in _failed_rows(out):
+        assert row.startswith("nan,nan,nan,nan,nan,solver failure: ")
+        assert "request k >= negative_count" in row
     # a near-threshold pair is refused the same way
     real = cli.solve_singular_spectrum
 

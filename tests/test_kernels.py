@@ -1,6 +1,7 @@
 """Kernel-level checks: eigen-kernels against closed forms and LAPACK
 counts."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -19,25 +20,89 @@ def random_tridiag(rng, n):
     return rng.normal(size=n) * 3.0, rng.normal(size=n - 1)
 
 
+def dstebz_count(d, e, sigma):
+    """The count as a dstebz value-window call (-inf, sigma) gives it, with
+    abstol=+inf so that it bisects nothing."""
+    if len(d) == 1:
+        return int(d[0] < sigma)
+    m, *_, info = K.dstebz(d, e, 1, -np.inf, np.nextafter(sigma, -np.inf),
+                           0, 0, np.inf, b"B")
+    assert info == 0
+    return int(m)
+
+
+SIGMAS = (-4.0, -1.0, 0.0, 0.3, 2.0)
+
+
 def test_sturm_count_matches_lapack():
     rng = np.random.default_rng(42)
-    # 4095..4097 and 9000 straddle the row chunks of the recurrence
     for n in (5, 50, 500, 4095, 4096, 4097, 9000):
         d, e = random_tridiag(rng, n)
         full = eigvalsh_tridiagonal(d, e)
-        for sigma in (-4.0, -1.0, 0.0, 0.3, 2.0):
-            assert K.sturm_count(d, e, sigma) == int((full < sigma).sum())
+        expected = [int((full < sigma).sum()) for sigma in SIGMAS]
+        assert [K.sturm_count(d, e, sigma) for sigma in SIGMAS] == expected
+        # a sequence of shifts, odd and even in number, in any order
+        assert K.sturm_count(d, e, SIGMAS) == expected
+        assert K.sturm_count(d, e, SIGMAS[::-1][1:]) == expected[::-1][1:]
 
 
-@pytest.mark.parametrize("d", [
+ZERO_PIVOT_E = np.array([1.0, 0.5, 2.0, 1.5])
+ZERO_PIVOT_D = [
     [2.0, 1.0, 3.0, -1.0, 2.5],   # first pivot 2 - 2 is exactly 0
     [3.0, 3.0, 1.0, -1.0, 2.5],   # second pivot (3 - 2) - 1/1 is exactly 0
-])
+    # the first pivot is exactly 0 at the shift the count is taken at, the
+    # float just below sigma = 2: the count is 2, and 3 without LAPACK's
+    # pivot floor (as dlarrc counts)
+    [np.nextafter(2.0, -np.inf), 1.0, 3.0, -1.0, 2.5],
+]
+
+
+@pytest.mark.parametrize("d", ZERO_PIVOT_D)
 def test_sturm_count_through_an_exactly_zero_pivot(d):
     d = np.array(d)
-    e = np.array([1.0, 0.5, 2.0, 1.5])
-    full = eigvalsh_tridiagonal(d, e)
-    assert K.sturm_count(d, e, 2.0) == int((full < 2.0).sum())
+    full = eigvalsh_tridiagonal(d, ZERO_PIVOT_E)
+    expected = int((full < 2.0).sum())
+    assert K.sturm_count(d, ZERO_PIVOT_E, 2.0) == expected
+    assert K.sturm_count(d, ZERO_PIVOT_E, [2.0, 0.0, 2.0]) == \
+        [expected, int((full < 0.0).sum()), expected]
+    if d[0] < 2.0:
+        assert expected == 2
+
+
+def _shifts_at_and_beside(values):
+    return [x for v in values
+            for x in (v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf))]
+
+
+def test_sturm_count_is_the_dstebz_count_bitwise():
+    # shifts on, just below and just above eigenvalues and diagonal entries,
+    # on matrices that split (one-row blocks included), have exactly zero
+    # pivots, sit at LAPACK's split and pivot floors, or are graded
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        d, e = random_tridiag(rng, n)
+        ints = (rng.integers(-3, 4, n) * 1.0, rng.integers(-2, 3, n - 1) * 1.0)
+        split = e * (rng.random(n - 1) < 0.5)
+        floor = e * 10.0 ** rng.uniform(-170, -150, n - 1)
+        huge = np.where(rng.random(n - 1) < 0.3, 1e154, 0.0)
+        g = np.exp(np.linspace(0.0, 60.0, n))
+        cases += [(d, e), ints, (d, split), (d, floor), (ints[0], huge),
+                  (d * g, e * np.sqrt(g[:-1] * g[1:]))]
+    cases += [(np.array(d), ZERO_PIVOT_E) for d in ZERO_PIVOT_D]
+    # a row split off alone, at a shift just below it by exactly PIVMIN
+    # (2^-22 here): dstebz counts it, a plain sweep would not
+    lone = np.array([1.0, 5.0, 6.0]), np.array([0.0, 2.0 ** 500])
+    cases.append(lone)
+    for d, e in cases:
+        full = eigvalsh_tridiagonal(d, e)
+        shifts = (_shifts_at_and_beside(full) + _shifts_at_and_beside(d)
+                  + [0.0, np.inf])
+        assert K.sturm_count(d, e, shifts) == \
+            [dstebz_count(d, e, s) for s in shifts]
+    sigma = np.nextafter(1.0 - 2.0 ** -22, np.inf)
+    assert K.sturm_count(*lone, sigma) == dstebz_count(*lone, sigma) == 2
 
 
 @pytest.mark.parametrize("d, e, sigma, expected", [
@@ -49,6 +114,38 @@ def test_sturm_count_through_an_exactly_zero_pivot(d):
 ])
 def test_sturm_count_is_strict_at_an_exact_eigenvalue(d, e, sigma, expected):
     assert K.sturm_count(np.array(d), np.array(e), sigma) == expected
+
+
+def test_sturm_count_refuses_a_mismatched_off_diagonal():
+    # the LAPACK call reads n - 1 entries of it
+    for d, e in (([], []), ([1.0, 2.0, 3.0], [1.0]), ([1.0], [1.0]),
+                 ([1.0, 2.0], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="n - 1 off-diagonal"):
+            K.sturm_count(np.array(d), np.array(e), 0.0)
+
+
+def test_dlaebz_refuses_arrays_it_cannot_take():
+    # it passes bare addresses: dtype, contiguity and lengths are checked
+    d, e = np.full(6, 2.0), np.full(5, -1.0)
+    ab = np.array([0.0, 1.0])
+    for args in ((d.astype(np.float32), e, e * e, ab), (d, e[::2], e * e, ab),
+                 (d, e, (e * e)[:4], ab), (d, e, e * e, ab.astype(int))):
+        with pytest.raises(ValueError, match="contiguous float64"):
+            K.dlaebz(args[0], args[1], args[2], 1e-300, args[3])
+
+
+def test_sturm_count_leaves_no_reference_cycles():
+    # ndarray.ctypes.data_as pointers form cycles that hold memory until the
+    # cyclic garbage collector runs
+    d, e = random_tridiag(np.random.default_rng(4), 50)
+    K.sturm_count(d, e, (0.0, 1.0, 2.0))
+    gc.collect()
+    gc.disable()
+    try:
+        K.sturm_count(d, e, (0.0, 1.0, 2.0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sturm_count_outside_the_gershgorin_interval():
@@ -165,27 +262,31 @@ def test_rayleigh_refine_agrees_with_full_bisection_on_a_lane_emden_grid():
     assert np.all(np.abs(vals - full) <= 1e-10 * np.abs(full))
 
 
-@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+@pytest.mark.parametrize("routine", ["dstebz", "dlaebz", "dstein"])
 def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
     d, e = random_tridiag(np.random.default_rng(5), 20)
     eig = K.bisect_eigenvalues(d, e, 1, 2)
+    count = K.sturm_count(d, e, 0.0)
     real = getattr(K, routine)
 
     def failing(*args):
         return real(*args)[:-1] + (1,)
 
     monkeypatch.setattr(K, routine, failing)
-    with pytest.raises(SpectralError, match=f"{routine}.*info=1"):
-        if routine == "dstebz":
-            K.bisect_eigenvalues(d, e, 1, 2)
-        else:
-            K.inverse_iteration(d, e, eig)
+    calls = {
+        "dstebz": [lambda: K.bisect_eigenvalues(d, e, 1, 2)],
+        # the counting routine, for one shift and for several
+        "dlaebz": [lambda: K.sturm_count(d, e, 0.0),
+                   lambda: K.sturm_count(d, e, [0.0, 1.0, 2.0])],
+        "dstein": [lambda: K.inverse_iteration(d, e, eig),
+                   lambda: K.rayleigh_refine(d, e, eig)],
+    }[routine]
+    for call in calls:
+        with pytest.raises(SpectralError, match=f"{routine}.*info=1"):
+            call()
     if routine == "dstebz":
-        with pytest.raises(SpectralError, match="dstebz.*info=1"):
-            K.sturm_count(d, e, 0.0)
-    else:
-        with pytest.raises(SpectralError, match="dstein.*info=1"):
-            K.rayleigh_refine(d, e, eig)
+        # counts do not go through dstebz
+        assert K.sturm_count(d, e, 0.0) == count
 
 
 # The package's LAPACK wrappers must be the objects scipy.linalg.lapack

@@ -83,7 +83,8 @@ def test_only_cli_reads_or_writes_files():
 def test_the_oracle_shares_no_solver_code():
     # the dense oracle is a cross-check only while it shares no grid, solver
     # or eigen-kernel with the production solvers: from the package it takes
-    # the LAPACK loader, the data types and the counting cuts
+    # the LAPACK loaders (of the f2py modules and of cython_lapack's C
+    # functions), the data types and the counting cuts
     path = Path(henonmorse.__file__).parent / "oracle.py"
     imported, names = {}, set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -101,9 +102,10 @@ def test_the_oracle_shares_no_solver_code():
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)      # getattr(module, "dstebz")
-    assert imported.pop("_kernels") == {"lapack_module"}
+    assert imported.pop("_kernels") == {"lapack_module",
+                                        "cython_lapack_function"}
     assert imported.pop("spectral") <= {
         "MARGIN", "NODE_TOL", "ZERO_CUT", "EigenPair", "SpectralError",
         "Spectrum", "WeightedSLProblem", "count_sign_changes"}
     assert imported == {}
-    assert names & {"dstebz", "dstein"} == set()
+    assert names & {"dstebz", "dlaebz", "dstein"} == set()

@@ -2,16 +2,22 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from henonmorse.cli import _profile_doc, _write_csv, _write_json
-from henonmorse.radial import (IntegrationError, auxiliary_z,
+from henonmorse.dimension import generalized_dimension
+from henonmorse.radial import (POWER_MAX_STEPS, PROFILE_ATOL, PROFILE_RTOL,
+                               ZERO_TOL, EmdenTrajectory, IntegrationError,
+                               _refine_event, _rk_step, auxiliary_z,
                                henon_profile, integrate_emden_ivp,
                                linearized_potential, solve_nodal_power,
                                validate_profile)
+
+from conftest import MATRIX
 
 # frozen from an independent high-order adaptive run (rtol 1e-12) of the
 # v(0)=1 initial value problem at M=3, p=3
@@ -76,6 +82,81 @@ def test_ivp_spent_step_budget_is_an_error():
     # no step meets a tolerance of 1e-300: rejections shrink h below 1e-15
     with pytest.raises(IntegrationError, match="step size underflow"):
         integrate_emden_ivp(3.0, 3.0, 1.0, 10.0, rtol=1e-300, atol=1e-300)
+
+
+def _reference_emden_ivp(M, p, v0, t_max, *, rtol=PROFILE_RTOL,
+                         atol=PROFILE_ATOL, max_zeros=64,
+                         max_steps=POWER_MAX_STEPS):
+    """integrate_emden_ivp as it stood before its loop was trimmed, its
+    argument checks and docstring left out: the reference the trimmed
+    loop must reproduce bitwise."""
+    vscale = abs(v0)
+    m1 = -(M - 1.0)
+    q = p - 1.0
+    t, v, dv = 0.0, v0, 0.0
+    steps, zeros, crits = [(t, v, dv)], [], []  # (t, v, v'), (t, v'), (t, v)
+    try:
+        acc = -(abs(v0) ** q * v0) / M  # the regular limit of v'' at t = 0
+        h = 1e-4
+        if acc != 0.0 and math.isfinite(acc):
+            h = min(h, 0.1 * (2.0 * max(atol, rtol * vscale) / abs(acc))
+                    ** 0.5)
+        while t < t_max:
+            if len(steps) >= max_steps:
+                raise IntegrationError(
+                    f"step budget of {max_steps} steps exhausted at "
+                    f"t={t:.6g} (t_max={t_max:g})")
+            if h < 1e-15 * max(t, 1.0):
+                raise IntegrationError(
+                    "step size underflow (stiff or blow-up region reached)")
+            if t + h > t_max:
+                h = t_max - t
+            vn, dvn, accn, errv, erra = _rk_step(q, m1, t, v, dv, h, acc)
+            if not (math.isfinite(vn) and math.isfinite(dvn)
+                    and math.isfinite(accn)):
+                raise IntegrationError(
+                    "nonlinearity returned a non-finite value")
+            sc_v = atol + rtol * max(abs(v), abs(vn))
+            sc_d = atol + rtol * max(abs(dv), abs(dvn))
+            err = max(abs(errv) / sc_v, abs(erra) / sc_d)
+            if not err <= 1.0:          # rejected, NaN included
+                h *= max(0.9 * err ** -0.2, 0.2)
+                continue
+            if dv != 0.0 and (dv > 0.0) != (dvn > 0.0) \
+                    and len(crits) < max_zeros + 2:
+                tc, vc, _ = _refine_event(q, m1, t, v, dv, acc, h, True,
+                                          max(abs(dv), abs(dvn)), 1e-10)
+                crits.append((tc, vc))
+            if (v > 0.0) != (vn > 0.0):
+                tz, vz, dvz = _refine_event(q, m1, t, v, dv, acc, h, False,
+                                            vscale, ZERO_TOL)
+                zeros.append((tz, dvz))
+                if len(zeros) >= max_zeros:
+                    steps.append((tz, vz, dvz))
+                    break
+            t, v, dv, acc = t + h, vn, dvn, accn
+            steps.append((t, v, dv))
+            h *= min(0.9 * err ** -0.2, 5.0) if err > 0.0 else 5.0
+    except OverflowError:
+        raise IntegrationError(f"|v|^(p-1) overflows a float (v0={v0:g}, "
+                               f"p={p:g})") from None
+    return EmdenTrajectory(*np.reshape(steps, (-1, 3)).T,
+                           *np.reshape(zeros, (-1, 2)).T,
+                           *np.reshape(crits, (-1, 2)).T)
+
+
+@pytest.mark.parametrize("M, p, m", sorted(
+    {(generalized_dimension(N, alpha).M, p, m)
+     for N, alpha, p, m in MATRIX}
+    | {(3.0, float(p), 2) for p in np.linspace(2.0, 4.9, 16)}))
+def test_trimmed_ivp_loop_is_bitwise_the_reference(M, p, m):
+    # the acceptance matrix and the benchmark sweep, as solve_nodal_power
+    # integrates them
+    new = integrate_emden_ivp(M, p, 1.0, 1e10, max_zeros=m)
+    ref = _reference_emden_ivp(M, p, 1.0, 1e10, max_zeros=m)
+    for f in dataclasses.fields(EmdenTrajectory):
+        assert np.array_equal(getattr(new, f.name), getattr(ref, f.name)), \
+            f.name
 
 
 def test_ivp_second_derivative_at_origin():

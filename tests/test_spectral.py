@@ -461,8 +461,8 @@ def _counting(fn, name, calls):
 def test_a_singular_solve_bisects_only_the_coarse_grid(lane_emden_case,
                                                        monkeypatch):
     # k above the count: the X probe and the coarse grid are bisected; the
-    # fine grid takes one Sturm count at the margin and the two of the
-    # negative count and zero band
+    # fine grid takes its three Sturm counts, at the margin and at
+    # -ZERO_CUT and ZERO_CUT (negative count and zero band), in one call
     _, prob, _ = lane_emden_case
     calls = collections.Counter()
     for name in ("bisect_eigenvalues", "sturm_count"):
@@ -470,7 +470,7 @@ def test_a_singular_solve_bisects_only_the_coarse_grid(lane_emden_case,
                             _counting(getattr(spectral, name), name, calls))
     spec = solve_singular_spectrum(prob, 5)
     assert spec.meta["count_below_margin"] == len(spec.eigenpairs) == 3
-    assert calls == {"bisect_eigenvalues": 2, "sturm_count": 3}
+    assert calls == {"bisect_eigenvalues": 2, "sturm_count": 1}
 
 
 def test_a_standard_count_evaluates_the_potential_twice(lane_emden_case):
@@ -545,8 +545,8 @@ def test_more_fine_than_coarse_eigenvalues_is_a_resolution_error(
     _, prob, _ = lane_emden_case
     hi = prob.threshold - spectral.MARGIN
     real = spectral.sturm_count
-    monkeypatch.setattr(spectral, "sturm_count",
-                        lambda d, e, s: real(d, e, s) + (s == hi))
+    monkeypatch.setattr(spectral, "sturm_count", lambda d, e, shifts: [
+        c + (s == hi) for c, s in zip(real(d, e, shifts), shifts)])
     # the fine grid now counts 4 below the margin, the coarse grid 3
     with pytest.raises(ResolutionError, match="fine grid"):
         solve_singular_spectrum(prob, 5)
