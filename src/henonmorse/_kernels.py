@@ -4,18 +4,20 @@ eigenvectors.
 Counts are Sturm counts taken by dlaebz, the routine dstebz counts with:
 one sweep per shift, and one call for all the shifts a solve asks about.
 Eigenvalues come from LAPACK bisection (``dstebz``) and eigenvectors from
-inverse iteration (``dstein``), always on one unsplit block: the values are
-plain ascending arrays, and a matrix that splits is refused.  A singular
-coarse grid is bisected only to a bracket of width BRACKET; the Rayleigh
-quotient of each eigenvector then finishes its eigenvalue.  Its fine grid
-is not bisected: dstein runs there at the Rayleigh quotients of the coarse
-vectors, prolongated, and each pair is certified by its residual interval
-[rho - r, rho + r], r = ||T v - rho v|| for a unit v, which holds an
-eigenvalue (Parlett, The Symmetric Eigenvalue Problem, ch. 4), together
-with one Sturm count.  The standard kind keeps ABSTOL: its mass e^(-2x)
-grades its matrix to ||T|| = 5e25 (N=3, p=3), and at p=4.9 the Rayleigh
-quotient of its lowest eigenvalue, -4.4e11, misses the bisected value by
-0.1.
+inverse iteration, always on one unsplit block: the values are plain
+ascending arrays, and a matrix that splits is refused.  A singular coarse
+grid is bisected only to a bracket of width BRACKET, dstein finds its
+vectors, and the Rayleigh quotient of each eigenvector then finishes its
+eigenvalue.  Its fine grid is not bisected: the coarse vectors,
+prolongated, are both the shifts (their Rayleigh quotients) and the start
+vectors of two solves each on the pivoted LU factorization of T - sigma
+(dgttrf, dgttrs), in place of dstein's random start.  Each pair is
+certified by its residual interval [rho - r, rho + r], r = ||T v - rho v||
+for a unit v, which holds an eigenvalue (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4), together with one Sturm count.  The standard kind keeps
+ABSTOL: its mass e^(-2x) grades its matrix to ||T|| = 5e25 (N=3, p=3), and
+at p=4.9 the Rayleigh quotient of its lowest eigenvalue, -4.4e11, misses
+the bisected value by 0.1.
 
 The LAPACK routines come from scipy's compiled modules, loaded from their
 files by lapack_module without running the scipy.linalg package __init__,
@@ -86,6 +88,7 @@ def cython_lapack_function(name: str, *argtypes):
 
 _flapack = lapack_module("_flapack")
 dstebz, dstein = _flapack.dstebz, _flapack.dstein
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 # scalars by reference, arrays by address (ndarray.ctypes.data): the
 # pointer objects of ndarray.ctypes.data_as and of ndpointer arguments form
@@ -179,7 +182,9 @@ def sturm_count(diag, off, sigma):
         diag = np.ascontiguousarray(diag, dtype=float)
         off = np.ascontiguousarray(off, dtype=float)
         e2 = off * off
-        split = np.abs(diag[1:] * diag[:-1]) * ULP ** 2 + SAFEMIN > e2
+        # a product past the float range is inf, and splits, as in dstebz
+        with np.errstate(over="ignore"):
+            split = np.abs(diag[1:] * diag[:-1]) * ULP ** 2 + SAFEMIN > e2
         lone = ()
         if split.any():
             e2[split] = 0.0
@@ -224,19 +229,40 @@ def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None,
     return w[:m]
 
 
-def inverse_iteration(diag, off, values):
+def inverse_iteration(diag, off, values, starts=None):
     """Unit eigenvectors of the unsplit tridiag(diag, off), one column per
     value of the ascending `values` (eigenvalues from bisect_eigenvalues or
-    shifts near them), by LAPACK inverse iteration (dstein) on one block,
-    rows 1..n."""
-    n = len(diag)
-    iblock = np.zeros(n, np.int32)
-    iblock[:len(values)] = 1
-    isplit = np.zeros(n, np.int32)
-    isplit[0] = n
-    z, info = dstein(diag, off, values, iblock, isplit)
-    _check_info("dstein", info)
-    return z
+    shifts near them), in a column-major array.
+
+    Without `starts`, by LAPACK inverse iteration (dstein) on one block,
+    rows 1..n, from its random start vectors.  With one start vector per
+    value (the columns of `starts`), by two solves of T - sigma from it on
+    the pivoted LU factorization (dgttrf, dgttrs), normalized after each:
+    from a start that is already close, each solve shrinks the other
+    eigencomponents by the ratio of the distances of sigma to its
+    eigenvalue and to the others (Parlett, ch. 4).  One solve leaves a
+    residual of about 2e-12 ||T|| on a fine Liouville grid, two leave
+    1e-16 ||T||."""
+    if starts is None:
+        n = len(diag)
+        iblock = np.zeros(n, np.int32)
+        iblock[:len(values)] = 1
+        isplit = np.zeros(n, np.int32)
+        isplit[0] = n
+        z, info = dstein(diag, off, values, iblock, isplit)
+        _check_info("dstein", info)
+        return z
+    vecs = np.empty((len(diag), len(values)), order="F")
+    for j, sigma in enumerate(values):
+        *lu, info = dgttrf(off, diag - sigma, off)
+        _check_info("dgttrf", info)
+        x = starts[:, j:j + 1]
+        for _ in range(2):
+            x, info = dgttrs(*lu, x)
+            _check_info("dgttrs", info)
+            x /= np.linalg.norm(x)
+        vecs[:, j] = x[:, 0]
+    return vecs
 
 
 def rayleigh_quotients(diag, off, vecs):
@@ -251,30 +277,32 @@ def rayleigh_quotients(diag, off, vecs):
     return (rows @ sq - off @ (dv * dv)) / np.sum(sq, axis=0)
 
 
-def rayleigh_refine(diag, off, values, rounds=1):
+def rayleigh_refine(diag, off, values, rounds=1, starts=None):
     """Eigenpairs of tridiag(diag, off) from the ascending `values` (from
-    bisect_eigenvalues, to within BRACKET or finer, or estimated shifts).
+    bisect_eigenvalues, to within BRACKET or finer, or estimated shifts),
+    and optionally one start vector per value (inverse_iteration).
 
-    Returns the Rayleigh quotient of each dstein vector, the unit vectors one
-    per column, and each column's residual ||T v - rho v||.  Each quotient
-    must lie within BRACKET of its value, and consecutive values must be
-    more than 2 * BRACKET apart, so no two brackets can hold the same
-    eigenvalue; otherwise SpectralError names the pair.  With rounds > 1,
-    for shifts that are estimates rather than brackets, a quotient outside
-    its bracket starts another round at the quotients (a Rayleigh quotient
-    iteration step), up to `rounds` in all.
+    Returns the Rayleigh quotient of each inverse-iteration vector, the unit
+    vectors one per column, and each column's residual ||T v - rho v||.
+    Each quotient must lie within BRACKET of its value, and consecutive
+    values must be more than 2 * BRACKET apart, so no two brackets can hold
+    the same eigenvalue; otherwise SpectralError names the pair.  With
+    rounds > 1, for shifts that are estimates rather than brackets, a
+    quotient outside its bracket starts another round at the quotients,
+    from the vectors that gave them (a Rayleigh quotient iteration step),
+    up to `rounds` in all.
     """
     for a, b in zip(values[:-1], values[1:]):
         if b - a <= 2.0 * BRACKET:
             raise SpectralError(
                 f"eigenvalues {a:.12g}, {b:.12g}: brackets of half-width "
                 f"{BRACKET:g} overlap")
-    vecs = inverse_iteration(diag, off, values)
+    vecs = inverse_iteration(diag, off, values, starts)
     rho = rayleigh_quotients(diag, off, vecs)
     miss = ~(np.abs(rho - values) <= BRACKET)
     if np.any(miss):
         if rounds > 1:
-            return rayleigh_refine(diag, off, rho, rounds - 1)
+            return rayleigh_refine(diag, off, rho, rounds - 1, vecs)
         i = int(np.argmax(miss))
         raise SpectralError(
             f"Rayleigh quotient {rho[i]:.12g} lies outside the bracket of "

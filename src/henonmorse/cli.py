@@ -95,7 +95,9 @@ def _cyclic_order(label: str) -> int:
 # 4: standard kind on the Liouville grid.
 # 5: fine singular grid by inverse iteration from its coarsening.
 # 6: singular spectra carry no fitted decay exponent (theta_fit).
-CACHE_REVISION = 6
+# 7: fine singular vectors by two LU solves from the prolongated coarse
+#    vectors, in place of dstein from a random start.
+CACHE_REVISION = 7
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,14 @@ The eigenvectors come from shifted solves with the pivoted tridiagonal LU
 (dgtsv).  The standard kind has no oracle; its solver is checked against
 Bessel zeros and by the Sylvester count equality that morse enforces.
 Neither code nor eigen-driver is shared with the production solvers, which
-run dstebz, dlaebz and dstein on the Liouville grid in x = -ln r: dstemr
-refines the window's eigenvalues with its own routines (dlarre, dlarrb),
-by bisection on a shifted LDL^T factorization (Dhillon, Parlett & Voemel,
-ACM TOMS 32, 2006).  It counts with the solvers' cuts: spectral.MARGIN,
-ZERO_CUT and NODE_TOL.
+run dstebz, dlaebz, dstein and the pivoted LU's two halves (dgttrf,
+dgttrs) on the Liouville grid in x = -ln r: dstemr refines the window's
+eigenvalues with its own routines (dlarre, dlarrb), by bisection on a
+shifted LDL^T factorization (Dhillon, Parlett & Voemel, ACM TOMS 32,
+2006).  The oracle's vectors, the one place where it solves as the
+production solvers do, give only its node counts and samples: the cli's
+oracle verdict compares values, from dstemr, and negative counts.  It
+counts with the solvers' cuts: spectral.MARGIN, ZERO_CUT and NODE_TOL.
 
 The LAPACK routines come from scipy's compiled modules, which the kernels
 module's lapack_module loads without the scipy.linalg package: dsterf and
@@ -49,12 +52,16 @@ GRADING = 4.0
 EPSILON_CUT = 1e-10
 
 
+# scalars by reference, arrays by address (ndarray.ctypes.data): the
+# pointer objects of ndarray.ctypes.data_as form reference cycles, garbage
+# that outlives the call until the cyclic GC runs
 _INT = ctypes.POINTER(ctypes.c_int)
 _DBL = ctypes.POINTER(ctypes.c_double)
+_ARRAY = ctypes.c_void_p
 _DSTEMR_C = cython_lapack_function(
-    "dstemr", ctypes.c_char_p, ctypes.c_char_p, _INT, _DBL, _DBL, _DBL,
-    _DBL, _INT, _INT, _INT, _DBL, _DBL, _INT, _INT, _INT, _INT, _DBL, _INT,
-    _INT, _INT, _INT)
+    "dstemr", ctypes.c_char_p, ctypes.c_char_p, _INT, _ARRAY, _ARRAY, _DBL,
+    _DBL, _INT, _INT, _INT, _ARRAY, _ARRAY, _INT, _INT, _ARRAY, _INT,
+    _ARRAY, _INT, _ARRAY, _INT, _INT)
 
 
 def _dstemr(d, e, vl: float, vu: float):
@@ -64,6 +71,8 @@ def _dstemr(d, e, vl: float, vu: float):
     n = len(d)
     if len(e) != n - 1:
         raise ValueError("e must have one element less than d")
+    # dstemr takes bare addresses: every array it sees is made here,
+    # contiguous, with the dtype its argument needs
     d = np.array(d, dtype=np.float64)          # dstemr overwrites d and e,
     e_n = np.zeros(n)                          # and e has length n
     e_n[:-1] = e
@@ -74,15 +83,15 @@ def _dstemr(d, e, vl: float, vu: float):
     iwork = np.empty(8 * n, dtype=np.intc)
     c_int, c_double = ctypes.c_int, ctypes.c_double
     m, info = c_int(0), c_int(0)
-    _DSTEMR_C(b"N", b"V", ctypes.byref(c_int(n)),
-              d.ctypes.data_as(_DBL), e_n.ctypes.data_as(_DBL),
-              ctypes.byref(c_double(vl)), ctypes.byref(c_double(vu)),
+    _DSTEMR_C(b"N", b"V", ctypes.byref(c_int(n)), d.ctypes.data,
+              e_n.ctypes.data, ctypes.byref(c_double(vl)),
+              ctypes.byref(c_double(vu)),
               ctypes.byref(c_int(0)), ctypes.byref(c_int(0)),  # IL, IU
-              ctypes.byref(m), w.ctypes.data_as(_DBL), z.ctypes.data_as(_DBL),
+              ctypes.byref(m), w.ctypes.data, z.ctypes.data,
               ctypes.byref(c_int(1)), ctypes.byref(c_int(0)),
-              isuppz.ctypes.data_as(_INT), ctypes.byref(c_int(1)),
-              work.ctypes.data_as(_DBL), ctypes.byref(c_int(len(work))),
-              iwork.ctypes.data_as(_INT), ctypes.byref(c_int(len(iwork))),
+              isuppz.ctypes.data, ctypes.byref(c_int(1)),
+              work.ctypes.data, ctypes.byref(c_int(len(work))),
+              iwork.ctypes.data, ctypes.byref(c_int(len(iwork))),
               ctypes.byref(info))
     return w[:m.value].copy(), info.value
 

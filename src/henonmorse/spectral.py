@@ -14,9 +14,10 @@ tridiagonal matrices (kernels module), whose Sturm counts give the negative
 counts and zero bands: each solve asks for all of its counts on its fine
 grid in one kernel call.  Richardson bars come from a coarse/fine grid pair.
 The singular coarse grid is bisected to 1e-4 brackets and finished by
-Rayleigh quotients; its vectors, prolongated, seed inverse iteration on the
-fine grid, whose pairs a Sturm count and disjoint residual intervals
-certify.  The standard kind's graded matrix is bisected to 1e-300.
+Rayleigh quotients; its vectors, prolongated, are the shifts (by their
+Rayleigh quotients) and the start vectors of inverse iteration on the fine
+grid, whose pairs a Sturm count and disjoint residual intervals certify.
+The standard kind's graded matrix is bisected to 1e-300.
 
 A report solves both kinds for one potential, and they share its grids:
 each Liouville grid (x, V) a solve builds on its whole interval is kept in
@@ -192,10 +193,11 @@ def _prolongate(w):
     """Columns of w, unknowns at the interior nodes of a grid, carried to the
     grid of twice its cells: coarse node j is fine node 2j, and odd fine
     nodes take the cubic stencil (-1, 9, 9, -1)/16, with w extended oddly
-    past both Dirichlet ends."""
+    past both Dirichlet ends.  The result is column-major, as inverse
+    iteration takes its start vectors and rayleigh_quotients sums fastest."""
     zero = np.zeros((1, w.shape[1]))
     wp = np.concatenate((-w[:1], zero, w, zero, -w[-1:]))
-    u = np.empty((2 * len(w) + 1, w.shape[1]))
+    u = np.empty((2 * len(w) + 1, w.shape[1]), order="F")
     u[::2] = (9.0 * (wp[1:-2] + wp[2:-1]) - (wp[:-3] + wp[3:])) / 16.0
     u[1::2] = w
     return u
@@ -338,15 +340,15 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     inverse-iteration vectors.  On the fine grid one call of Sturm counts
     gives the counts below the margin and below -ZERO_CUT and ZERO_CUT (the
     negative count and the zero band); the coarse vectors, prolongated
-    (_prolongate), give its k lowest eigenpairs by inverse iteration at
-    their Rayleigh quotients (_seeded_pairs).  The two grids give Richardson-extrapolated
-    values and error bars; disagreement beyond cfg.tol, or more fine than
-    coarse eigenvalues among the k lowest, raises ResolutionError.  Two
-    eigenvalues closer than 2e-4, whose brackets overlap, or a fine pair
-    the certificate rejects, raise SpectralError.  Pairs whose decay rate
-    cannot satisfy sqrt(threshold - nu) * X >= CERTIFY_KAPPA_X within
-    X_MAX_CAP are flagged uncertain (truncation-limited accuracy near the
-    threshold).
+    (_prolongate), give its k lowest eigenpairs by inverse iteration from
+    them at their Rayleigh quotients (_seeded_pairs).  The two grids give
+    Richardson-extrapolated values and error bars; disagreement beyond
+    cfg.tol, or more fine than coarse eigenvalues among the k lowest,
+    raises ResolutionError.  Two eigenvalues closer than 2e-4, whose
+    brackets overlap, or a fine pair the certificate rejects, raise
+    SpectralError.  Pairs whose decay rate cannot satisfy
+    sqrt(threshold - nu) * X >= CERTIFY_KAPPA_X within X_MAX_CAP are flagged
+    uncertain (truncation-limited accuracy near the threshold).
     """
     if prob.kind != "singular":
         raise ValueError("solve_singular_spectrum needs the singular kind")
@@ -391,19 +393,22 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
 
 def _seeded_pairs(d_f, e_f, coarse_vecs, bound):
     """Eigenpairs of the fine tridiag(d_f, e_f) from the coarse grid's
-    eigenvectors (columns of coarse_vecs, ascending): inverse iteration at
-    the Rayleigh quotients of their prolongations, checked as rayleigh_refine
-    checks bisected brackets, and finished by Rayleigh quotients.  A seed
-    from an under-resolved coarse grid can miss its fine eigenvalue by more
-    than BRACKET; one more round then starts at the quotients it reached.
+    eigenvectors (columns of coarse_vecs, ascending): inverse iteration from
+    their prolongations at the prolongations' Rayleigh quotients, checked as
+    rayleigh_refine checks bisected brackets, and finished by Rayleigh
+    quotients.  A seed from an under-resolved coarse grid can miss its fine
+    eigenvalue by more than BRACKET; one more round then starts from the
+    vectors it reached, at their quotients.
 
     Each residual interval [rho - r, rho + r] holds an eigenvalue; when they
     are disjoint and all lie below `bound`, which is the threshold margin
     when the Sturm count there equals their number and else the next
     eigenvalue, they hold the lowest ones, one each.  Otherwise
     SpectralError."""
-    shifts = rayleigh_quotients(d_f, e_f, _prolongate(coarse_vecs))
-    vals, vecs, residuals = rayleigh_refine(d_f, e_f, shifts, rounds=2)
+    seeds = _prolongate(coarse_vecs)
+    shifts = rayleigh_quotients(d_f, e_f, seeds)
+    vals, vecs, residuals = rayleigh_refine(d_f, e_f, shifts, rounds=2,
+                                            starts=seeds)
     lower, upper = vals - residuals, vals + residuals
     bad = ~np.append(upper[:-1] < lower[1:], upper[-1:] < bound)
     if np.any(bad):

@@ -909,6 +909,26 @@ def test_spectrum_refuses_a_cached_entry_its_solve_disagrees_with(
     assert not any(path.exists() for path in published)
 
 
+def test_spectrum_recomputes_an_entry_of_the_previous_revision(
+        tmp_path, monkeypatch):
+    # an entry the previous solver revision wrote, whose values differ from
+    # today's in the last digit, is a miss: the warm run solves and caches
+    # again, where serving the entry would refuse the run (exit 3)
+    out = tmp_path / "s"
+    args = ["spectrum"] + REFERENCE + ["--out", out]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "CACHE_REVISION", cli.CACHE_REVISION - 1)
+        assert run(args) == 0
+    (old,) = out.glob("cache/singular-*.json")
+    doc = json.loads(old.read_text())
+    first = doc["eigenvalues"][0]
+    first["value"] = float(np.nextafter(first["value"], np.inf))
+    old.write_text(json.dumps(doc))
+    assert run(args) == 0
+    assert len(list(out.glob("cache/singular-*.json"))) == 2
+    assert run(args) == 0
+
+
 def test_morse_after_spectrum_matches_a_fresh_morse(tmp_path):
     fresh = tmp_path / "fresh"
     assert run(["morse"] + REFERENCE + ["--out", fresh]) == 0

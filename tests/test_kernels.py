@@ -148,6 +148,19 @@ def test_sturm_count_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_sturm_count_of_entries_whose_products_overflow():
+    # |d| past 1.3e154 squares past the float range: the split test's
+    # product is inf, which splits, as in dstebz, and raises no warning
+    rng = np.random.default_rng(12)
+    for n in (2, 7, 40):
+        huge = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(155, 200, n)
+        d = np.where(rng.random(n) < 0.5, huge, rng.normal(size=n))
+        e = rng.normal(size=n - 1) * 10.0 ** rng.uniform(0, 150, n - 1)
+        shifts = _shifts_at_and_beside(d) + [0.0, -1e180, 1e180]
+        assert K.sturm_count(d, e, shifts) == \
+            [dstebz_count(d, e, s) for s in shifts]
+
+
 def test_sturm_count_outside_the_gershgorin_interval():
     d, e = random_tridiag(np.random.default_rng(8), 300)
     radius = np.abs(np.concatenate(([0.0], e))) + \
@@ -238,6 +251,64 @@ def test_rayleigh_refine_takes_a_second_round_from_estimated_shifts():
     assert K.relative_residual(d, e, vecs, residuals) < 1e-15
 
 
+def dirichlet_laplacian(k):
+    """-u'' + u on 4096 cells of h = 2^-6, Dirichlet at both ends: the
+    tridiagonal, its k lowest eigenvalues and unit eigenvectors in closed
+    form, and ||T||_1.  Its entries, 8193 and -4096, and the row sums
+    rayleigh_quotients forms are exact, so the quotients can be held to
+    1e-14."""
+    n, h, c = 4095, 2.0 ** -6, 1.0
+    d = np.full(n, 2.0 / h ** 2 + c)
+    e = np.full(n - 1, -1.0 / h ** 2)
+    theta = np.arange(1, k + 1) * np.pi / (n + 1)
+    values = c + 4.0 / h ** 2 * np.sin(theta / 2) ** 2
+    vecs = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(np.arange(1, n + 1),
+                                                    theta))
+    return d, e, values, vecs, 4.0 / h ** 2 + c
+
+
+def perturbed(vecs, size, seed):
+    noise = np.random.default_rng(seed).normal(size=vecs.shape)
+    return np.asfortranarray(vecs + size * noise / np.sqrt(len(vecs)))
+
+
+def test_seeded_inverse_iteration_matches_closed_form():
+    # start vectors 1e-3 off the eigenvectors, shifts within their brackets
+    d, e, exact, vecs, norm_t = dirichlet_laplacian(4)
+    seeds = perturbed(vecs, 1e-3, 6)
+    shifts = exact + 0.5 * K.BRACKET * np.array([1.0, -1.0, 1.0, -1.0])
+    vals, got, residuals = K.rayleigh_refine(d, e, shifts, starts=seeds)
+    assert np.all(np.abs(vals - exact) <= 1e-14)
+    assert np.all(residuals <= 10 * len(d) * np.finfo(float).eps * norm_t)
+    assert got.flags.f_contiguous
+    np.testing.assert_allclose(np.abs(got.T @ vecs), np.eye(4), atol=1e-8)
+
+
+def test_a_seed_that_misses_its_shift_takes_a_second_round(monkeypatch):
+    # shifts 3 brackets off: the first round's quotients miss them, and the
+    # second starts from its vectors at their quotients
+    d, e, exact, vecs, _ = dirichlet_laplacian(3)
+    seeds = perturbed(vecs, 1e-3, 7)
+    shifts = exact + 3 * K.BRACKET
+    with pytest.raises(SpectralError, match="outside the bracket"):
+        K.rayleigh_refine(d, e, shifts, starts=seeds)
+    calls, real = [], K.inverse_iteration
+
+    def recorded(diag, off, values, starts=None):
+        vecs = real(diag, off, values, starts)
+        calls.append((values, starts, vecs))
+        return vecs
+
+    monkeypatch.setattr(K, "inverse_iteration", recorded)
+    vals = K.rayleigh_refine(d, e, shifts, rounds=2, starts=seeds)[0]
+    assert len(calls) == 2
+    (_, first_starts, first), (second_shifts, second_starts, _) = calls
+    assert first_starts is seeds and second_starts is first
+    np.testing.assert_array_equal(second_shifts,
+                                  K.rayleigh_quotients(d, e, first))
+    assert np.all(np.abs(vals - exact) <= 1e-14)
+
+
 def test_rayleigh_refine_refuses_overlapping_brackets():
     # two equal blocks coupled by 1e-6: every eigenvalue is a pair about
     # 1e-6 apart, far closer than 2 * BRACKET, and the matrix does not split
@@ -262,11 +333,13 @@ def test_rayleigh_refine_agrees_with_full_bisection_on_a_lane_emden_grid():
     assert np.all(np.abs(vals - full) <= 1e-10 * np.abs(full))
 
 
-@pytest.mark.parametrize("routine", ["dstebz", "dlaebz", "dstein"])
+@pytest.mark.parametrize("routine",
+                         ["dstebz", "dlaebz", "dstein", "dgttrf", "dgttrs"])
 def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
     d, e = random_tridiag(np.random.default_rng(5), 20)
     eig = K.bisect_eigenvalues(d, e, 1, 2)
     count = K.sturm_count(d, e, 0.0)
+    starts = K.inverse_iteration(d, e, eig)
     real = getattr(K, routine)
 
     def failing(*args):
@@ -280,6 +353,11 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
                    lambda: K.sturm_count(d, e, [0.0, 1.0, 2.0])],
         "dstein": [lambda: K.inverse_iteration(d, e, eig),
                    lambda: K.rayleigh_refine(d, e, eig)],
+        # the seeded solves: factorization, then solves
+        "dgttrf": [lambda: K.inverse_iteration(d, e, eig, starts),
+                   lambda: K.rayleigh_refine(d, e, eig, starts=starts)],
+        "dgttrs": [lambda: K.inverse_iteration(d, e, eig, starts),
+                   lambda: K.rayleigh_refine(d, e, eig, starts=starts)],
     }[routine]
     for call in calls:
         with pytest.raises(SpectralError, match=f"{routine}.*info=1"):
@@ -302,6 +380,7 @@ import scipy.linalg
 import scipy.linalg.lapack as lapack
 from scipy.linalg import cython_lapack
 same = [_kernels.dstebz is lapack.dstebz, _kernels.dstein is lapack.dstein,
+        _kernels.dgttrf is lapack.dgttrf, _kernels.dgttrs is lapack.dgttrs,
         oracle.dsterf is lapack.dsterf, oracle.dgtsv is lapack.dgtsv,
         _kernels._flapack is lapack._flapack, loaded is cython_lapack]
 works = list(scipy.linalg.eigvalsh_tridiagonal([2.0, 2.0], [1.0])) == [1, 3]
@@ -316,7 +395,7 @@ def test_lapack_routines_are_the_ones_scipy_exports(first):
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == f"{[True] * 6} True"
+    assert proc.stdout.split("\n")[0] == f"{[True] * 8} True"
 
 
 @pytest.mark.parametrize("name", ["_flapack", "cython_lapack"])

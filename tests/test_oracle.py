@@ -1,5 +1,6 @@
 """Dense r-grid oracle: independence checks against the production solvers."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,23 @@ def test_oracle_allocates_no_square_array(case):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_oracle_solve_leaves_no_garbage(case):
+    # ndarray.ctypes.data_as pointers form reference cycles, which the
+    # cyclic garbage collector frees only when it runs
+    dense_oracle_spectrum(case, n=200)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        dense_oracle_spectrum(case, n=200)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_oracle_lapack_failure_raises(case, monkeypatch):

@@ -108,4 +108,5 @@ def test_the_oracle_shares_no_solver_code():
         "MARGIN", "NODE_TOL", "ZERO_CUT", "EigenPair", "SpectralError",
         "Spectrum", "WeightedSLProblem", "count_sign_changes"}
     assert imported == {}
-    assert names & {"dstebz", "dlaebz", "dstein"} == set()
+    assert names & {"dstebz", "dlaebz", "dstein", "dgttrf",
+                    "dgttrs"} == set()

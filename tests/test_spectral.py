@@ -598,8 +598,8 @@ def test_residual_intervals_that_meet_are_refused(lane_emden_case,
     rows = spec.meta["n"] - 1
     real = spectral.rayleigh_refine
 
-    def wide(d, e, eig, rounds=1):
-        vals, vecs, residuals = real(d, e, eig, rounds)
+    def wide(d, e, eig, rounds=1, starts=None):
+        vals, vecs, residuals = real(d, e, eig, rounds, starts)
         return vals, vecs, residuals + widen * (len(d) == rows)
 
     monkeypatch.setattr(spectral, "rayleigh_refine", wide)
