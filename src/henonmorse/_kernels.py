@@ -4,20 +4,20 @@ eigenvectors.
 Counts are Sturm counts taken by dlaebz, the routine dstebz counts with:
 one sweep per shift, and one call for all the shifts a solve asks about.
 Eigenvalues come from LAPACK bisection (``dstebz``) and eigenvectors from
-inverse iteration, always on one unsplit block: the values are plain
-ascending arrays, and a matrix that splits is refused.  A singular coarse
-grid is bisected only to a bracket of width BRACKET, dstein finds its
-vectors, and the Rayleigh quotient of each eigenvector then finishes its
-eigenvalue.  Its fine grid is not bisected: the coarse vectors,
-prolongated, are both the shifts (their Rayleigh quotients) and the start
-vectors of two solves each on the pivoted LU factorization of T - sigma
-(dgttrf, dgttrs), in place of dstein's random start.  Each pair is
-certified by its residual interval [rho - r, rho + r], r = ||T v - rho v||
-for a unit v, which holds an eigenvalue (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4), together with one Sturm count.  The standard kind keeps
-ABSTOL: its mass e^(-2x) grades its matrix to ||T|| = 5e25 (N=3, p=3), and
-at p=4.9 the Rayleigh quotient of its lowest eigenvalue, -4.4e11, misses
-the bisected value by 0.1.
+inverse iteration.  All take one unsplit block with a finite squared
+off-diagonal, as the solvers build, and refuse any other matrix.  A
+singular coarse grid is bisected only to a bracket of width BRACKET,
+dstein finds its vectors, and the Rayleigh quotient of each eigenvector
+then finishes its eigenvalue.  Its fine grid is not bisected: the coarse
+vectors, prolongated, are both the shifts (their Rayleigh quotients) and
+the start vectors of two solves each on the pivoted LU factorization of
+T - sigma (dgttrf, dgttrs), in place of dstein's random start.  Each pair
+is certified by its residual interval [rho - r, rho + r], with
+r = ||T v - rho v|| for a unit v, which holds an eigenvalue (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4), together with one Sturm count.  The
+standard kind keeps ABSTOL: its mass e^(-2x) grades its matrix to
+||T|| = 5e25 (N=3, p=3), and at p=4.9 the Rayleigh quotient of its lowest
+eigenvalue, -4.4e11, misses the bisected value by 0.1.
 
 The LAPACK routines come from scipy's compiled modules, loaded from their
 files by lapack_module without running the scipy.linalg package __init__,
@@ -121,16 +121,10 @@ def _check_info(routine, info):
         raise SpectralError(f"LAPACK {routine} failed with info={info}")
 
 
-def _window(lo, hi):
-    """dstebz RANGE='V' arguments for the eigenvalues in (lo, hi): the
-    window (vl, vu] is half-open, so vu is the float just below hi."""
-    return 1, lo, np.nextafter(hi, -np.inf), 0, 0
-
-
 def dlaebz(d, e, e2, pivmin: float, ab):
-    """LAPACK dlaebz with IJOB=1 on tridiag(d, e), e2 = e^2 with zeros where
-    the matrix splits: for each shift in ab, the number of eigenvalues at or
-    below it, one Sturm sweep each, and LAPACK's INFO.  The shifts are the
+    """LAPACK dlaebz with IJOB=1 on tridiag(d, e), e2 = e^2: for each shift
+    in ab, the number of eigenvalues at or below it, one Sturm sweep each,
+    and LAPACK's INFO.  The shifts are the
     ends of len(ab) // 2 intervals, lower ends first.  The arrays must be
     contiguous float64, e and e2 of n - 1 entries at least."""
     if not (all(a.dtype == np.float64 and a.flags.c_contiguous
@@ -155,55 +149,42 @@ def dlaebz(d, e, e2, pivmin: float, ab):
 SAFEMIN, ULP = np.finfo(float).tiny, np.finfo(float).eps
 
 
-def sturm_count(diag, off, sigma):
-    """Number of eigenvalues of tridiag(diag, off) strictly below sigma, or
-    the list of those numbers for a sequence of shifts sigma.
+def sturm_count(diag, off, shifts) -> list:
+    """Numbers of eigenvalues of tridiag(diag, off) strictly below each of
+    the shifts: bitwise dstebz's value-window counts (-inf, shift), at one
+    Sturm sweep a shift and one LAPACK call for all shifts.
 
-    Each count is bitwise the one a dstebz value-window call (-inf, sigma)
-    gives, at one Sturm sweep a shift and one LAPACK call for all shifts:
     dlaebz (IJOB=1), the counting loop of dstebz, runs at the float just
-    below each sigma, on dstebz's E2 = off^2 with its split test and its
-    pivot floor PIVMIN = 2.2e-308 * max(1, max E2), under which a pivot
-    counts as negative (so an eigenvalue exactly at sigma = 0 counts as
-    below it).  A row split off on both sides counts by dstebz's rule for
-    a one-row block, d - PIVMIN <= shift.  The sweeps dstebz adds, at each
-    block's Gershgorin bounds widened past the sweep's rounding, count 0
-    and every row of the block, so they are left out.
+    below each shift, on dstebz's E2 = off^2 and its pivot floor PIVMIN =
+    2.2e-308 max(1, max E2), under which a pivot counts as negative (so an
+    eigenvalue exactly at a shift of 0 counts as below it); dstebz's sweeps
+    at the widened Gershgorin bounds count 0 and n.  The matrix must not
+    split by dstebz's test (an overflowing product splits), nor E2
+    overflow: SpectralError otherwise.
     """
     if len(off) != len(diag) - 1:
         raise ValueError(f"a tridiagonal matrix of order n >= 1 takes n - 1 "
                          f"off-diagonal entries, not {len(off)} for n = "
                          f"{len(diag)}")
-    shifts = np.nextafter(np.atleast_1d(np.asarray(sigma, float)), -np.inf)
-    if len(diag) == 1:
-        # dstebz's rule for one row
-        counts = (diag[0] <= shifts).astype(int)
-    else:
-        diag = np.ascontiguousarray(diag, dtype=float)
-        off = np.ascontiguousarray(off, dtype=float)
+    diag = np.ascontiguousarray(diag, dtype=float)
+    off = np.ascontiguousarray(off, dtype=float)
+    with np.errstate(over="ignore"):
         e2 = off * off
         # a product past the float range is inf, and splits, as in dstebz
-        with np.errstate(over="ignore"):
-            split = np.abs(diag[1:] * diag[:-1]) * ULP ** 2 + SAFEMIN > e2
-        lone = ()
-        if split.any():
-            e2[split] = 0.0
-            cut = np.concatenate(([True], split, [True]))
-            lone = diag[cut[:-1] & cut[1:], None]
-        pivmin = max(1.0, float(np.max(e2))) * SAFEMIN
-        # dlaebz sweeps at both ends of each interval: pad an odd count
-        ab = np.resize(shifts, len(shifts) + len(shifts) % 2)
-        nab, info = dlaebz(diag, off, e2, pivmin, ab)
-        _check_info("dlaebz", info)
-        counts = nab[:len(shifts)]
-        if len(lone):
-            # a one-row block counts where d - PIVMIN <= shift; the sweep
-            # counted it where d - shift < PIVMIN
-            counts = counts + (np.sum(lone - pivmin <= shifts, axis=0)
-                               - np.sum(lone - shifts < pivmin, axis=0))
-    if np.ndim(sigma) == 0:
-        return int(counts[0])
-    return counts.tolist()
+        split = np.abs(diag[1:] * diag[:-1]) * ULP ** 2 + SAFEMIN > e2
+    if split.any():
+        raise SpectralError(f"tridiagonal matrix of order {len(diag)} splits "
+                            f"after row {int(np.argmax(split)) + 1}")
+    pivmin = float(np.max(e2, initial=1.0)) * SAFEMIN
+    if not np.isfinite(pivmin):
+        raise SpectralError(f"tridiagonal matrix of order {len(diag)}: "
+                            "its squared off-diagonal overflows")
+    shifts = np.nextafter(np.asarray(shifts, float), -np.inf)
+    # dlaebz sweeps at both ends of each interval: pad an odd count
+    ab = np.resize(shifts, len(shifts) + len(shifts) % 2)
+    nab, info = dlaebz(diag, off, e2, pivmin, ab)
+    _check_info("dlaebz", info)
+    return nab[:len(shifts)].tolist()
 
 
 def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None,
@@ -218,8 +199,10 @@ def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None,
     otherwise.  No Liouville grid splits: its off-diagonal squared is about
     a quarter of the product of the neighbouring diagonal entries.
     """
-    window = (_window(above, below) if below is not None
-              else (2, 0.0, 0.0, k_first, k_last))
+    # RANGE='V' takes the half-open window (vl, vu]: vu is the float just
+    # below `below`
+    window = ((1, above, np.nextafter(below, -np.inf), 0, 0)
+              if below is not None else (2, 0.0, 0.0, k_first, k_last))
     m, w, _, isplit, info = dstebz(diag, off, *window, abstol, b"B")
     _check_info("dstebz", info)
     if isplit[0] != len(diag):
@@ -277,37 +260,36 @@ def rayleigh_quotients(diag, off, vecs):
     return (rows @ sq - off @ (dv * dv)) / np.sum(sq, axis=0)
 
 
-def rayleigh_refine(diag, off, values, rounds=1, starts=None):
+def rayleigh_refine(diag, off, values, starts=None):
     """Eigenpairs of tridiag(diag, off) from the ascending `values` (from
     bisect_eigenvalues, to within BRACKET or finer, or estimated shifts),
     and optionally one start vector per value (inverse_iteration).
 
-    Returns the Rayleigh quotient of each inverse-iteration vector, the unit
-    vectors one per column, and each column's residual ||T v - rho v||.
-    Each quotient must lie within BRACKET of its value, and consecutive
-    values must be more than 2 * BRACKET apart, so no two brackets can hold
-    the same eigenvalue; otherwise SpectralError names the pair.  With
-    rounds > 1, for shifts that are estimates rather than brackets, a
-    quotient outside its bracket starts another round at the quotients,
-    from the vectors that gave them (a Rayleigh quotient iteration step),
-    up to `rounds` in all.
+    Returns the Rayleigh quotient of each inverse-iteration vector and the
+    unit vectors, one per column.  Each quotient must lie within BRACKET of
+    its value, and consecutive values must be more than 2 * BRACKET apart,
+    so no two brackets can hold the same eigenvalue; otherwise SpectralError
+    names the pair.  With `starts` the values are estimated shifts: a
+    quotient outside its bracket starts one more round at the quotients,
+    from the vectors that gave them (a Rayleigh quotient iteration step).
     """
-    for a, b in zip(values[:-1], values[1:]):
-        if b - a <= 2.0 * BRACKET:
+    for last in (starts is None, True):
+        for a, b in zip(values[:-1], values[1:]):
+            if b - a <= 2.0 * BRACKET:
+                raise SpectralError(
+                    f"eigenvalues {a:.12g}, {b:.12g}: brackets of "
+                    f"half-width {BRACKET:g} overlap")
+        vecs = inverse_iteration(diag, off, values, starts)
+        rho = rayleigh_quotients(diag, off, vecs)
+        miss = ~(np.abs(rho - values) <= BRACKET)
+        if not np.any(miss):
+            return rho, vecs
+        if last:
+            i = int(np.argmax(miss))
             raise SpectralError(
-                f"eigenvalues {a:.12g}, {b:.12g}: brackets of half-width "
-                f"{BRACKET:g} overlap")
-    vecs = inverse_iteration(diag, off, values, starts)
-    rho = rayleigh_quotients(diag, off, vecs)
-    miss = ~(np.abs(rho - values) <= BRACKET)
-    if np.any(miss):
-        if rounds > 1:
-            return rayleigh_refine(diag, off, rho, rounds - 1, vecs)
-        i = int(np.argmax(miss))
-        raise SpectralError(
-            f"Rayleigh quotient {rho[i]:.12g} lies outside the bracket of "
-            f"eigenvalue {values[i]:.12g}")
-    return rho, vecs, residual_norms(diag, off, vecs, rho)
+                f"Rayleigh quotient {rho[i]:.12g} lies outside the bracket "
+                f"of eigenvalue {values[i]:.12g}")
+        values, starts = rho, vecs
 
 
 def residual_norms(diag, off, vecs, values):

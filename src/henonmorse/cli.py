@@ -17,7 +17,8 @@ are cached under <out>/cache, one entry per kind and number of values held,
 keyed by a content hash of exactly the fields that feed a spectrum, so
 spectra survive report-level changes, and of the package version and
 CACHE_REVISION, so entries written by older solver code are not served.  Cache files are moved into place
-whole; an entry that cannot be read is recomputed.  Profiles are not
+whole; an entry that cannot be read, or holds a field of another JSON
+type than the one written, is recomputed.  Profiles are not
 cached: each solve run solves its profile again, in a few ms.
 
 Result files and cache entries are JSON documents (_write_json) or CSV
@@ -264,7 +265,7 @@ class Pipeline:
 
     def cached(self, kind: str, k: int) -> Spectrum | None:
         """The cached spectrum of this kind and k, or None when its entry is
-        missing or unreadable."""
+        missing or unreadable, or holds a field of the wrong JSON type."""
         try:
             return _read_spectrum(self.entry(kind, k))
         except (OSError, ValueError, KeyError, TypeError):
@@ -356,11 +357,39 @@ def _spectrum_doc(spec: Spectrum) -> dict:
     }
 
 
+# the fields _spectrum_doc writes, with the types json.load reads them
+# back as (None for null): an int or a bool in place of a float is refused
+_FLOAT, _OPTIONAL = (float,), (float, type(None))
+_ENTRY_FIELDS = {"kind": (str,), "M": _FLOAT, "threshold": _OPTIONAL,
+                 "exhausted_below": _OPTIONAL, "negative_count": (int,),
+                 "eigenvalues": (list,), "meta": (dict,)}
+_PAIR_FIELDS = {"value": _FLOAT, "error_bar": _FLOAT, "nodes": (int,),
+                "theta_analytic": _OPTIONAL, "uncertain": (bool,)}
+_STANDARD_META = {"n": (int,), "x_max": _FLOAT, "zero_band_count": (int,),
+                  "resolution_capped": (bool,),
+                  "eigvec_rel_residual": _FLOAT}
+_META_FIELDS = {"standard": _STANDARD_META,
+                "singular": dict(_STANDARD_META, count_below_margin=(int,))}
+
+
+def _typed(doc, fields: dict):
+    """doc, when it is an object with exactly the keys of `fields`, each
+    value of one of the types given there; TypeError otherwise."""
+    if not (type(doc) is dict and doc.keys() == fields.keys()
+            and all(type(doc[k]) in t for k, t in fields.items())):
+        raise TypeError(f"cache entry fields differ from {sorted(fields)}")
+    return doc
+
+
 def _read_spectrum(path) -> Spectrum:
     """The spectrum _spectrum_doc wrote to path: eigenvalues and flags, no
-    eigenfunction samples."""
+    eigenfunction samples.  TypeError when a field is missing or extra, or
+    its JSON type is not the one _spectrum_doc writes."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _typed(json.load(fh), _ENTRY_FIELDS)
+    for e in doc["eigenvalues"]:
+        _typed(e, _PAIR_FIELDS)
+    _typed(doc["meta"], _META_FIELDS[doc["kind"]])
     pairs = tuple(
         EigenPair(value=e["value"], error_bar=e["error_bar"],
                   grid=np.empty(0), samples=np.empty(0),

@@ -167,15 +167,25 @@ class LiouvilleProblem:
         """(diag, off, s) of s A s over nodes 1..n, natural closure at X: A
         sums h (beta u_i + alpha u_(i+1))^2, alpha, beta = +-1/h + c/2 with
         c^2 = threshold, less the lumped r^2 a = threshold - V, and s is
-        B^(-1/2) for the lumped mass B = h e^(-2x), a half cell at X."""
+        B^(-1/2) for the lumped mass B = h e^(-2x), a half cell at X.
+
+        The scaled off-diagonal grows like e^(2X) / h^2, and the counts and
+        bisection square it: SpectralError when the square overflows (X
+        past about 172 at n = 4096)."""
         h, c2 = self.h, self.threshold
         w = np.full(len(self.x) - 1, h)
         w[-1] = 0.5 * h
         d = w * (self.V[1:] - 0.5 * c2) + 2.0 / h
         d[-1] += math.sqrt(c2) - 1.0 / h
         e = np.full(len(w) - 1, 0.25 * h * c2 - 1.0 / h)
-        s = np.exp(self.x[1:]) / np.sqrt(w)
-        return d * s * s, e * s[:-1] * s[1:], s
+        with np.errstate(over="ignore"):
+            s = np.exp(self.x[1:]) / np.sqrt(w)
+            d, e = d * s * s, e * s[:-1] * s[1:]
+            if not np.isfinite(np.max(e * e, initial=0.0)):
+                raise SpectralError(
+                    f"x_max={self.x[-1]:g} over n={len(w)} cells: the "
+                    "squared off-diagonal of the standard kind overflows")
+        return d, e, s
 
     def coarsened(self, stride: int = 2):
         """Every stride-th node, stride a power of two that divides the
@@ -361,7 +371,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     # k lowest are finished by their Rayleigh quotients
     d_c, e_c = g_f.coarsened().tridiagonal()
     below_c = bisect_eigenvalues(d_c, e_c, below=hi, abstol=BRACKET)
-    vals_c, vecs_c, _ = rayleigh_refine(d_c, e_c, below_c[:max(k, 0)])
+    vals_c, vecs_c = rayleigh_refine(d_c, e_c, below_c[:max(k, 0)])
     d_f, e_f = g_f.tridiagonal()
     count_f, zero_cut_count, zero_top = sturm_count(d_f, e_f,
                                                     (hi, -ZERO_CUT, ZERO_CUT))
@@ -407,8 +417,8 @@ def _seeded_pairs(d_f, e_f, coarse_vecs, bound):
     SpectralError."""
     seeds = _prolongate(coarse_vecs)
     shifts = rayleigh_quotients(d_f, e_f, seeds)
-    vals, vecs, residuals = rayleigh_refine(d_f, e_f, shifts, rounds=2,
-                                            starts=seeds)
+    vals, vecs = rayleigh_refine(d_f, e_f, shifts, starts=seeds)
+    residuals = residual_norms(d_f, e_f, vecs, vals)
     lower, upper = vals - residuals, vals + residuals
     bad = ~np.append(upper[:-1] < lower[1:], upper[-1:] < bound)
     if np.any(bad):
@@ -432,7 +442,9 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     singular twin, the memoized ones when a singular solve of the same
     problem has just built them.  By Sylvester's law of inertia the
     negative count and zero band (all that k = 0 takes, one call of Sturm
-    counts on the last grid) are those of the form alone.
+    counts on the last grid) are those of the form alone.  A grid whose
+    scaled off-diagonal squares past the float range is refused
+    (SpectralError) before any count.
     """
     if prob.kind != "standard":
         raise ValueError("solve_standard_spectrum needs the standard kind")

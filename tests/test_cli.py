@@ -394,6 +394,17 @@ def test_xmax_whose_grid_step_squares_to_zero_exits_3(tmp_path, capsys):
         assert not (out / "morse.json").exists()
 
 
+def test_xmax_whose_standard_grid_overflows_exits_3(tmp_path, capsys):
+    # the standard kind's scaled off-diagonal squares past the float range
+    out = tmp_path / "x"
+    assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
+                "--xmax", 200, "--grid", 65536, "--out", out]) == 3
+    assert ("solver failure: x_max=200 over n=65536 cells: the squared "
+            "off-diagonal of the standard kind overflows"
+            in capsys.readouterr().err)
+    assert not (out / "morse.json").exists()
+
+
 def test_p_at_or_above_the_critical_exponent_exits_2(tmp_path, capsys,
                                                      monkeypatch):
     def no_solve(*args, **kwargs):
@@ -457,17 +468,53 @@ REFERENCE = ["--N", 3, "--alpha", 0, "--p", 3, "--m", 2]
 REPORT = ("morse.json", "morse.csv")
 
 
+def _files(out):
+    return {path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def _set(*keys, value):
+    """An edit of a cache entry: the field at the path keys set to value."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
 def test_unreadable_cache_entry_is_recomputed(tmp_path):
+    # a cut-off entry, and entries with a field missing, extra or of
+    # another JSON type than the one written (a bool is not a number), are
+    # recomputed and rewritten: every file as a fresh run writes it
     out = tmp_path / "c"
     args = ["morse"] + REFERENCE + ["--out", out]
     assert run(args) == 0
-    first = [(out / name).read_bytes() for name in REPORT]
-    (entry,) = out.glob("cache/singular-*.json")
-    entry.write_bytes(entry.read_bytes()[:100])
-    assert run(args) == 0
-    assert [(out / name).read_bytes() for name in REPORT] == first
-    assert json.loads(entry.read_text())["negative_count"] == 2
-    assert not list(out.glob("cache/*.tmp"))
+    fresh = _files(out)
+    spoiled = [
+        ("singular", _set("eigenvalues", 0, "value", value="-8.55")),
+        ("singular", _set("negative_count", value=None)),
+        ("singular", _set("negative_count", value=True)),
+        ("singular", _set("M", value=True)),
+        ("singular", _set("exhausted_below", value=0)),
+        ("singular", _set("eigenvalues", 1, "nodes", value=1.0)),
+        ("singular", _set("eigenvalues", 2, "uncertain", value=1)),
+        ("singular", _set("eigenvalues", value={})),
+        ("singular", _set("meta", "zero_band_count", value="0")),
+        ("singular", _set("meta", "stale", value=0)),
+        ("singular", lambda doc: doc["meta"].pop("n")),
+        ("standard", _set("meta", "resolution_capped", value=0)),
+        ("standard", _set("threshold", value="inf")),
+    ]
+    for kind, edit in [("singular", None)] + spoiled:
+        (entry,) = out.glob(f"cache/{kind}-*.json")
+        if edit is None:
+            entry.write_bytes(entry.read_bytes()[:100])
+        else:
+            doc = json.loads(entry.read_text())
+            edit(doc)
+            entry.write_text(json.dumps(doc))
+        assert run(args) == 0
+        assert _files(out) == fresh
 
 
 def test_cache_entry_from_older_solver_code_is_recomputed(tmp_path):

@@ -23,8 +23,6 @@ def random_tridiag(rng, n):
 def dstebz_count(d, e, sigma):
     """The count as a dstebz value-window call (-inf, sigma) gives it, with
     abstol=+inf so that it bisects nothing."""
-    if len(d) == 1:
-        return int(d[0] < sigma)
     m, *_, info = K.dstebz(d, e, 1, -np.inf, np.nextafter(sigma, -np.inf),
                            0, 0, np.inf, b"B")
     assert info == 0
@@ -40,8 +38,9 @@ def test_sturm_count_matches_lapack():
         d, e = random_tridiag(rng, n)
         full = eigvalsh_tridiagonal(d, e)
         expected = [int((full < sigma).sum()) for sigma in SIGMAS]
-        assert [K.sturm_count(d, e, sigma) for sigma in SIGMAS] == expected
-        # a sequence of shifts, odd and even in number, in any order
+        assert [K.sturm_count(d, e, [sigma])[0] for sigma in SIGMAS] == \
+            expected
+        # several shifts, odd and even in number, in any order
         assert K.sturm_count(d, e, SIGMAS) == expected
         assert K.sturm_count(d, e, SIGMAS[::-1][1:]) == expected[::-1][1:]
 
@@ -62,7 +61,7 @@ def test_sturm_count_through_an_exactly_zero_pivot(d):
     d = np.array(d)
     full = eigvalsh_tridiagonal(d, ZERO_PIVOT_E)
     expected = int((full < 2.0).sum())
-    assert K.sturm_count(d, ZERO_PIVOT_E, 2.0) == expected
+    assert K.sturm_count(d, ZERO_PIVOT_E, [2.0]) == [expected]
     assert K.sturm_count(d, ZERO_PIVOT_E, [2.0, 0.0, 2.0]) == \
         [expected, int((full < 0.0).sum()), expected]
     if d[0] < 2.0:
@@ -76,44 +75,64 @@ def _shifts_at_and_beside(values):
 
 def test_sturm_count_is_the_dstebz_count_bitwise():
     # shifts on, just below and just above eigenvalues and diagonal entries,
-    # on matrices that split (one-row blocks included), have exactly zero
-    # pivots, sit at LAPACK's split and pivot floors, or are graded
+    # on random and graded matrices, integer ones with exactly zero pivots,
+    # ones whose PIVMIN is huge (e^2 up to 1e308) and the zero-pivot ones
     rng = np.random.default_rng(11)
     cases = []
     for _ in range(40):
         n = int(rng.integers(2, 40))
         d, e = random_tridiag(rng, n)
-        ints = (rng.integers(-3, 4, n) * 1.0, rng.integers(-2, 3, n - 1) * 1.0)
-        split = e * (rng.random(n - 1) < 0.5)
-        floor = e * 10.0 ** rng.uniform(-170, -150, n - 1)
-        huge = np.where(rng.random(n - 1) < 0.3, 1e154, 0.0)
+        ints = (rng.integers(-3, 4, n) * 1.0,
+                rng.choice([-2.0, -1.0, 1.0, 2.0], n - 1))
+        huge = np.where(rng.random(n - 1) < 0.3, 1e154, ints[1])
         g = np.exp(np.linspace(0.0, 60.0, n))
-        cases += [(d, e), ints, (d, split), (d, floor), (ints[0], huge),
+        cases += [(d, e), ints, (ints[0], huge),
                   (d * g, e * np.sqrt(g[:-1] * g[1:]))]
     cases += [(np.array(d), ZERO_PIVOT_E) for d in ZERO_PIVOT_D]
-    # a row split off alone, at a shift just below it by exactly PIVMIN
-    # (2^-22 here): dstebz counts it, a plain sweep would not
-    lone = np.array([1.0, 5.0, 6.0]), np.array([0.0, 2.0 ** 500])
-    cases.append(lone)
     for d, e in cases:
         full = eigvalsh_tridiagonal(d, e)
         shifts = (_shifts_at_and_beside(full) + _shifts_at_and_beside(d)
                   + [0.0, np.inf])
         assert K.sturm_count(d, e, shifts) == \
             [dstebz_count(d, e, s) for s in shifts]
-    sigma = np.nextafter(1.0 - 2.0 ** -22, np.inf)
-    assert K.sturm_count(*lone, sigma) == dstebz_count(*lone, sigma) == 2
+
+
+def dstebz_first_split(d, e):
+    """The last row of the first block dstebz splits tridiag(d, e) into."""
+    *_, isplit, info = K.dstebz(d, e, 2, 0.0, 0.0, 1, 1, np.inf, b"B")
+    assert info == 0
+    return int(isplit[0])
+
+
+def test_sturm_count_refuses_the_matrices_dstebz_splits():
+    # zero off-diagonal entries, entries at LAPACK's split floor, and a row
+    # split off alone: refused, naming the row dstebz's first block ends at
+    rng = np.random.default_rng(11)
+    cases = [(np.array([1.0, 5.0, 6.0]), np.array([0.0, 2.0 ** 500]))]
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        d, e = random_tridiag(rng, n)
+        cut = rng.random(n - 1) < 0.5
+        cut[rng.integers(n - 1)] = True
+        cases += [(d, np.where(cut, 0.0, e)),
+                  (d, np.where(cut, e * 10.0 ** rng.uniform(-170, -150), e))]
+    for d, e in cases:
+        row = dstebz_first_split(d, e)
+        assert row < len(d)
+        with pytest.raises(SpectralError,
+                           match=f"order {len(d)} splits after row {row}$"):
+            K.sturm_count(d, e, [0.0])
 
 
 @pytest.mark.parametrize("d, e, sigma, expected", [
-    ([1.0, 2.0, 3.0], [0.0, 0.0], 2.0, 1),   # sigma is an eigenvalue
+    ([2.0, 2.0, 2.0], [1.0, 1.0], 2.0, 1),   # eigenvalues 2, 2 -+ sqrt(2)
     ([2.0, 2.0], [1.0], 3.0, 1),             # eigenvalues 1 and 3
     ([2.0, 2.0], [1.0], 1.0, 0),
-    ([5.0], [], 5.0, 0),                     # one row: no LAPACK call
+    ([5.0], [], 5.0, 0),                     # one row
     ([5.0], [], 5.5, 1),
 ])
 def test_sturm_count_is_strict_at_an_exact_eigenvalue(d, e, sigma, expected):
-    assert K.sturm_count(np.array(d), np.array(e), sigma) == expected
+    assert K.sturm_count(np.array(d), np.array(e), [sigma]) == [expected]
 
 
 def test_sturm_count_refuses_a_mismatched_off_diagonal():
@@ -121,7 +140,7 @@ def test_sturm_count_refuses_a_mismatched_off_diagonal():
     for d, e in (([], []), ([1.0, 2.0, 3.0], [1.0]), ([1.0], [1.0]),
                  ([1.0, 2.0], [1.0, 1.0])):
         with pytest.raises(ValueError, match="n - 1 off-diagonal"):
-            K.sturm_count(np.array(d), np.array(e), 0.0)
+            K.sturm_count(np.array(d), np.array(e), [0.0])
 
 
 def test_dlaebz_refuses_arrays_it_cannot_take():
@@ -150,23 +169,32 @@ def test_sturm_count_leaves_no_reference_cycles():
 
 def test_sturm_count_of_entries_whose_products_overflow():
     # |d| past 1.3e154 squares past the float range: the split test's
-    # product is inf, which splits, as in dstebz, and raises no warning
+    # product is inf, which splits, as in dstebz; an off-diagonal entry
+    # that squares past it leaves PIVMIN infinite.  Both are refused, and
+    # neither raises a warning.
     rng = np.random.default_rng(12)
     for n in (2, 7, 40):
-        huge = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(155, 200, n)
-        d = np.where(rng.random(n) < 0.5, huge, rng.normal(size=n))
-        e = rng.normal(size=n - 1) * 10.0 ** rng.uniform(0, 150, n - 1)
-        shifts = _shifts_at_and_beside(d) + [0.0, -1e180, 1e180]
-        assert K.sturm_count(d, e, shifts) == \
-            [dstebz_count(d, e, s) for s in shifts]
+        d, e = random_tridiag(rng, n)
+        i = int(rng.integers(n - 1))
+        big = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(155, 200)
+        # e^2 about 1e300: only the product of the two huge entries splits
+        wide = d.copy()
+        wide[i:i + 2] = big
+        assert dstebz_first_split(wide, e * 1e150) == i + 1
+        with pytest.raises(SpectralError, match=f"splits after row {i + 1}$"):
+            K.sturm_count(wide, e * 1e150, [0.0])
+        over = e.copy()
+        over[i] = big
+        with pytest.raises(SpectralError, match="off-diagonal overflows"):
+            K.sturm_count(d, over, [0.0])
 
 
 def test_sturm_count_outside_the_gershgorin_interval():
     d, e = random_tridiag(np.random.default_rng(8), 300)
     radius = np.abs(np.concatenate(([0.0], e))) + \
         np.abs(np.concatenate((e, [0.0])))
-    assert K.sturm_count(d, e, float(np.min(d - radius)) - 1.0) == 0
-    assert K.sturm_count(d, e, float(np.max(d + radius)) + 1.0) == 300
+    assert K.sturm_count(d, e, [float(np.min(d - radius)) - 1.0,
+                                float(np.max(d + radius)) + 1.0]) == [0, 300]
 
 
 def test_value_window_and_index_range_bisection_agree():
@@ -177,7 +205,7 @@ def test_value_window_and_index_range_bisection_agree():
         norm_t = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
         for sigma in sigmas:
             below = K.bisect_eigenvalues(d, e, below=sigma)
-            assert len(below) == K.sturm_count(d, e, sigma)
+            assert [len(below)] == K.sturm_count(d, e, [sigma])
             assert np.all(below < sigma)
             ranged = K.bisect_eigenvalues(d, e, 1, len(below))
             assert np.all(np.abs(below - ranged)
@@ -228,16 +256,17 @@ def test_rayleigh_refine_matches_closed_form_from_brackets():
     eig = K.bisect_eigenvalues(d, e, below=c + 0.05, abstol=K.BRACKET)
     j = np.arange(1, len(eig) + 1)
     exact = c + 4.0 / h ** 2 * np.sin(j * np.pi / (2 * (n + 1))) ** 2
-    vals, vecs, residuals = K.rayleigh_refine(d, e, eig)
+    vals, vecs = K.rayleigh_refine(d, e, eig)
     assert len(vals) == 3 and vecs.shape == (n, 3)
     assert np.all(np.abs(eig - exact) <= K.BRACKET)
     assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
-    assert residuals.shape == (3,) and np.all(residuals <= 1e-9)
+    assert np.all(K.residual_norms(d, e, vecs, vals) <= 1e-9)
 
 
 def test_rayleigh_refine_takes_a_second_round_from_estimated_shifts():
-    # shifts 3 brackets off the closed-form eigenvalues: one round misses,
-    # a second round at the quotients it reached does not
+    # shifts 3 brackets off the closed-form eigenvalues: without start
+    # vectors they are taken for brackets, and the one round misses; with
+    # start vectors a second round at the quotients reached does not
     n, h, c = 4096, 50.0 / 4097, 1.0
     d = np.full(n, 2.0 / h ** 2 + c)
     e = np.full(n - 1, -1.0 / h ** 2)
@@ -246,8 +275,10 @@ def test_rayleigh_refine_takes_a_second_round_from_estimated_shifts():
     eig = exact + 3 * K.BRACKET
     with pytest.raises(SpectralError, match="outside the bracket"):
         K.rayleigh_refine(d, e, eig)
-    vals, vecs, residuals = K.rayleigh_refine(d, e, eig, rounds=2)
+    starts = K.inverse_iteration(d, e, eig)
+    vals, vecs = K.rayleigh_refine(d, e, eig, starts)
     assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
+    residuals = K.residual_norms(d, e, vecs, vals)
     assert K.relative_residual(d, e, vecs, residuals) < 1e-15
 
 
@@ -277,7 +308,8 @@ def test_seeded_inverse_iteration_matches_closed_form():
     d, e, exact, vecs, norm_t = dirichlet_laplacian(4)
     seeds = perturbed(vecs, 1e-3, 6)
     shifts = exact + 0.5 * K.BRACKET * np.array([1.0, -1.0, 1.0, -1.0])
-    vals, got, residuals = K.rayleigh_refine(d, e, shifts, starts=seeds)
+    vals, got = K.rayleigh_refine(d, e, shifts, starts=seeds)
+    residuals = K.residual_norms(d, e, got, vals)
     assert np.all(np.abs(vals - exact) <= 1e-14)
     assert np.all(residuals <= 10 * len(d) * np.finfo(float).eps * norm_t)
     assert got.flags.f_contiguous
@@ -290,8 +322,6 @@ def test_a_seed_that_misses_its_shift_takes_a_second_round(monkeypatch):
     d, e, exact, vecs, _ = dirichlet_laplacian(3)
     seeds = perturbed(vecs, 1e-3, 7)
     shifts = exact + 3 * K.BRACKET
-    with pytest.raises(SpectralError, match="outside the bracket"):
-        K.rayleigh_refine(d, e, shifts, starts=seeds)
     calls, real = [], K.inverse_iteration
 
     def recorded(diag, off, values, starts=None):
@@ -300,10 +330,11 @@ def test_a_seed_that_misses_its_shift_takes_a_second_round(monkeypatch):
         return vecs
 
     monkeypatch.setattr(K, "inverse_iteration", recorded)
-    vals = K.rayleigh_refine(d, e, shifts, rounds=2, starts=seeds)[0]
+    vals = K.rayleigh_refine(d, e, shifts, starts=seeds)[0]
     assert len(calls) == 2
     (_, first_starts, first), (second_shifts, second_starts, _) = calls
     assert first_starts is seeds and second_starts is first
+    assert np.all(np.abs(second_shifts - shifts) > K.BRACKET)
     np.testing.assert_array_equal(second_shifts,
                                   K.rayleigh_quotients(d, e, first))
     assert np.all(np.abs(vals - exact) <= 1e-14)
@@ -338,7 +369,7 @@ def test_rayleigh_refine_agrees_with_full_bisection_on_a_lane_emden_grid():
 def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
     d, e = random_tridiag(np.random.default_rng(5), 20)
     eig = K.bisect_eigenvalues(d, e, 1, 2)
-    count = K.sturm_count(d, e, 0.0)
+    count = K.sturm_count(d, e, [0.0])
     starts = K.inverse_iteration(d, e, eig)
     real = getattr(K, routine)
 
@@ -349,7 +380,7 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
     calls = {
         "dstebz": [lambda: K.bisect_eigenvalues(d, e, 1, 2)],
         # the counting routine, for one shift and for several
-        "dlaebz": [lambda: K.sturm_count(d, e, 0.0),
+        "dlaebz": [lambda: K.sturm_count(d, e, [0.0]),
                    lambda: K.sturm_count(d, e, [0.0, 1.0, 2.0])],
         "dstein": [lambda: K.inverse_iteration(d, e, eig),
                    lambda: K.rayleigh_refine(d, e, eig)],
@@ -364,7 +395,7 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
             call()
     if routine == "dstebz":
         # counts do not go through dstebz
-        assert K.sturm_count(d, e, 0.0) == count
+        assert K.sturm_count(d, e, [0.0]) == count
 
 
 # The package's LAPACK wrappers must be the objects scipy.linalg.lapack

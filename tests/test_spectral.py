@@ -97,6 +97,21 @@ def test_liouville_transform_structure():
         liouville_transform(prob, 1e-160, 2048)
 
 
+@pytest.mark.parametrize("x_max, refused", [(172.0, False), (175.0, True),
+                                             (200.0, True)])
+def test_a_standard_grid_whose_square_overflows_is_refused(x_max, refused):
+    # the scaled off-diagonal grows like e^(2X) / h^2: past X = 172 at
+    # n = 4096 its square overflows, and every count on it would be wrong
+    prob = WeightedSLProblem(M=3.0, a=zero_potential, kind="standard")
+    cfg = SpectralConfig(x_max=x_max)
+    if refused:
+        with pytest.raises(SpectralError, match=rf"x_max={x_max:g} over "
+                           r"n=4096 cells: the squared off-diagonal"):
+            solve_standard_spectrum(prob, 0, cfg)
+    else:
+        assert solve_standard_spectrum(prob, 0, cfg).negative_count == 0
+
+
 @pytest.fixture(scope="module")
 def lane_emden_case():
     prof = solve_nodal_power(3.0, 3.0, 2)
@@ -350,7 +365,7 @@ def test_exhausted_below_when_k_leaves_eigenvalues_out():
     assert len(one.eigenpairs) == 1 < count
     grid = liouville_transform(prob, one.meta["x_max"], one.meta["n"])
     d, e = grid.tridiagonal()
-    assert count == sturm_count(d, e, prob.threshold - spectral.MARGIN)
+    assert [count] == sturm_count(d, e, [prob.threshold - spectral.MARGIN])
     second = bisect_eigenvalues(d, e, 2, 2)[0]
     assert one.exhausted_below == pytest.approx(second, rel=1e-14)
     # the same eigenvalue, Richardson-extrapolated, from a k=2 solve, whose
@@ -449,6 +464,36 @@ def test_seeded_fine_values_are_eigenvalues_of_the_fine_matrix():
                                                            vals + win)))
     np.testing.assert_array_equal(below[2:] - below[:2], [1, 1])
     np.testing.assert_array_equal(below[:2], [0, 1])
+
+
+@pytest.mark.parametrize("point", CLI_POINTS + (DESK_POINT,))
+def test_fine_grid_counts_are_the_dstebz_counts(point):
+    # the counts the solves publish (at the margin and at -+ZERO_CUT) and
+    # counts on and beside each eigenvalue, on both fine grids: no grid
+    # splits, and each count is bitwise that of a dstebz value window
+    # (-inf, shift), which bisects nothing at abstol=inf
+    prob = singular_problem(*point)
+    sing = solve_singular_spectrum(prob, 6)
+    std = solve_standard_spectrum(
+        WeightedSLProblem(M=prob.M, a=prob.a, kind="standard"), 0)
+    cut = [-spectral.ZERO_CUT, spectral.ZERO_CUT]
+    d_s, e_s = liouville_transform(prob, sing.meta["x_max"],
+                                   sing.meta["n"]).tridiagonal()
+    d_t, e_t, _ = liouville_transform(prob, std.meta["x_max"],
+                                      std.meta["n"]).standard_tridiagonal()
+    hi = prob.threshold - spectral.MARGIN
+    for d, e, published, eig in (
+            (d_s, e_s, [hi] + cut, bisect_eigenvalues(d_s, e_s, below=hi)),
+            (d_t, e_t, cut, bisect_eigenvalues(d_t, e_t, 1, 4))):
+        beside = [x for v in eig for x in (np.nextafter(v, -np.inf), v,
+                                            np.nextafter(v, np.inf))]
+        shifts = published + beside
+        assert sturm_count(d, e, shifts) == [
+            len(bisect_eigenvalues(d, e, below=s, abstol=np.inf))
+            for s in shifts]
+    assert sturm_count(d_s, e_s, [hi] + cut)[:2] == [
+        sing.meta["count_below_margin"], sing.negative_count]
+    assert sturm_count(d_t, e_t, cut)[0] == std.negative_count
 
 
 def _counting(fn, name, calls):
@@ -596,13 +641,12 @@ def test_residual_intervals_that_meet_are_refused(lane_emden_case,
     # second, which bounds a k=1 solve
     _, prob, spec = lane_emden_case
     rows = spec.meta["n"] - 1
-    real = spectral.rayleigh_refine
+    real = spectral.residual_norms
 
-    def wide(d, e, eig, rounds=1, starts=None):
-        vals, vecs, residuals = real(d, e, eig, rounds, starts)
-        return vals, vecs, residuals + widen * (len(d) == rows)
+    def wide(d, e, vecs, values):
+        return real(d, e, vecs, values) + widen * (len(d) == rows)
 
-    monkeypatch.setattr(spectral, "rayleigh_refine", wide)
+    monkeypatch.setattr(spectral, "residual_norms", wide)
     with pytest.raises(SpectralError, match="not certified"):
         solve_singular_spectrum(prob, k)
 
