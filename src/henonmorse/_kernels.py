@@ -4,15 +4,15 @@ eigenvectors.
 Counts are Sturm counts taken by dlaebz, the routine dstebz counts with:
 one sweep per shift, and one call for all the shifts a solve asks about.
 Eigenvalues come from LAPACK bisection (``dstebz``) and eigenvectors from
-inverse iteration.  All take one unsplit block with a finite squared
-off-diagonal, as the solvers build, and refuse any other matrix.  A
-singular coarse grid is bisected only to a bracket of width BRACKET,
-dstein finds its vectors, and the Rayleigh quotient of each eigenvector
-then finishes its eigenvalue.  Its fine grid is not bisected: the coarse
-vectors, prolongated, are both the shifts (their Rayleigh quotients) and
-the start vectors of two solves each on the pivoted LU factorization of
-T - sigma (dgttrf, dgttrs), in place of dstein's random start.  Each pair
-is certified by its residual interval [rho - r, rho + r], with
+inverse iteration: solves on the pivoted LU factorization of T - sigma
+(dgttrf, dgttrs) from a start vector.  All take one unsplit block with a
+finite squared off-diagonal, as the solvers build, and refuse any other
+matrix.  A singular coarse grid is bisected only to a bracket of width
+BRACKET, inverse iteration from a fixed start finds its vectors, and the
+Rayleigh quotient of each eigenvector then finishes its eigenvalue.  Its
+fine grid is not bisected: the coarse vectors, prolongated, are both the
+shifts (their Rayleigh quotients) and the start vectors.  Each fine
+pair is certified by its residual interval [rho - r, rho + r], with
 r = ||T v - rho v|| for a unit v, which holds an eigenvalue (Parlett, The
 Symmetric Eigenvalue Problem, ch. 4), together with one Sturm count.  The
 standard kind keeps ABSTOL: its mass e^(-2x) grades its matrix to
@@ -87,8 +87,7 @@ def cython_lapack_function(name: str, *argtypes):
 
 
 _flapack = lapack_module("_flapack")
-dstebz, dstein = _flapack.dstebz, _flapack.dstein
-dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
+dstebz, dgttrf, dgttrs = _flapack.dstebz, _flapack.dgttrf, _flapack.dgttrs
 
 # scalars by reference, arrays by address (ndarray.ctypes.data): the
 # pointer objects of ndarray.ctypes.data_as and of ndpointer arguments form
@@ -217,30 +216,25 @@ def inverse_iteration(diag, off, values, starts=None):
     value of the ascending `values` (eigenvalues from bisect_eigenvalues or
     shifts near them), in a column-major array.
 
-    Without `starts`, by LAPACK inverse iteration (dstein) on one block,
-    rows 1..n, from its random start vectors.  With one start vector per
-    value (the columns of `starts`), by two solves of T - sigma from it on
-    the pivoted LU factorization (dgttrf, dgttrs), normalized after each:
-    from a start that is already close, each solve shrinks the other
-    eigencomponents by the ratio of the distances of sigma to its
-    eigenvalue and to the others (Parlett, ch. 4).  One solve leaves a
-    residual of about 2e-12 ||T|| on a fine Liouville grid, two leave
-    1e-16 ||T||."""
+    Each solve of T - sigma on its pivoted LU factorization (dgttrf,
+    dgttrs), normalized after, shrinks the other eigencomponents of the
+    start by the ratio of the distances of sigma to its eigenvalue and to
+    the others (Parlett, ch. 4).  From one close start per value (columns
+    of `starts`), two solves: one leaves a residual of about 2e-12 ||T|| on
+    a fine Liouville grid, two 1e-16 ||T||.  Else three from the ramp 1..2,
+    not a constant, which misses the antisymmetric eigenvectors of a matrix
+    symmetric about its centre: two left singular Rayleigh quotients 7e-12
+    from those of five, three 3e-14."""
+    n, solves = len(diag), 2
     if starts is None:
-        n = len(diag)
-        iblock = np.zeros(n, np.int32)
-        iblock[:len(values)] = 1
-        isplit = np.zeros(n, np.int32)
-        isplit[0] = n
-        z, info = dstein(diag, off, values, iblock, isplit)
-        _check_info("dstein", info)
-        return z
-    vecs = np.empty((len(diag), len(values)), order="F")
+        ramp = np.linspace(1.0, 2.0, n)[:, None]
+        starts, solves = np.broadcast_to(ramp, (n, len(values))), 3
+    vecs = np.empty((n, len(values)), order="F")
     for j, sigma in enumerate(values):
         *lu, info = dgttrf(off, diag - sigma, off)
         _check_info("dgttrf", info)
         x = starts[:, j:j + 1]
-        for _ in range(2):
+        for _ in range(solves):
             x, info = dgttrs(*lu, x)
             _check_info("dgttrs", info)
             x /= np.linalg.norm(x)
@@ -263,15 +257,16 @@ def rayleigh_quotients(diag, off, vecs):
 def rayleigh_refine(diag, off, values, starts=None):
     """Eigenpairs of tridiag(diag, off) from the ascending `values` (from
     bisect_eigenvalues, to within BRACKET or finer, or estimated shifts),
-    and optionally one start vector per value (inverse_iteration).
+    and optionally one start vector per value.
 
-    Returns the Rayleigh quotient of each inverse-iteration vector and the
-    unit vectors, one per column.  Each quotient must lie within BRACKET of
-    its value, and consecutive values must be more than 2 * BRACKET apart,
-    so no two brackets can hold the same eigenvalue; otherwise SpectralError
-    names the pair.  With `starts` the values are estimated shifts: a
-    quotient outside its bracket starts one more round at the quotients,
-    from the vectors that gave them (a Rayleigh quotient iteration step).
+    Returns the Rayleigh quotient of each inverse_iteration vector (from
+    `starts` or the fixed start) and the unit vectors, one per column.
+    Each quotient must lie within BRACKET of its value, and consecutive
+    values must be more than 2 * BRACKET apart, so no two brackets can hold
+    the same eigenvalue; otherwise SpectralError names the pair.  With
+    `starts` the values are estimated shifts: a quotient outside its bracket
+    starts one more round at the quotients, from the vectors that gave them
+    (a Rayleigh quotient iteration step).
     """
     for last in (starts is None, True):
         for a, b in zip(values[:-1], values[1:]):

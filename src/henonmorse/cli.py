@@ -17,9 +17,9 @@ are cached under <out>/cache, one entry per kind and number of values held,
 keyed by a content hash of exactly the fields that feed a spectrum, so
 spectra survive report-level changes, and of the package version and
 CACHE_REVISION, so entries written by older solver code are not served.  Cache files are moved into place
-whole; an entry that cannot be read, or holds a field of another JSON
-type than the one written, is recomputed.  Profiles are not
-cached: each solve run solves its profile again, in a few ms.
+whole; an entry that cannot be read, holds a field of another JSON type
+than the one written, or a spectrum of another kind or M, is recomputed.
+Profiles are not cached: each solve run solves its profile again, in a few ms.
 
 Result files and cache entries are JSON documents (_write_json) or CSV
 tables (_write_csv, every float as %.17g, which reads back bitwise), so
@@ -97,8 +97,9 @@ def _cyclic_order(label: str) -> int:
 # 5: fine singular grid by inverse iteration from its coarsening.
 # 6: singular spectra carry no fitted decay exponent (theta_fit).
 # 7: fine singular vectors by two LU solves from the prolongated coarse
-#    vectors, in place of dstein from a random start.
-CACHE_REVISION = 7
+#    vectors, in place of a LAPACK routine's random start.
+# 8: unseeded eigenvectors by three LU solves from a fixed ramp start.
+CACHE_REVISION = 8
 
 
 @dataclass(frozen=True)
@@ -265,11 +266,13 @@ class Pipeline:
 
     def cached(self, kind: str, k: int) -> Spectrum | None:
         """The cached spectrum of this kind and k, or None when its entry is
-        missing or unreadable, or holds a field of the wrong JSON type."""
+        missing or unreadable, or holds a field of the wrong JSON type or a
+        spectrum of another kind or M."""
         try:
-            return _read_spectrum(self.entry(kind, k))
+            spec = _read_spectrum(self.entry(kind, k))
         except (OSError, ValueError, KeyError, TypeError):
             return None
+        return spec if spec.kind == kind and spec.M == self.dmap.M else None
 
     def spectrum(self, kind: str, k: int) -> Spectrum:
         spec = self.cached(kind, k)
@@ -454,10 +457,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     for kind, spec in (("singular", sing), ("standard", std)):
         _write_json(_spectrum_doc(spec),
                     os.path.join(cfg.out, f"spectrum_{kind}.json"))
-    if len(sing.eigenpairs):
-        first = sing.eigenpairs[0]
-        _write_csv(os.path.join(cfg.out, "eigenfunction_1.csv"),
-                   ["r", "psi"], zip(first.grid, first.samples))
+    # without a pair, the header alone: no earlier run's file stays
+    first = sing.eigenpairs[:1]
+    _write_csv(os.path.join(cfg.out, "eigenfunction_1.csv"), ["r", "psi"],
+               zip(first[0].grid, first[0].samples) if first else ())
     print(f"spectra written to {cfg.out} "
           f"(singular: {len(sing.eigenpairs)} below threshold, "
           f"{sing.negative_count} negative; standard negatives: "

@@ -9,8 +9,8 @@ The eigenvectors come from shifted solves with the pivoted tridiagonal LU
 (dgtsv).  The standard kind has no oracle; its solver is checked against
 Bessel zeros and by the Sylvester count equality that morse enforces.
 Neither code nor eigen-driver is shared with the production solvers, which
-run dstebz, dlaebz, dstein and the pivoted LU's two halves (dgttrf,
-dgttrs) on the Liouville grid in x = -ln r: dstemr refines the window's
+run dstebz, dlaebz and the pivoted LU's two halves (dgttrf, dgttrs) on
+the Liouville grid in x = -ln r: dstemr refines the window's
 eigenvalues with its own routines (dlarre, dlarrb), by bisection on a
 shifted LDL^T factorization (Dhillon, Parlett & Voemel, ACM TOMS 32,
 2006).  The oracle's vectors, the one place where it solves as the

@@ -13,9 +13,10 @@ on a half-line, V(x) = c^2 - e^(-2x) a(e^(-x))).  Both reduce to symmetric
 tridiagonal matrices (kernels module), whose Sturm counts give the negative
 counts and zero bands: each solve asks for all of its counts on its fine
 grid in one kernel call.  Richardson bars come from a coarse/fine grid pair.
-The singular coarse grid is bisected to 1e-4 brackets and finished by
-Rayleigh quotients; its vectors, prolongated, are the shifts (by their
-Rayleigh quotients) and the start vectors of inverse iteration on the fine
+Eigenvectors come from inverse iteration, from a fixed start where no
+closer one is known.  The singular coarse grid is bisected to 1e-4 brackets
+and finished by Rayleigh quotients; its vectors, prolongated, are the
+shifts (by their Rayleigh quotients) and the start vectors on the fine
 grid, whose pairs a Sturm count and disjoint residual intervals certify.
 The standard kind's graded matrix is bisected to 1e-300.
 
@@ -709,7 +710,7 @@ def rayleigh_quotient(w, prob: WeightedSLProblem) -> float:
     wgt = r ** (M - 1.0)
     num = np.trapezoid(wgt * (dvals ** 2 - a_vals * vals ** 2), r)
     if prob.kind == "singular":
-        den_w = np.where(r > 0, r ** (M - 3.0), 0.0)
+        den_w = np.power(r, M - 3.0, out=np.zeros_like(r), where=r > 0)
     else:
         den_w = wgt
     den = np.trapezoid(den_w * vals ** 2, r)

@@ -274,6 +274,15 @@ def test_spectrum_a_zero_override(tmp_path):
     assert doc["negative_count"] == 0
 
 
+def test_spectrum_without_pairs_leaves_no_earlier_eigenfunction(tmp_path):
+    out = tmp_path / "s"
+    assert run(["spectrum"] + REFERENCE + ["--out", out]) == 0
+    assert run(["spectrum"] + REFERENCE + ["--a-zero", "--out", out]) == 0
+    doc = json.loads((out / "spectrum_singular.json").read_text())
+    assert doc["eigenvalues"] == []
+    assert (out / "eigenfunction_1.csv").read_bytes() == b"r,psi\r\n"
+
+
 def test_morse_command(tmp_path):
     out = tmp_path / "m"
     assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
@@ -366,7 +375,7 @@ def _failing_standard_solve(k_min):
 
     def failing(prob, k, cfg):
         if k >= k_min:
-            raise SpectralError("LAPACK dstein failed with info=1")
+            raise SpectralError("LAPACK dgttrf failed with info=1")
         return real(prob, k, cfg)
 
     return failing
@@ -484,13 +493,18 @@ def _set(*keys, value):
 
 def test_unreadable_cache_entry_is_recomputed(tmp_path):
     # a cut-off entry, and entries with a field missing, extra or of
-    # another JSON type than the one written (a bool is not a number), are
-    # recomputed and rewritten: every file as a fresh run writes it
+    # another JSON type than the one written (a bool is not a number), or
+    # of another kind or M than the one asked for, are recomputed and
+    # rewritten: every file as a fresh run writes it
     out = tmp_path / "c"
     args = ["morse"] + REFERENCE + ["--out", out]
     assert run(args) == 0
     fresh = _files(out)
+    (standard,) = out.glob("cache/standard-*.json")
+    standard = json.loads(standard.read_text())
     spoiled = [
+        ("singular", lambda doc: (doc.clear(), doc.update(standard))),
+        ("singular", _set("M", value=4.0)),
         ("singular", _set("eigenvalues", 0, "value", value="-8.55")),
         ("singular", _set("negative_count", value=None)),
         ("singular", _set("negative_count", value=True)),

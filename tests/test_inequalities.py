@@ -36,9 +36,10 @@ def test_poincare_inequality_exact_piecewise_linear(M):
         assert mass_std <= grad2 / (M - 1.0) + QUAD_TOL
 
 
-def test_hardy_through_rayleigh_quotient():
-    # same bound probed through the public quotient on a dense sampling
-    M = 3.0
+@pytest.mark.parametrize("M", [2.5, 3.0])
+def test_hardy_through_rayleigh_quotient(M):
+    # same bound probed through the public quotient on a dense sampling,
+    # which includes r = 0, where the weight r^(M-3) of M < 3 is infinite
     prob = WeightedSLProblem(M=M, a=zero_potential, kind="singular")
     rng = np.random.default_rng(77)
     thr = ((M - 2.0) / 2.0) ** 2

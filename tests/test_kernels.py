@@ -239,6 +239,21 @@ def test_inverse_iteration_returns_orthonormal_eigenvectors():
     assert np.all(res <= 1e-10 * norm_t)
 
 
+def test_unseeded_inverse_iteration_finds_every_mode_of_a_symmetric_matrix():
+    # the order-7 Dirichlet Laplacian is symmetric about its centre: a
+    # constant start is orthogonal to its antisymmetric modes, and three
+    # solves at shifts bisected to a bracket leave those at overlaps down
+    # to 3e-5
+    n = 7
+    d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
+    theta = np.arange(1, n + 1) * np.pi / (n + 1)
+    modes = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(np.arange(1, n + 1),
+                                                     theta))
+    eig = K.bisect_eigenvalues(d, e, 1, n, abstol=K.BRACKET)
+    vecs = K.inverse_iteration(d, e, eig)
+    assert np.all(np.abs(np.sum(vecs * modes, axis=0)) >= 1 - 1e-12)
+
+
 def test_bisection_refuses_a_matrix_that_splits():
     # e[2] = 0 splits the matrix into two blocks; the kernels take one
     d = np.array([10.0, 11.0, 12.0, 1.0, 2.0, 3.0])
@@ -365,7 +380,7 @@ def test_rayleigh_refine_agrees_with_full_bisection_on_a_lane_emden_grid():
 
 
 @pytest.mark.parametrize("routine",
-                         ["dstebz", "dlaebz", "dstein", "dgttrf", "dgttrs"])
+                         ["dstebz", "dlaebz", "dgttrf", "dgttrs"])
 def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
     d, e = random_tridiag(np.random.default_rng(5), 20)
     eig = K.bisect_eigenvalues(d, e, 1, 2)
@@ -382,12 +397,14 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
         # the counting routine, for one shift and for several
         "dlaebz": [lambda: K.sturm_count(d, e, [0.0]),
                    lambda: K.sturm_count(d, e, [0.0, 1.0, 2.0])],
-        "dstein": [lambda: K.inverse_iteration(d, e, eig),
-                   lambda: K.rayleigh_refine(d, e, eig)],
-        # the seeded solves: factorization, then solves
-        "dgttrf": [lambda: K.inverse_iteration(d, e, eig, starts),
+        # inverse iteration, unseeded and seeded: factorization, then solves
+        "dgttrf": [lambda: K.inverse_iteration(d, e, eig),
+                   lambda: K.rayleigh_refine(d, e, eig),
+                   lambda: K.inverse_iteration(d, e, eig, starts),
                    lambda: K.rayleigh_refine(d, e, eig, starts=starts)],
-        "dgttrs": [lambda: K.inverse_iteration(d, e, eig, starts),
+        "dgttrs": [lambda: K.inverse_iteration(d, e, eig),
+                   lambda: K.rayleigh_refine(d, e, eig),
+                   lambda: K.inverse_iteration(d, e, eig, starts),
                    lambda: K.rayleigh_refine(d, e, eig, starts=starts)],
     }[routine]
     for call in calls:
@@ -410,7 +427,7 @@ loaded = _kernels.lapack_module("cython_lapack")
 import scipy.linalg
 import scipy.linalg.lapack as lapack
 from scipy.linalg import cython_lapack
-same = [_kernels.dstebz is lapack.dstebz, _kernels.dstein is lapack.dstein,
+same = [_kernels.dstebz is lapack.dstebz,
         _kernels.dgttrf is lapack.dgttrf, _kernels.dgttrs is lapack.dgttrs,
         oracle.dsterf is lapack.dsterf, oracle.dgtsv is lapack.dgtsv,
         _kernels._flapack is lapack._flapack, loaded is cython_lapack]
@@ -426,7 +443,7 @@ def test_lapack_routines_are_the_ones_scipy_exports(first):
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == f"{[True] * 8} True"
+    assert proc.stdout.split("\n")[0] == f"{[True] * 7} True"
 
 
 @pytest.mark.parametrize("name", ["_flapack", "cython_lapack"])
