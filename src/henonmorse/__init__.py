@@ -3,37 +3,32 @@ associated singular weighted Sturm-Liouville spectra, and Morse-index
 reports built from them."""
 
 from .dimension import (DimensionMap, angular_threshold, degeneracy_targets,
-                        eigenvalue_pullback, generalized_dimension,
-                        map_radius)
+                        eigenvalue_pullback, generalized_dimension)
 from .morse import (BETA_PLANAR, DegeneracyReport, MorseReport,
                     asymptotic_prediction, beltrami_eigen,
                     beltrami_multiplicity, degeneracy_scan, lower_bound,
                     morse_index, symmetric_morse_index)
 from .oracle import dense_oracle_spectrum
 from .radial import (EmdenTrajectory, IntegrationError, RadialProfile,
-                     auxiliary_z, henon_profile, integrate_emden_ivp,
-                     linearized_potential, solve_nodal_power,
-                     validate_profile)
+                     auxiliary_z, integrate_emden_ivp, linearized_potential,
+                     solve_nodal_power, validate_profile)
 from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
-                       WeightedSLProblem, fit_decay_exponent,
-                       liouville_transform, picone_residual, rayleigh_quotient,
+                       WeightedSLProblem, liouville_transform,
                        solve_singular_spectrum, solve_standard_spectrum,
-                       theta_analytic, weighted_inner_product,
-                       zero_potential)
+                       theta_analytic, zero_potential)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BETA_PLANAR", "__version__",
     "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
-    "angular_threshold", "degeneracy_targets", "map_radius",
+    "angular_threshold", "degeneracy_targets",
     "RadialProfile", "EmdenTrajectory", "IntegrationError",
-    "integrate_emden_ivp", "solve_nodal_power", "henon_profile",
+    "integrate_emden_ivp", "solve_nodal_power",
     "validate_profile", "auxiliary_z", "linearized_potential",
     "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",
     "Spectrum", "liouville_transform", "solve_singular_spectrum",
-    "solve_standard_spectrum", "fit_decay_exponent",
-    "picone_residual", "rayleigh_quotient", "weighted_inner_product",
+    "solve_standard_spectrum",
     "theta_analytic", "zero_potential", "dense_oracle_spectrum",
     "MorseReport", "DegeneracyReport", "beltrami_eigen",
     "beltrami_multiplicity", "morse_index", "degeneracy_scan",

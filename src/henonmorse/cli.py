@@ -321,7 +321,7 @@ def _write_cache(doc: dict, path) -> None:
 def _profile_doc(prof: RadialProfile) -> dict:
     """profile.json; `rows` is the number of data rows of profile.csv."""
     return {
-        "variable": prof.variable,
+        "variable": "emden",
         "M": prof.M,
         "nonlinearity": f"power(p={prof.p:.17g})",
         "coupling": 1.0,

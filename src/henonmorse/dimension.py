@@ -41,11 +41,6 @@ class DimensionMap:
         """((M-2)/2)^2, the sub-threshold ceiling of the transformed problem."""
         return ((self.M - 2.0) / 2.0) ** 2
 
-    @property
-    def physical_threshold(self) -> float:
-        """((N-2)/2)^2 in the original variable."""
-        return ((self.N - 2.0) / 2.0) ** 2
-
 
 def generalized_dimension(N: int, alpha: float) -> DimensionMap:
     """Map (N, alpha) to the transformation bundle; M = N iff alpha = 0."""
@@ -97,13 +92,3 @@ def degeneracy_targets(dmap: DimensionMap, j_max: int) -> list[float]:
         raise ValueError("j_max must be >= 1")
     return [-dmap.c * j * (dmap.N - 2 + j) for j in range(1, j_max + 1)]
 
-
-def map_radius(value: float, dmap: DimensionMap, direction: str) -> float:
-    """Radius map t = r^((2+alpha)/2); direction 'to_emden' or 'to_physical'."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError("radius must lie in [0, 1]")
-    if direction == "to_emden":
-        return value ** dmap.exponent
-    if direction == "to_physical":
-        return value ** (1.0 / dmap.exponent)
-    raise ValueError("direction must be 'to_emden' or 'to_physical'")

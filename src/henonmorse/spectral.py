@@ -38,12 +38,11 @@ enters (MARGIN), and the node, zero and simple-eigenvalue cuts (NODE_TOL,
 ZERO_CUT, EIG_TOL).  The dense oracle and the Morse report count with the
 same MARGIN, ZERO_CUT and NODE_TOL.
 
-Quadrature (normalization, inner products, Rayleigh quotients, the Picone
-residual) is an in-house composite Simpson rule on the uniform Liouville
-grid, so the module needs numpy and the LAPACK kernels only: the runtime
-imports numpy, scipy's top-level package, the two compiled LAPACK modules
-the kernels module loads from their files (not the scipy.linalg package)
-and the standard library, and no other part of scipy.
+Normalization is an in-house composite Simpson rule on the uniform
+Liouville grid, so the module needs numpy and the LAPACK kernels only: the
+runtime imports numpy, scipy's top-level package, the two compiled LAPACK
+modules the kernels module loads from their files (not the scipy.linalg
+package) and the standard library, and no other part of scipy.
 """
 
 from __future__ import annotations
@@ -543,7 +542,7 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
 
 
 # ---------------------------------------------------------------------------
-# diagnostics on eigenpairs
+# the simplicity check, the decay rate and the quadrature
 # ---------------------------------------------------------------------------
 
 def _assert_simple(values):
@@ -561,69 +560,6 @@ def theta_analytic(nu_hat: float, M: float) -> float:
     return (2.0 - M + math.sqrt((M - 2.0) ** 2 - 4.0 * nu_hat)) / 2.0
 
 
-def fit_decay_exponent(pair: EigenPair, M: float,
-                       window=None) -> tuple[float, int]:
-    """(theta_fit, n_points): the vanishing rate of a singular
-    eigenfunction near the origin, the slope of the least-squares fit of
-    ln|psi| against ln r on n_points samples, to compare with
-    theta_analytic(pair.value, M).
-
-    `window` is (r_lo, r_hi) inside (0, first node); by default the tail
-    samples between 1e-11 and 1e-4 of max |u| beyond x = 2, where they are
-    clean power laws.  Fewer than 8 samples, or samples that change sign,
-    are a ValueError.
-    """
-    if pair.value >= 0:
-        raise ValueError("decay fit expects a negative singular eigenvalue")
-    if pair.x_grid is None:
-        raise ValueError("pair carries no Liouville samples")
-    x, u = pair.x_grid, pair.u_samples
-    au = np.abs(u)
-    if window is None:
-        mask = (au > 1e-11 * au.max()) & (au < 1e-4 * au.max()) & (x > 2.0)
-    else:
-        r_lo, r_hi = window
-        mask = (x >= max(-math.log(r_hi), 0.0)) & (x <= -math.log(r_lo))
-        if count_sign_changes(u[mask], 0.0):
-            raise ValueError("window contains a node of the eigenfunction")
-        mask &= au > 0
-    n_points = int(np.count_nonzero(mask))
-    if n_points < 8 or count_sign_changes(u[mask], 0.0):
-        raise ValueError("window has too few usable samples for a fit")
-    # ln|psi| = c x + ln|u| with c = (M-2)/2, and ln r = -x
-    xs = x[mask]
-    ln_psi = (M - 2.0) / 2.0 * xs + np.log(au[mask])
-    return float(np.polyfit(-xs, ln_psi, 1)[0]), n_points
-
-
-def picone_residual(pi: EigenPair, pj: EigenPair, M: float) -> float:
-    """Normalized defect of the cross-eigenfunction differential identity.
-
-    For exact eigenpairs, r^(M-1)(psi_i' psi_j - psi_i psi_j') integrates the
-    weighted product r^(M-3) psi_i psi_j against the eigenvalue gap; in
-    Liouville variables that reads W(x) + (nu_j - nu_i) * int_0^x u_i u_j = 0
-    with W the plain Wronskian.  Returns the max defect over all subintervals
-    scaled by the natural magnitude of the two terms.
-    """
-    if pi.x_grid is None or pj.x_grid is None:
-        raise ValueError("picone residual needs Liouville-sampled pairs")
-    if len(pi.x_grid) != len(pj.x_grid) or \
-       abs(pi.x_grid[-1] - pj.x_grid[-1]) > 1e-12:
-        raise ValueError("pairs come from different grids")
-    x = pi.x_grid
-    h = x[1] - x[0]
-    ui, uj = pi.u_samples, pj.u_samples
-    dui = _diff4(ui, h)
-    duj = _diff4(uj, h)
-    wr = ui * duj - dui * uj
-    cum = _cumulative_simpson(ui * uj, h)
-    defect = wr + (pj.value - pi.value) * cum
-    scale = max(float(np.max(np.abs(ui))) * float(np.max(np.abs(duj)))
-                + float(np.max(np.abs(uj))) * float(np.max(np.abs(dui))),
-                1e-300)
-    return float(np.max(np.abs(defect)) / scale)
-
-
 def _simpson(y, h):
     """Composite Simpson integral of uniform samples y with spacing h.
 
@@ -635,85 +571,3 @@ def _simpson(y, h):
         raise ValueError(f"Simpson rule needs an odd point count, "
                          f"got {len(y)}")
     return np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (h / 3.0)
-
-
-def _cumulative_simpson(y, h):
-    """Running integral of uniform samples y (at least 3), 0 at the start.
-
-    Cell i is integrated with the parabola through samples i..i+2 for even
-    i and through i-1..i+1 for odd i and for the last cell; this is
-    scipy.integrate.cumulative_simpson(y, dx=h, initial=0) bit for bit.
-    """
-    def first_cells(f):
-        return h / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
-
-    fwd = first_cells(y)
-    bwd = first_cells(y[::-1])[::-1]
-    cells = np.empty(len(y) - 1)
-    cells[:-1:2] = fwd[::2]
-    cells[1::2] = bwd[::2]
-    cells[-1] = bwd[-1]
-    return np.concatenate(([0.0], np.cumsum(cells)))
-
-
-def _diff4(y, h):
-    """Fourth-order centered first derivative on a uniform grid."""
-    d = np.empty_like(y)
-    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) \
-        / (12 * h)
-    d[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / (12 * h)
-    d[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) \
-        / (12 * h)
-    d[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) \
-        / (12 * h)
-    return d
-
-
-def weighted_inner_product(pi: EigenPair, pj: EigenPair) -> float:
-    """int_0^1 r^(M-3) psi_i psi_j dr via the Liouville isometry."""
-    if pi.x_grid is None or pj.x_grid is None:
-        raise ValueError("needs Liouville-sampled pairs")
-    h = pi.x_grid[1] - pi.x_grid[0]
-    return float(_simpson(pi.u_samples * pj.u_samples, h))
-
-
-def rayleigh_quotient(w, prob: WeightedSLProblem) -> float:
-    """Quadratic form over weighted mass for a trial function.
-
-    `w` is a solver EigenPair (its Liouville samples are used) or a tuple
-    (r, values[, derivative]) with w(1) = 0.  Evaluated on the i-th
-    eigenfunction this reproduces the i-th eigenvalue up to quadrature
-    accuracy.
-    """
-    if isinstance(w, EigenPair):
-        x, u = w.x_grid, w.u_samples
-        h = x[1] - x[0]
-        a_half = (prob.M - 2.0) / 2.0
-        du = _diff4(u, h)
-        r = np.exp(-x)
-        a_vals = np.asarray(prob.a(r), dtype=float)
-        num = _simpson((a_half * u + du) ** 2 - r * r * a_vals * u * u, h)
-        if prob.kind == "singular":
-            den = _simpson(u * u, h)
-        else:
-            den = _simpson(r * r * u * u, h)
-        return float(num / den)
-    r = np.asarray(w[0], dtype=float)
-    vals = np.asarray(w[1], dtype=float)
-    dvals = np.asarray(w[2], dtype=float) if len(w) > 2 else \
-        np.gradient(vals, r, edge_order=2)
-    if abs(vals[-1]) > 1e-9 * float(np.max(np.abs(vals))):
-        raise ValueError("trial function must vanish at r = 1")
-    M = prob.M
-    a_vals = np.asarray(prob.a(np.maximum(r, 1e-300)), dtype=float)
-    wgt = r ** (M - 1.0)
-    num = np.trapezoid(wgt * (dvals ** 2 - a_vals * vals ** 2), r)
-    if prob.kind == "singular":
-        den_w = np.power(r, M - 3.0, out=np.zeros_like(r), where=r > 0)
-    else:
-        den_w = wgt
-    den = np.trapezoid(den_w * vals ** 2, r)
-    if den == 0:
-        raise ZeroDivisionError("trial function has zero weighted mass")
-    return float(num / den)

@@ -8,17 +8,18 @@ import time
 import numpy as np
 from conftest import (piecewise_linear_weighted_integrals,
                       random_piecewise_linear)
+from diagnostics import (fit_decay_exponent, henon_profile, picone_residual,
+                         weighted_inner_product)
 from henonmorse.dimension import generalized_dimension
 from henonmorse.morse import (asymptotic_prediction, lower_bound,
                               morse_index)
 from henonmorse.oracle import dense_oracle_spectrum
-from henonmorse.radial import (auxiliary_z, henon_profile,
-                               linearized_potential, solve_nodal_power)
+from henonmorse.radial import (auxiliary_z, linearized_potential,
+                               solve_nodal_power)
 from henonmorse.spectral import (SpectralConfig, WeightedSLProblem,
-                                 fit_decay_exponent, picone_residual,
                                  solve_singular_spectrum,
                                  solve_standard_spectrum, theta_analytic,
-                                 weighted_inner_product, zero_potential)
+                                 zero_potential)
 
 BESSEL_J0_FIRST_ZERO = 2.404825557695773
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from henonmorse.dimension import (angular_threshold, degeneracy_targets,
-                                  eigenvalue_pullback, generalized_dimension,
-                                  map_radius)
+                                  eigenvalue_pullback, generalized_dimension)
 
 
 def test_generalized_dimension_values():
@@ -42,8 +41,9 @@ def test_eigenvalue_pullback():
     # threshold maps onto threshold
     eps = 1e-9
     lam = eigenvalue_pullback(dm.hardy_threshold - eps, dm)
-    assert lam < dm.physical_threshold
-    assert lam == pytest.approx(dm.physical_threshold - dm.exponent ** 2 * eps)
+    physical_threshold = ((dm.N - 2) / 2) ** 2
+    assert lam < physical_threshold
+    assert lam == pytest.approx(physical_threshold - dm.exponent ** 2 * eps)
     with pytest.raises(ValueError):
         eigenvalue_pullback(dm.hardy_threshold, dm)
 
@@ -104,21 +104,3 @@ def test_target_threshold_identity():
         for j, tgt in enumerate(degeneracy_targets(dm, 10), start=1):
             assert angular_threshold(tgt, dm) == pytest.approx(j, rel=1e-12)
 
-
-def test_map_radius_round_trip():
-    dm = generalized_dimension(3, 2.0)
-    assert map_radius(1.0, dm, "to_emden") == 1.0
-    # alpha=2 gives the radius-map power 2: t = r^2, r = sqrt(t)
-    assert map_radius(0.25, dm, "to_emden") == pytest.approx(0.0625)
-    assert map_radius(0.25, dm, "to_physical") == pytest.approx(0.5)
-    rng = np.random.default_rng(11)
-    for N, alpha in ((2, 3.7), (5, 0.4), (3, 2.0)):
-        dm = generalized_dimension(N, alpha)
-        pts = rng.uniform(0, 1, size=1000)
-        back = np.array([map_radius(map_radius(r, dm, "to_emden"), dm,
-                                    "to_physical") for r in pts])
-        assert np.max(np.abs(back - pts)) < 1e-14
-    with pytest.raises(ValueError):
-        map_radius(1.5, dm, "to_emden")
-    with pytest.raises(ValueError):
-        map_radius(0.5, dm, "sideways")

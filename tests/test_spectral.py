@@ -7,7 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import simpson
 
 from henonmorse import _kernels
 from henonmorse._kernels import (BRACKET, bisect_eigenvalues,
@@ -16,14 +16,14 @@ from henonmorse.dimension import generalized_dimension
 from henonmorse.radial import linearized_potential, solve_nodal_power
 from henonmorse import spectral
 from henonmorse.spectral import (ResolutionError, SpectralConfig,
-                                 SpectralError, WeightedSLProblem,
-                                 _cumulative_simpson,
-                                 _simpson, count_sign_changes,
-                                 fit_decay_exponent, liouville_transform,
-                                 picone_residual, rayleigh_quotient,
+                                 SpectralError, WeightedSLProblem, _simpson,
+                                 count_sign_changes, liouville_transform,
                                  solve_singular_spectrum,
                                  solve_standard_spectrum, theta_analytic,
-                                 weighted_inner_product, zero_potential)
+                                 zero_potential)
+
+from diagnostics import (fit_decay_exponent, picone_residual,
+                         rayleigh_quotient, weighted_inner_product)
 
 BESSEL_J0_FIRST_ZERO = 2.404825557695773
 
@@ -266,18 +266,6 @@ def test_decay_exponent_fit(lane_emden_case):
     theta = theta_analytic(p1.value, 3.0)
     theta_fit, _ = fit_decay_exponent(p1, 3.0)
     assert abs(theta_fit - theta) / theta < 0.02
-    # explicit window deep in the tail
-    theta_fit, _ = fit_decay_exponent(p1, 3.0, window=(1e-4, 1e-2))
-    assert abs(theta_fit - theta) / theta < 0.02
-    # a window containing the first node is rejected
-    p2 = spec.eigenpairs[1]
-    big = np.abs(p2.samples) > 1e-6 * np.max(np.abs(p2.samples))
-    signs = np.sign(p2.samples[big])
-    flip = np.nonzero(signs[1:] != signs[:-1])[0][0]
-    node_r = p2.grid[big][flip]
-    with pytest.raises(ValueError, match="node"):
-        fit_decay_exponent(p2, 3.0, window=(node_r * 0.5, min(0.9,
-                                                              node_r * 1.5)))
 
 
 def test_automatic_decay_window_reports_its_sample_count(lane_emden_case):
@@ -320,13 +308,6 @@ def test_simpson_equals_scipy(n):
 def test_simpson_refuses_even_point_count():
     with pytest.raises(ValueError, match="odd point count"):
         _simpson(np.ones(4096), 0.1)
-
-
-@pytest.mark.parametrize("n", [5, 6, 7, 4096, 4097])
-def test_cumulative_simpson_equals_scipy(n):
-    y, h = _samples(n)
-    assert np.array_equal(_cumulative_simpson(y, h),
-                          cumulative_simpson(y, dx=h, initial=0.0))
 
 
 def test_weighted_orthogonality(lane_emden_case):
