@@ -14,11 +14,12 @@ profile at most once per run and hands every solve of the run one potential
 object, so the second spectrum finds the Liouville grids the first one
 built in the spectral module's grid memo (keyed by that object).  Spectra
 are cached under <out>/cache, one entry per kind and number of values held,
-keyed by a content hash of exactly the fields that feed a spectrum, so
-spectra survive report-level changes, and of the package version and
-CACHE_REVISION, so entries written by older solver code are not served.  Cache files are moved into place
-whole; an entry that cannot be read, holds a field of another JSON type
-than the one written, or a spectrum of another kind or M, is recomputed.
+keyed by a hash of exactly the fields that feed a spectrum, so spectra
+survive report-level changes, and of the code that solves them
+(_code_digest: the package's modules and the numpy and scipy versions), so
+entries written by other code are not served.  Cache files are moved into
+place whole, and each carries a digest of its file name and content: an
+entry that cannot be read or fails its digest is recomputed.
 Profiles are not cached: each solve run solves its profile again, in a few ms.
 
 Result files and cache entries are JSON documents (_write_json) or CSV
@@ -53,12 +54,13 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
-from . import __version__
 from .dimension import critical_exponent, generalized_dimension
 from .morse import (MorseReport, degeneracy_scan, morse_index,
                     symmetric_morse_index)
@@ -90,16 +92,20 @@ def _cyclic_order(label: str) -> int:
     return int(q) if head == "cyclic" and q.isdecimal() else 0
 
 
-# Raise whenever the solver's published numbers or the cache layout change.
-# 2: singular eigenvalues finished by Rayleigh quotients.
-# 3: profile JSON records the row count of its CSV table.
-# 4: standard kind on the Liouville grid.
-# 5: fine singular grid by inverse iteration from its coarsening.
-# 6: singular spectra carry no fitted decay exponent (theta_fit).
-# 7: fine singular vectors by two LU solves from the prolongated coarse
-#    vectors, in place of a LAPACK routine's random start.
-# 8: unseeded eigenvectors by three LU solves from a fixed ramp start.
-CACHE_REVISION = 8
+def _digest(salt: str, doc) -> str:
+    """sha256 of salt and the canonical JSON of doc."""
+    blob = salt + json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@functools.cache
+def _code_digest() -> str:
+    """sha256 of the numpy and scipy versions and of every module of this
+    package: any change to the code that solves a spectrum changes it."""
+    h = hashlib.sha256(f"{np.__version__} {scipy.__version__}".encode())
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + path.read_bytes())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,9 @@ class Pipeline:
     spectrum entry under <out>/cache is keyed by its kind and by k, the
     number of values it holds: the standard kind has a count-only entry
     (k = 0, what morse reads) and a values entry (what spectrum publishes),
-    and neither serves the other.  An entry is read from there when
-    readable, and otherwise solved and written there.
+    and neither serves the other.  spectrum reads an entry that passes its
+    digest, and otherwise solves it; solve always solves, and writes the
+    entry.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -258,34 +265,28 @@ class Pipeline:
         return linearized_potential(self.profile)
 
     def entry(self, kind: str, k: int) -> str:
-        doc = {"fields": dict(self.cfg.spectrum_fields(), k=k),
-               "version": __version__, "revision": CACHE_REVISION}
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        key = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        fields = dict(self.cfg.spectrum_fields(), k=k)
+        key = _digest(_code_digest(), fields)[:16]
         return os.path.join(self.cache, f"{kind}-{key}.json")
 
-    def cached(self, kind: str, k: int) -> Spectrum | None:
-        """The cached spectrum of this kind and k, or None when its entry is
-        missing or unreadable, or holds a field of the wrong JSON type or a
-        spectrum of another kind or M."""
-        try:
-            spec = _read_spectrum(self.entry(kind, k))
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        return spec if spec.kind == kind and spec.M == self.dmap.M else None
-
     def spectrum(self, kind: str, k: int) -> Spectrum:
-        spec = self.cached(kind, k)
-        if spec is None:
-            spec = self._solve(kind, k)
-            _write_cache(_spectrum_doc(spec), self.entry(kind, k))
-        return spec
+        """The spectrum of this kind and k, read from its cache entry (no
+        eigenfunction samples), or solved when the entry is missing,
+        unreadable or fails its digest."""
+        try:
+            return _read_spectrum(self.entry(kind, k))
+        except (OSError, ValueError):
+            pass
+        return self.solve(kind, k)
 
-    def _solve(self, kind: str, k: int) -> Spectrum:
+    def solve(self, kind: str, k: int) -> Spectrum:
+        """The spectrum of this kind and k, solved, and cached."""
         prob = WeightedSLProblem(M=self.dmap.M, a=self.potential, kind=kind)
         solve = (solve_singular_spectrum if kind == "singular"
                  else solve_standard_spectrum)
-        return solve(prob, k, self.cfg.spectral_config())
+        spec = solve(prob, k, self.cfg.spectral_config())
+        _write_cache(_spectrum_doc(spec), self.entry(kind, k))
+        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +307,14 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _write_cache(doc: dict, path) -> None:
-    """_write_json to a temporary file, then moved onto path: a reader sees
-    the whole entry or none."""
+    """_write_json of doc and its digest to a temporary file, then moved
+    onto path: a reader sees the whole entry or none.  The digest covers
+    the file name, so an entry moved to another key fails it."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        _write_json(doc, tmp)
+        _write_json(dict(doc, digest=_digest(os.path.basename(path), doc)),
+                    tmp)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -360,39 +363,14 @@ def _spectrum_doc(spec: Spectrum) -> dict:
     }
 
 
-# the fields _spectrum_doc writes, with the types json.load reads them
-# back as (None for null): an int or a bool in place of a float is refused
-_FLOAT, _OPTIONAL = (float,), (float, type(None))
-_ENTRY_FIELDS = {"kind": (str,), "M": _FLOAT, "threshold": _OPTIONAL,
-                 "exhausted_below": _OPTIONAL, "negative_count": (int,),
-                 "eigenvalues": (list,), "meta": (dict,)}
-_PAIR_FIELDS = {"value": _FLOAT, "error_bar": _FLOAT, "nodes": (int,),
-                "theta_analytic": _OPTIONAL, "uncertain": (bool,)}
-_STANDARD_META = {"n": (int,), "x_max": _FLOAT, "zero_band_count": (int,),
-                  "resolution_capped": (bool,),
-                  "eigvec_rel_residual": _FLOAT}
-_META_FIELDS = {"standard": _STANDARD_META,
-                "singular": dict(_STANDARD_META, count_below_margin=(int,))}
-
-
-def _typed(doc, fields: dict):
-    """doc, when it is an object with exactly the keys of `fields`, each
-    value of one of the types given there; TypeError otherwise."""
-    if not (type(doc) is dict and doc.keys() == fields.keys()
-            and all(type(doc[k]) in t for k, t in fields.items())):
-        raise TypeError(f"cache entry fields differ from {sorted(fields)}")
-    return doc
-
-
 def _read_spectrum(path) -> Spectrum:
-    """The spectrum _spectrum_doc wrote to path: eigenvalues and flags, no
-    eigenfunction samples.  TypeError when a field is missing or extra, or
-    its JSON type is not the one _spectrum_doc writes."""
+    """The spectrum _write_cache wrote to path: eigenvalues and flags, no
+    eigenfunction samples.  ValueError when the entry fails its digest."""
     with open(path) as fh:
-        doc = _typed(json.load(fh), _ENTRY_FIELDS)
-    for e in doc["eigenvalues"]:
-        _typed(e, _PAIR_FIELDS)
-    _typed(doc["meta"], _META_FIELDS[doc["kind"]])
+        doc = json.load(fh)
+    digest = doc.pop("digest", None) if isinstance(doc, dict) else None
+    if digest != _digest(os.path.basename(path), doc):
+        raise ValueError(f"cache entry {path} fails its digest")
     pairs = tuple(
         EigenPair(value=e["value"], error_bar=e["error_bar"],
                   grid=np.empty(0), samples=np.empty(0),
@@ -443,17 +421,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     pipe = Pipeline(cfg)
-    ks = {"singular": cfg.k, "standard": max(cfg.k, cfg.m + 2)}
-    sing, std = (pipe.spectrum(kind, k) for kind, k in ks.items())
-    if len(sing.eigenpairs) and not sing.eigenpairs[0].grid.size:
-        # a spectrum read back from the cache carries no eigenfunction
-        # samples: solve again for them, and refuse a cache that disagrees
-        cached = [p.value for p in sing.eigenpairs]
-        sing = pipe._solve("singular", cfg.k)
-        solved = [p.value for p in sing.eigenpairs]
-        if solved != cached:
-            raise SpectralError(f"singular eigenvalues {solved} differ from "
-                                f"the cached {cached}")
+    # a cache entry holds no eigenfunction samples: solve the singular kind
+    sing = pipe.solve("singular", cfg.k)
+    std = pipe.spectrum("standard", max(cfg.k, cfg.m + 2))
     for kind, spec in (("singular", sing), ("standard", std)):
         _write_json(_spectrum_doc(spec),
                     os.path.join(cfg.out, f"spectrum_{kind}.json"))
@@ -468,13 +438,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _radial_spectrum(pipe: Pipeline, sing: Spectrum | None = None
-                     ) -> Spectrum:
-    """The singular spectrum of a morse or sweep run (`sing` when the caller
-    has already read it), which must count m negative eigenvalues: the
-    radial Morse index of an m-nodal solution."""
-    if sing is None:
-        sing = pipe.spectrum("singular", pipe.cfg.k)
+def _radial_spectrum(pipe: Pipeline) -> Spectrum:
+    """The singular spectrum of a morse or sweep run, which must count m
+    negative eigenvalues: the radial Morse index of an m-nodal solution."""
+    sing = pipe.spectrum("singular", pipe.cfg.k)
     if sing.negative_count != pipe.cfg.m:
         raise SpectralError(f"singular negative count {sing.negative_count} "
                             f"differs from m={pipe.cfg.m}")
@@ -509,15 +476,14 @@ def cmd_morse(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_row(pipe: Pipeline, axis: str, sing: Spectrum | None = None
-               ) -> list:
+def _sweep_row(pipe: Pipeline, axis: str) -> list:
     """One sweep.csv row: the axis value, the m negative singular
     eigenvalues, the Morse total, the bounds and the status, "ok" or the
     solver failure, which leaves the numbers NaN.  Top-level so that
     process pools can pickle it."""
     cfg = pipe.cfg
     try:
-        sing = _radial_spectrum(pipe, sing)
+        sing = _radial_spectrum(pipe)
         # morse_index refuses a spectrum with fewer negative pairs than m
         report = morse_index(sing, pipe.dmap, m=cfg.m)
     except (IntegrationError, SpectralError) as exc:
@@ -536,13 +502,12 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
     values = [RunConfig.checked(axis, float(v)) for v in params]
     pipes = [Pipeline(dataclasses.replace(cfg, **{axis: v})) for v in values]
     os.makedirs(cfg.out, exist_ok=True)
-    hits = [None] * len(pipes)
     pooled = {}
     if cfg.workers > 1:
-        # the pool makes the rows of the points missing from the cache,
-        # and caches their spectra; the others take what this scan read
-        hits = [pipe.cached("singular", cfg.k) for pipe in pipes]
-        missed = [i for i, hit in enumerate(hits) if hit is None]
+        # the pool makes the rows of the points missing from the cache, and
+        # caches their spectra; the others read theirs here
+        missed = [i for i, pipe in enumerate(pipes)
+                  if not os.path.exists(pipe.entry("singular", cfg.k))]
         if len(missed) > 1:
             import concurrent.futures  # 12 ms at import: only when pooling
             with concurrent.futures.ProcessPoolExecutor(
@@ -550,8 +515,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, lo: float, hi: float,
                 pooled = dict(zip(missed, pool.map(
                     functools.partial(_sweep_row, axis=axis),
                     [pipes[i] for i in missed])))
-    rows = [pooled[i] if i in pooled else _sweep_row(pipe, axis, hit)
-            for i, (pipe, hit) in enumerate(zip(pipes, hits))]
+    rows = [pooled[i] if i in pooled else _sweep_row(pipe, axis)
+            for i, pipe in enumerate(pipes)]
     path = os.path.join(cfg.out, "sweep.csv")
     _write_csv(path, [axis] + [f"nu_hat_{i + 1}" for i in range(cfg.m)]
                + ["total", "bound_general", "bound_f3", "status"], rows)

@@ -3,7 +3,6 @@ the measured numbers.  The shared (N, alpha, p, m) matrix comes from
 conftest.matrix_data and is restricted to subcritical combinations."""
 
 import math
-import time
 
 import numpy as np
 from conftest import (piecewise_linear_weighted_integrals,

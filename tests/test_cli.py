@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 from henonmorse import cli, oracle
 from henonmorse.cli import RunConfig, main
@@ -494,8 +495,8 @@ def _set(*keys, value):
 def test_unreadable_cache_entry_is_recomputed(tmp_path):
     # a cut-off entry, and entries with a field missing, extra or of
     # another JSON type than the one written (a bool is not a number), or
-    # of another kind or M than the one asked for, are recomputed and
-    # rewritten: every file as a fresh run writes it
+    # of another kind or M than the one asked for, fail their digest and
+    # are recomputed and rewritten: every file as a fresh run writes it
     out = tmp_path / "c"
     args = ["morse"] + REFERENCE + ["--out", out]
     assert run(args) == 0
@@ -714,8 +715,8 @@ def test_sweep_rerun_reads_every_point_from_the_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_singular_spectrum", _refuse)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _refuse)
-    # the scan for missing points reads each entry, and the rows take what
-    # it read
+    # the scan for missing points reads no entry, and each row reads its
+    # own
     reads = []
     real = cli._read_spectrum
 
@@ -953,41 +954,90 @@ def test_spectrum_after_morse_publishes_the_eigenfunction(tmp_path):
     assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
-def test_spectrum_refuses_a_cached_entry_its_solve_disagrees_with(
-        tmp_path, capsys):
-    out = tmp_path / "s"
-    args = ["spectrum"] + REFERENCE + ["--out", out]
-    assert run(args) == 0
-    (entry,) = out.glob("cache/singular-*.json")
-    doc = json.loads(entry.read_text())
-    doc["eigenvalues"][0]["value"] *= 1.5
-    entry.write_text(json.dumps(doc))
-    published = sorted(out.glob("*.*"))
-    for path in published:
-        path.unlink()
-    assert run(args) == 3
-    assert "differ from the cached" in capsys.readouterr().err
-    assert not any(path.exists() for path in published)
-
-
 def test_spectrum_recomputes_an_entry_of_the_previous_revision(
         tmp_path, monkeypatch):
-    # an entry the previous solver revision wrote, whose values differ from
-    # today's in the last digit, is a miss: the warm run solves and caches
-    # again, where serving the entry would refuse the run (exit 3)
+    # entries the previous solver code wrote, whole and with their digests,
+    # whose standard values differ from today's in the last digit, are
+    # misses: the warm run solves and caches again, where serving the
+    # standard entry would publish the stale values
+    fresh = tmp_path / "fresh"
+    assert run(["spectrum"] + REFERENCE + ["--out", fresh]) == 0
+    real = cli.solve_standard_spectrum
+
+    def previous(prob, k, cfg):
+        spec = real(prob, k, cfg)
+        first, *rest = spec.eigenpairs
+        first = dataclasses.replace(
+            first, value=float(np.nextafter(first.value, np.inf)))
+        return dataclasses.replace(spec, eigenpairs=(first, *rest))
+
     out = tmp_path / "s"
     args = ["spectrum"] + REFERENCE + ["--out", out]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "CACHE_REVISION", cli.CACHE_REVISION - 1)
+        patch.setattr(cli, "_code_digest", lambda: "previous code")
+        patch.setattr(cli, "solve_standard_spectrum", previous)
         assert run(args) == 0
-    (old,) = out.glob("cache/singular-*.json")
-    doc = json.loads(old.read_text())
-    first = doc["eigenvalues"][0]
-    first["value"] = float(np.nextafter(first["value"], np.inf))
-    old.write_text(json.dumps(doc))
+    assert (out / "spectrum_standard.json").read_bytes() != \
+        (fresh / "spectrum_standard.json").read_bytes()
     assert run(args) == 0
-    assert len(list(out.glob("cache/singular-*.json"))) == 2
+    for kind in ("singular", "standard"):
+        assert len(list(out.glob(f"cache/{kind}-*.json"))) == 2
+
+    def published(d):
+        return {k: v for k, v in _files(d).items() if k.parts[0] != "cache"}
+    assert published(out) == published(fresh)
+
+
+def test_entry_copied_over_another_key_is_recomputed(tmp_path):
+    # p = 3 and p = 2.2 share M: the p = 3 singular entry copied over the
+    # p = 2.2 one fails its digest, which covers the file name, so the run
+    # publishes p = 2.2's values and puts its entry back
+    args = ["morse", "--N", 3, "--alpha", 0, "--p", 2.2, "--m", 2]
+    fresh = tmp_path / "fresh"
+    assert run(args + ["--out", fresh]) == 0
+    donor = tmp_path / "donor"
+    assert run(["morse"] + REFERENCE + ["--out", donor]) == 0
+    out = tmp_path / "m"
+    assert run(args + ["--out", out]) == 0
+    (entry,) = out.glob("cache/singular-*.json")
+    (planted,) = donor.glob("cache/singular-*.json")
+    entry.write_bytes(planted.read_bytes())
+    assert run(args + ["--out", out]) == 0
+    assert _files(out) == _files(fresh)
+
+
+def test_an_entry_with_a_new_meta_field_is_served(tmp_path, monkeypatch):
+    # the cache holds whatever the solver puts in meta: an entry whose meta
+    # carries a key no earlier code wrote is read back as it was written
+    real = cli.solve_singular_spectrum
+
+    def extended(prob, k, cfg):
+        spec = real(prob, k, cfg)
+        return dataclasses.replace(spec, meta=dict(spec.meta, novel=[1.5]))
+
+    out = tmp_path / "m"
+    args = ["morse"] + REFERENCE + ["--out", out]
+    monkeypatch.setattr(cli, "solve_singular_spectrum", extended)
     assert run(args) == 0
+    first = _files(out)
+    (entry,) = out.glob("cache/singular-*.json")
+    assert json.loads(entry.read_text())["meta"]["novel"] == [1.5]
+    monkeypatch.setattr(cli, "solve_singular_spectrum", _refuse)
+    assert run(args) == 0
+    assert _files(out) == first
+
+
+@pytest.mark.parametrize("module", [np, scipy])
+def test_a_numpy_or_scipy_upgrade_moves_every_cache_key(monkeypatch,
+                                                        module):
+    pipe = cli.Pipeline(RunConfig())
+    before = pipe.entry("singular", 6)
+    monkeypatch.setattr(module, "__version__", module.__version__ + "+1")
+    cli._code_digest.cache_clear()
+    try:
+        assert pipe.entry("singular", 6) != before
+    finally:
+        cli._code_digest.cache_clear()
 
 
 def test_morse_after_spectrum_matches_a_fresh_morse(tmp_path):
