@@ -9,9 +9,9 @@ from .morse import (BETA_PLANAR, DegeneracyReport, MorseReport,
                     beltrami_multiplicity, degeneracy_scan, lower_bound,
                     morse_index, symmetric_morse_index)
 from .oracle import dense_oracle_spectrum
-from .radial import (EmdenTrajectory, IntegrationError, RadialProfile,
-                     auxiliary_z, integrate_emden_ivp, linearized_potential,
-                     solve_nodal_power, validate_profile)
+from .radial import (IntegrationError, RadialProfile, auxiliary_z,
+                     linearized_potential, solve_nodal_power,
+                     validate_profile)
 from .spectral import (EigenPair, SpectralConfig, SpectralError, Spectrum,
                        WeightedSLProblem, liouville_transform,
                        solve_singular_spectrum, solve_standard_spectrum,
@@ -23,8 +23,7 @@ __all__ = [
     "BETA_PLANAR", "__version__",
     "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
     "angular_threshold", "degeneracy_targets",
-    "RadialProfile", "EmdenTrajectory", "IntegrationError",
-    "integrate_emden_ivp", "solve_nodal_power",
+    "RadialProfile", "IntegrationError", "solve_nodal_power",
     "validate_profile", "auxiliary_z", "linearized_potential",
     "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",
     "Spectrum", "liouville_transform", "solve_singular_spectrum",

@@ -27,10 +27,10 @@ class DimensionMap:
     exponent: float = field(init=False)
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 2 <= self.N < math.inf:
+            raise ValueError(f"N={self.N} must be finite and >= 2")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha={self.alpha} must be finite and >= 0")
         object.__setattr__(self, "M", 2.0 * (self.N + self.alpha)
                            / (2.0 + self.alpha))
         object.__setattr__(self, "c", (2.0 / (2.0 + self.alpha)) ** 2)

@@ -1,10 +1,10 @@
 """Nodal radial solutions of -(t^(M-1) v')' = t^(M-1) |v|^(p-1) v on [0, 1].
 
-Every profile comes from one integration of the regular initial value
-problem (integrate_emden_ivp, Dormand-Prince 5(4)) to its m-th zero, moved
-to 1 by the scaling symmetry v -> gamma^(2/(p-1)) v(gamma t).  Tolerances,
-the step budget and the cut of the qualitative checks are the module
-constants below.
+solve_nodal_power integrates the regular initial value problem v(0) = 1
+(Dormand-Prince 5(4)) to its m-th zero and moves that zero to 1 by the
+scaling symmetry v -> gamma^(2/(p-1)) v(gamma t), which carries every start
+v(0) onto this one.  Tolerances, the step budget and the cut of the
+qualitative checks are the module constants below.
 """
 
 from __future__ import annotations
@@ -25,20 +25,7 @@ CHECK_TOL = 1e-7           # validate_profile's cut, relative to max |v|
 
 
 class IntegrationError(RuntimeError):
-    """The IVP integrator could not deliver what was asked of it."""
-
-
-@dataclass(frozen=True)
-class EmdenTrajectory:
-    """Raw adaptive-step IVP output with refined zero and critical events."""
-
-    ts: np.ndarray
-    vs: np.ndarray
-    dvs: np.ndarray
-    zeros: np.ndarray
-    zero_slopes: np.ndarray
-    critical_points: np.ndarray
-    critical_values: np.ndarray
+    """The IVP integration or its rescaling could not deliver a profile."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,50 +105,35 @@ def _refine_event(q, m1, t, v, dv, k1a, h, on_derivative, ref_scale, tol):
     return t + hh, vz, dvz
 
 
-def integrate_emden_ivp(M: float, p: float, v0: float, t_max: float, *,
-                        rtol: float = PROFILE_RTOL,
-                        atol: float = PROFILE_ATOL, max_zeros: int = 64,
-                        max_steps: int = POWER_MAX_STEPS) -> EmdenTrajectory:
+def _integrate(M, p, m, t_max, rtol, atol):
     """Integrate v'' + (M-1)/t v' + |v|^(p-1) v = 0 from the regular start
-    at 0 by adaptive Dormand-Prince 5(4).
+    v(0) = 1, v'(0) = 0, v''(0) = -1/M by adaptive Dormand-Prince 5(4), to
+    the m-th zero of v or to t_max.
 
-    v(0)=v0, v'(0)=0, v''(0) = -|v0|^(p-1) v0/M (no later stage sits at
-    t = 0).  The trajectory holds every accepted step, each zero of v with
-    v' there and each critical point of v with v there.  A zero is refined
-    to |v| < ZERO_TOL * |v0| and a critical point to |v'| <= 1e-10 max |v'|
-    of its step; refinement re-takes RK steps from the left node, so event
+    Returns arrays of the accepted steps' t, v and v', of the zeros of v,
+    and of the critical points of v with v there.  A zero is refined to
+    |v| < ZERO_TOL and a critical point to |v'| <= 1e-10 max |v'| of its
+    step; refinement re-takes RK steps from the left node, so event
     locations carry the integrator's accuracy, not interpolation accuracy.
-    Stops after max_zeros zeros or at t_max.  A non-finite value, a float
-    overflow, a step size underflow or a spent budget of max_steps accepted
-    steps raises IntegrationError where it occurs.
+    A non-finite value, a float overflow, a step size underflow or a spent
+    budget of POWER_MAX_STEPS accepted steps raises IntegrationError where
+    it occurs.
     """
-    if v0 == 0:
-        raise ValueError("v0 must be nonzero; v0=0 is the trivial solution")
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    if p <= 1:
-        raise ValueError("p must be > 1")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
-
-    vscale = abs(v0)
+    max_steps = POWER_MAX_STEPS
     m1 = -(M - 1.0)
     q = p - 1.0
-    t, v, dv = 0.0, v0, 0.0
+    t, v, dv = 0.0, 1.0, 0.0
     ts, vs, dvs = [t], [v], [dv]    # every accepted step
-    zeros, crits = [], []           # (t, v'), (t, v)
+    zeros, crits = [], []           # t, (t, v)
     # the loop's names are local, and |v|, |v'| carry over from the
     # accepted step; a conditional expression stands for each max and min
     # of two floats, with the builtins' results, NaN included
     rk_step, isfinite = _rk_step, math.isfinite
     add_t, add_v, add_dv = ts.append, vs.append, dvs.append
-    av, adv = vscale, 0.0
+    av, adv = 1.0, 0.0
     try:
-        acc = -(abs(v0) ** q * v0) / M  # the regular limit of v'' at t = 0
-        h = 1e-4
-        if acc != 0.0 and math.isfinite(acc):
-            h = min(h, 0.1 * (2.0 * max(atol, rtol * vscale) / abs(acc))
-                    ** 0.5)
+        acc = -1.0 / M  # the regular limit of v'' at t = 0
+        h = min(1e-4, 0.1 * (2.0 * max(atol, rtol) / abs(acc)) ** 0.5)
         while t < t_max:
             if len(ts) >= max_steps:
                 raise IntegrationError(
@@ -185,15 +157,15 @@ def integrate_emden_ivp(M: float, p: float, v0: float, t_max: float, *,
                 h *= max(0.9 * err ** -0.2, 0.2)
                 continue
             if dv != 0.0 and (dv > 0.0) != (dvn > 0.0) \
-                    and len(crits) < max_zeros + 2:
+                    and len(crits) < m + 2:
                 tc, vc, _ = _refine_event(q, m1, t, v, dv, acc, h, True,
                                           dv_scale, 1e-10)
                 crits.append((tc, vc))
             if (v > 0.0) != (vn > 0.0):
                 tz, vz, dvz = _refine_event(q, m1, t, v, dv, acc, h, False,
-                                            vscale, ZERO_TOL)
-                zeros.append((tz, dvz))
-                if len(zeros) >= max_zeros:
+                                            1.0, ZERO_TOL)
+                zeros.append(tz)
+                if len(zeros) >= m:
                     add_t(tz)
                     add_v(vz)
                     add_dv(dvz)
@@ -205,11 +177,10 @@ def integrate_emden_ivp(M: float, p: float, v0: float, t_max: float, *,
             grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0
             h *= 5.0 if 5.0 < grow else grow
     except OverflowError:
-        raise IntegrationError(f"|v|^(p-1) overflows a float (v0={v0:g}, "
-                               f"p={p:g})") from None
-    return EmdenTrajectory(np.array(ts), np.array(vs), np.array(dvs),
-                           *np.reshape(zeros, (-1, 2)).T,
-                           *np.reshape(crits, (-1, 2)).T)
+        raise IntegrationError(f"|v|^(p-1) overflows a float (p={p:g})") \
+            from None
+    return (np.array(ts), np.array(vs), np.array(dvs), np.array(zeros),
+            *np.reshape(crits, (-1, 2)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -298,36 +269,48 @@ def solve_nodal_power(M: float, p: float, m: int, *,
     """Radial solution with exactly m nodal zones for f(u) = |u|^(p-1) u.
 
     Integrates the IVP with v(0)=1 to its m-th zero T_m and rescales by the
-    symmetry v -> T_m^(2/(p-1)) v(T_m t).  A p at or above
-    critical_exponent(M), where no such solution exists, is a ValueError.
+    symmetry v -> T_m^(2/(p-1)) v(T_m t).  A non-finite or out-of-range
+    argument, and a p at or above critical_exponent(M), where no such
+    solution exists, is a ValueError; a rescaling beyond the float range
+    (p near 1) is an IntegrationError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not 2 <= M < math.inf:
+        raise ValueError(f"M={M} must be finite and >= 2")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p={p} must be finite and > 1")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0 < tol < math.inf:
+            raise ValueError(f"{name}={tol} must be finite and > 0")
     if p >= critical_exponent(M):
         raise ValueError(f"p={p:g} is not below the critical exponent "
                          f"(M+2)/(M-2)={critical_exponent(M):g} of M={M:g}")
-    traj = integrate_emden_ivp(M, p, 1.0, t_max, rtol=rtol, atol=atol,
-                               max_zeros=m)
-    if len(traj.zeros) < m:
+    ts, vs, dvs, zeros, crit_ts, crit_vs = _integrate(M, p, m, t_max, rtol,
+                                                      atol)
+    if len(zeros) < m:
         raise IntegrationError(f"zero #{m} not found before t_max={t_max:g}")
-    t_m = traj.zeros[m - 1]
-    beta = 2.0 / (p - 1.0)
-    amp = t_m ** beta
-    grid = traj.ts / t_m
-    values = amp * traj.vs
-    derivative = amp * t_m * traj.dvs
+    t_m = float(zeros[-1])
+    try:
+        amp = t_m ** (2.0 / (p - 1.0))
+        if math.isinf(amp * t_m):   # the scale of v'
+            raise OverflowError
+    except OverflowError:
+        raise IntegrationError(f"rescaling by T_m^(2/(p-1)) overflows a "
+                               f"float (T_m={t_m:g}, p={p:g})") from None
+    grid = ts / t_m
+    values = amp * vs
+    derivative = amp * t_m * dvs
     grid[-1] = 1.0
     values[-1] = 0.0
-    zeros = traj.zeros / t_m
+    zeros = zeros / t_m
     zeros[-1] = 1.0
-    crits = traj.critical_points / t_m
-    extremal = np.concatenate(([values[0]],
-                               np.abs(amp * traj.critical_values)))
-    meta = {"raw_final_zero": float(t_m), "p": float(p), "rtol": rtol,
+    extremal = np.concatenate(([values[0]], np.abs(amp * crit_vs)))
+    meta = {"raw_final_zero": t_m, "p": float(p), "rtol": rtol,
             "atol": atol, "zero_tol": ZERO_TOL}
     return RadialProfile(M=float(M), grid=grid, values=values,
                          derivative=derivative, zeros=zeros,
-                         critical_points=crits[:m - 1],
+                         critical_points=crit_ts[:m - 1] / t_m,
                          extremal_values=extremal[:m],
                          nodal_zones=m, p=float(p), meta=meta)
 

@@ -89,8 +89,8 @@ class WeightedSLProblem:
     kind: str
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ValueError("M must be >= 2")
+        if not 2 <= self.M < math.inf:
+            raise ValueError(f"M={self.M} must be finite and >= 2")
         if self.kind not in ("standard", "singular"):
             raise ValueError("kind must be 'standard' or 'singular'")
 

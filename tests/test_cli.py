@@ -415,6 +415,22 @@ def test_xmax_whose_standard_grid_overflows_exits_3(tmp_path, capsys):
     assert not (out / "morse.json").exists()
 
 
+def test_near_linear_p_whose_rescaling_overflows_exits_3(tmp_path, capsys):
+    # T_1^(2/(p-1)) leaves the float range below about p = 1.0032: one line
+    # names the overflow, with no numpy warning before it
+    for N, t_1 in ((3, "3.14336"), (2, "2.40574")):
+        out = tmp_path / f"N{N}"
+        assert run(["morse", "--N", N, "--alpha", 0, "--p", 1.002, "--m", 1,
+                    "--out", out]) == 3
+        assert capsys.readouterr().err == (
+            "solver failure: rescaling by T_m^(2/(p-1)) overflows a float "
+            f"(T_m={t_1}, p=1.002)\n")
+        assert not (out / "morse.json").exists()
+    assert run(["morse", "--N", 3, "--alpha", 0, "--p", 1.004, "--m", 1,
+                "--out", tmp_path / "p1.004"]) == 0
+    assert "total=1 " in capsys.readouterr().out
+
+
 def test_p_at_or_above_the_critical_exponent_exits_2(tmp_path, capsys,
                                                      monkeypatch):
     def no_solve(*args, **kwargs):

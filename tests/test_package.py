@@ -25,8 +25,7 @@ def test_the_public_names_are_these():
         "BETA_PLANAR", "__version__",
         "DimensionMap", "generalized_dimension", "eigenvalue_pullback",
         "angular_threshold", "degeneracy_targets",
-        "RadialProfile", "EmdenTrajectory", "IntegrationError",
-        "integrate_emden_ivp", "solve_nodal_power",
+        "RadialProfile", "IntegrationError", "solve_nodal_power",
         "validate_profile", "auxiliary_z", "linearized_potential",
         "WeightedSLProblem", "SpectralConfig", "SpectralError", "EigenPair",
         "Spectrum", "liouville_transform", "solve_singular_spectrum",

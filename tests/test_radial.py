@@ -8,13 +8,15 @@ import re
 import numpy as np
 import pytest
 
+from henonmorse import radial
 from henonmorse.cli import _profile_doc, _write_csv, _write_json
 from henonmorse.dimension import generalized_dimension
 from henonmorse.radial import (POWER_MAX_STEPS, PROFILE_ATOL, PROFILE_RTOL,
-                               ZERO_TOL, EmdenTrajectory, IntegrationError,
+                               ZERO_TOL, IntegrationError, _integrate,
                                _refine_event, _rk_step, auxiliary_z,
-                               integrate_emden_ivp, linearized_potential,
-                               solve_nodal_power, validate_profile)
+                               linearized_potential, solve_nodal_power,
+                               validate_profile)
+from henonmorse.spectral import WeightedSLProblem, zero_potential
 
 from conftest import MATRIX
 from diagnostics import henon_profile
@@ -26,70 +28,76 @@ T2_REF = 35.96194003077796
 
 
 def test_ivp_basic_power_case():
-    traj = integrate_emden_ivp(3.0, 3.0, 1.0, 40.0, max_zeros=1)
-    assert len(traj.zeros) == 1
-    assert traj.zeros[0] == pytest.approx(T1_REF, rel=1e-8)
-    assert traj.zero_slopes[0] < 0
+    ts, vs, dvs, zeros, _, _ = _integrate(3.0, 3.0, 1, 40.0, PROFILE_RTOL,
+                                          PROFILE_ATOL)
+    assert len(zeros) == 1
+    assert zeros[0] == pytest.approx(T1_REF, rel=1e-8)
+    # the last step is the zero, crossed downwards
+    assert ts[-1] == zeros[0] and dvs[-1] < 0
     # the solution decreases from v(0)=1 right away
-    assert np.all(traj.vs[1:8] < 1.0)
+    assert np.all(vs[1:8] < 1.0)
 
 
 def test_integrator_zero_locations_against_step_halving():
     # the same integration at tighter tolerance is the independent check
-    loose = integrate_emden_ivp(3.0, 3.0, 1.0, 1e3, rtol=1e-8, atol=1e-10,
-                                max_zeros=2, max_steps=200000)
-    tight = integrate_emden_ivp(3.0, 3.0, 1.0, 1e3, rtol=1e-12, atol=1e-14,
-                                max_zeros=2, max_steps=400000)
-    assert len(loose.zeros) == len(tight.zeros) == 2
-    assert np.allclose(loose.zeros, tight.zeros, rtol=1e-7)
-    assert np.allclose(tight.zeros, [T1_REF, T2_REF], rtol=1e-9)
+    loose = _integrate(3.0, 3.0, 2, 1e3, 1e-8, 1e-10)[3]
+    tight = _integrate(3.0, 3.0, 2, 1e3, 1e-12, 1e-14)[3]
+    assert len(loose) == len(tight) == 2
+    assert np.allclose(loose, tight, rtol=1e-7)
+    assert np.allclose(tight, [T1_REF, T2_REF], rtol=1e-9)
 
 
-def test_integrator_nonfinite_rhs_reported():
-    # an infinite value at t = 0 must not shrink the first step to nothing
-    # (a step-size underflow) before the step that exposes it
+def _scaled_rk_step(factor):
+    """_rk_step taking its steps from factor * v: the stand-in for a start
+    the IVP v(0) = 1 never reaches."""
+    def step(q, m1, t, v, dv, h, k1a):
+        return _rk_step(q, m1, t, factor * v, dv, h, k1a)
+    return step
+
+
+def test_integrator_nonfinite_rhs_reported(monkeypatch):
+    # a non-finite stage value is reported by name at the step that shows it
     for bad in (float("nan"), float("inf")):
+        monkeypatch.setattr(radial, "_rk_step", _scaled_rk_step(bad))
         with pytest.raises(IntegrationError, match="non-finite"):
-            integrate_emden_ivp(3.0, 3.0, bad, 1e3, max_zeros=2,
-                                max_steps=1000)
+            _integrate(3.0, 3.0, 2, 1e3, PROFILE_RTOL, PROFILE_ATOL)
 
 
 def test_critical_points_located():
-    traj = integrate_emden_ivp(3.0, 3.0, 1.0, 1e3, max_zeros=2)
-    assert len(traj.critical_points) == 1
+    _, _, _, zeros, crit_ts, crit_vs = _integrate(3.0, 3.0, 2, 1e3,
+                                                  PROFILE_RTOL, PROFILE_ATOL)
+    assert len(crit_ts) == 1
     # interior minimum between the two zeros, negative value
-    assert traj.zeros[0] < traj.critical_points[0] < traj.zeros[1]
-    assert traj.critical_values[0] < 0
+    assert zeros[0] < crit_ts[0] < zeros[1]
+    assert crit_vs[0] < 0
 
 
-def test_ivp_rejects_trivial_start():
-    with pytest.raises(ValueError):
-        integrate_emden_ivp(2.0, 2.5, 0.0, 10.0)
-    for p in (1.0, 0.5):
-        with pytest.raises(ValueError, match="p must be > 1"):
-            integrate_emden_ivp(2.0, p, 1.0, 10.0)
-
-
-def test_ivp_spent_step_budget_is_an_error():
-    # 60 steps end at t = 0.878, well before the first zero near 6.9
-    with pytest.raises(IntegrationError,
-                       match=r"budget of 60 steps exhausted at t=0\.878"):
-        integrate_emden_ivp(3.0, 3.0, 1.0, 40.0, max_zeros=1, max_steps=60)
-    # a start whose |v0|^(p-1) exceeds the float range fails by name too
-    for v0 in (1e200, 1e160):
-        with pytest.raises(IntegrationError, match="overflows a float"):
-            integrate_emden_ivp(3.0, 3.0, v0, 1e3, max_zeros=1)
+def test_ivp_spent_step_budget_is_an_error(monkeypatch):
+    # 60 steps end at t = 0.878, well before the first zero near 6.9; the
+    # budget is read when the integration starts
+    with monkeypatch.context() as patch:
+        patch.setattr(radial, "POWER_MAX_STEPS", 60)
+        with pytest.raises(IntegrationError,
+                           match=r"budget of 60 steps exhausted at t=0\.878"):
+            _integrate(3.0, 3.0, 1, 40.0, PROFILE_RTOL, PROFILE_ATOL)
+    # a v whose |v|^(p-1) exceeds the float range fails by name too
+    for factor in (1e200, 1e160):
+        with monkeypatch.context() as patch:
+            patch.setattr(radial, "_rk_step", _scaled_rk_step(factor))
+            with pytest.raises(IntegrationError, match="overflows a float"):
+                _integrate(3.0, 3.0, 1, 1e3, PROFILE_RTOL, PROFILE_ATOL)
     # no step meets a tolerance of 1e-300: rejections shrink h below 1e-15
     with pytest.raises(IntegrationError, match="step size underflow"):
-        integrate_emden_ivp(3.0, 3.0, 1.0, 10.0, rtol=1e-300, atol=1e-300)
+        _integrate(3.0, 3.0, 1, 10.0, 1e-300, 1e-300)
 
 
 def _reference_emden_ivp(M, p, v0, t_max, *, rtol=PROFILE_RTOL,
                          atol=PROFILE_ATOL, max_zeros=64,
                          max_steps=POWER_MAX_STEPS):
-    """integrate_emden_ivp as it stood before its loop was trimmed, its
-    argument checks and docstring left out: the reference the trimmed
-    loop must reproduce bitwise."""
+    """The integrator as it stood before its loop was trimmed (then the
+    public integrate_emden_ivp), its argument checks and docstring left
+    out, returning the arrays _integrate returns: the reference the
+    trimmed loop must reproduce bitwise."""
     vscale = abs(v0)
     m1 = -(M - 1.0)
     q = p - 1.0
@@ -140,9 +148,8 @@ def _reference_emden_ivp(M, p, v0, t_max, *, rtol=PROFILE_RTOL,
     except OverflowError:
         raise IntegrationError(f"|v|^(p-1) overflows a float (v0={v0:g}, "
                                f"p={p:g})") from None
-    return EmdenTrajectory(*np.reshape(steps, (-1, 3)).T,
-                           *np.reshape(zeros, (-1, 2)).T,
-                           *np.reshape(crits, (-1, 2)).T)
+    return (*np.reshape(steps, (-1, 3)).T, np.reshape(zeros, (-1, 2))[:, 0],
+            *np.reshape(crits, (-1, 2)).T)
 
 
 @pytest.mark.parametrize("M, p, m", sorted(
@@ -152,26 +159,24 @@ def _reference_emden_ivp(M, p, v0, t_max, *, rtol=PROFILE_RTOL,
 def test_trimmed_ivp_loop_is_bitwise_the_reference(M, p, m):
     # the acceptance matrix and the benchmark sweep, as solve_nodal_power
     # integrates them
-    new = integrate_emden_ivp(M, p, 1.0, 1e10, max_zeros=m)
+    new = _integrate(M, p, m, 1e10, PROFILE_RTOL, PROFILE_ATOL)
     ref = _reference_emden_ivp(M, p, 1.0, 1e10, max_zeros=m)
-    for f in dataclasses.fields(EmdenTrajectory):
-        assert np.array_equal(getattr(new, f.name), getattr(ref, f.name)), \
-            f.name
+    for name, a, b in zip(("t", "v", "v'", "zeros", "critical points",
+                           "critical values"), new, ref, strict=True):
+        assert np.array_equal(a, b), name
 
 
 def test_ivp_second_derivative_at_origin():
-    # regular start: v''(0) = -|v0|^(p-1) v0/M = -1/3 for M=3, v0=1
-    traj = integrate_emden_ivp(3.0, 3.0, 1.0, 0.02, max_zeros=1)
-    t, v = traj.ts, traj.vs
+    # regular start: v''(0) = -1/M = -1/3 for M=3
+    t, v = _integrate(3.0, 3.0, 1, 0.02, PROFILE_RTOL, PROFILE_ATOL)[:2]
     small = (t > 0) & (t < 0.02)
     est = 2.0 * (v[small] - 1.0) / t[small] ** 2
     assert est[-1] == pytest.approx(-1.0 / 3.0, rel=1e-4)
 
 
 def test_ivp_energy_monotonicity():
-    # F(v0) - F(v(t)) - (v'(t))^2/2 equals (M-1) int_0^t v'^2/s ds >= 0
-    traj = integrate_emden_ivp(3.0, 3.0, 1.0, 30.0, max_zeros=2)
-    t, v, dv = traj.ts, traj.vs, traj.dvs
+    # F(1) - F(v(t)) - (v'(t))^2/2 equals (M-1) int_0^t v'^2/s ds >= 0
+    t, v, dv = _integrate(3.0, 3.0, 2, 30.0, PROFILE_RTOL, PROFILE_ATOL)[:3]
     F = lambda u: 0.25 * np.abs(u) ** 4
     lhs = F(1.0) - F(v) - 0.5 * dv ** 2
     integrand = np.where(t > 0, dv ** 2 / np.where(t > 0, t, 1.0), 0.0)
@@ -213,6 +218,56 @@ def test_supercritical_p_is_refused():
         with pytest.raises(ValueError,
                            match=r"critical exponent \(M\+2\)/\(M-2\)=5 "):
             solve_nodal_power(3.0, p, 1)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: solve_nodal_power(NAN, 3.0, 1), "M=nan", id="M-nan"),
+    pytest.param(lambda: solve_nodal_power(INF, 3.0, 1), "M=inf", id="M-inf"),
+    pytest.param(lambda: solve_nodal_power(3.0, NAN, 1), "p=nan", id="p-nan"),
+    pytest.param(lambda: solve_nodal_power(3.0, INF, 1), "p=inf", id="p-inf"),
+    pytest.param(lambda: solve_nodal_power(2.0, 1.0, 1), "p=1.0", id="p-1"),
+    pytest.param(lambda: solve_nodal_power(2.0, 0.5, 1), "p=0.5",
+                 id="p-0.5"),
+    pytest.param(lambda: solve_nodal_power(3.0, 3.0, 1, rtol=NAN),
+                 "rtol=nan", id="rtol-nan"),
+    pytest.param(lambda: solve_nodal_power(3.0, 3.0, 1, atol=INF),
+                 "atol=inf", id="atol-inf"),
+    pytest.param(lambda: generalized_dimension(NAN, 0.0), "N=nan",
+                 id="N-nan"),
+    pytest.param(lambda: generalized_dimension(3, NAN), "alpha=nan",
+                 id="alpha-nan"),
+    pytest.param(lambda: generalized_dimension(3, INF), "alpha=inf",
+                 id="alpha-inf"),
+    pytest.param(lambda: WeightedSLProblem(NAN, zero_potential, "singular"),
+                 "M=nan", id="problem-M-nan"),
+    pytest.param(lambda: WeightedSLProblem(INF, zero_potential, "standard"),
+                 "M=inf", id="problem-M-inf"),
+])
+def test_library_refuses_a_non_finite_or_out_of_range_argument(call,
+                                                               message):
+    # NaN fails every comparison, so a bound alone lets it through; each
+    # refusal names the argument before anything is solved
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)} must be "
+                                         r"finite and [>=]+ \d$"):
+        call()
+
+
+def test_near_linear_p_whose_rescaling_overflows_is_an_error():
+    # T_1^(2/(p-1)) leaves the float range below about p = 1.0032 at M = 3;
+    # at p = 1.00323 it is finite, and T_1^(2/(p-1)+1), the scale of v',
+    # is not
+    with pytest.raises(IntegrationError, match=re.escape(
+            "rescaling by T_m^(2/(p-1)) overflows a float (T_m=3.14336, "
+            "p=1.002)")):
+        solve_nodal_power(3.0, 1.002, 1)
+    with pytest.raises(IntegrationError, match="rescaling by T_m"):
+        solve_nodal_power(3.0, 1.00323, 1)
+    prof = solve_nodal_power(3.0, 1.004, 1)
+    assert np.all(np.isfinite(prof.values))
+    assert validate_profile(prof) == []
 
 
 def test_residual_shrinks_under_solver_refinement():
