@@ -7,12 +7,13 @@ Eigenvalues come from LAPACK bisection (``dstebz``) and eigenvectors from
 inverse iteration: solves on the pivoted LU factorization of T - sigma
 (dgttrf, dgttrs) from a start vector.  All take one unsplit block with a
 finite squared off-diagonal, as the solvers build, and refuse any other
-matrix.  A singular coarse grid is bisected only to a bracket of width
-BRACKET, inverse iteration from a fixed start finds its vectors, and the
-Rayleigh quotient of each eigenvector then finishes its eigenvalue.  Its
-fine grid is not bisected: the coarse vectors, prolongated, are both the
-shifts (their Rayleigh quotients) and the start vectors.  Each fine
-pair is certified by its residual interval [rho - r, rho + r], with
+matrix.  A singular solve bisects only its X probe, to a bracket of width
+BRACKET; inverse iteration from a fixed start finds the probe's vectors,
+and the Rayleigh quotient of each eigenvector then finishes its
+eigenvalue.  Its coarse and fine grids are seeded, not bracketed: the
+vectors of the grid before, carried onto their nodes, are both the shifts
+(their Rayleigh quotients) and the start vectors.  Each seeded pair is
+certified by its residual interval [rho - r, rho + r], with
 r = ||T v - rho v|| for a unit v, which holds an eigenvalue (Parlett, The
 Symmetric Eigenvalue Problem, ch. 4), together with one Sturm count.  The
 standard kind keeps ABSTOL: its mass e^(-2x) grades its matrix to
@@ -232,6 +233,11 @@ def inverse_iteration(diag, off, values, starts=None):
     vecs = np.empty((n, len(values)), order="F")
     for j, sigma in enumerate(values):
         *lu, info = dgttrf(off, diag - sigma, off)
+        if info > 0:
+            # sigma is an eigenvalue to the last bit: an exact zero pivot.
+            # Shift off it by a few ulp of ||T||, as dlagtf perturbs a pivot
+            *lu, info = dgttrf(off, diag - (sigma + 4.0 * ULP * _norm1(
+                diag, off)), off)
         _check_info("dgttrf", info)
         x = starts[:, j:j + 1]
         for _ in range(solves):
@@ -298,8 +304,13 @@ def residual_norms(diag, off, vecs, values):
 def relative_residual(diag, off, vecs, residuals) -> float:
     """max over the columns v of vecs of ||T v - lambda v||_2 / (||T||_1
     ||v||_2), from their residual_norms; 0 without columns."""
+    scale = _norm1(diag, off) * np.linalg.norm(vecs, axis=0)
+    return float(np.max(residuals / scale, initial=0.0))
+
+
+def _norm1(diag, off) -> float:
+    """||T||_1 of tridiag(diag, off): its largest absolute column sum."""
     col = np.abs(diag)
     col[:-1] += np.abs(off)
     col[1:] += np.abs(off)
-    scale = float(np.max(col)) * np.linalg.norm(vecs, axis=0)
-    return float(np.max(residuals / scale, initial=0.0))
+    return float(np.max(col))

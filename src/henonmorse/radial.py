@@ -3,8 +3,8 @@
 solve_nodal_power integrates the regular initial value problem v(0) = 1
 (Dormand-Prince 5(4)) to its m-th zero and moves that zero to 1 by the
 scaling symmetry v -> gamma^(2/(p-1)) v(gamma t), which carries every start
-v(0) onto this one.  Tolerances, the step budget and the cut of the
-qualitative checks are the module constants below.
+v(0) onto this one.  Tolerances, the step budget, the bound in t and the
+cut of the qualitative checks are the module constants below.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .spectral import count_sign_changes
 PROFILE_RTOL, PROFILE_ATOL = 1e-10, 1e-12  # integrator tolerances
 ZERO_TOL = 1e-12           # zeros are refined to |v| < ZERO_TOL |v(0)|
 POWER_MAX_STEPS = 600_000  # step budget of a profile
+POWER_T_MAX = 1e10         # the m-th zero is sought on t < POWER_T_MAX
 CHECK_TOL = 1e-7           # validate_profile's cut, relative to max |v|
 
 
@@ -264,15 +265,16 @@ def _hermite(x, y, dy, q, derivative=False):
 
 
 def solve_nodal_power(M: float, p: float, m: int, *,
-                      rtol: float = PROFILE_RTOL, atol: float = PROFILE_ATOL,
-                      t_max: float = 1e10) -> RadialProfile:
+                      rtol: float = PROFILE_RTOL, atol: float = PROFILE_ATOL
+                      ) -> RadialProfile:
     """Radial solution with exactly m nodal zones for f(u) = |u|^(p-1) u.
 
     Integrates the IVP with v(0)=1 to its m-th zero T_m and rescales by the
     symmetry v -> T_m^(2/(p-1)) v(T_m t).  A non-finite or out-of-range
     argument, and a p at or above critical_exponent(M), where no such
-    solution exists, is a ValueError; a rescaling beyond the float range
-    (p near 1) is an IntegrationError.
+    solution exists, is a ValueError; an m-th zero not found below
+    POWER_T_MAX, or a rescaling beyond the float range (p near 1), is an
+    IntegrationError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -286,10 +288,11 @@ def solve_nodal_power(M: float, p: float, m: int, *,
     if p >= critical_exponent(M):
         raise ValueError(f"p={p:g} is not below the critical exponent "
                          f"(M+2)/(M-2)={critical_exponent(M):g} of M={M:g}")
-    ts, vs, dvs, zeros, crit_ts, crit_vs = _integrate(M, p, m, t_max, rtol,
-                                                      atol)
+    ts, vs, dvs, zeros, crit_ts, crit_vs = _integrate(M, p, m, POWER_T_MAX,
+                                                      rtol, atol)
     if len(zeros) < m:
-        raise IntegrationError(f"zero #{m} not found before t_max={t_max:g}")
+        raise IntegrationError(
+            f"zero #{m} not found before t_max={POWER_T_MAX:g}")
     t_m = float(zeros[-1])
     try:
         amp = t_m ** (2.0 / (p - 1.0))

@@ -14,11 +14,13 @@ tridiagonal matrices (kernels module), whose Sturm counts give the negative
 counts and zero bands: each solve asks for all of its counts on its fine
 grid in one kernel call.  Richardson bars come from a coarse/fine grid pair.
 Eigenvectors come from inverse iteration, from a fixed start where no
-closer one is known.  The singular coarse grid is bisected to 1e-4 brackets
-and finished by Rayleigh quotients; its vectors, prolongated, are the
-shifts (by their Rayleigh quotients) and the start vectors on the fine
-grid, whose pairs a Sturm count and disjoint residual intervals certify.
-The standard kind's graded matrix is bisected to 1e-300.
+closer one is known.  A singular solve bisects one grid, the 1024-cell
+probe that picks X, to 1e-4 brackets finished by Rayleigh quotients; its
+vectors, interpolated, are the shifts (by their Rayleigh quotients) and the
+start vectors on the coarse grid, and the coarse vectors, prolongated, on
+the fine grid.  On each, a Sturm count and disjoint residual intervals
+certify the pairs.  The standard kind's graded matrix is bisected to
+1e-300.
 
 A report solves both kinds for one potential, and they share its grids:
 each Liouville grid (x, V) a solve builds on its whole interval is kept in
@@ -213,6 +215,27 @@ def _prolongate(w):
     return u
 
 
+def _interpolate(w, h, x):
+    """Columns of w, unknowns at the interior nodes h, 2h, ... of a grid
+    with Dirichlet ends, at the ascending points x >= 0, by cubic Lagrange
+    interpolation in the four nodes about each point: w is extended oddly
+    past both ends, as _prolongate extends it, and is zero past the far
+    end.  Column-major, as _prolongate returns; the temporaries are single
+    columns."""
+    pos = x / h
+    inside = int(np.searchsorted(pos, len(w) + 1))
+    j = pos[:inside].astype(np.intp)
+    t = pos[:inside] - j
+    weights = (-t * (t - 1) * (t - 2) / 6, (t + 1) * (t - 1) * (t - 2) / 2,
+               -(t + 1) * t * (t - 2) / 2, (t + 1) * t * (t - 1) / 6)
+    u = np.zeros((len(x), w.shape[1]), order="F")
+    for col, wc in zip(u.T, w.T):
+        wp = np.concatenate(([-wc[0], 0.0], wc, [0.0, -wc[-1]]))  # node -1 on
+        for o, c in enumerate(weights):
+            col[:inside] += c * wp[j + o]
+    return u
+
+
 def liouville_transform(prob: WeightedSLProblem, x_max: float,
                         n: int = SpectralConfig.n) -> LiouvilleProblem:
     """Discretize the singular problem in x = -ln r.
@@ -241,7 +264,7 @@ def liouville_transform(prob: WeightedSLProblem, x_max: float,
 
 
 # three grids: the most a singular solve builds before the standard solve
-# of its report asks again for the first (_auto_x_max's)
+# of its report asks again for the first (_x_probe's)
 @functools.lru_cache(maxsize=3)
 def _grid(prob: WeightedSLProblem, x_max: float, n: int) -> LiouvilleProblem:
     """liouville_transform(prob, x_max, n), built once while it is among the
@@ -274,19 +297,25 @@ def _flat_x_max(prob: WeightedSLProblem) -> float:
     return min(X_MAX_CAP, max(20.0, x_flat + 8.0))
 
 
-def _auto_x_max(prob: WeightedSLProblem, n: int) -> float:
-    """Pick X so the potential has flattened and target decay is reached,
-    from the eigenvalues of a 1024-cell probe read off (_probe) the grid of
-    n cells on the flat X, which the standard kind solves on."""
-    x0 = _flat_x_max(prob)
-    d, e = _probe(prob, x0, n, 1024).tridiagonal()
-    below = bisect_eigenvalues(d, e, below=prob.threshold - MARGIN,
-                               abstol=BRACKET)
-    if not len(below):
-        return x0
-    top = rayleigh_refine(d, e, below[-1:])[0][0]
-    kappa_min = math.sqrt(max(prob.threshold - top, 1e-30))
-    return min(X_MAX_CAP, max(x0, KAPPA_X_TARGET / kappa_min))
+def _x_probe(prob: WeightedSLProblem, cfg: SpectralConfig, k: int):
+    """X, and the probe grid with its lowest min(k, count) eigenvectors.
+
+    The probe is the 1024-cell grid on X0 (cfg.x_max, else the flat X),
+    read off (_probe) the grid of the configured n on X0, which the standard
+    kind solves on.  Every eigenvalue below the margin is bracketed there
+    and finished by Rayleigh quotients.  The adaptive X is X0 or, if larger,
+    the X at which the top one reaches the target decay; a set cfg.x_max is
+    X itself."""
+    x0 = cfg.x_max if cfg.x_max is not None else _flat_x_max(prob)
+    probe = _probe(prob, x0, cfg.n + cfg.n % 2, 1024)
+    d, e = probe.tridiagonal()
+    vals, vecs = rayleigh_refine(d, e, bisect_eigenvalues(
+        d, e, below=prob.threshold - MARGIN, abstol=BRACKET))
+    x_max = x0
+    if cfg.x_max is None and len(vals):
+        kappa_min = math.sqrt(max(prob.threshold - vals[-1], 1e-30))
+        x_max = min(X_MAX_CAP, max(x0, KAPPA_X_TARGET / kappa_min))
+    return x_max, probe, vecs[:, :k]
 
 
 def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float):
@@ -344,38 +373,35 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
                             ) -> Spectrum:
     """Up to k eigenvalues below threshold - MARGIN, with eigenfunctions.
 
-    On the every-other-node coarsening of the Liouville tridiagonal,
-    bisection brackets every eigenvalue below the margin to width 1e-4, and
-    the k lowest are finished by the Rayleigh quotients of their
-    inverse-iteration vectors.  On the fine grid one call of Sturm counts
-    gives the counts below the margin and below -ZERO_CUT and ZERO_CUT (the
-    negative count and the zero band); the coarse vectors, prolongated
-    (_prolongate), give its k lowest eigenpairs by inverse iteration from
-    them at their Rayleigh quotients (_seeded_pairs).  The two grids give
-    Richardson-extrapolated values and error bars; disagreement beyond
-    cfg.tol, or more fine than coarse eigenvalues among the k lowest,
-    raises ResolutionError.  Two eigenvalues closer than 2e-4, whose
-    brackets overlap, or a fine pair the certificate rejects, raise
+    Only the X probe (_x_probe) is bisected: every eigenvalue below the
+    margin is bracketed there to width 1e-4 and finished by the Rayleigh
+    quotients of its inverse-iteration vector.  The probe's vectors,
+    interpolated, seed the k lowest eigenpairs of the every-other-node
+    coarsening of the Liouville tridiagonal (_coarse_pairs), and the coarse
+    vectors, prolongated (_prolongate), those of the fine grid: inverse
+    iteration from each seed at its Rayleigh quotient, certified by
+    residual intervals and a Sturm count (_seeded_pairs).  On the fine grid
+    one call of Sturm counts gives the counts below the margin and below
+    -ZERO_CUT and ZERO_CUT (the negative count and the zero band).  The two
+    grids give Richardson-extrapolated values and error bars; disagreement
+    beyond cfg.tol, or more fine than coarse eigenvalues among the k
+    lowest, raises ResolutionError.  Two eigenvalues closer than 2e-4,
+    whose brackets overlap, or a pair the certificate rejects, raise
     SpectralError.  Pairs whose decay rate cannot satisfy
     sqrt(threshold - nu) * X >= CERTIFY_KAPPA_X within X_MAX_CAP are flagged
     uncertain (truncation-limited accuracy near the threshold).
     """
     if prob.kind != "singular":
         raise ValueError("solve_singular_spectrum needs the singular kind")
-    x_max = cfg.x_max if cfg.x_max is not None else \
-        _auto_x_max(prob, cfg.n + cfg.n % 2)
+    k = max(k, 0)
     hi = prob.threshold - MARGIN
+    x_max, probe, probe_vecs = _x_probe(prob, cfg, k)
     g_f, n, capped = _fine_grid(prob, x_max, cfg)
-
-    # every eigenvalue below the margin is bracketed on the coarse grid; the
-    # k lowest are finished by their Rayleigh quotients
-    d_c, e_c = g_f.coarsened().tridiagonal()
-    below_c = bisect_eigenvalues(d_c, e_c, below=hi, abstol=BRACKET)
-    vals_c, vecs_c = rayleigh_refine(d_c, e_c, below_c[:max(k, 0)])
+    vals_c, vecs_c = _coarse_pairs(g_f.coarsened(), probe, probe_vecs, k, hi)
     d_f, e_f = g_f.tridiagonal()
     count_f, zero_cut_count, zero_top = sturm_count(d_f, e_f,
                                                     (hi, -ZERO_CUT, ZERO_CUT))
-    n_found = min(max(k, 0), count_f)
+    n_found = min(k, count_f)
     if n_found > len(vals_c):
         raise ResolutionError(
             f"grid too coarse: {n_found} singular eigenvalues below the "
@@ -385,8 +411,8 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     exhausted = (float(bisect_eigenvalues(d_f, e_f, n_found + 1,
                                           n_found + 1)[0])
                  if count_f > n_found else hi)
-    vals_f, vecs, residuals = _seeded_pairs(d_f, e_f, vecs_c[:, :n_found],
-                                            exhausted)
+    vals_f, vecs, residuals = _seeded_pairs(
+        d_f, e_f, _prolongate(vecs_c[:, :n_found]), exhausted)
     values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
 
     zero_band = zero_top - zero_cut_count
@@ -401,32 +427,59 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
                     negative_count=int(zero_cut_count), meta=meta)
 
 
-def _seeded_pairs(d_f, e_f, coarse_vecs, bound):
-    """Eigenpairs of the fine tridiag(d_f, e_f) from the coarse grid's
-    eigenvectors (columns of coarse_vecs, ascending): inverse iteration from
-    their prolongations at the prolongations' Rayleigh quotients, checked as
-    rayleigh_refine checks bisected brackets, and finished by Rayleigh
-    quotients.  A seed from an under-resolved coarse grid can miss its fine
-    eigenvalue by more than BRACKET; one more round then starts from the
-    vectors it reached, at their quotients.
+def _coarse_pairs(grid: LiouvilleProblem, probe: LiouvilleProblem,
+                  probe_vecs, k: int, hi: float):
+    """The lowest min(k, count) eigenpairs of the coarse grid, count being
+    its number of eigenvalues below hi (one Sturm count): values and unit
+    vectors, one per column.
+
+    The probe's eigenvectors (columns of probe_vecs, ascending), carried
+    onto the grid's nodes (_interpolate), seed the lowest ones
+    (_seeded_pairs), certified below hi when they are all of them and else
+    below the next eigenvalue, bisected by its index.  Those the probe
+    leaves out (its wall X0 can lie short of X, and its cells are coarser)
+    are bisected by index and finished by their Rayleigh quotients."""
+    d, e = grid.tridiagonal()
+    count = sturm_count(d, e, [hi])[0]
+    want = min(k, count)
+    s = min(probe_vecs.shape[1], want)
+    seeds = _interpolate(probe_vecs[:, :s], probe.h, grid.x[1:-1])
+    bound, missing = hi, np.empty(0)
+    if want and count > s:
+        after = bisect_eigenvalues(d, e, s + 1, max(want, s + 1))
+        bound, missing = float(after[0]), after[:want - s]
+    vals, vecs, _ = _seeded_pairs(d, e, seeds, bound)
+    if len(missing):
+        more_vals, more_vecs = rayleigh_refine(d, e, missing)
+        vals, vecs = np.append(vals, more_vals), np.hstack((vecs, more_vecs))
+    return vals, vecs
+
+
+def _seeded_pairs(d, e, seeds, bound):
+    """Eigenpairs of tridiag(d, e) from one seed vector per eigenvalue
+    (columns of seeds, ascending), interpolated from another grid's
+    eigenvectors: inverse iteration from the seeds at their Rayleigh
+    quotients, checked as rayleigh_refine checks bisected brackets, and
+    finished by Rayleigh quotients.  A seed from an under-resolved grid can
+    miss its eigenvalue by more than BRACKET; one more round then starts
+    from the vectors it reached, at their quotients.
 
     Each residual interval [rho - r, rho + r] holds an eigenvalue; when they
     are disjoint and all lie below `bound`, which is the threshold margin
     when the Sturm count there equals their number and else the next
     eigenvalue, they hold the lowest ones, one each.  Otherwise
     SpectralError."""
-    seeds = _prolongate(coarse_vecs)
-    shifts = rayleigh_quotients(d_f, e_f, seeds)
-    vals, vecs = rayleigh_refine(d_f, e_f, shifts, starts=seeds)
-    residuals = residual_norms(d_f, e_f, vecs, vals)
+    shifts = rayleigh_quotients(d, e, seeds)
+    vals, vecs = rayleigh_refine(d, e, shifts, starts=seeds)
+    residuals = residual_norms(d, e, vecs, vals)
     lower, upper = vals - residuals, vals + residuals
     bad = ~np.append(upper[:-1] < lower[1:], upper[-1:] < bound)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise SpectralError(
-            f"fine eigenvalue {vals[i]:.12g} not certified: its residual "
-            f"interval of half-width {residuals[i]:.3g} meets the next "
-            f"eigenvalue's or the bound {bound:.12g}")
+            f"eigenvalue {vals[i]:.12g} of order {len(d)} not certified: "
+            f"its residual interval of half-width {residuals[i]:.3g} meets "
+            f"the next eigenvalue's or the bound {bound:.12g}")
     return vals, vecs, residuals
 
 

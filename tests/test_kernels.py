@@ -254,6 +254,17 @@ def test_unseeded_inverse_iteration_finds_every_mode_of_a_symmetric_matrix():
     assert np.all(np.abs(np.sum(vecs * modes, axis=0)) >= 1 - 1e-12)
 
 
+def test_inverse_iteration_at_an_eigenvalue_with_an_exact_zero_pivot():
+    # 2 is an eigenvalue of the order-7 Dirichlet Laplacian to the last
+    # bit, and the LU of T - 2 ends on an exact zero pivot
+    d, e = np.full(7, 2.0), np.full(6, -1.0)
+    assert K.dgttrf(e, d - 2.0, e)[-1] == 7
+    vec = K.inverse_iteration(d, e, [2.0])
+    assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-15)
+    norm_1 = 4.0
+    assert K.residual_norms(d, e, vec, np.array([2.0]))[0] <= 1e-12 * norm_1
+
+
 def test_bisection_refuses_a_matrix_that_splits():
     # e[2] = 0 splits the matrix into two blocks; the kernels take one
     d = np.array([10.0, 11.0, 12.0, 1.0, 2.0, 3.0])

@@ -206,9 +206,11 @@ def test_solve_nodal_power_single_zone():
     assert validate_profile(prof) == []
 
 
-def test_solve_nodal_power_budget_error():
-    with pytest.raises(IntegrationError):
-        solve_nodal_power(3.0, 4.9, 2, t_max=100.0)
+def test_solve_nodal_power_budget_error(monkeypatch):
+    monkeypatch.setattr(radial, "POWER_T_MAX", 100.0)
+    with pytest.raises(IntegrationError,
+                       match=r"zero #2 not found before t_max=100$"):
+        solve_nodal_power(3.0, 4.9, 2)
 
 
 def test_supercritical_p_is_refused():

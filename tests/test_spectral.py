@@ -391,6 +391,27 @@ def test_prolongation_is_fourth_order_and_exact_on_cubics():
     np.testing.assert_array_equal(u[1::2], cubic(xc[1:-1]))
 
 
+def test_interpolation_is_exact_on_cubics_and_zero_past_the_wall():
+    # unknowns at the nodes h .. 15h of a grid on (0, 1), carried to the
+    # points of a longer interval, as the probe's onto the coarse grid
+    h = 1.0 / 16
+
+    def cubic(x):
+        return 1 + x - 3 * x ** 2 + 2 * x ** 3
+
+    nodes = h * np.arange(1, 16)
+    x = np.linspace(0.0, 1.5, 97)[1:]
+    u = spectral._interpolate(np.column_stack((cubic(nodes), -nodes)), h, x)
+    assert u.flags.f_contiguous and u.shape == (len(x), 2)
+    # cells whose four nodes are all interior reproduce a cubic
+    mid = (x >= 2 * h) & (x < 14 * h)
+    np.testing.assert_allclose(u[mid, 0], cubic(x[mid]), rtol=0, atol=1e-14)
+    # the odd extension past 0 keeps an odd function exact there
+    near = x < 14 * h
+    np.testing.assert_allclose(u[near, 1], -x[near], rtol=0, atol=1e-15)
+    assert not np.any(u[x >= 1.0])
+
+
 @pytest.mark.parametrize("point", CLI_POINTS + (DESK_POINT,))
 def test_published_values_match_bisection_of_both_grids(point):
     prob = singular_problem(*point)
@@ -437,7 +458,7 @@ def test_seeded_fine_values_are_eigenvalues_of_the_fine_matrix():
     vecs_c = rayleigh_refine(d_c, e_c, bisect_eigenvalues(
         d_c, e_c, below=hi, abstol=BRACKET))[1]
     d, e = grid.tridiagonal()
-    vals = spectral._seeded_pairs(d, e, vecs_c, hi)[0]
+    vals = spectral._seeded_pairs(d, e, spectral._prolongate(vecs_c), hi)[0]
     assert len(vals) == spec.meta["count_below_margin"] == 2
     # each window of half-width 1e-14 max(1, |nu|) holds one eigenvalue
     win = 1e-14 * np.maximum(1.0, np.abs(vals))
@@ -484,11 +505,12 @@ def _counting(fn, name, calls):
     return counted
 
 
-def test_a_singular_solve_bisects_only_the_coarse_grid(lane_emden_case,
-                                                       monkeypatch):
-    # k above the count: the X probe and the coarse grid are bisected; the
-    # fine grid takes its three Sturm counts, at the margin and at
-    # -ZERO_CUT and ZERO_CUT (negative count and zero band), in one call
+def test_a_singular_solve_bisects_only_the_x_probe(lane_emden_case,
+                                                   monkeypatch):
+    # k above the count: only the X probe is bisected; the coarse grid takes
+    # one Sturm count, at the margin, and the fine grid three, at the margin
+    # and at -ZERO_CUT and ZERO_CUT (negative count and zero band), in one
+    # call
     _, prob, _ = lane_emden_case
     calls = collections.Counter()
     for name in ("bisect_eigenvalues", "sturm_count"):
@@ -496,7 +518,69 @@ def test_a_singular_solve_bisects_only_the_coarse_grid(lane_emden_case,
                             _counting(getattr(spectral, name), name, calls))
     spec = solve_singular_spectrum(prob, 5)
     assert spec.meta["count_below_margin"] == len(spec.eigenpairs) == 3
-    assert calls == {"bisect_eigenvalues": 2, "sturm_count": 1}
+    assert calls == {"bisect_eigenvalues": 1, "sturm_count": 2}
+
+
+@pytest.mark.parametrize("point", CLI_POINTS + (DESK_POINT,))
+def test_seeded_coarse_pairs_are_the_bisected_ones(point):
+    # the coarse pairs seeded from the X probe's vectors against those of
+    # bisection to BRACKET and Rayleigh quotients from the fixed start
+    prob = singular_problem(*point)
+    cfg = SpectralConfig()
+    hi = prob.threshold - spectral.MARGIN
+    x_max, probe, probe_vecs = spectral._x_probe(prob, cfg, 6)
+    coarse = spectral._fine_grid(prob, x_max, cfg)[0].coarsened()
+    vals, vecs = spectral._coarse_pairs(coarse, probe, probe_vecs, 6, hi)
+    d, e = coarse.tridiagonal()
+    ref_vals, ref_vecs = rayleigh_refine(d, e, bisect_eigenvalues(
+        d, e, below=hi, abstol=BRACKET)[:6])
+    assert len(vals) == len(ref_vals) >= 1
+    np.testing.assert_allclose(vals, ref_vals, rtol=1e-13, atol=0)
+    sign = np.sign(np.sum(vecs * ref_vecs, axis=0))
+    np.testing.assert_allclose(vecs, ref_vecs * sign, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("kept", [0, 2])
+def test_coarse_pairs_the_probe_leaves_out_are_bisected(lane_emden_case,
+                                                        monkeypatch, kept):
+    # a probe with fewer vectors than the coarse grid's count: the coarse
+    # grid bisects the missing indices, and the solve does not change
+    _, prob, spec = lane_emden_case
+    real = spectral._x_probe
+
+    def short(prob, cfg, k):
+        x_max, probe, vecs = real(prob, cfg, k)
+        return x_max, probe, vecs[:, :kept]
+
+    monkeypatch.setattr(spectral, "_x_probe", short)
+    calls = collections.Counter()
+    monkeypatch.setattr(spectral, "bisect_eigenvalues", _counting(
+        spectral.bisect_eigenvalues, "bisect_eigenvalues", calls))
+    again = solve_singular_spectrum(prob, 5)
+    assert calls == {"bisect_eigenvalues": 2}
+    np.testing.assert_allclose(again.values, spec.values, rtol=1e-13)
+    np.testing.assert_allclose(
+        [p.error_bar for p in again.eigenpairs],
+        [p.error_bar for p in spec.eigenpairs], rtol=1e-8)
+
+
+def test_a_set_x_max_is_probed_on_that_x(lane_emden_case, monkeypatch):
+    # with X given, the probe is the 1024-cell grid on X, and the solve is
+    # the adaptive one's at that X
+    _, prob, spec = lane_emden_case
+    x_max = spec.meta["x_max"]
+    sizes = []
+    real = spectral.bisect_eigenvalues
+
+    def recorded(d, e, *args, **kwargs):
+        sizes.append(len(d))
+        return real(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "bisect_eigenvalues", recorded)
+    given = solve_singular_spectrum(prob, 3, SpectralConfig(x_max=x_max))
+    assert sizes == [1023]
+    assert given.meta["x_max"] == x_max and given.meta["n"] == spec.meta["n"]
+    np.testing.assert_allclose(given.values, spec.values, rtol=1e-13)
 
 
 def test_a_standard_count_evaluates_the_potential_twice(lane_emden_case):
@@ -568,11 +652,13 @@ def test_fine_grid_n_is_set_by_a_2048_cell_probe(lane_emden_case, n):
 
 def test_more_fine_than_coarse_eigenvalues_is_a_resolution_error(
         lane_emden_case, monkeypatch):
-    _, prob, _ = lane_emden_case
+    _, prob, spec = lane_emden_case
     hi = prob.threshold - spectral.MARGIN
+    rows = spec.meta["n"] - 1
     real = spectral.sturm_count
     monkeypatch.setattr(spectral, "sturm_count", lambda d, e, shifts: [
-        c + (s == hi) for c, s in zip(real(d, e, shifts), shifts)])
+        c + (s == hi and len(d) == rows)
+        for c, s in zip(real(d, e, shifts), shifts)])
     # the fine grid now counts 4 below the margin, the coarse grid 3
     with pytest.raises(ResolutionError, match="fine grid"):
         solve_singular_spectrum(prob, 5)
