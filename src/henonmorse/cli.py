@@ -36,12 +36,12 @@ in every command and every swept configuration.
 Exit codes: 0 success, 2 config error, 3 solver failure (including a morse
 run whose standard and singular negative counts differ, and a morse run or
 sweep point whose singular negative count differs from m, or whose singular
-spectrum holds fewer negative pairs than it counts or a near-threshold
-one), 4 oracle mismatch: an eigenvalue beyond
-tolerance, differing negative counts, or a certified solver eigenvalue the
-oracle did not find.  A sweep writes a row for every point, a failed one
-with NaN numbers and its failure in the status column, and exits 3 if any
-point failed.
+spectrum holds fewer negative pairs than it counts), 4 oracle mismatch: an
+eigenvalue beyond tolerance, differing negative counts, or a solver
+eigenvalue the oracle did not find, among the pairs whose decay the
+oracle's cut resolves (oracle.ORACLE_KAPPA_MIN).  A sweep writes a row for
+every point, a failed one with NaN numbers and its failure in the status
+column, and exits 3 if any point failed.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .dimension import critical_exponent, generalized_dimension
 from .morse import (MorseReport, degeneracy_scan, morse_index,
                     symmetric_morse_index)
 from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
-                     dense_oracle_spectrum)
+                     ORACLE_KAPPA_MIN, dense_oracle_spectrum)
 from .radial import (IntegrationError, RadialProfile, linearized_potential,
                      solve_nodal_power, validate_profile)
 from .spectral import (N_CAP, EigenPair, SpectralConfig, SpectralError,
@@ -355,7 +355,6 @@ def _spectrum_doc(spec: Spectrum) -> dict:
                 "nodes": p.interior_nodes,
                 "theta_analytic": theta_analytic(p.value, spec.M)
                 if spec.kind == "singular" and p.value < 0 else None,
-                "uncertain": p.uncertain,
             }
             for p in spec.eigenpairs
         ],
@@ -364,8 +363,9 @@ def _spectrum_doc(spec: Spectrum) -> dict:
 
 
 def _read_spectrum(path) -> Spectrum:
-    """The spectrum _write_cache wrote to path: eigenvalues and flags, no
-    eigenfunction samples.  ValueError when the entry fails its digest."""
+    """The spectrum _write_cache wrote to path: eigenvalues, bars and node
+    counts, no eigenfunction samples.  ValueError when the entry fails its
+    digest."""
     with open(path) as fh:
         doc = json.load(fh)
     digest = doc.pop("digest", None) if isinstance(doc, dict) else None
@@ -375,7 +375,7 @@ def _read_spectrum(path) -> Spectrum:
         EigenPair(value=e["value"], error_bar=e["error_bar"],
                   grid=np.empty(0), samples=np.empty(0),
                   interior_nodes=e["nodes"],
-                  boundary_slope=math.nan, uncertain=e["uncertain"])
+                  boundary_slope=math.nan)
         for e in doc["eigenvalues"])
     thr = doc["threshold"]
     exh = doc["exhausted_below"]
@@ -534,10 +534,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
         WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential, kind="singular"),
         n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut)
     comparisons = []
-    unmatched = []      # certified solver pairs the oracle did not find
+    unmatched = []      # compared solver pairs the oracle did not find
     worst = 0.0
     for i, pair in enumerate(sing.eigenpairs):
-        if pair.uncertain:
+        if sing.threshold - pair.value < ORACLE_KAPPA_MIN ** 2:
             continue
         if i >= len(orc.eigenpairs):
             unmatched.append(i + 1)

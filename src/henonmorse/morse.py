@@ -109,8 +109,8 @@ def morse_index(spec: Spectrum, dmap: DimensionMap, *,
     whose J sits on an integer within COLLISION_TOL carry a flag (see module
     docstring).  Bounds and the closed-form large-exponent value are filled
     from the nodal-zone count m (default: the radial index itself).  A
-    spectrum holding fewer negative pairs than it counts, or a negative
-    pair flagged near-threshold, cannot be counted: SpectralError.
+    spectrum holding fewer negative pairs than it counts cannot be counted:
+    SpectralError.
     """
     if spec.kind != "singular":
         raise ValueError("morse_index consumes a singular-kind spectrum")
@@ -122,11 +122,6 @@ def morse_index(spec: Spectrum, dmap: DimensionMap, *,
             f"spectrum carries {len(neg)} negative pairs but counts "
             f"{spec.negative_count} negative eigenvalues; request "
             "k >= negative_count")
-    for p in neg:
-        if p.uncertain:
-            raise SpectralError(
-                f"eigenvalue {p.value:.6g} is flagged near-threshold; "
-                "refusing to count it")
     entries = tuple(_contribution(p.value, dmap) for p in neg)
     total = sum(e.contribution for e in entries)
     m_zones = m if m is not None else len(neg)

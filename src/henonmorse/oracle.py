@@ -50,6 +50,14 @@ EPSILON_CUT_MAX = 0.1      # epsilon_cut lies in (0, EPSILON_CUT_MAX)
 # r_i = eps + (1-eps) (i/n)^GRADING, eps defaulting to EPSILON_CUT
 GRADING = 4.0
 EPSILON_CUT = 1e-10
+# The oracle's limit: the slowest decay kappa = sqrt(threshold - nu), in
+# x = -ln r, that its cut at EPSILON_CUT (x = 23) resolves.  A pair that
+# decays slower keeps part of its mass past the cut, and the Dirichlet end
+# there moves its value (by 1e-2 relative at kappa = 0.057, nu_3 of
+# (N, alpha, p, m) = (3, 0, 3, 2)): the oracle is compared on no such pair.
+# ROADMAP item 23's shooting oracle, which carries the exact tail, removes
+# this limit.
+ORACLE_KAPPA_MIN = 0.2
 
 
 # scalars by reference, arrays by address (ndarray.ctypes.data): the

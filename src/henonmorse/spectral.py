@@ -11,40 +11,46 @@ c = (M-2)/2 turns the common form into int (u' + c u)^2 - e^(-2x) a u^2 dx
 against the mass e^(-2x) u^2 (standard) or u^2 (singular: -u'' + V u = nu u
 on a half-line, V(x) = c^2 - e^(-2x) a(e^(-x))).  Both reduce to symmetric
 tridiagonal matrices (kernels module), whose Sturm counts give the negative
-counts and zero bands: each solve asks for all of its counts on its fine
-grid in one kernel call.  Richardson bars come from a coarse/fine grid pair.
+counts and zero bands.  Richardson bars come from a coarse/fine grid pair.
 Eigenvectors come from inverse iteration, from a fixed start where no
-closer one is known.  A singular solve bisects one grid, the 1024-cell
-probe that picks X, to 1e-4 brackets finished by Rayleigh quotients; its
-vectors, interpolated, are the shifts (by their Rayleigh quotients) and the
-start vectors on the coarse grid, and the coarse vectors, prolongated, on
-the fine grid.  On each, a Sturm count and disjoint residual intervals
-certify the pairs.  The standard kind's graded matrix is bisected to
+closer one is known.  The standard kind's graded matrix is bisected to
 1e-300.
 
-A report solves both kinds for one potential, and they share its grids:
-each Liouville grid (x, V) a solve builds on its whole interval is kept in
-a small memo keyed by the problem (its a, M and kind) and (X, n), with
-read-only arrays, and the flat-potential X by the problem.  The standard
-kind solves on its singular twin, which compares equal to the singular
-problem, so it finds the flat X and the grid of that X already built: the
-singular kind's adaptive-X probe is read off that grid.  The memo is only
-sound because `a` must be a pure function of r (WeightedSLProblem).
+The singular kind cuts its half-line at X, past which V is the threshold
+c^2, and closes each grid there with the exact decaying tail: the last
+diagonal entry of its matrix T(sigma) depends on sigma
+(LiouvilleProblem.closed), its eigenpairs are the fixed points
+sigma = lambda_i(T(sigma)), and a count below s is taken on T(s), one
+kernel call per shift.  A singular solve bisects one grid, the 1024-cell
+probe, to 1e-4 brackets on T(threshold - MARGIN); its eigenvectors,
+interpolated, start the fixed points of the coarse grid, and the coarse
+vectors, prolongated, those of the fine grid.  On each, a Sturm count and
+disjoint residual intervals certify the pairs.
 
-A run sets the fine grid n, the interval length X and the Richardson
-tolerance (SpectralConfig).  The rest of the policy is fixed in module
-constants: the caps on n and X (N_CAP, X_MAX_CAP), the decay the adaptive X
-aims at and the one below which a pair is flagged uncertain (KAPPA_X_TARGET,
-CERTIFY_KAPPA_X), the band below the threshold that no reported eigenvalue
-enters (MARGIN), and the node, zero and simple-eigenvalue cuts (NODE_TOL,
-ZERO_CUT, EIG_TOL).  The dense oracle and the Morse report count with the
-same MARGIN, ZERO_CUT and NODE_TOL.
+A report solves both kinds for one potential on one X, and they share its
+grids: each Liouville grid (x, V) a solve builds on its whole interval is
+kept in a small memo keyed by the problem (its a, M and kind) and (X, n),
+with read-only arrays, and the flat-potential X by the problem.  The
+standard kind solves on its singular twin, which compares equal to the
+singular problem, so it finds the flat X and the grids of that X already
+built.  The memo is only sound because `a` must be a pure function of r
+(WeightedSLProblem).
+
+A run sets the fine grid n, the interval length X (by default where the
+potential is flat) and the Richardson tolerance (SpectralConfig).  The
+rest of the policy is fixed in module constants: the cap on n (N_CAP), the
+length past which no flat X is sought (X_MAX_CAP), the band below the
+threshold that no reported eigenvalue enters (MARGIN), and the node, zero
+and simple-eigenvalue cuts (NODE_TOL, ZERO_CUT, EIG_TOL).  The dense oracle
+and the Morse report count with the same MARGIN, ZERO_CUT and NODE_TOL.
 
 Normalization is an in-house composite Simpson rule on the uniform
-Liouville grid, so the module needs numpy and the LAPACK kernels only: the
-runtime imports numpy, scipy's top-level package, the two compiled LAPACK
-modules the kernels module loads from their files (not the scipy.linalg
-package) and the standard library, and no other part of scipy.
+Liouville grid for the standard kind, and the h-weighted sum over the
+half-line, tail included, for the singular kind, so the module needs numpy
+and the LAPACK kernels only: the runtime imports numpy, scipy's top-level
+package, the two compiled LAPACK modules the kernels module loads from
+their files (not the scipy.linalg package) and the standard library, and
+no other part of scipy.
 """
 
 from __future__ import annotations
@@ -62,13 +68,12 @@ from ._kernels import (BRACKET, SpectralError, bisect_eigenvalues,
                        sturm_count)
 
 N_CAP = 1 << 19          # largest fine grid, in cells
-X_MAX_CAP = 60.0         # largest Liouville interval length X
-KAPPA_X_TARGET = 30.0    # adaptive X aims at sqrt(threshold - nu) X >= this
-CERTIFY_KAPPA_X = 12.0   # below this a singular pair is flagged uncertain
+X_MAX_CAP = 60.0         # the flat-potential X is sought up to this
 MARGIN = 1e-6            # eigenvalues are reported below threshold - MARGIN
 NODE_TOL = 1e-8          # node-count cut, relative to max |u|
 ZERO_CUT = 1e-7          # |value| below this counts as zero
-EIG_TOL = 1e-13          # relative gap resolution of the bisection
+EIG_TOL = 1e-13          # relative gap resolution of the bisection, and,
+                         # times 4/h^2, the closure move a pair ends below
 PROBE_N = 2048           # cells of the grid whose minimum of V sets n
 
 
@@ -114,7 +119,7 @@ class SpectralConfig:
     constants (N_CAP, X_MAX_CAP, ...)."""
 
     n: int = 4096                 # fine grid (rounded up to even)
-    x_max: float | None = None    # None selects the adaptive policy
+    x_max: float | None = None    # None: where the potential is flat
     tol: float = 5e-4             # max relative Richardson error bar
 
 
@@ -126,7 +131,6 @@ class EigenPair:
     samples: np.ndarray           # psi(r), unit norm in the problem's weight
     interior_nodes: int
     boundary_slope: float         # psi'(1)
-    uncertain: bool = False
     x_grid: np.ndarray | None = None   # Liouville nodes, when applicable
     u_samples: np.ndarray | None = None
 
@@ -152,7 +156,9 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class LiouvilleProblem:
-    """Uniform discretization of the Liouville form on (0, X), u(0) = 0."""
+    """Uniform discretization of the Liouville form on (0, X), u(0) = 0.
+    The singular kind continues it past X, where V is the threshold c^2,
+    on the same step (tail, closed)."""
 
     x: np.ndarray          # all nodes 0..n
     V: np.ndarray          # potential at all nodes
@@ -160,9 +166,46 @@ class LiouvilleProblem:
     threshold: float
 
     def tridiagonal(self):
-        """(diag, off) over the interior nodes."""
+        """(diag, off) over the interior nodes, Dirichlet at X: read-only
+        arrays, built once per grid."""
+        return self._dirichlet
+
+    @functools.cached_property
+    def _dirichlet(self):
         d = 2.0 / self.h ** 2 + self.V[1:-1]
         e = np.full(len(d) - 1, -1.0 / self.h ** 2)
+        d.flags.writeable = e.flags.writeable = False
+        return d, e
+
+    def tail(self, sigma):
+        """(rho, mass) of the discrete tail past X at sigma < c^2,
+        elementwise.  On V = c^2 the decaying solution of the stencil is
+        u_j = rho^(j-n+1) u_(n-1) for j >= n-1, with rho + 1/rho = 2 + delta,
+        delta = h^2 (c^2 - sigma), taken without cancellation as
+        1 / (1 + delta/2 + sqrt(delta + delta^2/4)) < 1; mass is
+        rho^2 / (1 - rho^2), the tail's h-weighted sum of u^2 over
+        h u_(n-1)^2, and also the derivative of rho / h^2 in sigma."""
+        delta = self.h ** 2 * (self.threshold - sigma)
+        root = (delta * (1.0 + 0.25 * delta)) ** 0.5
+        rho = 1.0 / (1.0 + 0.5 * delta + root)
+        return rho, 0.5 * rho / root
+
+    def closed(self, sigma):
+        """(diag, off) of T(sigma): tridiagonal() with rho(sigma) / h^2 off
+        its last diagonal entry, which eliminates the tail exactly (Lentini
+        & Keller, SIAM J. Numer. Anal. 17, 1980).  An array sigma gives one
+        diagonal per entry, the columns of a column-major 2-D diag.
+
+        The tail block of the half-line matrix less sigma is positive
+        definite for sigma < c^2, and T(sigma) - sigma is its Schur
+        complement, so by Haynsworth's inertia additivity the Sturm count
+        of T(s) below s is the number of eigenvalues below s of the whole
+        half-line matrix: of the fixed points sigma = lambda_i(T(sigma))."""
+        d, e = self.tridiagonal()
+        if np.ndim(sigma):
+            d = np.broadcast_to(d[:, None], (len(d), len(sigma)))
+        d = np.array(d, order="F")
+        d[-1] -= self.tail(sigma)[0] / self.h ** 2
         return d, e
 
     def standard_tridiagonal(self):
@@ -201,38 +244,43 @@ class LiouvilleProblem:
                                 h=stride * self.h, threshold=self.threshold)
 
 
-def _prolongate(w):
-    """Columns of w, unknowns at the interior nodes of a grid, carried to the
-    grid of twice its cells: coarse node j is fine node 2j, and odd fine
-    nodes take the cubic stencil (-1, 9, 9, -1)/16, with w extended oddly
-    past both Dirichlet ends.  The result is column-major, as inverse
-    iteration takes its start vectors and rayleigh_quotients sums fastest."""
-    zero = np.zeros((1, w.shape[1]))
-    wp = np.concatenate((-w[:1], zero, w, zero, -w[-1:]))
+def _extended(w, ratio):
+    """Columns of w, unknowns at the interior nodes 1..n-1 of a closed grid,
+    with nodes -1 and 0 before them, odd about the Dirichlet end x = 0, and
+    nodes n and n+1 after them, on each column's tail of the given ratio
+    (LiouvilleProblem.tail)."""
+    return np.concatenate((-w[:1], np.zeros((1, w.shape[1])), w,
+                           ratio * w[-1:], ratio * ratio * w[-1:]))
+
+
+def _prolongate(w, ratio):
+    """Columns of w, unknowns at the interior nodes of a closed grid, carried
+    to the grid of twice its cells: coarse node j is fine node 2j, and odd
+    fine nodes take the cubic stencil (-1, 9, 9, -1)/16 on w _extended by
+    its tail ratios.  The result is column-major, as inverse iteration takes
+    its start vectors and rayleigh_quotients sums fastest."""
+    wp = _extended(w, ratio)
     u = np.empty((2 * len(w) + 1, w.shape[1]), order="F")
     u[::2] = (9.0 * (wp[1:-2] + wp[2:-1]) - (wp[:-3] + wp[3:])) / 16.0
     u[1::2] = w
     return u
 
 
-def _interpolate(w, h, x):
-    """Columns of w, unknowns at the interior nodes h, 2h, ... of a grid
-    with Dirichlet ends, at the ascending points x >= 0, by cubic Lagrange
-    interpolation in the four nodes about each point: w is extended oddly
-    past both ends, as _prolongate extends it, and is zero past the far
-    end.  Column-major, as _prolongate returns; the temporaries are single
+def _interpolate(w, ratio, h, x):
+    """Columns of w, unknowns at the interior nodes h, 2h, ... of a closed
+    grid, at the ascending points 0 <= x < X by cubic Lagrange interpolation
+    in the four nodes about each point, on w _extended by its tail ratios.
+    Column-major, as _prolongate returns; the temporaries are single
     columns."""
     pos = x / h
-    inside = int(np.searchsorted(pos, len(w) + 1))
-    j = pos[:inside].astype(np.intp)
-    t = pos[:inside] - j
+    j = pos.astype(np.intp)
+    t = pos - j
     weights = (-t * (t - 1) * (t - 2) / 6, (t + 1) * (t - 1) * (t - 2) / 2,
                -(t + 1) * t * (t - 2) / 2, (t + 1) * t * (t - 1) / 6)
     u = np.zeros((len(x), w.shape[1]), order="F")
-    for col, wc in zip(u.T, w.T):
-        wp = np.concatenate(([-wc[0], 0.0], wc, [0.0, -wc[-1]]))  # node -1 on
+    for col, wc in zip(u.T, _extended(w, ratio).T):   # node -1 on
         for o, c in enumerate(weights):
-            col[:inside] += c * wp[j + o]
+            col += c * wc[j + o]
     return u
 
 
@@ -242,9 +290,9 @@ def liouville_transform(prob: WeightedSLProblem, x_max: float,
 
     The transform u(x) = r^((M-2)/2) psi(r) maps the singular Rayleigh
     quotient isometrically onto the half-line form, with
-    V(x) = threshold - e^(-2x) a(e^(-x)); the artificial Dirichlet wall at
-    x_max is admissible because sub-threshold eigenfunctions decay like
-    exp(-sqrt(threshold - nu) x).
+    V(x) = threshold - e^(-2x) a(e^(-x)).  Where V has flattened to the
+    threshold by x_max, the singular solves close the grid there with the
+    exact discrete tail (LiouvilleProblem.closed).
     """
     if prob.kind != "singular":
         raise ValueError("liouville_transform applies to the singular kind")
@@ -263,12 +311,13 @@ def liouville_transform(prob: WeightedSLProblem, x_max: float,
     return LiouvilleProblem(x=x, V=V, h=h, threshold=prob.threshold)
 
 
-# three grids: the most a singular solve builds before the standard solve
-# of its report asks again for the first (_x_probe's)
-@functools.lru_cache(maxsize=3)
+# two grids: the most a singular solve builds (the configured n's, which its
+# probes are read off, and the fine one when _resolution raises n), which
+# the standard solve of its report asks for again
+@functools.lru_cache(maxsize=2)
 def _grid(prob: WeightedSLProblem, x_max: float, n: int) -> LiouvilleProblem:
     """liouville_transform(prob, x_max, n), built once while it is among the
-    last three grids asked for; its arrays are read-only."""
+    last two grids asked for; its arrays are read-only."""
     grid = liouville_transform(prob, x_max, n)
     grid.x.flags.writeable = grid.V.flags.writeable = False
     return grid
@@ -298,23 +347,20 @@ def _flat_x_max(prob: WeightedSLProblem) -> float:
 
 
 def _x_probe(prob: WeightedSLProblem, cfg: SpectralConfig, k: int):
-    """X, and the probe grid with its lowest min(k, count) eigenvectors.
+    """X, and the probe grid with the lowest min(k, count) eigenvectors of
+    its T(hi), hi = threshold - MARGIN.
 
-    The probe is the 1024-cell grid on X0 (cfg.x_max, else the flat X),
-    read off (_probe) the grid of the configured n on X0, which the standard
-    kind solves on.  Every eigenvalue below the margin is bracketed there
-    and finished by Rayleigh quotients.  The adaptive X is X0 or, if larger,
-    the X at which the top one reaches the target decay; a set cfg.x_max is
-    X itself."""
-    x0 = cfg.x_max if cfg.x_max is not None else _flat_x_max(prob)
-    probe = _probe(prob, x0, cfg.n + cfg.n % 2, 1024)
-    d, e = probe.tridiagonal()
-    vals, vecs = rayleigh_refine(d, e, bisect_eigenvalues(
-        d, e, below=prob.threshold - MARGIN, abstol=BRACKET))
-    x_max = x0
-    if cfg.x_max is None and len(vals):
-        kappa_min = math.sqrt(max(prob.threshold - vals[-1], 1e-30))
-        x_max = min(X_MAX_CAP, max(x0, KAPPA_X_TARGET / kappa_min))
+    X is cfg.x_max, else the flat X.  The probe is the 1024-cell grid on X,
+    read off (_probe) the grid of the configured n on X, which the standard
+    kind solves on.  Every eigenvalue of T(hi) below hi is bracketed there,
+    as many as there are fixed points below hi, and inverse iteration from
+    the fixed start finds their vectors."""
+    x_max = cfg.x_max if cfg.x_max is not None else _flat_x_max(prob)
+    probe = _probe(prob, x_max, cfg.n + cfg.n % 2, 1024)
+    hi = prob.threshold - MARGIN
+    d, e = probe.closed(hi)
+    vecs = rayleigh_refine(d, e, bisect_eigenvalues(
+        d, e, below=hi, abstol=BRACKET))[1]
     return x_max, probe, vecs[:, :k]
 
 
@@ -373,23 +419,21 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
                             ) -> Spectrum:
     """Up to k eigenvalues below threshold - MARGIN, with eigenfunctions.
 
-    Only the X probe (_x_probe) is bisected: every eigenvalue below the
-    margin is bracketed there to width 1e-4 and finished by the Rayleigh
-    quotients of its inverse-iteration vector.  The probe's vectors,
-    interpolated, seed the k lowest eigenpairs of the every-other-node
-    coarsening of the Liouville tridiagonal (_coarse_pairs), and the coarse
-    vectors, prolongated (_prolongate), those of the fine grid: inverse
-    iteration from each seed at its Rayleigh quotient, certified by
-    residual intervals and a Sturm count (_seeded_pairs).  On the fine grid
-    one call of Sturm counts gives the counts below the margin and below
-    -ZERO_CUT and ZERO_CUT (the negative count and the zero band).  The two
-    grids give Richardson-extrapolated values and error bars; disagreement
-    beyond cfg.tol, or more fine than coarse eigenvalues among the k
-    lowest, raises ResolutionError.  Two eigenvalues closer than 2e-4,
+    The half-line is cut at X (the flat X, or cfg.x_max) and closed there
+    by its exact tail: on each grid the eigenpairs are the fixed points
+    sigma = lambda_i(T(sigma)) of LiouvilleProblem.closed, and a count at
+    a shift s is taken on T(s).  Only the X probe (_x_probe) is bisected.
+    Its vectors, interpolated, start the k lowest pairs of the
+    every-other-node coarsening of the fine grid (_coarse_pairs), and the
+    coarse vectors, prolongated (_prolongate), those of the fine grid
+    (_fixed_pairs), certified by residual intervals and a count.
+    The fine grid counts below the margin and below -ZERO_CUT and ZERO_CUT
+    (the negative count and the zero band), one call of Sturm counts each.
+    The two grids give Richardson-extrapolated values and error bars;
+    disagreement beyond cfg.tol, or more fine than coarse eigenvalues among
+    the k lowest, raises ResolutionError.  Two eigenvalues closer than 2e-4,
     whose brackets overlap, or a pair the certificate rejects, raise
-    SpectralError.  Pairs whose decay rate cannot satisfy
-    sqrt(threshold - nu) * X >= CERTIFY_KAPPA_X within X_MAX_CAP are flagged
-    uncertain (truncation-limited accuracy near the threshold).
+    SpectralError.
     """
     if prob.kind != "singular":
         raise ValueError("solve_singular_spectrum needs the singular kind")
@@ -397,81 +441,155 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     hi = prob.threshold - MARGIN
     x_max, probe, probe_vecs = _x_probe(prob, cfg, k)
     g_f, n, capped = _fine_grid(prob, x_max, cfg)
-    vals_c, vecs_c = _coarse_pairs(g_f.coarsened(), probe, probe_vecs, k, hi)
-    d_f, e_f = g_f.tridiagonal()
-    count_f, zero_cut_count, zero_top = sturm_count(d_f, e_f,
-                                                    (hi, -ZERO_CUT, ZERO_CUT))
+    g_c = g_f.coarsened()
+    vals_c, vecs_c = _coarse_pairs(g_c, probe, probe_vecs, k)
+    def below(s):                       # fixed points below s, on T(s)
+        return sturm_count(*g_f.closed(s), [s])[0]
+
+    # no count past the margin, where the half-line's continuous spectrum
+    # begins (the threshold is 0 at M = 2), nor one that the counts on
+    # either side fix: the count rises with s
+    count_f = below(hi)
+    zero_cut_count = below(-ZERO_CUT) if -ZERO_CUT < hi else count_f
+    zero_top = (below(ZERO_CUT) if ZERO_CUT < hi and zero_cut_count < count_f
+                else count_f)
     n_found = min(k, count_f)
     if n_found > len(vals_c):
         raise ResolutionError(
             f"grid too coarse: {n_found} singular eigenvalues below the "
             f"margin on the fine grid against {len(vals_c)} on the coarse "
             f"one (n={n}, x_max={x_max:.3g})")
-    # the next eigenvalue bounds what was left out
-    exhausted = (float(bisect_eigenvalues(d_f, e_f, n_found + 1,
+    # the next eigenvalue of T(hi) bounds what was left out from below
+    exhausted = (float(bisect_eigenvalues(*g_f.closed(hi), n_found + 1,
                                           n_found + 1)[0])
                  if count_f > n_found else hi)
-    vals_f, vecs, residuals = _seeded_pairs(
-        d_f, e_f, _prolongate(vecs_c[:, :n_found]), exhausted)
+    vals_f, vecs, residuals = _fixed_pairs(g_f, _prolongate(
+        vecs_c[:, :n_found], g_c.tail(vals_c[:n_found])[0]), exhausted)
     values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
 
     zero_band = zero_top - zero_cut_count
     meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
             "resolution_capped": bool(capped),
             "zero_band_count": int(zero_band),
-            "eigvec_rel_residual": relative_residual(d_f, e_f, vecs,
-                                                     residuals)}
+            "eigvec_rel_residual": relative_residual(*g_f.tridiagonal(),
+                                                     vecs, residuals)}
     return Spectrum(kind="singular", M=prob.M, threshold=prob.threshold,
-                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs),
+                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs,
+                                           g_f.tail(vals_f)),
                     exhausted_below=exhausted,
                     negative_count=int(zero_cut_count), meta=meta)
 
 
 def _coarse_pairs(grid: LiouvilleProblem, probe: LiouvilleProblem,
-                  probe_vecs, k: int, hi: float):
-    """The lowest min(k, count) eigenpairs of the coarse grid, count being
-    its number of eigenvalues below hi (one Sturm count): values and unit
-    vectors, one per column.
+                  probe_vecs, k: int):
+    """The lowest min(k, count) fixed-point pairs of the coarse grid, count
+    being its number of them below hi = threshold - MARGIN (one Sturm count
+    on T(hi)): values and unit vectors, one per column.
 
-    The probe's eigenvectors (columns of probe_vecs, ascending), carried
-    onto the grid's nodes (_interpolate), seed the lowest ones
-    (_seeded_pairs), certified below hi when they are all of them and else
-    below the next eigenvalue, bisected by its index.  Those the probe
-    leaves out (its wall X0 can lie short of X, and its cells are coarser)
-    are bisected by index and finished by their Rayleigh quotients."""
-    d, e = grid.tridiagonal()
+    The probe's eigenvectors of its T(hi) (columns of probe_vecs,
+    ascending), carried onto the grid's nodes (_interpolate) with the tail
+    of T(hi), start the lowest ones.  Those the probe leaves out (its cells
+    are coarser) are bisected on T(hi) by index and start from their
+    inverse-iteration vectors.  All are certified below hi when they are
+    all of them, else below the next eigenvalue of T(hi), bisected by its
+    index."""
+    hi = grid.threshold - MARGIN
+    d, e = grid.closed(hi)
     count = sturm_count(d, e, [hi])[0]
     want = min(k, count)
     s = min(probe_vecs.shape[1], want)
-    seeds = _interpolate(probe_vecs[:, :s], probe.h, grid.x[1:-1])
-    bound, missing = hi, np.empty(0)
+    ratio = probe.tail(hi)[0]
+    if len(grid.x) == 2 * len(probe.x) - 1:     # the probe is its coarsening
+        starts = _prolongate(probe_vecs[:, :s], ratio)
+    else:
+        starts = _interpolate(probe_vecs[:, :s], ratio, probe.h,
+                              grid.x[1:-1])
+    bound = hi
     if want and count > s:
-        after = bisect_eigenvalues(d, e, s + 1, max(want, s + 1))
-        bound, missing = float(after[0]), after[:want - s]
-    vals, vecs, _ = _seeded_pairs(d, e, seeds, bound)
-    if len(missing):
-        more_vals, more_vecs = rayleigh_refine(d, e, missing)
-        vals, vecs = np.append(vals, more_vals), np.hstack((vecs, more_vecs))
-    return vals, vecs
+        after = bisect_eigenvalues(d, e, s + 1, want + (count > want))
+        if want > s:
+            starts = np.hstack((starts,
+                                rayleigh_refine(d, e, after[:want - s])[1]))
+        if count > want:
+            bound = float(after[-1])
+    return _fixed_pairs(grid, starts, bound)[:2]
 
 
-def _seeded_pairs(d, e, seeds, bound):
-    """Eigenpairs of tridiag(d, e) from one seed vector per eigenvalue
-    (columns of seeds, ascending), interpolated from another grid's
-    eigenvectors: inverse iteration from the seeds at their Rayleigh
-    quotients, checked as rayleigh_refine checks bisected brackets, and
-    finished by Rayleigh quotients.  A seed from an under-resolved grid can
-    miss its eigenvalue by more than BRACKET; one more round then starts
-    from the vectors it reached, at their quotients.
+def _fixed_point(grid: LiouvilleProblem, q, w):
+    """For each entry, the sigma <= hi = threshold - MARGIN at which
+    q - w rho(sigma) / h^2 equals sigma, or hi if it lies above hi: the
+    fixed point of the Rayleigh quotient on T(sigma) of a vector whose
+    quotient on grid.tridiagonal() is q, the share of its last entry in its
+    squared norm being w.
 
-    Each residual interval [rho - r, rho + r] holds an eigenvalue; when they
-    are disjoint and all lie below `bound`, which is the threshold margin
-    when the Sturm count there equals their number and else the next
-    eigenvalue, they hold the lowest ones, one each.  Otherwise
-    SpectralError."""
-    shifts = rayleigh_quotients(d, e, seeds)
-    vals, vecs = rayleigh_refine(d, e, shifts, starts=seeds)
-    residuals = residual_norms(d, e, vecs, vals)
+    F(sigma) = q - w rho / h^2 - sigma falls with slope -(1 + w mass)
+    (LiouvilleProblem.tail) and is concave, so Newton's method from
+    min(q, hi), where F <= 0 unless the root lies above hi, descends onto
+    the root; it ends where no step descends.  A fast-decaying pair, whose
+    w / h^2 (more than w rho / h^2, as rho < 1) is lost in q's rounding,
+    takes no step."""
+    hi, h2 = grid.threshold - MARGIN, grid.h ** 2
+    points = []
+    for q_i, w_i in zip(q.tolist(), w.tolist()):
+        sigma = min(q_i, hi)
+        if q_i - w_i / h2 != q_i:
+            while True:
+                rho, mass = grid.tail(sigma)
+                step = (q_i - w_i * rho / h2 - sigma) / (1.0 + w_i * mass)
+                if not sigma + step < sigma:
+                    break
+                sigma += step
+        points.append(sigma)
+    return np.array(points)
+
+
+def _fixed_pairs(grid: LiouvilleProblem, starts, bound):
+    """Fixed-point pairs sigma = lambda_i(T(sigma)) of the closed grid from
+    one start vector each (columns of starts, ascending): the values, the
+    unit vectors and their residual norms on T(value), certified below
+    `bound`.
+
+    A vector's value is its fixed point (_fixed_point).  A round runs
+    inverse iteration on T(value) at the value from the vector, checked as
+    rayleigh_refine checks its brackets, and the new vector's fixed point
+    is the new value.  A start from another grid can miss its value by
+    more than BRACKET; rayleigh_refine then takes one more round on the
+    same matrix.  The new vector, an eigenvector of T(shift), has on
+    T(value) a residual of at most its own and |rho(value) - rho(shift)| /
+    h^2 |u_(n-1)|: the closure moved.  A pair takes rounds while that move
+    exceeds EIG_TOL 4 / h^2 (the scale of ||T||) and the last round lowered
+    it: one from a fast-decaying start, a few from a slowly decaying
+    eigenvector of another closure, as the probe's of T(hi).
+
+    The interval [v - r, v + r] about a value v, r its vector's residual on
+    T(v), holds an eigenvalue of T(v), so f_i(v) = lambda_i(T(v)) - v lies
+    in [-r, r] for some i.  T(sigma) falls as sigma rises, so f_i falls
+    with slope <= -1, and its root, a fixed point, lies within r of v.
+    When the intervals are disjoint and all lie below `bound`, which is the
+    threshold margin when the count there equals their number and else the
+    next eigenvalue of T(hi), at most the next fixed point, they hold the
+    lowest fixed points, one each.  Otherwise SpectralError."""
+    d, e = grid.tridiagonal()
+    vals = _fixed_point(grid, rayleigh_quotients(d, e, starts),
+                        starts[-1] ** 2 / np.sum(starts * starts, axis=0))
+    vecs = np.array(starts, order="F")
+    moved = np.full(len(vals), np.inf)
+    todo = np.arange(len(vals))
+    while len(todo):
+        d_s = grid.closed(vals[todo])[0]
+        corner = d[-1] - d_s[-1]
+        quotients, v = rayleigh_refine(d_s, e, vals[todo],
+                                       starts=vecs[:, todo])
+        w = v[-1] ** 2
+        new = _fixed_point(grid, quotients + w * corner, w)
+        step = np.abs((grid.tail(new)[0] / grid.h ** 2 - corner) * v[-1])
+        better = step < moved[todo]
+        todo, step = todo[better], step[better]
+        vals[todo], vecs[:, todo] = new[better], v[:, better]
+        moved[todo] = step
+        todo = todo[step > EIG_TOL * 4.0 / grid.h ** 2]
+
+    residuals = residual_norms(grid.closed(vals)[0], e, vecs, vals)
     lower, upper = vals - residuals, vals + residuals
     bad = ~np.append(upper[:-1] < lower[1:], upper[-1:] < bound)
     if np.any(bad):
@@ -552,36 +670,39 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
 
 
 def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
-                bars, vecs) -> tuple:
+                bars, vecs, tail=None) -> tuple:
     """EigenPairs from the unknowns, node 1 on, in the columns of vecs: u
-    positive next to r=1 and normalized in the kind's mass, psi = e^(cx) u;
-    singular pairs get their uncertain flags.  All pairs share one r grid
-    and one x grid.
+    positive next to r=1 and normalized in the kind's mass, psi = e^(cx) u.
+    A singular pair's (rho, mass) `tail` (LiouvilleProblem.tail, one entry
+    per pair) gives u at X, rho u_(n-1), and the mass past X: its norm is
+    the h-weighted sum of u^2 over the half-line.  All pairs share one r
+    grid and one x grid.
 
     Nodes are counted on u, not psi: the two share their sign pattern, but
     u stays bounded while psi may grow toward the origin for eigenvalues
     above 0, which would starve a node cut relative to the maximum."""
-    singular = prob.kind == "singular"
     x, h = grid.x, grid.h
     r_desc = np.exp(-x)
     r_grid = r_desc[::-1].copy()
-    weight = 1.0 if singular else r_desc * r_desc
     a_half = (prob.M - 2.0) / 2.0
     growth = np.exp(a_half * x)
     # u'(0) one-sided to second order: np.gradient's edge_order=2 weights
     w0, w1, w2 = -1.5 / h, 2.0 / h, -0.5 / h
     pairs = []
     for i in range(len(values)):
+        # the sign is set before the zero ends are placed: no -0 in them
+        v = vecs[:, i] if vecs[0, i] >= 0 else -vecs[:, i]
         u = np.zeros(len(x))
-        u[1:1 + len(vecs)] = vecs[:, i]
-        if u[1] < 0:
-            u = -u
-        u = u / math.sqrt(_simpson(weight * u * u, h))
+        u[1:1 + len(v)] = v
+        if tail is None:
+            u = u / math.sqrt(_simpson(r_desc * r_desc * u * u, h))
+        else:
+            rho, mass = tail[0][i], tail[1][i]
+            u[-1] = rho * v[-1]
+            u = u / math.sqrt(h * (np.dot(v, v) + mass * v[-1] ** 2))
         psi = u * growth
         # psi'(1) = -(c u + u') at x = 0
         slope = -(a_half * u[0] + (w0 * u[0] + w1 * u[1] + w2 * u[2]))
-        kappa = math.sqrt(max(prob.threshold - values[i], 0.0))
-        uncertain = singular and kappa * x[-1] < CERTIFY_KAPPA_X
         inner = u[1:-1]
         nodes = count_sign_changes(inner,
                                    NODE_TOL * float(np.max(np.abs(inner))))
@@ -589,7 +710,6 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
             value=float(values[i]), error_bar=float(bars[i]),
             grid=r_grid, samples=psi[::-1].copy(),
             interior_nodes=nodes, boundary_slope=float(slope),
-            uncertain=bool(uncertain),
             x_grid=x, u_samples=u))
     return tuple(pairs)
 

@@ -12,7 +12,7 @@ from diagnostics import (fit_decay_exponent, henon_profile, picone_residual,
 from henonmorse.dimension import generalized_dimension
 from henonmorse.morse import (asymptotic_prediction, lower_bound,
                               morse_index)
-from henonmorse.oracle import dense_oracle_spectrum
+from henonmorse.oracle import ORACLE_KAPPA_MIN, dense_oracle_spectrum
 from henonmorse.radial import (auxiliary_z, linearized_potential,
                                solve_nodal_power)
 from henonmorse.spectral import (SpectralConfig, WeightedSLProblem,
@@ -104,10 +104,11 @@ def test_criterion_05_oracle_equivalence(matrix_data):
         prob = WeightedSLProblem(M=entry["dmap"].M, a=entry["potential"],
                                  kind="singular")
         orc = dense_oracle_spectrum(prob, n=2400)
-        certified = [pr for pr in entry["singular"].eigenpairs
-                     if not pr.uncertain]
-        assert len(certified) >= 2
-        for i, pr in enumerate(certified):
+        # the pairs whose decay the oracle's cut resolves
+        compared = [pr for pr in entry["singular"].eigenpairs
+                    if prob.threshold - pr.value >= ORACLE_KAPPA_MIN ** 2]
+        assert len(compared) >= 2
+        for i, pr in enumerate(compared):
             assert i < len(orc.eigenpairs)
             rel = abs(pr.value - orc.values[i]) / abs(orc.values[i])
             worst = max(worst, rel)

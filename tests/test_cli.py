@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from henonmorse import cli, oracle
+from henonmorse import cli, oracle, spectral
 from henonmorse.cli import RunConfig, main
 from henonmorse.spectral import SpectralError, theta_analytic
 
@@ -528,7 +528,6 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path):
         ("singular", _set("M", value=True)),
         ("singular", _set("exhausted_below", value=0)),
         ("singular", _set("eigenvalues", 1, "nodes", value=1.0)),
-        ("singular", _set("eigenvalues", 2, "uncertain", value=1)),
         ("singular", _set("eigenvalues", value={})),
         ("singular", _set("meta", "zero_band_count", value="0")),
         ("singular", _set("meta", "stale", value=0)),
@@ -589,6 +588,27 @@ def test_oracle_command(tmp_path):
     assert len(doc["comparisons"]) == 2
     assert doc["negative_count"] == {"solver": 2, "oracle": 2}
     assert doc["unmatched"] == []
+
+
+def test_oracle_compares_the_pairs_its_cut_resolves(tmp_path):
+    # at the reference point nu_3 = 0.2468 decays at kappa = 0.057 in
+    # x = -ln r, slower than the oracle's cut resolves: nu_1 and nu_2 are
+    # compared, and agree
+    out = tmp_path / "reference"
+    assert run(["oracle"] + REFERENCE + ["--out", out]) == 0
+    doc = json.loads((out / "oracle.json").read_text())
+    assert [c["index"] for c in doc["comparisons"]] == [1, 2]
+    assert doc["unmatched"] == []
+    # at the desk point nu_3 = 0.0091 decays at kappa = 0.49: it is
+    # compared, and the oracle's own grid error there exceeds the tolerance
+    out = tmp_path / "desk"
+    assert run(["oracle", "--N", 3, "--alpha", 0, "--p", 4.9, "--m", 2,
+                "--out", out]) == 4
+    doc = json.loads((out / "oracle.json").read_text())
+    third = doc["comparisons"][2]
+    assert third["index"] == 3
+    assert third["rel_diff"] == pytest.approx(6.7e-3, rel=0.05)
+    assert doc["worst_rel_diff"] == third["rel_diff"]
 
 
 def test_oracle_missing_a_certified_eigenvalue_exits_4(tmp_path):
@@ -843,8 +863,7 @@ def test_cold_morse_solves_the_profile_once_per_run(tmp_path, monkeypatch):
             (tmp_path / "b" / name).read_bytes()
 
 
-def test_a_spectrum_morse_cannot_count_exits_3(tmp_path, monkeypatch,
-                                              capsys):
+def test_a_spectrum_morse_cannot_count_exits_3(tmp_path, capsys):
     # k = 1 holds one of the two negative pairs; no report is written
     out = tmp_path / "k1"
     assert run(["morse"] + REFERENCE + ["--k", 1, "--out", out]) == 3
@@ -857,20 +876,6 @@ def test_a_spectrum_morse_cannot_count_exits_3(tmp_path, monkeypatch,
     for row in _failed_rows(out):
         assert row.startswith("nan,nan,nan,nan,nan,solver failure: ")
         assert "request k >= negative_count" in row
-    # a near-threshold pair is refused the same way
-    real = cli.solve_singular_spectrum
-
-    def flagged(prob, k, cfg):
-        spec = real(prob, k, cfg)
-        pair = dataclasses.replace(spec.eigenpairs[0], uncertain=True)
-        return dataclasses.replace(
-            spec, eigenpairs=(pair,) + spec.eigenpairs[1:])
-
-    monkeypatch.setattr(cli, "solve_singular_spectrum", flagged)
-    out = tmp_path / "flagged"
-    assert run(["morse"] + REFERENCE + ["--out", out]) == 3
-    assert "near-threshold" in capsys.readouterr().err
-    assert not list(out.glob("morse.*"))
 
 
 def test_morse_refuses_differing_negative_counts(tmp_path, monkeypatch,
@@ -968,6 +973,26 @@ def test_spectrum_after_morse_publishes_the_eigenfunction(tmp_path):
     assert run(["spectrum"] + REFERENCE + ["--out", out]) == 0
     name = "eigenfunction_1.csv"
     assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_eigenfunction_file_ignores_the_sign_of_the_solver_vectors(
+        tmp_path, monkeypatch):
+    # the sign is set before the zero end r = 1 is placed, so it prints 0,
+    # never -0, whichever sign inverse iteration returns
+    args = ["spectrum", "--N", 2, "--alpha", 1, "--p", 3, "--m", 2]
+    assert run(args + ["--out", tmp_path / "a"]) == 0
+    real = spectral._eigenpairs
+
+    def negated(prob, grid, values, bars, vecs, tail=None):
+        return real(prob, grid, values, bars, -vecs, tail)
+
+    monkeypatch.setattr(spectral, "_eigenpairs", negated)
+    assert run(args + ["--out", tmp_path / "b"]) == 0
+    name = "eigenfunction_1.csv"
+    first = (tmp_path / "a" / name).read_bytes()
+    assert first == (tmp_path / "b" / name).read_bytes()
+    assert first.endswith(b"\r\n1,0\r\n")
+    assert b"-0\r\n" not in first
 
 
 def test_spectrum_recomputes_an_entry_of_the_previous_revision(

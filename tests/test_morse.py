@@ -112,16 +112,6 @@ def test_morse_index_integer_collision_flagged():
     assert rep.total == 1
 
 
-def test_morse_index_refuses_uncertain_pairs():
-    import dataclasses
-    dm = generalized_dimension(3, 0.0)
-    spec = synthetic_spectrum([-1.0], 3.0)
-    flagged = dataclasses.replace(spec.eigenpairs[0], uncertain=True)
-    bad = dataclasses.replace(spec, eigenpairs=(flagged,))
-    with pytest.raises(SpectralError, match="near-threshold"):
-        morse_index(bad, dm)
-
-
 def test_two_threshold_formulas_agree_at_alpha_zero():
     # the general J formula collapses onto the untransformed one at alpha=0
     rng = np.random.default_rng(2)
