@@ -7,19 +7,19 @@ Eigenvalues come from LAPACK bisection (``dstebz``) and eigenvectors from
 inverse iteration: solves on the pivoted LU factorization of T - sigma
 (dgttrf, dgttrs) from a start vector.  All take one unsplit block with a
 finite squared off-diagonal, as the solvers build, and refuse any other
-matrix.  Inverse iteration, Rayleigh quotients and residuals also take one
-diagonal per vector, as the singular kind's matrices T(sigma) differ in
-their last diagonal entry.  A singular solve bisects only its X probe, to
-a bracket of width BRACKET; inverse iteration from a fixed start finds the
-probe's vectors.  The rest is seeded, not bracketed: the vectors of the
-grid before, carried onto the next one's nodes, are both the shifts (their
-Rayleigh quotients) and the start vectors.  Each pair is certified by its
-residual interval [rho - r, rho + r], with r = ||T v - rho v|| for a unit
-v, which holds an eigenvalue (Parlett, The Symmetric Eigenvalue Problem,
-ch. 4), together with one Sturm count.  The standard kind keeps ABSTOL:
-its mass e^(-2x) grades its matrix to ||T|| = 5e25 (N=3, p=3), and at
-p=4.9 the Rayleigh quotient of its lowest eigenvalue, -4.4e11, misses the
-bisected value by 0.1.
+matrix.  Inverse iteration, Rayleigh quotients and residuals also take a
+corner per vector, taken off the last diagonal entry, as the singular
+kind's matrices T(sigma) differ only there.  A singular solve bisects only
+its X probe, to a bracket of width BRACKET; inverse iteration from a fixed
+start finds the probe's vectors.  The rest is seeded, not bracketed: the
+vectors of the grid before, carried onto the next one's nodes, are both
+the shifts (their Rayleigh quotients) and the start vectors.  Each pair is
+certified by its residual interval [rho - r, rho + r], with
+r = ||T v - rho v|| for a unit v, which holds an eigenvalue (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4), together with one Sturm count.  The
+standard kind keeps ABSTOL: its mass e^(-2x) grades its matrix to
+||T|| = 5e25 (N=3, p=3), and at p=4.9 the Rayleigh quotient of its lowest
+eigenvalue, -4.4e11, misses the bisected value by 0.1.
 
 The LAPACK routines come from scipy's compiled modules, loaded from their
 files by lapack_module without running the scipy.linalg package __init__,
@@ -213,11 +213,12 @@ def bisect_eigenvalues(diag, off, k_first=None, k_last=None, *, below=None,
     return w[:m]
 
 
-def inverse_iteration(diag, off, values, starts=None):
+def inverse_iteration(diag, off, values, starts=None, corners=0.0):
     """Unit eigenvectors of the unsplit tridiag(diag, off), one column per
     value of the ascending `values` (eigenvalues from bisect_eigenvalues or
-    shifts near them), in a column-major array.  A 2-D `diag` holds one
-    diagonal per value, in its columns.
+    shifts near them), in a column-major array.  Each value's matrix has
+    its corner (`corners`, one per value or one for all) taken off its last
+    diagonal entry.
 
     Each solve of T - sigma on its pivoted LU factorization (dgttrf,
     dgttrs), normalized after, shrinks the other eigencomponents of the
@@ -233,13 +234,15 @@ def inverse_iteration(diag, off, values, starts=None):
         ramp = np.linspace(1.0, 2.0, n)[:, None]
         starts, solves = np.broadcast_to(ramp, (n, len(values))), 3
     vecs = np.empty((n, len(values)), order="F")
-    for j, sigma in enumerate(values):
-        d = diag[:, j] if diag.ndim == 2 else diag
-        *lu, info = dgttrf(off, d - sigma, off)
+    corners = np.broadcast_to(corners, np.shape(values))
+    for j, (sigma, corner) in enumerate(zip(values, corners)):
+        shifted = diag - sigma
+        shifted[-1] -= corner
+        *lu, info = dgttrf(off, shifted, off)
         if info > 0:
             # sigma is an eigenvalue to the last bit: an exact zero pivot.
             # Shift off it by a few ulp of ||T||, as dlagtf perturbs a pivot
-            *lu, info = dgttrf(off, d - (sigma + 4.0 * ULP * _norm1(d, off)),
+            *lu, info = dgttrf(off, shifted - 4.0 * ULP * _norm1(diag, off),
                                off)
         _check_info("dgttrf", info)
         x = starts[:, j:j + 1]
@@ -251,30 +254,28 @@ def inverse_iteration(diag, off, values, starts=None):
     return vecs
 
 
-def rayleigh_quotients(diag, off, vecs):
+def rayleigh_quotients(diag, off, vecs, corners=0.0):
     """v'Tv / v'v of each column v of vecs, as row sums times v^2 minus
     off-diagonal times squared differences: no cancelling terms of the size
-    of the diagonal.  A 2-D `diag` holds each column's own diagonal."""
-    pad = np.zeros(len(diag))
-    pad[:-1] = off
-    pad[1:] += off
+    of the diagonal.  Each column's T has its corner taken off its last
+    diagonal entry."""
+    rows = diag.copy()
+    rows[:-1] += off
+    rows[1:] += off
     sq = vecs * vecs
     dv = np.diff(vecs, axis=0)
-    if diag.ndim == 2:
-        on_rows = np.einsum("ij,ij->j", diag + pad[:, None], sq)
-    else:
-        on_rows = (diag + pad) @ sq
-    return (on_rows - off @ (dv * dv)) / np.sum(sq, axis=0)
+    return ((rows @ sq - corners * sq[-1] - off @ (dv * dv))
+            / np.sum(sq, axis=0))
 
 
-def rayleigh_refine(diag, off, values, starts=None):
+def rayleigh_refine(diag, off, values, starts=None, corners=0.0):
     """Eigenpairs of tridiag(diag, off) from the ascending `values` (from
     bisect_eigenvalues, to within BRACKET or finer, or estimated shifts),
     and optionally one start vector per value.
 
     Returns the Rayleigh quotient of each inverse_iteration vector (from
-    `starts` or the fixed start) and the unit vectors, one per column; a
-    2-D `diag` holds each value's own diagonal, in its columns.
+    `starts` or the fixed start) and the unit vectors, one per column; each
+    value's matrix has its corner taken off its last diagonal entry.
     Each quotient must lie within BRACKET of its value, and consecutive
     values must be more than 2 * BRACKET apart, so no two brackets can hold
     the same eigenvalue; otherwise SpectralError names the pair.  With
@@ -288,8 +289,8 @@ def rayleigh_refine(diag, off, values, starts=None):
                 raise SpectralError(
                     f"eigenvalues {a:.12g}, {b:.12g}: brackets of "
                     f"half-width {BRACKET:g} overlap")
-        vecs = inverse_iteration(diag, off, values, starts)
-        rho = rayleigh_quotients(diag, off, vecs)
+        vecs = inverse_iteration(diag, off, values, starts, corners)
+        rho = rayleigh_quotients(diag, off, vecs, corners)
         miss = ~(np.abs(rho - values) <= BRACKET)
         if not np.any(miss):
             return rho, vecs
@@ -301,10 +302,11 @@ def rayleigh_refine(diag, off, values, starts=None):
         values, starts = rho, vecs
 
 
-def residual_norms(diag, off, vecs, values):
-    """||T v - lambda v||_2 of each column v of vecs; a 2-D `diag` holds
-    each column's own diagonal."""
-    t = (diag if diag.ndim == 2 else diag[:, None]) * vecs
+def residual_norms(diag, off, vecs, values, corners=0.0):
+    """||T v - lambda v||_2 of each column v of vecs, each column's T with
+    its corner taken off its last diagonal entry."""
+    t = diag[:, None] * vecs
+    t[-1] -= corners * vecs[-1]
     t[:-1] += off[:, None] * vecs[1:]
     t[1:] += off[:, None] * vecs[:-1]
     return np.linalg.norm(t - values * vecs, axis=0)

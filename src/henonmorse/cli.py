@@ -39,7 +39,7 @@ sweep point whose singular negative count differs from m, or whose singular
 spectrum holds fewer negative pairs than it counts), 4 oracle mismatch: an
 eigenvalue beyond tolerance, differing negative counts, or a solver
 eigenvalue the oracle did not find, among the pairs whose decay the
-oracle's cut resolves (oracle.ORACLE_KAPPA_MIN).  A sweep writes a row for
+oracle's cut resolves (oracle.resolves).  A sweep writes a row for
 every point, a failed one with NaN numbers and its failure in the status
 column, and exits 3 if any point failed.
 """
@@ -65,7 +65,7 @@ from .dimension import critical_exponent, generalized_dimension
 from .morse import (MorseReport, degeneracy_scan, morse_index,
                     symmetric_morse_index)
 from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
-                     ORACLE_KAPPA_MIN, dense_oracle_spectrum)
+                     dense_oracle_spectrum, resolves)
 from .radial import (IntegrationError, RadialProfile, linearized_potential,
                      solve_nodal_power, validate_profile)
 from .spectral import (N_CAP, EigenPair, SpectralConfig, SpectralError,
@@ -537,7 +537,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     unmatched = []      # compared solver pairs the oracle did not find
     worst = 0.0
     for i, pair in enumerate(sing.eigenpairs):
-        if sing.threshold - pair.value < ORACLE_KAPPA_MIN ** 2:
+        if not resolves(sing.threshold, pair.value):
             continue
         if i >= len(orc.eigenpairs):
             unmatched.append(i + 1)

@@ -60,6 +60,12 @@ EPSILON_CUT = 1e-10
 ORACLE_KAPPA_MIN = 0.2
 
 
+def resolves(threshold: float, value: float) -> bool:
+    """Whether the eigenvalue `value` below `threshold` decays at least as
+    fast as ORACLE_KAPPA_MIN: whether the oracle is compared on it."""
+    return threshold - value >= ORACLE_KAPPA_MIN ** 2
+
+
 # scalars by reference, arrays by address (ndarray.ctypes.data): the
 # pointer objects of ndarray.ctypes.data_as form reference cycles, garbage
 # that outlives the call until the cyclic GC runs

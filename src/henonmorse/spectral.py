@@ -190,11 +190,15 @@ class LiouvilleProblem:
         rho = 1.0 / (1.0 + 0.5 * delta + root)
         return rho, 0.5 * rho / root
 
-    def closed(self, sigma):
-        """(diag, off) of T(sigma): tridiagonal() with rho(sigma) / h^2 off
+    def corner(self, sigma):
+        """rho(sigma) / h^2, elementwise: what T(sigma) takes off the last
+        diagonal entry of tridiagonal() (closed)."""
+        return self.tail(sigma)[0] / self.h ** 2
+
+    def closed(self, sigma: float):
+        """(diag, off) of T(sigma): tridiagonal() with its corner(sigma) off
         its last diagonal entry, which eliminates the tail exactly (Lentini
-        & Keller, SIAM J. Numer. Anal. 17, 1980).  An array sigma gives one
-        diagonal per entry, the columns of a column-major 2-D diag.
+        & Keller, SIAM J. Numer. Anal. 17, 1980).
 
         The tail block of the half-line matrix less sigma is positive
         definite for sigma < c^2, and T(sigma) - sigma is its Schur
@@ -202,10 +206,8 @@ class LiouvilleProblem:
         of T(s) below s is the number of eigenvalues below s of the whole
         half-line matrix: of the fixed points sigma = lambda_i(T(sigma))."""
         d, e = self.tridiagonal()
-        if np.ndim(sigma):
-            d = np.broadcast_to(d[:, None], (len(d), len(sigma)))
-        d = np.array(d, order="F")
-        d[-1] -= self.tail(sigma)[0] / self.h ** 2
+        d = d.copy()
+        d[-1] -= self.corner(sigma)
         return d, e
 
     def standard_tridiagonal(self):
@@ -498,12 +500,8 @@ def _coarse_pairs(grid: LiouvilleProblem, probe: LiouvilleProblem,
     count = sturm_count(d, e, [hi])[0]
     want = min(k, count)
     s = min(probe_vecs.shape[1], want)
-    ratio = probe.tail(hi)[0]
-    if len(grid.x) == 2 * len(probe.x) - 1:     # the probe is its coarsening
-        starts = _prolongate(probe_vecs[:, :s], ratio)
-    else:
-        starts = _interpolate(probe_vecs[:, :s], ratio, probe.h,
-                              grid.x[1:-1])
+    starts = _interpolate(probe_vecs[:, :s], probe.tail(hi)[0], probe.h,
+                          grid.x[1:-1])
     bound = hi
     if want and count > s:
         after = bisect_eigenvalues(d, e, s + 1, want + (count > want))
@@ -576,20 +574,19 @@ def _fixed_pairs(grid: LiouvilleProblem, starts, bound):
     moved = np.full(len(vals), np.inf)
     todo = np.arange(len(vals))
     while len(todo):
-        d_s = grid.closed(vals[todo])[0]
-        corner = d[-1] - d_s[-1]
-        quotients, v = rayleigh_refine(d_s, e, vals[todo],
-                                       starts=vecs[:, todo])
+        corner = grid.corner(vals[todo])
+        quotients, v = rayleigh_refine(d, e, vals[todo], starts=vecs[:, todo],
+                                       corners=corner)
         w = v[-1] ** 2
         new = _fixed_point(grid, quotients + w * corner, w)
-        step = np.abs((grid.tail(new)[0] / grid.h ** 2 - corner) * v[-1])
+        step = np.abs((grid.corner(new) - corner) * v[-1])
         better = step < moved[todo]
         todo, step = todo[better], step[better]
         vals[todo], vecs[:, todo] = new[better], v[:, better]
         moved[todo] = step
         todo = todo[step > EIG_TOL * 4.0 / grid.h ** 2]
 
-    residuals = residual_norms(grid.closed(vals)[0], e, vecs, vals)
+    residuals = residual_norms(d, e, vecs, vals, grid.corner(vals))
     lower, upper = vals - residuals, vals + residuals
     bad = ~np.append(upper[:-1] < lower[1:], upper[-1:] < bound)
     if np.any(bad):

@@ -12,7 +12,7 @@ from diagnostics import (fit_decay_exponent, henon_profile, picone_residual,
 from henonmorse.dimension import generalized_dimension
 from henonmorse.morse import (asymptotic_prediction, lower_bound,
                               morse_index)
-from henonmorse.oracle import ORACLE_KAPPA_MIN, dense_oracle_spectrum
+from henonmorse.oracle import dense_oracle_spectrum, resolves
 from henonmorse.radial import (auxiliary_z, linearized_potential,
                                solve_nodal_power)
 from henonmorse.spectral import (SpectralConfig, WeightedSLProblem,
@@ -106,7 +106,7 @@ def test_criterion_05_oracle_equivalence(matrix_data):
         orc = dense_oracle_spectrum(prob, n=2400)
         # the pairs whose decay the oracle's cut resolves
         compared = [pr for pr in entry["singular"].eigenpairs
-                    if prob.threshold - pr.value >= ORACLE_KAPPA_MIN ** 2]
+                    if resolves(prob.threshold, pr.value)]
         assert len(compared) >= 2
         for i, pr in enumerate(compared):
             assert i < len(orc.eigenpairs)

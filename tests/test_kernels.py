@@ -350,8 +350,8 @@ def test_a_seed_that_misses_its_shift_takes_a_second_round(monkeypatch):
     shifts = exact + 3 * K.BRACKET
     calls, real = [], K.inverse_iteration
 
-    def recorded(diag, off, values, starts=None):
-        vecs = real(diag, off, values, starts)
+    def recorded(diag, off, values, starts=None, corners=0.0):
+        vecs = real(diag, off, values, starts, corners)
         calls.append((values, starts, vecs))
         return vecs
 

@@ -756,8 +756,8 @@ def test_a_shift_missed_in_both_rounds_is_refused(lane_emden_case,
     real = _kernels.rayleigh_quotients
     drift = itertools.count(1)
 
-    def drifting(d, e, vecs):
-        q = real(d, e, vecs)
+    def drifting(d, e, vecs, corners=0.0):
+        q = real(d, e, vecs, corners)
         if len(d) == rows:
             q[0] += 3 * BRACKET * next(drift)
         return q
@@ -778,8 +778,8 @@ def test_residual_intervals_that_meet_are_refused(lane_emden_case,
     rows = spec.meta["n"] - 1
     real = spectral.residual_norms
 
-    def wide(d, e, vecs, values):
-        return real(d, e, vecs, values) + widen * (len(d) == rows)
+    def wide(d, e, vecs, values, corners=0.0):
+        return real(d, e, vecs, values, corners) + widen * (len(d) == rows)
 
     monkeypatch.setattr(spectral, "residual_norms", wide)
     with pytest.raises(SpectralError, match="not certified"):
