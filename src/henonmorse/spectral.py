@@ -74,7 +74,6 @@ NODE_TOL = 1e-8          # node-count cut, relative to max |u|
 ZERO_CUT = 1e-7          # |value| below this counts as zero
 EIG_TOL = 1e-13          # relative gap resolution of the bisection, and,
                          # times 4/h^2, the closure move a pair ends below
-PROBE_N = 2048           # cells of the grid whose minimum of V sets n
 
 
 class ResolutionError(SpectralError):
@@ -313,30 +312,28 @@ def liouville_transform(prob: WeightedSLProblem, x_max: float,
     return LiouvilleProblem(x=x, V=V, h=h, threshold=prob.threshold)
 
 
-# two grids: the most a singular solve builds (the configured n's, which its
-# probes are read off, and the fine one when _resolution raises n), which
-# the standard solve of its report asks for again
-@functools.lru_cache(maxsize=2)
-def _grid(prob: WeightedSLProblem, x_max: float, n: int) -> LiouvilleProblem:
-    """liouville_transform(prob, x_max, n), built once while it is among the
-    last two grids asked for; its arrays are read-only."""
-    grid = liouville_transform(prob, x_max, n)
+@functools.lru_cache(maxsize=1)
+def _report_grid(M: float, a: Callable, x_max: float | None, n: int):
+    """The fine Liouville grid both kinds of the problem (M, a) solve on,
+    with read-only arrays, and whether its n hit the cap.
+
+    X is x_max, else the flat X.  The grid of n cells on X (n rounded up to
+    even) is kept unless _resolution, on its own min(V), doubles n; then
+    only the fine grid is built again.  The last grid asked for is kept,
+    keyed by (M, a, x_max, n), so the second kind of a report finds the
+    first one's built: sound only because `a` must be a pure function of r
+    (WeightedSLProblem)."""
+    prob = WeightedSLProblem(M=M, a=a, kind="singular")
+    if x_max is None:
+        x_max = _flat_x_max(prob)
+    grid = liouville_transform(prob, x_max, n + n % 2)
+    n, capped = _resolution(n, x_max, float(np.min(grid.V)), prob.threshold)
+    if n != len(grid.x) - 1:
+        grid = liouville_transform(prob, x_max, n)
     grid.x.flags.writeable = grid.V.flags.writeable = False
-    return grid
+    return grid, capped
 
 
-def _probe(prob: WeightedSLProblem, x_max: float, n: int, cells: int):
-    """The grid of `cells` cells on (0, x_max).  When n is `cells` times a
-    power of two it is every (n / cells)-th node of the memoized grid of n
-    cells, bitwise (LiouvilleProblem.coarsened), and the solve that needs
-    that grid next finds it built."""
-    stride, rest = divmod(n, cells)
-    if stride and not rest and not stride & (stride - 1):
-        return _grid(prob, x_max, n).coarsened(stride)
-    return liouville_transform(prob, x_max, cells)
-
-
-@functools.lru_cache(maxsize=2)
 def _flat_x_max(prob: WeightedSLProblem) -> float:
     """X past which the singular-kind potential V is flat: 8 beyond the last
     x where e^(-2x) |a| exceeds 1e-10 max(1, threshold), in [20, X_MAX_CAP]."""
@@ -348,22 +345,25 @@ def _flat_x_max(prob: WeightedSLProblem) -> float:
     return min(X_MAX_CAP, max(20.0, x_flat + 8.0))
 
 
-def _x_probe(prob: WeightedSLProblem, cfg: SpectralConfig, k: int):
-    """X, and the probe grid with the lowest min(k, count) eigenvectors of
-    its T(hi), hi = threshold - MARGIN.
+def _x_probe(grid: LiouvilleProblem, k: int):
+    """The probe on the fine grid's X, and the lowest min(k, count)
+    eigenvectors of its T(hi), hi = threshold - MARGIN.
 
-    X is cfg.x_max, else the flat X.  The probe is the 1024-cell grid on X,
-    read off (_probe) the grid of the configured n on X, which the standard
-    kind solves on.  Every eigenvalue of T(hi) below hi is bracketed there,
-    as many as there are fixed points below hi, and inverse iteration from
-    the fixed start finds their vectors."""
-    x_max = cfg.x_max if cfg.x_max is not None else _flat_x_max(prob)
-    probe = _probe(prob, x_max, cfg.n + cfg.n % 2, 1024)
-    hi = prob.threshold - MARGIN
+    The probe is grid.coarsened(s), s the largest power of two, at least 2,
+    that divides n and leaves at least 1024 cells: the 1024-cell grid at
+    n = 4096, the coarse grid itself at n = 3000.  Every eigenvalue of
+    T(hi) below hi is bracketed there, as many as there are fixed points
+    below hi, and inverse iteration from the fixed start finds their
+    vectors."""
+    n, s = len(grid.x) - 1, 2
+    while not n % (2 * s) and n // (2 * s) >= 1024:
+        s *= 2
+    probe = grid.coarsened(s)
+    hi = grid.threshold - MARGIN
     d, e = probe.closed(hi)
     vecs = rayleigh_refine(d, e, bisect_eigenvalues(
         d, e, below=hi, abstol=BRACKET))[1]
-    return x_max, probe, vecs[:, :k]
+    return probe, vecs[:, :k]
 
 
 def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float):
@@ -375,16 +375,6 @@ def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float):
     while n < min(n_req, N_CAP):
         n *= 2
     return min(n, N_CAP), n_req > N_CAP
-
-
-def _fine_grid(prob: WeightedSLProblem, x_max: float, cfg: SpectralConfig):
-    """The fine Liouville grid of singular-kind `prob`, its n (_resolution
-    on a PROBE_N-cell probe of V, read off the grid of the configured n
-    when _probe can) and whether n hit the cap."""
-    n_cfg = cfg.n + cfg.n % 2
-    v_min = float(np.min(_probe(prob, x_max, n_cfg, PROBE_N).V))
-    n, capped = _resolution(cfg.n, x_max, v_min, prob.threshold)
-    return _grid(prob, x_max, n), n, capped
 
 
 def _richardson(vals_f, vals_c, cfg: SpectralConfig, grid: LiouvilleProblem,
@@ -441,8 +431,9 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
         raise ValueError("solve_singular_spectrum needs the singular kind")
     k = max(k, 0)
     hi = prob.threshold - MARGIN
-    x_max, probe, probe_vecs = _x_probe(prob, cfg, k)
-    g_f, n, capped = _fine_grid(prob, x_max, cfg)
+    g_f, capped = _report_grid(prob.M, prob.a, cfg.x_max, cfg.n)
+    n, x_max = len(g_f.x) - 1, g_f.x[-1]
+    probe, probe_vecs = _x_probe(g_f, k)
     g_c = g_f.coarsened()
     vals_c, vecs_c = _coarse_pairs(g_c, probe, probe_vecs, k)
     def below(s):                       # fixed points below s, on T(s)
@@ -616,9 +607,8 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
     """
     if prob.kind != "standard":
         raise ValueError("solve_standard_spectrum needs the standard kind")
-    twin = WeightedSLProblem(M=prob.M, a=prob.a, kind="singular")
-    x_max = cfg.x_max if cfg.x_max is not None else _flat_x_max(twin)
-    g_f, _, capped = _fine_grid(twin, x_max, cfg)
+    g_f, capped = _report_grid(prob.M, prob.a, cfg.x_max, cfg.n)
+    x_max = g_f.x[-1]
     d_f, e_f, s_f = g_f.standard_tridiagonal()
     values = bars = vecs = np.empty(0)
     rel_residual = 0.0
@@ -646,7 +636,8 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
                     raise
                 # the old fine grid is bitwise the new one's coarsening
                 vals_c = eig_f
-                g_f = liouville_transform(twin, x_max, 2 * len(d_f))
+                g_f = liouville_transform(WeightedSLProblem(
+                    M=prob.M, a=prob.a, kind="singular"), x_max, 2 * len(d_f))
                 d_f, e_f, s_f = g_f.standard_tridiagonal()
         vecs = inverse_iteration(d_f, e_f, eig_f)
         rel_residual = relative_residual(

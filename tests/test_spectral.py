@@ -597,8 +597,9 @@ def test_seeded_coarse_pairs_are_the_bisected_ones(point):
     prob = singular_problem(*point)
     cfg = SpectralConfig()
     hi = prob.threshold - spectral.MARGIN
-    x_max, probe, probe_vecs = spectral._x_probe(prob, cfg, 6)
-    coarse = spectral._fine_grid(prob, x_max, cfg)[0].coarsened()
+    grid = spectral._report_grid(prob.M, prob.a, cfg.x_max, cfg.n)[0]
+    probe, probe_vecs = spectral._x_probe(grid, 6)
+    coarse = grid.coarsened()
     vals, vecs = spectral._coarse_pairs(coarse, probe, probe_vecs, 6)
     d, e = coarse.closed(hi)
     ref_vals, ref_vecs, _ = spectral._fixed_pairs(coarse, rayleigh_refine(
@@ -617,9 +618,9 @@ def test_coarse_pairs_the_probe_leaves_out_are_bisected(lane_emden_case,
     _, prob, spec = lane_emden_case
     real = spectral._x_probe
 
-    def short(prob, cfg, k):
-        x_max, probe, vecs = real(prob, cfg, k)
-        return x_max, probe, vecs[:, :kept]
+    def short(grid, k):
+        probe, vecs = real(grid, k)
+        return probe, vecs[:, :kept]
 
     monkeypatch.setattr(spectral, "_x_probe", short)
     calls = collections.Counter()
@@ -634,22 +635,28 @@ def test_coarse_pairs_the_probe_leaves_out_are_bisected(lane_emden_case,
 
 
 def test_a_set_x_max_is_probed_on_that_x(lane_emden_case, monkeypatch):
-    # with X given, the probe is the 1024-cell grid on X, and the solve is
-    # the default one's when X is the flat X
-    _, prob, spec = lane_emden_case
-    x_max = spec.meta["x_max"]
-    sizes = []
+    # with X given, the probe is read off the grid of n cells on X (the
+    # 1024-cell grid at n = 4096, the 1500-cell coarse grid at n = 3000),
+    # and the solve is the one on the flat X when X is the flat X
+    _, prob, _ = lane_emden_case
     real = spectral.bisect_eigenvalues
+    for n, probe_rows in ((4096, 1023), (3000, 1499)):
+        flat = solve_singular_spectrum(prob, 3, SpectralConfig(n=n))
+        x_max = flat.meta["x_max"]
+        sizes = []
 
-    def recorded(d, e, *args, **kwargs):
-        sizes.append(len(d))
-        return real(d, e, *args, **kwargs)
+        def recorded(d, e, *args, **kwargs):
+            sizes.append(len(d))
+            return real(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "bisect_eigenvalues", recorded)
-    given = solve_singular_spectrum(prob, 3, SpectralConfig(x_max=x_max))
-    assert sizes == [1023]
-    assert given.meta["x_max"] == x_max and given.meta["n"] == spec.meta["n"]
-    np.testing.assert_allclose(given.values, spec.values, rtol=1e-13)
+        monkeypatch.setattr(spectral, "bisect_eigenvalues", recorded)
+        given = solve_singular_spectrum(prob, 3,
+                                        SpectralConfig(n=n, x_max=x_max))
+        monkeypatch.setattr(spectral, "bisect_eigenvalues", real)
+        assert sizes == [probe_rows]
+        assert given.meta["x_max"] == x_max
+        assert given.meta["n"] == flat.meta["n"] == n
+        np.testing.assert_allclose(given.values, flat.values, rtol=1e-13)
 
 
 def test_a_standard_count_evaluates_the_potential_twice(lane_emden_case):
@@ -668,54 +675,61 @@ def test_a_standard_count_evaluates_the_potential_twice(lane_emden_case):
     assert sizes[1:] == [4097] and len(sizes) == 2
 
 
-@pytest.mark.parametrize("m, builds", [(2, 2), (1, 2)])
-def test_a_report_builds_each_grid_once(m, builds):
+@pytest.mark.parametrize("m, cfg, sizes", [
+    pytest.param(2, SpectralConfig(), [4097, 4097], id="2-2"),
+    pytest.param(1, SpectralConfig(), [4097, 4097], id="1-2"),
+    pytest.param(2, SpectralConfig(n=3000), [4097, 3001], id="2-3000"),
+    pytest.param(2, SpectralConfig(n=128, tol=1e-2), [4097, 129, 257],
+                 id="2-128")])
+def test_a_report_builds_each_grid_once(m, cfg, sizes):
     # a singular solve and then a standard one, as a report makes them,
-    # evaluate the potential on the flat-X probe and on the grid of n cells
-    # on the flat X, which both kinds solve on
+    # evaluate the potential on the flat-X scan and on the grid of n cells
+    # on the flat X, which both kinds solve on, and again on the fine grid
+    # only where the resolution rule doubles n (128 -> 256 here); the
+    # probe and the coarse grid are read off the fine grid
     prof = solve_nodal_power(3.0, 3.0, m)
     potential = linearized_potential(prof)
-    sizes = []
+    evaluated = []
 
     def a(r):
-        sizes.append(np.size(r))
+        evaluated.append(np.size(r))
         return potential(r)
 
     kinds = ((solve_singular_spectrum, "singular", m + 2),
              (solve_standard_spectrum, "standard", 0))
-    shared = [solve(WeightedSLProblem(M=3.0, a=a, kind=kind), k)
+    shared = [solve(WeightedSLProblem(M=3.0, a=a, kind=kind), k, cfg)
               for solve, kind, k in kinds]
-    assert sizes == [4097] * builds
+    assert evaluated == sizes
     assert shared[0].meta["x_max"] == shared[1].meta["x_max"]
+    assert shared[0].meta["n"] == shared[1].meta["n"] == sizes[-1] - 1
     # the same spectra, bitwise, from solves that share nothing
-    spectral._grid.cache_clear()
-    spectral._flat_x_max.cache_clear()
-    alone = [solve(WeightedSLProblem(M=3.0, a=linearized_potential(prof),
-                                     kind=kind), k)
-             for solve, kind, k in kinds]
+    alone = []
+    for solve, kind, k in kinds:
+        spectral._report_grid.cache_clear()
+        alone.append(solve(WeightedSLProblem(
+            M=3.0, a=linearized_potential(prof), kind=kind), k, cfg))
     assert pickle.dumps(shared) == pickle.dumps(alone)
 
 
 def test_memoized_grids_are_read_only(lane_emden_case):
     _, prob, spec = lane_emden_case
-    grid = spectral._grid(prob, spec.meta["x_max"], spec.meta["n"])
+    grid = spectral._report_grid(prob.M, prob.a, None, spec.meta["n"])[0]
     for values in (grid.x, grid.V, spec.eigenpairs[0].x_grid):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 1.0
 
 
-@pytest.mark.parametrize("n", [3000, 4096, 8192])
-def test_fine_grid_n_is_set_by_a_2048_cell_probe(lane_emden_case, n):
+@pytest.mark.parametrize("n", [128, 256, 3000, 4096, 8192])
+def test_fine_grid_n_is_the_resolution_of_the_configured_grid(
+        lane_emden_case, n):
+    # n is _resolution on the min(V) of the configured grid on X itself,
+    # the one grid built unless n doubles (as at n = 128 and 256)
     _, prob, _ = lane_emden_case
-    spec = solve_singular_spectrum(prob, 1, SpectralConfig(n=n))
+    spec = solve_singular_spectrum(prob, 1, SpectralConfig(n=n, tol=1e-2))
     x_max = spec.meta["x_max"]
-    probe = liouville_transform(prob, x_max, spectral.PROBE_N)
+    grid = liouville_transform(prob, x_max, n)
     assert spec.meta["n"] == spectral._resolution(
-        n, x_max, float(np.min(probe.V)), prob.threshold)[0]
-    if n % spectral.PROBE_N == 0:
-        # the probe read off the fine grid is bitwise the probe grid
-        fine = liouville_transform(prob, x_max, n)
-        assert np.array_equal(fine.V[::n // spectral.PROBE_N], probe.V)
+        n, x_max, float(np.min(grid.V)), prob.threshold)[0]
 
 
 def test_more_fine_than_coarse_eigenvalues_is_a_resolution_error(
