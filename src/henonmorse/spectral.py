@@ -21,19 +21,18 @@ c^2, and closes each grid there with the exact decaying tail: the last
 diagonal entry of its matrix T(sigma) depends on sigma
 (LiouvilleProblem.closed), its eigenpairs are the fixed points
 sigma = lambda_i(T(sigma)), and a count below s is taken on T(s), one
-kernel call per shift.  A singular solve bisects one grid, the 1024-cell
-probe, to 1e-4 brackets on T(threshold - MARGIN); its eigenvectors,
-interpolated, start the fixed points of the coarse grid, and the coarse
-vectors, prolongated, those of the fine grid.  On each, a Sturm count and
-disjoint residual intervals certify the pairs.
+kernel call per shift.  A singular solve bisects one grid, the probe (the
+1024-cell coarsening of the fine grid at the default n), to 1e-4 brackets
+on T(threshold - MARGIN); its eigenvectors, prolongated, start the fixed
+points of the coarse grid, and the coarse vectors, prolongated once more,
+those of the fine grid.  On each, a Sturm count and disjoint residual
+intervals certify the pairs.
 
-A report solves both kinds for one potential on one X, and they share its
-grids: each Liouville grid (x, V) a solve builds on its whole interval is
-kept in a small memo keyed by the problem (its a, M and kind) and (X, n),
-with read-only arrays, and the flat-potential X by the problem.  The
-standard kind solves on its singular twin, which compares equal to the
-singular problem, so it finds the flat X and the grids of that X already
-built.  The memo is only sound because `a` must be a pure function of r
+A report solves both kinds for one potential on one X and one fine grid:
+the last fine grid built (x, V, read-only) is kept, keyed by M, a and the
+configured X and n (_report_grid), so the second kind of a report finds it
+built, and the probe and the coarse grid are every few nodes of it.  The
+memo is only sound because `a` must be a pure function of r
 (WeightedSLProblem).
 
 A run sets the fine grid n, the interval length X (by default where the
@@ -87,8 +86,8 @@ class WeightedSLProblem:
     and the eigenvalue-weight kind ("standard" or "singular").
 
     `a` must be a pure function of r, elementwise on arrays: the solvers
-    keep the grids they build from it for the next solve of an equal
-    problem, which holds the same `a` object."""
+    keep the last grid they build from it for the next solve with the same
+    M and `a` object, of either kind."""
 
     M: float
     a: Callable
@@ -267,24 +266,6 @@ def _prolongate(w, ratio):
     return u
 
 
-def _interpolate(w, ratio, h, x):
-    """Columns of w, unknowns at the interior nodes h, 2h, ... of a closed
-    grid, at the ascending points 0 <= x < X by cubic Lagrange interpolation
-    in the four nodes about each point, on w _extended by its tail ratios.
-    Column-major, as _prolongate returns; the temporaries are single
-    columns."""
-    pos = x / h
-    j = pos.astype(np.intp)
-    t = pos - j
-    weights = (-t * (t - 1) * (t - 2) / 6, (t + 1) * (t - 1) * (t - 2) / 2,
-               -(t + 1) * t * (t - 2) / 2, (t + 1) * t * (t - 1) / 6)
-    u = np.zeros((len(x), w.shape[1]), order="F")
-    for col, wc in zip(u.T, _extended(w, ratio).T):   # node -1 on
-        for o, c in enumerate(weights):
-            col += c * wc[j + o]
-    return u
-
-
 def liouville_transform(prob: WeightedSLProblem, x_max: float,
                         n: int = SpectralConfig.n) -> LiouvilleProblem:
     """Discretize the singular problem in x = -ln r.
@@ -318,11 +299,11 @@ def _report_grid(M: float, a: Callable, x_max: float | None, n: int):
     with read-only arrays, and whether its n hit the cap.
 
     X is x_max, else the flat X.  The grid of n cells on X (n rounded up to
-    even) is kept unless _resolution, on its own min(V), doubles n; then
-    only the fine grid is built again.  The last grid asked for is kept,
-    keyed by (M, a, x_max, n), so the second kind of a report finds the
-    first one's built: sound only because `a` must be a pure function of r
-    (WeightedSLProblem)."""
+    even) is the fine grid unless _resolution, on that grid's own min(V),
+    raises n; only then is a second grid, of that n, built.  The last fine
+    grid is kept, keyed by (M, a, x_max, n), so the second kind of a
+    report finds the first one's built: sound only because `a` must be a
+    pure function of r (WeightedSLProblem)."""
     prob = WeightedSLProblem(M=M, a=a, kind="singular")
     if x_max is None:
         x_max = _flat_x_max(prob)
@@ -414,11 +395,12 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     The half-line is cut at X (the flat X, or cfg.x_max) and closed there
     by its exact tail: on each grid the eigenpairs are the fixed points
     sigma = lambda_i(T(sigma)) of LiouvilleProblem.closed, and a count at
-    a shift s is taken on T(s).  Only the X probe (_x_probe) is bisected.
-    Its vectors, interpolated, start the k lowest pairs of the
-    every-other-node coarsening of the fine grid (_coarse_pairs), and the
-    coarse vectors, prolongated (_prolongate), those of the fine grid
-    (_fixed_pairs), certified by residual intervals and a count.
+    a shift s is taken on T(s).  Only the probe (_x_probe), a coarsening of
+    the fine grid (_report_grid), is bisected.  Its vectors, prolongated,
+    start the k lowest pairs of the every-other-node coarsening of the fine
+    grid (_coarse_pairs), and the coarse vectors, prolongated (_prolongate),
+    those of the fine grid (_fixed_pairs), certified by residual intervals
+    and a count.
     The fine grid counts below the margin and below -ZERO_CUT and ZERO_CUT
     (the negative count and the zero band), one call of Sturm counts each.
     The two grids give Richardson-extrapolated values and error bars;
@@ -479,10 +461,11 @@ def _coarse_pairs(grid: LiouvilleProblem, probe: LiouvilleProblem,
     being its number of them below hi = threshold - MARGIN (one Sturm count
     on T(hi)): values and unit vectors, one per column.
 
-    The probe's eigenvectors of its T(hi) (columns of probe_vecs,
-    ascending), carried onto the grid's nodes (_interpolate) with the tail
-    of T(hi), start the lowest ones.  Those the probe leaves out (its cells
-    are coarser) are bisected on T(hi) by index and start from their
+    The probe, a power-of-two coarsening of the grid, passes its
+    eigenvectors of its T(hi) (columns of probe_vecs, ascending) down one
+    level at a time (_prolongate), each level extending them by its own
+    tail ratio at hi, to start the lowest ones.  Those the probe leaves out
+    (its cells are coarser) are bisected on T(hi) by index and start from their
     inverse-iteration vectors.  All are certified below hi when they are
     all of them, else below the next eigenvalue of T(hi), bisected by its
     index."""
@@ -491,8 +474,11 @@ def _coarse_pairs(grid: LiouvilleProblem, probe: LiouvilleProblem,
     count = sturm_count(d, e, [hi])[0]
     want = min(k, count)
     s = min(probe_vecs.shape[1], want)
-    starts = _interpolate(probe_vecs[:, :s], probe.tail(hi)[0], probe.h,
-                          grid.x[1:-1])
+    starts = probe_vecs[:, :s]
+    stride = (len(grid.x) - 1) // (len(probe.x) - 1)
+    while stride > 1:
+        starts = _prolongate(starts, grid.coarsened(stride).tail(hi)[0])
+        stride //= 2
     bound = hi
     if want and count > s:
         after = bisect_eigenvalues(d, e, s + 1, want + (count > want))
@@ -597,9 +583,9 @@ def solve_standard_spectrum(prob: WeightedSLProblem, k: int,
 
     X is where the potential has flattened (cfg.x_max when set), n that of
     the singular kind, and h is halved, up to N_CAP, while a Richardson
-    bar exceeds cfg.tol.  The flat X and the first grid are those of the
-    singular twin, the memoized ones when a singular solve of the same
-    problem has just built them.  By Sylvester's law of inertia the
+    bar exceeds cfg.tol.  The first grid is the singular kind's fine grid
+    (_report_grid), built already when a singular solve of the same M and
+    a has just asked for it.  By Sylvester's law of inertia the
     negative count and zero band (all that k = 0 takes, one call of Sturm
     counts on the last grid) are those of the form alone.  A grid whose
     scaled off-diagonal squares past the float range is refused

@@ -398,55 +398,41 @@ def test_pairs_of_one_spectrum_share_their_grids(lane_emden_case):
 # ---------------------------------------------------------------------------
 
 def test_prolongation_is_fourth_order_and_exact_on_cubics():
-    def error(cells):
+    # once, as the coarse vectors go to the fine grid, and twice, as the
+    # 1024-cell probe's go to the coarse grid at n = 8192, each time with
+    # the tail ratio of the grid the vectors are on
+    def error(cells, times):
         xc = np.linspace(0.0, 1.0, cells + 1)
-        xf = np.linspace(0.0, 1.0, 2 * cells + 1)[1:-1]
+        xf = np.linspace(0.0, 1.0, (cells << times) + 1)[1:-1]
         # sin(pi x) is odd about x = 0, as the reflection assumes, and
         # exp(-3x) goes on past x = 1 by the ratio of its tail
-        w = np.column_stack((np.sin(np.pi * xc[1:-1]),
+        u = np.column_stack((np.sin(np.pi * xc[1:-1]),
                              np.exp(-3.0 * xc[1:-1])))
-        u = spectral._prolongate(w, np.array([0.0, math.exp(-3.0 / cells)]))
+        for level in range(times):
+            u = spectral._prolongate(u, np.array(
+                [0.0, math.exp(-3.0 / (cells << level))]))
         near, far = xf <= 0.5, xf >= 0.5
         return max(np.max(np.abs(u[near, 0] - np.sin(np.pi * xf[near]))),
                    np.max(np.abs(u[far, 1] - np.exp(-3.0 * xf[far]))))
 
-    assert error(32) < error(16) / 12
-    # away from the ends the stencil reproduces a cubic
+    for times in (1, 2):
+        assert error(32, times) < error(16, times) / 12
+    # away from the ends the stencil reproduces a cubic, also chained
     xc, xf = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 33)
+    xff = np.linspace(0.0, 1.0, 65)
 
     def cubic(x):
         return 1 + x - 3 * x ** 2 + 2 * x ** 3
 
-    u = spectral._prolongate(cubic(xc[1:-1])[:, None], np.ones(1))[:, 0]
-    np.testing.assert_allclose(u[3:-3], cubic(xf[4:-4]), rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(u[1::2], cubic(xc[1:-1]))
-
-
-def test_interpolation_is_exact_on_cubics_and_follows_the_tail():
-    # unknowns at the nodes h .. 15h of a grid on (0, 1), carried to the
-    # points of a finer grid, as the probe's onto the coarse grid
-    h = 1.0 / 16
-
-    def cubic(x):
-        return 1 + x - 3 * x ** 2 + 2 * x ** 3
-
-    nodes = h * np.arange(1, 16)
-    x = np.linspace(0.0, 1.0, 97)[1:-1]
-    ratio = np.array([1.0, 1.0, math.exp(-h)])
-    u = spectral._interpolate(np.column_stack((cubic(nodes), -nodes,
-                                               np.exp(-nodes))), ratio, h, x)
-    assert u.flags.f_contiguous and u.shape == (len(x), 3)
-    # cells whose four nodes are all interior reproduce a cubic
-    mid = (x >= 2 * h) & (x < 14 * h)
-    np.testing.assert_allclose(u[mid, 0], cubic(x[mid]), rtol=0, atol=1e-14)
-    # the odd extension past 0 keeps an odd function exact there
-    near = x < 14 * h
-    np.testing.assert_allclose(u[near, 1], -x[near], rtol=0, atol=1e-15)
-    # past X = 1 the nodes go on by the tail's ratio: an exponential that
-    # decays by it is interpolated to fourth order up to X
-    far = x >= 14 * h
-    np.testing.assert_allclose(u[far, 2], np.exp(-x[far]), rtol=2e-6)
-    assert np.max(np.abs(u[far, 2] / np.exp(-x[far]) - 1)) > 1e-8
+    u = spectral._prolongate(cubic(xc[1:-1])[:, None], np.ones(1))
+    np.testing.assert_allclose(u[3:-3, 0], cubic(xf[4:-4]), rtol=0,
+                               atol=1e-14)
+    np.testing.assert_array_equal(u[1::2, 0], cubic(xc[1:-1]))
+    uu = spectral._prolongate(u, np.ones(1))[:, 0]
+    assert uu.shape == (63,)
+    np.testing.assert_allclose(uu[9:-9], cubic(xff[10:-10]), rtol=0,
+                               atol=1e-14)
+    np.testing.assert_array_equal(uu[1::2], u[:, 0])
 
 
 def _fixed_points_by_counts(grid, count):
