@@ -11,8 +11,8 @@ oracle's; the other solver settings are module constants, not config
 fields.
 Every subcommand builds its results through a Pipeline, which solves the
 profile at most once per run and hands every solve of the run one potential
-object, so the second spectrum finds the Liouville grids the first one
-built in the spectral module's grid memo (keyed by that object).  Spectra
+object, so the second spectrum finds the Liouville grid the first one built
+still kept by the spectral module (keyed by that object).  Spectra
 are cached under <out>/cache, one entry per kind and number of values held,
 keyed by a hash of exactly the fields that feed a spectrum, so spectra
 survive report-level changes, and of the code that solves them
@@ -258,8 +258,8 @@ class Pipeline:
     @functools.cached_property
     def potential(self):
         """The one potential callable of this configuration: every solve of
-        the run passes this object, so the spectral module's grid memo
-        serves the second kind the grids the first one built."""
+        the run passes this object, so the spectral module serves the
+        second kind the Liouville grid the first one built."""
         if self.cfg.a_zero:
             return zero_potential
         return linearized_potential(self.profile)
