@@ -465,8 +465,8 @@ def _coarse_pairs(grid: LiouvilleProblem, probe: LiouvilleProblem,
     eigenvectors of its T(hi) (columns of probe_vecs, ascending) down one
     level at a time (_prolongate), each level extending them by its own
     tail ratio at hi, to start the lowest ones.  Those the probe leaves out
-    (its cells are coarser) are bisected on T(hi) by index and start from their
-    inverse-iteration vectors.  All are certified below hi when they are
+    (its cells are coarser) are bisected on T(hi) by index and start from
+    their inverse-iteration vectors.  All are certified below hi when they are
     all of them, else below the next eigenvalue of T(hi), bisected by its
     index."""
     hi = grid.threshold - MARGIN
