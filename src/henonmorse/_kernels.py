@@ -2,7 +2,7 @@
 eigenvectors.
 
 Counts are Sturm counts taken by dlaebz, the routine dstebz counts with:
-one sweep per shift, and one call for all the shifts a solve asks about.
+one sweep per shift, and one call for all the shifts asked of one matrix.
 Eigenvalues come from LAPACK bisection (``dstebz``) and eigenvectors from
 inverse iteration: solves on the pivoted LU factorization of T - sigma
 (dgttrf, dgttrs) from a start vector.  All take one unsplit block with a
@@ -162,6 +162,15 @@ def sturm_count(diag, off, shifts) -> list:
     at the widened Gershgorin bounds count 0 and n.  The matrix must not
     split by dstebz's test (an overflowing product splits), nor E2
     overflow: SpectralError otherwise.
+
+    dlaebz sweeps both ends of each interval, so an odd shift count is
+    padded with a copy of the last shift, and a single shift (the only call
+    a singular grid makes) costs two sweeps.  LAPACK's dlarrc would count
+    both ends of one interval in a single interleaved loop (about 32 us
+    against 118 us for this call at 4095 rows on a 2-core x86-64 host),
+    but it has no pivot floor: it counts an exact zero pivot differently
+    from dstebz, whose count this one is (tests/test_kernels.py pins it
+    through an exactly zero pivot).
     """
     if len(off) != len(diag) - 1:
         raise ValueError(f"a tridiagonal matrix of order n >= 1 takes n - 1 "

@@ -223,14 +223,39 @@ class RadialProfile:
 
 
 def _hermite(x, y, dy, q, derivative=False):
-    """Vectorized cubic Hermite interpolation on a strictly increasing grid."""
+    """Vectorized cubic Hermite interpolation on a strictly increasing grid.
+
+    Query j takes the interval [x_i, x_(i+1)] with x_i <= q_j < x_(i+1),
+    the first one below x_1 and the last one from x_(-2) on.  A monotone
+    1-D query array (the Liouville grid r = e^(-x) descends) takes them by
+    runs: one searchsorted of the interior nodes into the queries counts
+    each interval's queries, and np.repeat spreads the interval's data over
+    them.  Any other query (unsorted, NaN inside, a scalar) finds its
+    interval by its own searchsorted and gathers its data.  The arithmetic
+    is the same either way, so are the values, bitwise."""
     scalar = q.ndim == 0
     qf = np.atleast_1d(q)
-    idx = np.clip(np.searchsorted(x, qf, side="right") - 1, 0, len(x) - 2)
-    h = x[idx + 1] - x[idx]
-    s = (qf - x[idx]) / h
-    y0, y1 = y[idx], y[idx + 1]
-    d0, d1 = dy[idx], dy[idx + 1]
+    step = -1 if qf.ndim == 1 and len(qf) > 1 and qf[0] > qf[-1] else 1
+    lo, hi = (qf[1:], qf[:-1]) if step < 0 else (qf[:-1], qf[1:])
+    if not scalar and qf.ndim == 1 and (lo <= hi).all():
+        # ends[i] queries lie below x_i; the first interval also takes those
+        # below x_0, the last those from x_(-1) on
+        ends = np.searchsorted(qf[::step], x)
+        ends[0], ends[-1] = 0, len(qf)
+        counts = (ends[1:] - ends[:-1])[::step]
+
+        def pick(a):
+            return np.repeat(a[::step], counts)
+    else:
+        idx = np.clip(np.searchsorted(x, qf, side="right") - 1, 0,
+                      len(x) - 2)
+
+        def pick(a):
+            return a[idx]
+    h = pick(x[1:] - x[:-1])
+    s = (qf - pick(x[:-1])) / h
+    y0, y1 = pick(y[:-1]), pick(y[1:])
+    d0, d1 = pick(dy[:-1]), pick(dy[1:])
     if derivative:
         g00 = 6 * s * s - 6 * s
         g10 = 3 * s * s - 4 * s + 1

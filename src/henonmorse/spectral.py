@@ -22,11 +22,13 @@ diagonal entry of its matrix T(sigma) depends on sigma
 (LiouvilleProblem.closed), its eigenpairs are the fixed points
 sigma = lambda_i(T(sigma)), and a count below s is taken on T(s), one
 kernel call per shift.  A singular solve bisects one grid, the probe (the
-1024-cell coarsening of the fine grid at the default n), to 1e-4 brackets
-on T(threshold - MARGIN); its eigenvectors, prolongated, start the fixed
-points of the coarse grid, and the coarse vectors, prolongated once more,
-those of the fine grid.  On each, a Sturm count and disjoint residual
-intervals certify the pairs.
+coarsest power-of-two coarsening of the fine grid that the resolution rule
+allows), to 1e-4 brackets on T(threshold - MARGIN); its eigenvectors,
+prolongated, start the fixed points of the coarse grid, and the coarse
+vectors, prolongated once more, those of the fine grid.  On each, a Sturm
+count at the margin and disjoint residual intervals certify the pairs.
+Where they are all the fixed points below the margin, the intervals also
+give the negative count and the zero band, without another count.
 
 A report solves both kinds for one potential on one X and one fine grid:
 the last fine grid built (x, V, read-only) is kept, keyed by M, a and the
@@ -331,13 +333,17 @@ def _x_probe(grid: LiouvilleProblem, k: int):
     eigenvectors of its T(hi), hi = threshold - MARGIN.
 
     The probe is grid.coarsened(s), s the largest power of two, at least 2,
-    that divides n and leaves at least 1024 cells: the 1024-cell grid at
-    n = 4096, the coarse grid itself at n = 3000.  Every eigenvalue of
+    that divides n and leaves at least max(128, n_req) cells, n_req the
+    cells the resolution rule asks for on the fine grid's min(V)
+    (_cells_required): 128 to 512 cells at n = 4096 on the acceptance
+    matrix, 375 at n = 3000 at the reference point.  Every eigenvalue of
     T(hi) below hi is bracketed there, as many as there are fixed points
     below hi, and inverse iteration from the fixed start finds their
     vectors."""
     n, s = len(grid.x) - 1, 2
-    while not n % (2 * s) and n // (2 * s) >= 1024:
+    need = max(128.0, _cells_required(grid.x[-1], float(np.min(grid.V)),
+                                      grid.threshold))
+    while not n % (2 * s) and n // (2 * s) >= need:
         s *= 2
     probe = grid.coarsened(s)
     hi = grid.threshold - MARGIN
@@ -347,11 +353,16 @@ def _x_probe(grid: LiouvilleProblem, k: int):
     return probe, vecs[:, :k]
 
 
+def _cells_required(x_max: float, v_min: float, threshold: float) -> float:
+    """Cells that resolve the fastest local oscillation on (0, x_max):
+    two per unit of x and of sqrt(max(threshold - min V, 1))."""
+    return 2.0 * x_max * math.sqrt(max(threshold - v_min, 1.0))
+
+
 def _resolution(n_cfg: int, x_max: float, v_min: float, threshold: float):
-    """Grid size large enough to resolve the fastest local oscillation, up
+    """Grid size of at least _cells_required cells, doubled from n_cfg, up
     to N_CAP; even, so that every other node makes the coarse grid."""
-    k_osc = math.sqrt(max(threshold - v_min, 1.0))
-    n_req = 2.0 * x_max * k_osc
+    n_req = _cells_required(x_max, v_min, threshold)
     n = n_cfg + n_cfg % 2
     while n < min(n_req, N_CAP):
         n *= 2
@@ -401,8 +412,13 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     grid (_coarse_pairs), and the coarse vectors, prolongated (_prolongate),
     those of the fine grid (_fixed_pairs), certified by residual intervals
     and a count.
-    The fine grid counts below the margin and below -ZERO_CUT and ZERO_CUT
-    (the negative count and the zero band), one call of Sturm counts each.
+    The fine grid is counted once, at the margin.  When that count equals
+    the number of certified pairs, each residual interval holds one fixed
+    point and there are no others below the margin, so the negative count
+    and the zero band are the numbers of intervals wholly below -ZERO_CUT
+    and ZERO_CUT; T(-ZERO_CUT) or T(ZERO_CUT) is counted (one call of Sturm
+    counts) only where an interval meets the cut or k leaves fixed points
+    out.
     The two grids give Richardson-extrapolated values and error bars;
     disagreement beyond cfg.tol, or more fine than coarse eigenvalues among
     the k lowest, raises ResolutionError.  Two eigenvalues closer than 2e-4,
@@ -418,16 +434,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     probe, probe_vecs = _x_probe(g_f, k)
     g_c = g_f.coarsened()
     vals_c, vecs_c = _coarse_pairs(g_c, probe, probe_vecs, k)
-    def below(s):                       # fixed points below s, on T(s)
-        return sturm_count(*g_f.closed(s), [s])[0]
-
-    # no count past the margin, where the half-line's continuous spectrum
-    # begins (the threshold is 0 at M = 2), nor one that the counts on
-    # either side fix: the count rises with s
-    count_f = below(hi)
-    zero_cut_count = below(-ZERO_CUT) if -ZERO_CUT < hi else count_f
-    zero_top = (below(ZERO_CUT) if ZERO_CUT < hi and zero_cut_count < count_f
-                else count_f)
+    count_f = sturm_count(*g_f.closed(hi), [hi])[0]
     n_found = min(k, count_f)
     if n_found > len(vals_c):
         raise ResolutionError(
@@ -441,8 +448,25 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     vals_f, vecs, residuals = _fixed_pairs(g_f, _prolongate(
         vecs_c[:, :n_found], g_c.tail(vals_c[:n_found])[0]), exhausted)
     values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
+    lower, upper = vals_f - residuals, vals_f + residuals
 
-    zero_band = zero_top - zero_cut_count
+    def below(s):
+        # fixed points below s: none past the margin, where the half-line's
+        # continuous spectrum begins (the threshold is 0 at M = 2); where
+        # the pairs are all of them below the margin, one in each residual
+        # interval, the intervals wholly below s, unless one meets s; else
+        # the count of T(s) below s
+        if not s < hi:
+            return count_f
+        if n_found == count_f and not np.any((lower < s) & (s <= upper)):
+            return int(np.count_nonzero(upper < s))
+        return sturm_count(*g_f.closed(s), [s])[0]
+
+    # the count rises with s: none at ZERO_CUT when the one at -ZERO_CUT
+    # holds them all
+    zero_cut_count = below(-ZERO_CUT)
+    zero_band = (below(ZERO_CUT) if zero_cut_count < count_f
+                 else count_f) - zero_cut_count
     meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
             "resolution_capped": bool(capped),
             "zero_band_count": int(zero_band),
@@ -655,6 +679,8 @@ def _eigenpairs(prob: WeightedSLProblem, grid: LiouvilleProblem, values,
     Nodes are counted on u, not psi: the two share their sign pattern, but
     u stays bounded while psi may grow toward the origin for eigenvalues
     above 0, which would starve a node cut relative to the maximum."""
+    if not len(values):
+        return ()
     x, h = grid.x, grid.h
     r_desc = np.exp(-x)
     r_grid = r_desc[::-1].copy()

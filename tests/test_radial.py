@@ -418,6 +418,45 @@ def test_linearized_potential_matches_power_formula():
     assert np.allclose(a(t), expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+def test_interval_runs_are_bitwise_the_gathered_values(derivative,
+                                                       monkeypatch):
+    # monotone queries take their intervals by runs (np.repeat of each
+    # interval's data), any other query by its own search (a gather); the
+    # arithmetic is the same, and so are the bits: on a descending
+    # Liouville grid and ascending, at the profile's nodes, outside [0, 1],
+    # on one and two queries, on repeated ones, and against scalar queries
+    prof = solve_nodal_power(3.0, 3.0, 2)
+    repeats = []
+    real_repeat = np.repeat
+    monkeypatch.setattr(np, "repeat", lambda *args, **kwargs: (
+        repeats.append(1), real_repeat(*args, **kwargs))[1])
+
+    def at(q):
+        return radial._hermite(prof.grid, prof.values, prof.derivative, q,
+                               derivative)
+
+    r = np.exp(-np.linspace(0.0, 23.6, 513))
+    outside = np.linspace(-0.5, 1.5, 101)
+    for q in (r, r[::-1], prof.grid, prof.grid[::-1], outside,
+              outside[::-1], r[:1], r[:2], r[1::-1],
+              real_repeat(prof.grid[:5], 3)):
+        q = np.ascontiguousarray(q)
+        repeats.clear()
+        runs = at(q)
+        assert len(repeats) == 6 and runs.flags.c_contiguous
+        scalars = [at(np.float64(t)) for t in q]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert np.array(scalars).tobytes() == runs.tobytes()
+        if len(q) > 2:
+            perm = np.random.default_rng(0).permutation(len(q))
+            repeats.clear()
+            gathered = np.empty_like(runs)
+            gathered[perm] = at(q[perm])
+            assert not repeats
+            assert gathered.tobytes() == runs.tobytes()
+
+
 def test_profile_serialization(tmp_path):
     # the profile.csv/profile.json pair solve publishes, from the cli writers
     prof = solve_nodal_power(3.0, 3.0, 2)

@@ -561,10 +561,11 @@ def _counting(fn, name, calls):
 
 def test_a_singular_solve_bisects_only_the_x_probe(lane_emden_case,
                                                    monkeypatch):
-    # k above the count: only the X probe is bisected; the coarse grid takes
-    # one Sturm count, at the margin, and the fine grid three, at the margin
-    # and at -ZERO_CUT and ZERO_CUT (negative count and zero band), one call
-    # each, as each is taken on its own matrix T(s)
+    # k above the count: only the X probe is bisected, and the coarse and
+    # the fine grid each take one Sturm count, at the margin; the pairs are
+    # then all the fixed points below it, one in each residual interval,
+    # and no interval meets -ZERO_CUT or ZERO_CUT, so the intervals give the
+    # negative count and the zero band
     _, prob, _ = lane_emden_case
     calls = collections.Counter()
     for name in ("bisect_eigenvalues", "sturm_count"):
@@ -572,7 +573,64 @@ def test_a_singular_solve_bisects_only_the_x_probe(lane_emden_case,
                             _counting(getattr(spectral, name), name, calls))
     spec = solve_singular_spectrum(prob, 5)
     assert spec.meta["count_below_margin"] == len(spec.eigenpairs) == 3
-    assert calls == {"bisect_eigenvalues": 1, "sturm_count": 4}
+    assert calls == {"bisect_eigenvalues": 1, "sturm_count": 2}
+    assert spec.negative_count == 2 and spec.meta["zero_band_count"] == 0
+
+
+def _fine_shifts(monkeypatch, rows):
+    """The shifts of the Sturm counts taken on matrices of `rows` rows."""
+    shifts = []
+    real = spectral.sturm_count
+
+    def recorded(d, e, at):
+        if len(d) == rows:
+            shifts.extend(at)
+        return real(d, e, at)
+
+    monkeypatch.setattr(spectral, "sturm_count", recorded)
+    return shifts
+
+
+def test_k_below_the_margin_count_counts_at_the_zero_cut(lane_emden_case,
+                                                         monkeypatch):
+    # k = 1 of the 3 fixed points below the margin: the intervals cannot
+    # place the two left out, so T(-ZERO_CUT) and T(ZERO_CUT) are counted,
+    # and the counts are those of the k = 5 solve
+    _, prob, spec = lane_emden_case
+    shifts = _fine_shifts(monkeypatch, spec.meta["n"] - 1)
+    one = solve_singular_spectrum(prob, 1)
+    hi = prob.threshold - spectral.MARGIN
+    assert shifts == [hi, -spectral.ZERO_CUT, spectral.ZERO_CUT]
+    assert one.meta["count_below_margin"] == 3 > len(one.eigenpairs)
+    assert one.negative_count == spec.negative_count == 2
+    assert one.meta["zero_band_count"] == spec.meta["zero_band_count"] == 0
+
+
+@pytest.mark.parametrize("index, cut", [(1, -1), (2, 1)])
+def test_an_interval_that_meets_the_zero_cut_counts_there(
+        lane_emden_case, monkeypatch, index, cut):
+    # a fine residual interval widened to reach 0 from the value -1.99
+    # meets -ZERO_CUT, one reaching 0 from 0.247 meets ZERO_CUT: that cut
+    # is counted on T(cut), the other is read off the intervals, and the
+    # counts are unchanged
+    _, prob, spec = lane_emden_case
+    rows = spec.meta["n"] - 1
+    real = spectral._fixed_pairs
+
+    def widened(grid, starts, bound):
+        vals, vecs, residuals = real(grid, starts, bound)
+        if len(grid.x) - 2 == rows:
+            residuals = residuals.copy()
+            residuals[index] = abs(vals[index])
+        return vals, vecs, residuals
+
+    monkeypatch.setattr(spectral, "_fixed_pairs", widened)
+    shifts = _fine_shifts(monkeypatch, rows)
+    again = solve_singular_spectrum(prob, 5)
+    hi = prob.threshold - spectral.MARGIN
+    assert shifts == [hi, cut * spectral.ZERO_CUT]
+    assert again.negative_count == spec.negative_count == 2
+    assert again.meta["zero_band_count"] == spec.meta["zero_band_count"] == 0
 
 
 @pytest.mark.parametrize("point", CLI_POINTS + (DESK_POINT,))
@@ -621,14 +679,22 @@ def test_coarse_pairs_the_probe_leaves_out_are_bisected(lane_emden_case,
 
 
 def test_a_set_x_max_is_probed_on_that_x(lane_emden_case, monkeypatch):
-    # with X given, the probe is read off the grid of n cells on X (the
-    # 1024-cell grid at n = 4096, the 1500-cell coarse grid at n = 3000),
-    # and the solve is the one on the flat X when X is the flat X
+    # with X given, the probe is read off the grid of n cells on X: its
+    # coarsest power-of-two coarsening, at least 2, that keeps the cells
+    # the resolution rule asks for, and 128 (the 256-cell grid at n = 4096,
+    # the 375-cell grid at n = 3000); the solve is the one on the flat X
+    # when X is the flat X
     _, prob, _ = lane_emden_case
     real = spectral.bisect_eigenvalues
-    for n, probe_rows in ((4096, 1023), (3000, 1499)):
+    for n, probe_rows in ((4096, 255), (3000, 374)):
         flat = solve_singular_spectrum(prob, 3, SpectralConfig(n=n))
         x_max = flat.meta["x_max"]
+        need = max(128.0, spectral._cells_required(x_max, float(np.min(
+            liouville_transform(prob, x_max, n).V)), prob.threshold))
+        cells = n // 2
+        while not cells % 2 and cells // 2 >= need:
+            cells //= 2
+        assert cells - 1 == probe_rows
         sizes = []
 
         def recorded(d, e, *args, **kwargs):
