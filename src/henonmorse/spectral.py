@@ -23,12 +23,14 @@ diagonal entry of its matrix T(sigma) depends on sigma
 sigma = lambda_i(T(sigma)), and a count below s is taken on T(s), one
 kernel call per shift.  A singular solve bisects one grid, the probe (the
 coarsest power-of-two coarsening of the fine grid that the resolution rule
-allows), to 1e-4 brackets on T(threshold - MARGIN); its eigenvectors,
-prolongated, start the fixed points of the coarse grid, and the coarse
-vectors, prolongated once more, those of the fine grid.  On each, a Sturm
-count at the margin and disjoint residual intervals certify the pairs.
-Where they are all the fixed points below the margin, the intervals also
-give the negative count and the zero band, without another count.
+allows), to 1e-4 brackets on T(threshold - MARGIN).  Its eigenvectors are
+carried up one doubling of the cells at a time (prolongated), and one
+level routine (_level) runs on the coarse grid, the fine grid and each
+refinement of it: a Sturm count at the margin, the pairs the carried
+vectors leave out bisected by index, and fixed points started from the
+vectors, certified by disjoint residual intervals.  Where the pairs are
+all the fixed points below the margin, the intervals also give the
+negative count and the zero band, without another count.
 
 A report solves both kinds for one potential on one X and one fine grid:
 the last fine grid built (x, V, read-only) is kept, keyed by M, a and the
@@ -237,11 +239,14 @@ class LiouvilleProblem:
     def coarsened(self, stride: int = 2):
         """Every stride-th node, stride a power of two that divides the
         cell count n: bitwise the grid of n // stride cells that
-        liouville_transform builds on (0, X)."""
+        liouville_transform builds on (0, X).  Stride 1 is the grid itself,
+        with its tridiagonal() built once."""
         if stride & (stride - 1) or (len(self.x) - 1) % stride:
             raise ValueError(f"a grid of {len(self.x) - 1} cells cannot be "
                              f"coarsened by {stride}: the stride must be a "
                              "power of two that divides an even cell count")
+        if stride == 1:
+            return self
         return LiouvilleProblem(x=self.x[::stride], V=self.V[::stride],
                                 h=stride * self.h, threshold=self.threshold)
 
@@ -329,28 +334,28 @@ def _flat_x_max(prob: WeightedSLProblem) -> float:
 
 
 def _x_probe(grid: LiouvilleProblem, k: int):
-    """The probe on the fine grid's X, and the lowest min(k, count)
-    eigenvectors of its T(hi), hi = threshold - MARGIN.
+    """(s, vectors): the probe grid.coarsened(s) on the fine grid's X, and
+    the lowest min(k, count) eigenvectors of its T(hi),
+    hi = threshold - MARGIN, one per column.
 
-    The probe is grid.coarsened(s), s the largest power of two, at least 2,
-    that divides n and leaves at least max(128, n_req) cells, n_req the
-    cells the resolution rule asks for on the fine grid's min(V)
-    (_cells_required): 128 to 512 cells at n = 4096 on the acceptance
-    matrix, 375 at n = 3000 at the reference point.  Every eigenvalue of
-    T(hi) below hi is bracketed there, as many as there are fixed points
-    below hi, and inverse iteration from the fixed start finds their
-    vectors."""
+    s is the largest power of two, at least 2, that divides n and leaves
+    at least max(128, n_req) cells, n_req the cells the resolution rule
+    asks for on the fine grid's min(V) (_cells_required): 128 to 512 cells
+    at n = 4096 on the acceptance matrix, 375 at n = 3000 at the reference
+    point.  Every eigenvalue of T(hi) below hi is bracketed there to
+    BRACKET, as many as there are fixed points below hi, and inverse
+    iteration from the fixed start finds their vectors: eigenvectors of
+    T(hi), not fixed points, which the levels above refine."""
     n, s = len(grid.x) - 1, 2
     need = max(128.0, _cells_required(grid.x[-1], float(np.min(grid.V)),
                                       grid.threshold))
     while not n % (2 * s) and n // (2 * s) >= need:
         s *= 2
-    probe = grid.coarsened(s)
     hi = grid.threshold - MARGIN
-    d, e = probe.closed(hi)
+    d, e = grid.coarsened(s).closed(hi)
     vecs = rayleigh_refine(d, e, bisect_eigenvalues(
         d, e, below=hi, abstol=BRACKET))[1]
-    return probe, vecs[:, :k]
+    return s, vecs[:, :k]
 
 
 def _cells_required(x_max: float, v_min: float, threshold: float) -> float:
@@ -406,22 +411,23 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     The half-line is cut at X (the flat X, or cfg.x_max) and closed there
     by its exact tail: on each grid the eigenpairs are the fixed points
     sigma = lambda_i(T(sigma)) of LiouvilleProblem.closed, and a count at
-    a shift s is taken on T(s).  Only the probe (_x_probe), a coarsening of
-    the fine grid (_report_grid), is bisected.  Its vectors, prolongated,
-    start the k lowest pairs of the every-other-node coarsening of the fine
-    grid (_coarse_pairs), and the coarse vectors, prolongated (_prolongate),
-    those of the fine grid (_fixed_pairs), certified by residual intervals
-    and a count.
-    The fine grid is counted once, at the margin.  When that count equals
-    the number of certified pairs, each residual interval holds one fixed
-    point and there are no others below the margin, so the negative count
-    and the zero band are the numbers of intervals wholly below -ZERO_CUT
-    and ZERO_CUT; T(-ZERO_CUT) or T(ZERO_CUT) is counted (one call of Sturm
-    counts) only where an interval meets the cut or k leaves fixed points
-    out.
-    The two grids give Richardson-extrapolated values and error bars;
-    disagreement beyond cfg.tol, or more fine than coarse eigenvalues among
-    the k lowest, raises ResolutionError.  Two eigenvalues closer than 2e-4,
+    a shift s is taken on T(s).  The probe (_x_probe), a coarsening of the
+    fine grid (_report_grid), is bisected to brackets.  Its vectors are
+    carried up one doubling of the cells at a time (_prolongate), and a
+    level (_level: a count, the pairs the vectors leave out, certified
+    fixed points) runs on the every-other-node coarsening, on the fine
+    grid and on each refinement, each started from the vectors of the
+    level below.
+    When the fine count equals the number of certified pairs, each
+    residual interval holds one fixed point and there are no others below
+    the margin, so the negative count and the zero band are the numbers of
+    intervals wholly below -ZERO_CUT and ZERO_CUT; T(-ZERO_CUT) or
+    T(ZERO_CUT) is counted (one call of Sturm counts) only where an
+    interval meets the cut or k leaves fixed points out.
+    The last two levels give Richardson-extrapolated values and error
+    bars.  While a bar exceeds cfg.tol, or a fine pair has no coarse
+    partner, the fine grid becomes the coarse one and h is halved, up to
+    N_CAP; past it, ResolutionError.  Two eigenvalues closer than 2e-4,
     whose brackets overlap, or a pair the certificate rejects, raise
     SpectralError.
     """
@@ -430,25 +436,32 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     k = max(k, 0)
     hi = prob.threshold - MARGIN
     g_f, capped = _report_grid(prob.M, prob.a, cfg.x_max, cfg.n)
-    n, x_max = len(g_f.x) - 1, g_f.x[-1]
-    probe, probe_vecs = _x_probe(g_f, k)
-    g_c = g_f.coarsened()
-    vals_c, vecs_c = _coarse_pairs(g_c, probe, probe_vecs, k)
-    count_f = sturm_count(*g_f.closed(hi), [hi])[0]
-    n_found = min(k, count_f)
-    if n_found > len(vals_c):
-        raise ResolutionError(
-            f"grid too coarse: {n_found} singular eigenvalues below the "
-            f"margin on the fine grid against {len(vals_c)} on the coarse "
-            f"one (n={n}, x_max={x_max:.3g})")
-    # the next eigenvalue of T(hi) bounds what was left out from below
-    exhausted = (float(bisect_eigenvalues(*g_f.closed(hi), n_found + 1,
-                                          n_found + 1)[0])
-                 if count_f > n_found else hi)
-    vals_f, vecs, residuals = _fixed_pairs(g_f, _prolongate(
-        vecs_c[:, :n_found], g_c.tail(vals_c[:n_found])[0]), exhausted)
-    values, bars = _richardson(vals_f, vals_c, cfg, g_f, "singular")
-    lower, upper = vals_f - residuals, vals_f + residuals
+    x_max = g_f.x[-1]
+    stride, vecs = _x_probe(g_f, k)
+    grid, vals = g_f.coarsened(stride), hi
+    while True:
+        if stride <= 2:
+            # the coarse grid, the fine grid and each refinement
+            vals_c = vals
+            vals, vecs, residuals, count, exhausted = _level(grid, vecs, k)
+        if stride == 1:
+            try:
+                values, bars = _richardson(vals, vals_c, cfg, grid,
+                                           "singular")
+                break
+            except ResolutionError:
+                if 2 * (len(grid.x) - 1) > N_CAP:
+                    raise
+        # one doubling up, the vectors extended by the tail ratio of the
+        # grid they are on at their values (hi for the probe's, of T(hi))
+        vecs = _prolongate(vecs, grid.tail(vals)[0])
+        if stride > 1:
+            stride //= 2
+            grid = g_f.coarsened(stride)
+        else:
+            # the old fine grid is bitwise the new one's coarsening
+            grid = liouville_transform(prob, x_max, 2 * (len(grid.x) - 1))
+    lower, upper = vals - residuals, vals + residuals
 
     def below(s):
         # fixed points below s: none past the margin, where the half-line's
@@ -457,61 +470,56 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
         # interval, the intervals wholly below s, unless one meets s; else
         # the count of T(s) below s
         if not s < hi:
-            return count_f
-        if n_found == count_f and not np.any((lower < s) & (s <= upper)):
+            return count
+        if len(vals) == count and not np.any((lower < s) & (s <= upper)):
             return int(np.count_nonzero(upper < s))
-        return sturm_count(*g_f.closed(s), [s])[0]
+        return sturm_count(*grid.closed(s), [s])[0]
 
     # the count rises with s: none at ZERO_CUT when the one at -ZERO_CUT
     # holds them all
     zero_cut_count = below(-ZERO_CUT)
-    zero_band = (below(ZERO_CUT) if zero_cut_count < count_f
-                 else count_f) - zero_cut_count
-    meta = {"n": n, "x_max": float(x_max), "count_below_margin": int(count_f),
+    zero_band = (below(ZERO_CUT) if zero_cut_count < count
+                 else count) - zero_cut_count
+    meta = {"n": len(grid.x) - 1, "x_max": float(x_max),
+            "count_below_margin": int(count),
             "resolution_capped": bool(capped),
             "zero_band_count": int(zero_band),
-            "eigvec_rel_residual": relative_residual(*g_f.tridiagonal(),
+            "eigvec_rel_residual": relative_residual(*grid.tridiagonal(),
                                                      vecs, residuals)}
     return Spectrum(kind="singular", M=prob.M, threshold=prob.threshold,
-                    eigenpairs=_eigenpairs(prob, g_f, values, bars, vecs,
-                                           g_f.tail(vals_f)),
+                    eigenpairs=_eigenpairs(prob, grid, values, bars, vecs,
+                                           grid.tail(vals)),
                     exhausted_below=exhausted,
                     negative_count=int(zero_cut_count), meta=meta)
 
 
-def _coarse_pairs(grid: LiouvilleProblem, probe: LiouvilleProblem,
-                  probe_vecs, k: int):
-    """The lowest min(k, count) fixed-point pairs of the coarse grid, count
+def _level(grid: LiouvilleProblem, starts, k: int):
+    """The lowest min(k, count) fixed-point pairs of a closed grid, count
     being its number of them below hi = threshold - MARGIN (one Sturm count
-    on T(hi)): values and unit vectors, one per column.
+    on T(hi)): values, unit vectors (one per column), residual norms,
+    count, and the bound they are certified below.
 
-    The probe, a power-of-two coarsening of the grid, passes its
-    eigenvectors of its T(hi) (columns of probe_vecs, ascending) down one
-    level at a time (_prolongate), each level extending them by its own
-    tail ratio at hi, to start the lowest ones.  Those the probe leaves out
-    (its cells are coarser) are bisected on T(hi) by index and start from
-    their inverse-iteration vectors.  All are certified below hi when they are
-    all of them, else below the next eigenvalue of T(hi), bisected by its
-    index."""
+    The columns of starts, ascending and carried from the grid below,
+    start the lowest pairs.  Those they leave out (the grid below is
+    coarser) are bisected on T(hi) by index and start from their
+    inverse-iteration vectors.  The bound is hi when the pairs are all of
+    the count, else the next eigenvalue of T(hi), bisected to full
+    precision in the same call: a lower bound of the fixed points left
+    out."""
     hi = grid.threshold - MARGIN
     d, e = grid.closed(hi)
     count = sturm_count(d, e, [hi])[0]
     want = min(k, count)
-    s = min(probe_vecs.shape[1], want)
-    starts = probe_vecs[:, :s]
-    stride = (len(grid.x) - 1) // (len(probe.x) - 1)
-    while stride > 1:
-        starts = _prolongate(starts, grid.coarsened(stride).tail(hi)[0])
-        stride //= 2
-    bound = hi
-    if want and count > s:
+    s = min(starts.shape[1], want)
+    starts, bound = starts[:, :s], hi
+    if count > s:
         after = bisect_eigenvalues(d, e, s + 1, want + (count > want))
         if want > s:
             starts = np.hstack((starts,
                                 rayleigh_refine(d, e, after[:want - s])[1]))
         if count > want:
             bound = float(after[-1])
-    return _fixed_pairs(grid, starts, bound)[:2]
+    return *_fixed_pairs(grid, starts, bound), count, bound
 
 
 def _fixed_point(grid: LiouvilleProblem, q, w):

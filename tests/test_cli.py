@@ -300,6 +300,28 @@ def test_morse_command(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("grid", [128, 256, 512])
+def test_morse_on_a_coarse_grid_refines_the_singular_kind(tmp_path, grid):
+    # a Richardson bar fails on these grids at the reference point: the
+    # singular kind halves h, as the standard kind does, until the bars
+    # pass at n = 1024, and publishes the values --grid 1024 gives
+    def singular(out):
+        entry, = (out / "cache").glob("singular-*.json")
+        doc = json.loads(entry.read_text())
+        return doc["meta"]["n"], [e["value"] for e in doc["eigenvalues"]]
+
+    args = ["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2, "--out"]
+    assert run(args + [tmp_path / "1024", "--grid", 1024]) == 0
+    assert run(args + [tmp_path / "coarse", "--grid", grid]) == 0
+    n, values = singular(tmp_path / "coarse")
+    n_ref, ref = singular(tmp_path / "1024")
+    assert n == n_ref == 1024
+    np.testing.assert_allclose(values, ref, rtol=1e-13)
+    assert np.round(values, 7).tolist() == [-8.5543113, -1.9854539, 0.2467585]
+    doc = json.loads((tmp_path / "coarse" / "morse.json").read_text())
+    assert doc["radial_morse"] == 2 and doc["total"] == 10
+
+
 def test_morse_symmetric_index(tmp_path):
     # (N, alpha, p, m, --symmetry) -> the published object, and the Morse
     # total it is part of

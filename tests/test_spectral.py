@@ -635,20 +635,25 @@ def test_an_interval_that_meets_the_zero_cut_counts_there(
 
 @pytest.mark.parametrize("point", CLI_POINTS + (DESK_POINT,))
 def test_seeded_coarse_pairs_are_the_bisected_ones(point):
-    # the coarse pairs seeded from the X probe's vectors against those
-    # started from bisection of T(hi) to BRACKET and inverse iteration from
-    # the fixed start, the start of the pairs the probe leaves out
+    # the coarse level seeded from the X probe's vectors, carried up one
+    # doubling at a time, against pairs started from bisection of T(hi) to
+    # BRACKET and inverse iteration from the fixed start, the start of the
+    # pairs the probe leaves out
     prob = singular_problem(*point)
     cfg = SpectralConfig()
     hi = prob.threshold - spectral.MARGIN
     grid = spectral._report_grid(prob.M, prob.a, cfg.x_max, cfg.n)[0]
-    probe, probe_vecs = spectral._x_probe(grid, 6)
+    stride, vecs = spectral._x_probe(grid, 6)
+    while stride > 2:
+        vecs = spectral._prolongate(vecs, grid.coarsened(stride).tail(hi)[0])
+        stride //= 2
     coarse = grid.coarsened()
-    vals, vecs = spectral._coarse_pairs(coarse, probe, probe_vecs, 6)
+    vals, vecs, _, count, bound = spectral._level(coarse, vecs, 6)
     d, e = coarse.closed(hi)
     ref_vals, ref_vecs, _ = spectral._fixed_pairs(coarse, rayleigh_refine(
         d, e, bisect_eigenvalues(d, e, below=hi, abstol=BRACKET)[:6])[1], hi)
-    assert len(vals) == len(ref_vals) >= 1
+    assert len(vals) == len(ref_vals) == count >= 1
+    assert bound == hi
     np.testing.assert_allclose(vals, ref_vals, rtol=1e-13, atol=0)
     sign = np.sign(np.sum(vecs * ref_vecs, axis=0))
     np.testing.assert_allclose(vecs, ref_vecs * sign, rtol=0, atol=1e-7)
@@ -663,8 +668,8 @@ def test_coarse_pairs_the_probe_leaves_out_are_bisected(lane_emden_case,
     real = spectral._x_probe
 
     def short(grid, k):
-        probe, vecs = real(grid, k)
-        return probe, vecs[:, :kept]
+        stride, vecs = real(grid, k)
+        return stride, vecs[:, :kept]
 
     monkeypatch.setattr(spectral, "_x_probe", short)
     calls = collections.Counter()
@@ -786,17 +791,32 @@ def test_fine_grid_n_is_the_resolution_of_the_configured_grid(
 
 def test_more_fine_than_coarse_eigenvalues_is_a_resolution_error(
         lane_emden_case, monkeypatch):
+    # the coarse level cut to two of its three pairs: the fine level
+    # bisects the third, whose Richardson bar is infinite (ResolutionError),
+    # so the fine grid becomes the coarse one and h is halved; the counts
+    # are unchanged
     _, prob, spec = lane_emden_case
-    hi = prob.threshold - spectral.MARGIN
-    rows = spec.meta["n"] - 1
-    real = spectral.sturm_count
-    monkeypatch.setattr(spectral, "sturm_count", lambda d, e, shifts: [
-        c + (s == hi and len(d) == rows)
-        for c, s in zip(real(d, e, shifts), shifts)])
-    # the fine grid now counts 4 below the margin, the coarse grid 3
-    with pytest.raises(ResolutionError, match="fine grid"):
+    n = spec.meta["n"]
+    real = spectral._level
+
+    def cut(grid, starts, k):
+        vals, vecs, residuals, count, bound = real(grid, starts, k)
+        if len(grid.x) - 1 == n // 2:
+            return vals[:2], vecs[:, :2], residuals[:2], count, bound
+        return vals, vecs, residuals, count, bound
+
+    monkeypatch.setattr(spectral, "_level", cut)
+    again = solve_singular_spectrum(prob, 5)
+    assert again.meta["n"] == 2 * n
+    assert again.meta["count_below_margin"] == len(again.eigenpairs) == 3
+    assert again.negative_count == spec.negative_count == 2
+    assert again.meta["zero_band_count"] == spec.meta["zero_band_count"]
+    bars = np.array([p.error_bar for p in spec.eigenpairs])
+    assert np.all(np.abs(again.values - spec.values) <= 2.0 * bars)
+    # with no finer grid allowed, the refused bar is the error
+    monkeypatch.setattr(spectral, "N_CAP", n)
+    with pytest.raises(ResolutionError, match="bar inf"):
         solve_singular_spectrum(prob, 5)
-    assert solve_singular_spectrum(prob, 3).meta["count_below_margin"] == 4
 
 
 def test_a_seed_off_by_more_than_a_bracket_takes_one_more_round(
