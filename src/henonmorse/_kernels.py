@@ -10,7 +10,7 @@ finite squared off-diagonal, as the solvers build, and refuse any other
 matrix.  Inverse iteration, Rayleigh quotients and residuals also take a
 corner per vector, taken off the last diagonal entry, as the singular
 kind's matrices T(sigma) differ only there.  A singular solve bisects only
-its X probe, to a bracket of width BRACKET; inverse iteration from a fixed
+its probe, to a bracket of width BRACKET; inverse iteration from a fixed
 start finds the probe's vectors.  The rest is seeded, not bracketed: the
 vectors of the grid before, carried onto the next one's nodes, are both
 the shifts (their Rayleigh quotients) and the start vectors.  Each pair is

@@ -6,9 +6,9 @@ fields, and defaults fill the rest (precedence: flags > file > defaults).
 Flag text and file values go through one parser (RunConfig.checked), so
 --N 3.0 and {"N": 3.0} are the same config.  A sweep ignores the base value
 of the field it sweeps, in the flags and in the file alike.
-Numerical defaults and bounds are SpectralConfig's, spectral.N_CAP and the
-oracle's; the other solver settings are module constants, not config
-fields.
+Numerical defaults and bounds are SpectralConfig's and spectral.N_CAP's;
+the other solver settings, the oracle's grid among them, are module
+constants, not config fields.
 Every subcommand builds its results through a Pipeline, which solves the
 profile at most once per run and hands every solve of the run one potential
 object, so the second spectrum finds the Liouville grid the first one built
@@ -64,8 +64,7 @@ import scipy
 from .dimension import critical_exponent, generalized_dimension
 from .morse import (MorseReport, degeneracy_scan, morse_index,
                     symmetric_morse_index)
-from .oracle import (DENSE_N, DENSE_N_GUARD, EPSILON_CUT_MAX,
-                     dense_oracle_spectrum, resolves)
+from .oracle import dense_oracle_spectrum, resolves
 from .radial import (IntegrationError, RadialProfile, linearized_potential,
                      solve_nodal_power, validate_profile)
 from .spectral import (N_CAP, EigenPair, SpectralConfig, SpectralError,
@@ -118,9 +117,7 @@ class RunConfig:
     grid: int = SpectralConfig.n
     xmax: float | None = None
     tol: float = SpectralConfig.tol
-    oracle_n: int = DENSE_N
     oracle_tol: float = 1e-3
-    epsilon_cut: float | None = None
     a_zero: bool = False
     out: str = "."
     workers: int = 1
@@ -146,13 +143,8 @@ class RunConfig:
                      "symmetry must be 'full' or 'cyclic:<q>' with an "
                      "integer q >= 1"),
         "a_zero": ("bool", lambda v: True, "replace the potential by 0"),
-        "oracle_n": ("int", lambda v: 16 <= v <= DENSE_N_GUARD,
-                     f"oracle_n must be an integer in [16, {DENSE_N_GUARD}]"),
         "oracle_tol": ("float", lambda v: v > 0, "oracle_tol must be "
                        "positive"),
-        "epsilon_cut": ("float?",
-                        lambda v: v is None or 0 < v < EPSILON_CUT_MAX,
-                        f"epsilon_cut must be in (0, {EPSILON_CUT_MAX})"),
     }
 
     @classmethod
@@ -531,8 +523,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     pipe = Pipeline(cfg)
     sing = pipe.spectrum("singular", cfg.k)
     orc = dense_oracle_spectrum(
-        WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential, kind="singular"),
-        n=cfg.oracle_n, epsilon_cut=cfg.epsilon_cut)
+        WeightedSLProblem(M=pipe.dmap.M, a=pipe.potential, kind="singular"))
     comparisons = []
     unmatched = []      # compared solver pairs the oracle did not find
     worst = 0.0

@@ -2,7 +2,7 @@
 solver.
 
 Discretizes the singular kind directly in the r variable on a power-graded
-grid truncated at [epsilon_cut, 1], Dirichlet at both ends.  Only the
+grid truncated at [EPSILON_CUT, 1], Dirichlet at both ends.  Only the
 eigenvalues the oracle reports are computed, by LAPACK's MRRR driver dstemr
 without eigenvectors: those in a value window up to the singular threshold.
 The eigenvectors come from shifted solves with the pivoted tridiagonal LU
@@ -19,16 +19,17 @@ oracle verdict compares values, from dstemr, and negative counts.  It
 counts with the solvers' cuts: spectral.MARGIN, ZERO_CUT and NODE_TOL.
 
 The LAPACK routines come from scipy's compiled modules, which the kernels
-module's lapack_module loads without the scipy.linalg package: dsterf and
-dgtsv from the f2py wrappers (_flapack), dstemr from cython_lapack.
+module's lapack_module loads without the scipy.linalg package: dgtsv
+from the f2py wrappers (_flapack), dstemr from cython_lapack.
 dstemr is called through the C function that cython_lapack exports, with
 ctypes (the kernels module's loader cython_lapack_function), because
 scipy's f2py wrapper allocates and zero-fills an n x n eigenvector array
 even when no eigenvectors are asked for (32 MB at n = 2000); this call
 needs O(n) workspace.  dstemr splits the matrix at off-diagonals below
-eps * ||T||, which loses the bound states of the strongly graded matrices
-that an epsilon_cut above about 1e-3 gives at n = 2000; those matrices get
-the full spectrum from root-free QR (dsterf).
+eps * ||T||, which would lose the bound states of a strongly graded matrix
+(a cut above about 1e-3 gives one at n = 2000); the oracle refuses such a
+matrix with a SpectralError.  On its own grids the smallest off-diagonal
+lies 8e9 times or more above that test.
 """
 
 from __future__ import annotations
@@ -42,12 +43,10 @@ from .spectral import (MARGIN, NODE_TOL, ZERO_CUT, EigenPair,
                        SpectralError, Spectrum, WeightedSLProblem,
                        count_sign_changes)
 
-_flapack = lapack_module("_flapack")
-dgtsv, dsterf = _flapack.dgtsv, _flapack.dsterf
+dgtsv = lapack_module("_flapack").dgtsv
 
-DENSE_N, DENSE_N_GUARD = 2000, 4000  # default and largest grid, in cells
-EPSILON_CUT_MAX = 0.1      # epsilon_cut lies in (0, EPSILON_CUT_MAX)
-# r_i = eps + (1-eps) (i/n)^GRADING, eps defaulting to EPSILON_CUT
+DENSE_N = 2000             # the fine grid, in cells; the coarse one has half
+# r_i = eps + (1-eps) (i/n)^GRADING, eps = EPSILON_CUT
 GRADING = 4.0
 EPSILON_CUT = 1e-10
 # The oracle's limit: the slowest decay kappa = sqrt(threshold - nu), in
@@ -117,20 +116,17 @@ def _eigenvalues(d, e, upper: float):
     radius[1:] += np.abs(e)
     lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
     # dstemr cuts T at every |e_i| <= eps * (hi - lo), which holds its
-    # eigenvalues only to eps * ||T|| absolutely.  On the grids of a large
-    # epsilon_cut that drops the bound states; root-free QR keeps them.  The
-    # factor 4 covers rounding in this copy of dstemr's test.
-    splits = np.min(np.abs(e)) <= 4.0 * np.finfo(float).eps * (hi - lo)
-    if splits:
-        w, info = dsterf(d, e)
-        w = w[w <= upper]
-    else:
-        # the window's open lower end lies below Gershgorin's bound, by a
-        # margin that survives rounding
-        w, info = _dstemr(d, e, min(lo, upper) - abs(lo) - 1.0, upper)
+    # eigenvalues only to eps * ||T|| absolutely and drops the bound states
+    # of a strongly graded grid.  The factor 4 covers rounding in this copy
+    # of dstemr's test.
+    if np.min(np.abs(e)) <= 4.0 * np.finfo(float).eps * (hi - lo):
+        raise SpectralError("the oracle's matrix splits by dstemr's test, "
+                            "which would lose its bound states")
+    # the window's open lower end lies below Gershgorin's bound, by a
+    # margin that survives rounding
+    w, info = _dstemr(d, e, min(lo, upper) - abs(lo) - 1.0, upper)
     if info != 0:
-        driver = "dsterf" if splits else "dstemr"
-        raise SpectralError(f"LAPACK {driver} failed with info={info}")
+        raise SpectralError(f"LAPACK dstemr failed with info={info}")
     return w
 
 
@@ -181,33 +177,26 @@ def _eigenvectors(d, e, vals):
     return vecs
 
 
-def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
-                          epsilon_cut: float | None = None) -> Spectrum:
+def dense_oracle_spectrum(prob: WeightedSLProblem,
+                          n: int = DENSE_N) -> Spectrum:
     """All sub-threshold eigenvalues of the singular-kind `prob`.
 
     Verification-only path, kept deliberately independent of the production
-    solvers; a standard-kind problem is a ValueError.  The n <= DENSE_N_GUARD
-    guard bounds the dense cost.  The grid (GRADING, EPSILON_CUT) is
-    strongly graded and reaches down to 1e-10, because the eigenfunctions
-    vanish at the origin like powers.  The values are extrapolated from an
-    (n/2, n) pair and each pair carries the extrapolation bar.  All pairs
-    share one r grid.
+    solvers; a standard-kind problem is a ValueError.  The grid (GRADING,
+    EPSILON_CUT) is strongly graded and reaches down to 1e-10, because the
+    eigenfunctions vanish at the origin like powers.  The values are
+    extrapolated from an (n/2, n) pair and each pair carries the
+    extrapolation bar.  All pairs share one r grid.
     """
     if prob.kind != "singular":
         raise ValueError("the dense oracle solves the singular kind only")
-    if n > DENSE_N_GUARD:
-        raise ValueError(f"dense oracle refuses n > {DENSE_N_GUARD}")
-    if epsilon_cut is None:
-        epsilon_cut = EPSILON_CUT
-    if not 0 < epsilon_cut < EPSILON_CUT_MAX:
-        raise ValueError(f"epsilon_cut must lie in (0, {EPSILON_CUT_MAX})")
-    r, s, d, e = _assemble(prob, n, epsilon_cut, GRADING)
+    r, s, d, e = _assemble(prob, n, EPSILON_CUT, GRADING)
     vals, neg, exhausted = _oracle_values(prob, d, e)
     vecs = _eigenvectors(d, e, vals)
 
     values = np.asarray(vals, dtype=float)
     bars = np.full(len(values), float("nan"))
-    d_c, e_c = _assemble(prob, n // 2, epsilon_cut, GRADING)[2:]
+    d_c, e_c = _assemble(prob, n // 2, EPSILON_CUT, GRADING)[2:]
     coarse = _oracle_values(prob, d_c, e_c)[0]
     n_common = min(len(values), len(coarse))
     cv = coarse[:n_common]
@@ -229,7 +218,7 @@ def dense_oracle_spectrum(prob: WeightedSLProblem, n: int = DENSE_N,
             value=float(values[i]), error_bar=float(bars[i]), grid=r,
             samples=psi, interior_nodes=nodes,
             boundary_slope=float(slope)))
-    meta = {"n": n, "epsilon_cut": epsilon_cut, "grading": GRADING,
+    meta = {"n": n, "epsilon_cut": EPSILON_CUT, "grading": GRADING,
             "oracle": True}
     return Spectrum(kind=prob.kind, M=prob.M, threshold=prob.threshold,
                     eigenpairs=tuple(pairs), exhausted_below=float(exhausted),

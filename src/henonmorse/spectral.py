@@ -333,7 +333,7 @@ def _flat_x_max(prob: WeightedSLProblem) -> float:
     return min(X_MAX_CAP, max(20.0, x_flat + 8.0))
 
 
-def _x_probe(grid: LiouvilleProblem, k: int):
+def _probe(grid: LiouvilleProblem, k: int):
     """(s, vectors): the probe grid.coarsened(s) on the fine grid's X, and
     the lowest min(k, count) eigenvectors of its T(hi),
     hi = threshold - MARGIN, one per column.
@@ -411,7 +411,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     The half-line is cut at X (the flat X, or cfg.x_max) and closed there
     by its exact tail: on each grid the eigenpairs are the fixed points
     sigma = lambda_i(T(sigma)) of LiouvilleProblem.closed, and a count at
-    a shift s is taken on T(s).  The probe (_x_probe), a coarsening of the
+    a shift s is taken on T(s).  The probe (_probe), a coarsening of the
     fine grid (_report_grid), is bisected to brackets.  Its vectors are
     carried up one doubling of the cells at a time (_prolongate), and a
     level (_level: a count, the pairs the vectors leave out, certified
@@ -437,7 +437,7 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     hi = prob.threshold - MARGIN
     g_f, capped = _report_grid(prob.M, prob.a, cfg.x_max, cfg.n)
     x_max = g_f.x[-1]
-    stride, vecs = _x_probe(g_f, k)
+    stride, vecs = _probe(g_f, k)
     grid, vals = g_f.coarsened(stride), hi
     while True:
         if stride <= 2:

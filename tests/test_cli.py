@@ -102,8 +102,7 @@ def test_non_finite_values_exit_2(tmp_path, capsys, monkeypatch):
         raise AssertionError("solved with a non-finite config value")
 
     monkeypatch.setattr(cli, "solve_nodal_power", no_solve)
-    assert FLOAT_FIELDS == ["alpha", "p", "xmax", "tol", "oracle_tol",
-                            "epsilon_cut"]
+    assert FLOAT_FIELDS == ["alpha", "p", "xmax", "tol", "oracle_tol"]
     cfg = tmp_path / "cfg.json"
     for name in FLOAT_FIELDS:
         flag = "--" + name.replace("_", "-")
@@ -633,12 +632,19 @@ def test_oracle_compares_the_pairs_its_cut_resolves(tmp_path):
     assert doc["worst_rel_diff"] == third["rel_diff"]
 
 
-def test_oracle_missing_a_certified_eigenvalue_exits_4(tmp_path):
-    # cut at r = 0.09 the oracle's problem keeps only the first bound
-    # state, so the solver's certified nu_2 has no partner
+def test_oracle_missing_a_certified_eigenvalue_exits_4(tmp_path,
+                                                       monkeypatch):
+    # an oracle that keeps only the first bound state leaves the solver's
+    # certified nu_2 without a partner
+    def first_only(prob):
+        spec = oracle.dense_oracle_spectrum(prob)
+        return dataclasses.replace(spec, eigenpairs=spec.eigenpairs[:1],
+                                   negative_count=1)
+
+    monkeypatch.setattr(cli, "dense_oracle_spectrum", first_only)
     out = tmp_path / "cut"
     assert run(["oracle", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
-                "--k", 4, "--epsilon-cut", 0.09, "--out", out]) == 4
+                "--k", 4, "--out", out]) == 4
     doc = json.loads((out / "oracle.json").read_text())
     assert doc["negative_count"] == {"solver": 2, "oracle": 1}
     assert doc["unmatched"] == [2]
@@ -680,9 +686,19 @@ def test_oracle_mismatch_exit_code(tmp_path):
     assert (out / "oracle.json").exists()
 
 
-def test_oracle_guard_refused(tmp_path):
-    assert run(["oracle", "--N", 3, "--alpha", 0, "--p", 3, "--m", 1,
-                "--oracle-n", 4001, "--out", tmp_path]) == 2
+def test_oracle_guard_refused(tmp_path, capsys):
+    # the oracle's grid is fixed: no flag or config field sets it
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle", "--N", 3, "--alpha", 0, "--p", 3, "--m", 1,
+             "--oracle-n", 2000, "--out", out])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    for name, value in (("oracle_n", 2000), ("epsilon_cut", 1e-10)):
+        cfg.write_text(json.dumps({name: value}))
+        assert run(["oracle", "--config", cfg, "--out", out]) == 2
+        assert f"unknown config field '{name}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_symmetry_label(tmp_path, capsys):
@@ -1131,7 +1147,7 @@ def test_in_process_reuse_leaves_no_state_behind(tmp_path, capsys):
 
 SHARED_OPTIONS = ["--config", "--N", "--alpha", "--p", "--m", "--k", "--grid",
                   "--xmax", "--tol", "--out", "--workers", "--symmetry",
-                  "--a-zero", "--oracle-n", "--oracle-tol", "--epsilon-cut"]
+                  "--a-zero", "--oracle-tol"]
 
 
 def test_help_lists_the_shared_options_in_order(capsys):

@@ -44,9 +44,11 @@ def test_oracle_nodes_and_normalization(case):
     assert nrm == pytest.approx(1.0, rel=1e-3)
 
 
-def test_oracle_epsilon_convergence(case):
-    a = dense_oracle_spectrum(case, n=2000, epsilon_cut=1e-8)
-    b = dense_oracle_spectrum(case, n=2000, epsilon_cut=5e-9)
+def test_oracle_epsilon_convergence(case, monkeypatch):
+    monkeypatch.setattr(oracle, "EPSILON_CUT", 1e-8)
+    a = dense_oracle_spectrum(case, n=2000)
+    monkeypatch.setattr(oracle, "EPSILON_CUT", 5e-9)
+    b = dense_oracle_spectrum(case, n=2000)
     for i in range(2):
         move = abs(a.values[i] - b.values[i])
         assert move < a.eigenpairs[i].error_bar
@@ -72,14 +74,6 @@ def test_oracle_refuses_the_standard_kind():
     prob = WeightedSLProblem(M=2.0, a=zero_potential, kind="standard")
     with pytest.raises(ValueError, match="singular kind only"):
         dense_oracle_spectrum(prob, n=200)
-
-
-def test_oracle_size_guard():
-    prob = WeightedSLProblem(M=3.0, a=zero_potential, kind="singular")
-    with pytest.raises(ValueError, match="4000"):
-        dense_oracle_spectrum(prob, n=4001)
-    with pytest.raises(ValueError, match="epsilon"):
-        dense_oracle_spectrum(prob, n=100, epsilon_cut=0.5)
 
 
 def full_spectrum(prob, n, epsilon_cut, grading):
@@ -113,14 +107,33 @@ def test_oracle_window_matches_full_spectrum(matrix_data, point):
         np.testing.assert_allclose(values, ref_vals, rtol=1e-10, atol=0)
 
 
-def test_oracle_keeps_the_bound_states_of_a_large_epsilon_cut(case):
+def test_oracle_refuses_a_matrix_that_splits(case):
     # at epsilon_cut 1e-2 the graded matrix has ||T|| ~ 1e21, and dstemr's
-    # splitting test would decouple its lower rows
-    values, negative, _ = one_grid(case, 2000, 1e-2)
+    # splitting test would decouple its lower rows and lose the two bound
+    # states the full spectrum keeps
     ref = full_spectrum(case, 2000, 1e-2, 4.0)
-    assert negative == 2
-    np.testing.assert_allclose(values, ref[ref <= case.threshold - 1e-6],
-                               rtol=1e-10, atol=0)
+    assert np.count_nonzero(ref <= -1e-7) == 2
+    with pytest.raises(SpectralError, match="splits"):
+        one_grid(case, 2000, 1e-2)
+
+
+@pytest.mark.parametrize("point", CLI_POINTS)
+def test_oracle_grids_lie_far_from_the_split(matrix_data, point):
+    # the smallest off-diagonal of each default grid exceeds dstemr's
+    # splitting test by a wide factor, so a change of GRADING or
+    # EPSILON_CUT that nears the refusal shows here first
+    data, _ = matrix_data
+    entry = data[point]
+    prob = WeightedSLProblem(M=entry["dmap"].M, a=entry["potential"],
+                             kind="singular")
+    for n in (oracle.DENSE_N // 2, oracle.DENSE_N):
+        *_, d, e = oracle._assemble(prob, n, oracle.EPSILON_CUT,
+                                    oracle.GRADING)
+        radius = np.zeros(len(d))
+        radius[:-1] += np.abs(e)
+        radius[1:] += np.abs(e)
+        spread = np.max(d + radius) - np.min(d - radius)
+        assert np.min(np.abs(e)) >= 1e6 * 4.0 * np.finfo(float).eps * spread
 
 
 def test_oracle_allocates_no_square_array(case):

@@ -398,8 +398,8 @@ def test_pairs_of_one_spectrum_share_their_grids(lane_emden_case):
 # ---------------------------------------------------------------------------
 
 def test_prolongation_is_fourth_order_and_exact_on_cubics():
-    # once, as the coarse vectors go to the fine grid, and twice, as the
-    # 1024-cell probe's go to the coarse grid at n = 8192, each time with
+    # once, as the coarse vectors go to the fine grid, and twice, as a
+    # 512-cell probe's go to the coarse grid at n = 4096, each time with
     # the tail ratio of the grid the vectors are on
     def error(cells, times):
         xc = np.linspace(0.0, 1.0, cells + 1)
@@ -559,9 +559,9 @@ def _counting(fn, name, calls):
     return counted
 
 
-def test_a_singular_solve_bisects_only_the_x_probe(lane_emden_case,
-                                                   monkeypatch):
-    # k above the count: only the X probe is bisected, and the coarse and
+def test_a_singular_solve_bisects_only_the_probe(lane_emden_case,
+                                                 monkeypatch):
+    # k above the count: only the probe is bisected, and the coarse and
     # the fine grid each take one Sturm count, at the margin; the pairs are
     # then all the fixed points below it, one in each residual interval,
     # and no interval meets -ZERO_CUT or ZERO_CUT, so the intervals give the
@@ -635,7 +635,7 @@ def test_an_interval_that_meets_the_zero_cut_counts_there(
 
 @pytest.mark.parametrize("point", CLI_POINTS + (DESK_POINT,))
 def test_seeded_coarse_pairs_are_the_bisected_ones(point):
-    # the coarse level seeded from the X probe's vectors, carried up one
+    # the coarse level seeded from the probe's vectors, carried up one
     # doubling at a time, against pairs started from bisection of T(hi) to
     # BRACKET and inverse iteration from the fixed start, the start of the
     # pairs the probe leaves out
@@ -643,7 +643,7 @@ def test_seeded_coarse_pairs_are_the_bisected_ones(point):
     cfg = SpectralConfig()
     hi = prob.threshold - spectral.MARGIN
     grid = spectral._report_grid(prob.M, prob.a, cfg.x_max, cfg.n)[0]
-    stride, vecs = spectral._x_probe(grid, 6)
+    stride, vecs = spectral._probe(grid, 6)
     while stride > 2:
         vecs = spectral._prolongate(vecs, grid.coarsened(stride).tail(hi)[0])
         stride //= 2
@@ -665,13 +665,13 @@ def test_coarse_pairs_the_probe_leaves_out_are_bisected(lane_emden_case,
     # a probe with fewer vectors than the coarse grid's count: the coarse
     # grid bisects the missing indices, and the solve does not change
     _, prob, spec = lane_emden_case
-    real = spectral._x_probe
+    real = spectral._probe
 
     def short(grid, k):
         stride, vecs = real(grid, k)
         return stride, vecs[:, :kept]
 
-    monkeypatch.setattr(spectral, "_x_probe", short)
+    monkeypatch.setattr(spectral, "_probe", short)
     calls = collections.Counter()
     monkeypatch.setattr(spectral, "bisect_eigenvalues", _counting(
         spectral.bisect_eigenvalues, "bisect_eigenvalues", calls))
