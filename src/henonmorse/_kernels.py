@@ -13,13 +13,13 @@ kind's matrices T(sigma) differ only there.  A singular solve bisects only
 its probe, to a bracket of width BRACKET; inverse iteration from a fixed
 start finds the probe's vectors.  The rest is seeded, not bracketed: the
 vectors of the grid before, carried onto the next one's nodes, are both
-the shifts (their Rayleigh quotients) and the start vectors.  Each pair is
-certified by its residual interval [rho - r, rho + r], with
-r = ||T v - rho v|| for a unit v, which holds an eigenvalue (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4), together with one Sturm count.  The
-standard kind keeps ABSTOL: its mass e^(-2x) grades its matrix to
-||T|| = 5e25 (N=3, p=3), and at p=4.9 the Rayleigh quotient of its lowest
-eigenvalue, -4.4e11, misses the bisected value by 0.1.
+the shifts (their Rayleigh quotients) and the start vectors, settled by
+a residual r = ||T v - rho v|| below BRACKET for a unit v, and certified by
+the interval [rho - r, rho + r], which holds an eigenvalue (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4), and one Sturm count.  The standard
+kind keeps ABSTOL: its mass e^(-2x) grades its matrix to ||T|| = 5e25
+(N=3, p=3), and at p=4.9 the Rayleigh quotient of its lowest eigenvalue,
+-4.4e11, misses the bisected value by 0.1.
 
 The LAPACK routines come from scipy's compiled modules, loaded from their
 files by lapack_module without running the scipy.linalg package __init__,
@@ -111,9 +111,10 @@ class SpectralError(RuntimeError):
 # tolerance leaves only the relative stop (2 ulp of the eigenvalue).
 ABSTOL = 1e-300
 
-# Absolute width at which a singular grid stops bisecting.  The Rayleigh
-# quotient of the inverse-iteration vector is accurate to second order in
-# the vector's error, so it supplies the remaining digits.
+# Absolute width at which the singular probe stops bisecting (the Rayleigh
+# quotient of the inverse-iteration vector, accurate to second order in the
+# vector's error, supplies the remaining digits), and the residual a seeded
+# singular pair settles below.
 BRACKET = 1e-4
 
 
@@ -277,38 +278,26 @@ def rayleigh_quotients(diag, off, vecs, corners=0.0):
             / np.sum(sq, axis=0))
 
 
-def rayleigh_refine(diag, off, values, starts=None, corners=0.0):
-    """Eigenpairs of tridiag(diag, off) from the ascending `values` (from
-    bisect_eigenvalues, to within BRACKET or finer, or estimated shifts),
-    and optionally one start vector per value.
-
-    Returns the Rayleigh quotient of each inverse_iteration vector (from
-    `starts` or the fixed start) and the unit vectors, one per column; each
-    value's matrix has its corner taken off its last diagonal entry.
-    Each quotient must lie within BRACKET of its value, and consecutive
-    values must be more than 2 * BRACKET apart, so no two brackets can hold
-    the same eigenvalue; otherwise SpectralError names the pair.  With
-    `starts` the values are estimated shifts: a quotient outside its bracket
-    starts one more round at the quotients, from the vectors that gave them
-    (a Rayleigh quotient iteration step).
-    """
-    for last in (starts is None, True):
-        for a, b in zip(values[:-1], values[1:]):
-            if b - a <= 2.0 * BRACKET:
-                raise SpectralError(
-                    f"eigenvalues {a:.12g}, {b:.12g}: brackets of "
-                    f"half-width {BRACKET:g} overlap")
-        vecs = inverse_iteration(diag, off, values, starts, corners)
-        rho = rayleigh_quotients(diag, off, vecs, corners)
-        miss = ~(np.abs(rho - values) <= BRACKET)
-        if not np.any(miss):
-            return rho, vecs
-        if last:
-            i = int(np.argmax(miss))
+def rayleigh_refine(diag, off, values):
+    """Eigenpairs of tridiag(diag, off) from the ascending `values`, bisected
+    to within BRACKET or finer: the Rayleigh quotient of each vector of
+    inverse_iteration from the fixed start, and the unit vectors (columns).
+    SpectralError names a quotient outside its bracket, or two values within
+    2 * BRACKET, whose brackets could hold the same eigenvalue."""
+    for a, b in zip(values[:-1], values[1:]):
+        if b - a <= 2.0 * BRACKET:
             raise SpectralError(
-                f"Rayleigh quotient {rho[i]:.12g} lies outside the bracket "
-                f"of eigenvalue {values[i]:.12g}")
-        values, starts = rho, vecs
+                f"eigenvalues {a:.12g}, {b:.12g}: brackets of "
+                f"half-width {BRACKET:g} overlap")
+    vecs = inverse_iteration(diag, off, values)
+    rho = rayleigh_quotients(diag, off, vecs)
+    miss = ~(np.abs(rho - values) <= BRACKET)
+    if np.any(miss):
+        i = int(np.argmax(miss))
+        raise SpectralError(
+            f"Rayleigh quotient {rho[i]:.12g} lies outside the bracket "
+            f"of eigenvalue {values[i]:.12g}")
+    return rho, vecs
 
 
 def residual_norms(diag, off, vecs, values, corners=0.0):

@@ -28,9 +28,9 @@ carried up one doubling of the cells at a time (prolongated), and one
 level routine (_level) runs on the coarse grid, the fine grid and each
 refinement of it: a Sturm count at the margin, the pairs the carried
 vectors leave out bisected by index, and fixed points started from the
-vectors, certified by disjoint residual intervals.  Where the pairs are
-all the fixed points below the margin, the intervals also give the
-negative count and the zero band, without another count.
+vectors, certified by disjoint residual intervals no wider than 2e-4.
+Where the pairs are all the fixed points below the margin, the intervals
+also give the negative count and the zero band, without another count.
 
 A report solves both kinds for one potential on one X and one fine grid:
 the last fine grid built (x, V, read-only) is kept, keyed by M, a and the
@@ -427,9 +427,9 @@ def solve_singular_spectrum(prob: WeightedSLProblem, k: int,
     The last two levels give Richardson-extrapolated values and error
     bars.  While a bar exceeds cfg.tol, or a fine pair has no coarse
     partner, the fine grid becomes the coarse one and h is halved, up to
-    N_CAP; past it, ResolutionError.  Two eigenvalues closer than 2e-4,
-    whose brackets overlap, or a pair the certificate rejects, raise
-    SpectralError.
+    N_CAP; past it, ResolutionError.  Two probe eigenvalues closer than
+    2e-4, whose brackets overlap, a pair that does not settle, or one the
+    certificate rejects, raise SpectralError.
     """
     if prob.kind != "singular":
         raise ValueError("solve_singular_spectrum needs the singular kind")
@@ -552,22 +552,54 @@ def _fixed_point(grid: LiouvilleProblem, q, w):
 
 def _fixed_pairs(grid: LiouvilleProblem, starts, bound):
     """Fixed-point pairs sigma = lambda_i(T(sigma)) of the closed grid from
-    one start vector each (columns of starts, ascending): the values, the
-    unit vectors and their residual norms on T(value), certified below
-    `bound`.
+    one start vector each (columns of starts, ascending): values, unit
+    vectors and residual norms on T(value), certified below `bound`.
 
     A vector's value is its fixed point (_fixed_point).  A round runs
-    inverse iteration on T(value) at the value from the vector, checked as
-    rayleigh_refine checks its brackets, and the new vector's fixed point
-    is the new value.  A start from another grid can miss its value by
-    more than BRACKET; rayleigh_refine then takes one more round on the
-    same matrix.  The new vector, an eigenvector of T(shift), has on
-    T(value) a residual of at most its own and |rho(value) - rho(shift)| /
-    h^2 |u_(n-1)|: the closure moved.  A pair takes rounds while that move
-    exceeds EIG_TOL 4 / h^2 (the scale of ||T||) and the last round lowered
-    it: one from a fast-decaying start, a few from a slowly decaying
-    eigenvector of another closure, as the probe's of T(hi).
+    inverse iteration on T(value) at the value from the vector, and the new
+    vector's fixed point is the new value.  The new vector, an eigenvector
+    of T(shift), has on T(value) a residual of at most its own and
+    |rho(value) - rho(shift)| / h^2 |u_(n-1)|: the closure moved.  A pair
+    takes rounds while that move exceeds EIG_TOL 4 / h^2 (the scale of
+    ||T||) and the last round lowered it, and while its residual exceeds
+    BRACKET, past its second round a SpectralError: one from a fast-decaying
+    start, even if its shift missed by more, a few from a slowly decaying
+    eigenvector of another closure, as the probe's of T(hi)."""
+    d, e = grid.tridiagonal()
+    vals = _fixed_point(grid, rayleigh_quotients(d, e, starts),
+                        starts[-1] ** 2 / np.sum(starts * starts, axis=0))
+    vecs = np.array(starts, order="F")
+    residuals, moved = np.full((2, len(vals)), np.inf)
+    todo, rounds = np.arange(len(vals)), 0
+    while len(todo):
+        rounds += 1
+        corner = grid.corner(vals[todo])
+        v = inverse_iteration(d, e, vals[todo], vecs[:, todo], corner)
+        w = v[-1] ** 2
+        new = _fixed_point(grid, rayleigh_quotients(d, e, v, corner)
+                           + w * corner, w)
+        after = grid.corner(new)
+        step = np.abs((after - corner) * v[-1])
+        r = residual_norms(d, e, v, new, after)
+        better = step < moved[todo]
+        todo, step = todo[better], step[better]
+        vals[todo], vecs[:, todo] = new[better], v[:, better]
+        residuals[todo] = r[better]
+        unsettled = residuals > BRACKET
+        if rounds > 1 and np.any(unsettled):
+            i = int(np.argmax(unsettled))
+            raise SpectralError(
+                f"eigenvalue {vals[i]:.12g} of order {len(d)} not settled: "
+                f"residual {residuals[i]:.3g} after {rounds} rounds")
+        # an unsettled pair's move does not count: its next round is kept
+        moved[todo] = np.where(unsettled[todo], np.inf, step)
+        todo = todo[moved[todo] > EIG_TOL * 4.0 / grid.h ** 2]
+    _certify(vals, residuals, bound, len(d))
+    return vals, vecs, residuals
 
+
+def _certify(vals, residuals, bound, order: int):
+    """The certificate of fixed-point pairs of a closed grid of `order` rows.
     The interval [v - r, v + r] about a value v, r its vector's residual on
     T(v), holds an eigenvalue of T(v), so f_i(v) = lambda_i(T(v)) - v lies
     in [-r, r] for some i.  T(sigma) falls as sigma rises, so f_i falls
@@ -576,35 +608,14 @@ def _fixed_pairs(grid: LiouvilleProblem, starts, bound):
     threshold margin when the count there equals their number and else the
     next eigenvalue of T(hi), at most the next fixed point, they hold the
     lowest fixed points, one each.  Otherwise SpectralError."""
-    d, e = grid.tridiagonal()
-    vals = _fixed_point(grid, rayleigh_quotients(d, e, starts),
-                        starts[-1] ** 2 / np.sum(starts * starts, axis=0))
-    vecs = np.array(starts, order="F")
-    moved = np.full(len(vals), np.inf)
-    todo = np.arange(len(vals))
-    while len(todo):
-        corner = grid.corner(vals[todo])
-        quotients, v = rayleigh_refine(d, e, vals[todo], starts=vecs[:, todo],
-                                       corners=corner)
-        w = v[-1] ** 2
-        new = _fixed_point(grid, quotients + w * corner, w)
-        step = np.abs((grid.corner(new) - corner) * v[-1])
-        better = step < moved[todo]
-        todo, step = todo[better], step[better]
-        vals[todo], vecs[:, todo] = new[better], v[:, better]
-        moved[todo] = step
-        todo = todo[step > EIG_TOL * 4.0 / grid.h ** 2]
-
-    residuals = residual_norms(d, e, vecs, vals, grid.corner(vals))
     lower, upper = vals - residuals, vals + residuals
     bad = ~np.append(upper[:-1] < lower[1:], upper[-1:] < bound)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise SpectralError(
-            f"eigenvalue {vals[i]:.12g} of order {len(d)} not certified: "
+            f"eigenvalue {vals[i]:.12g} of order {order} not certified: "
             f"its residual interval of half-width {residuals[i]:.3g} meets "
             f"the next eigenvalue's or the bound {bound:.12g}")
-    return vals, vecs, residuals
 
 
 def solve_standard_spectrum(prob: WeightedSLProblem, k: int,

@@ -414,6 +414,24 @@ def test_morse_standard_solver_failure_exits_3(tmp_path, monkeypatch):
     assert not list(out.glob("cache/standard-*.json"))
 
 
+def test_a_singular_pair_that_does_not_settle_exits_3(tmp_path, monkeypatch,
+                                                      capsys):
+    # residuals that stay above BRACKET through two rounds: the singular
+    # solve refuses the pair, and nothing is published or cached
+    real = spectral.residual_norms
+
+    def unsettled(d, e, vecs, values, corners=0.0):
+        return real(d, e, vecs, values, corners) + 1.0
+
+    monkeypatch.setattr(spectral, "residual_norms", unsettled)
+    out = tmp_path / "fail"
+    assert run(["morse", "--N", 3, "--alpha", 0, "--p", 3, "--m", 2,
+                "--out", out]) == 3
+    assert "not settled" in capsys.readouterr().err
+    assert not (out / "morse.json").exists()
+    assert not list(out.glob("cache/singular-*.json"))
+
+
 def test_xmax_whose_grid_step_squares_to_zero_exits_3(tmp_path, capsys):
     # the Liouville grid refuses a step that squares to 0 instead of
     # dividing by it, with the potential and without

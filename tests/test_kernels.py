@@ -290,9 +290,9 @@ def test_rayleigh_refine_matches_closed_form_from_brackets():
 
 
 def test_rayleigh_refine_takes_a_second_round_from_estimated_shifts():
-    # shifts 3 brackets off the closed-form eigenvalues: without start
-    # vectors they are taken for brackets, and the one round misses; with
-    # start vectors a second round at the quotients reached does not
+    # shifts 3 brackets off the closed-form eigenvalues are no brackets: the
+    # one round of rayleigh_refine misses them; a second round of inverse
+    # iteration from its vectors, at their quotients, does not
     n, h, c = 4096, 50.0 / 4097, 1.0
     d = np.full(n, 2.0 / h ** 2 + c)
     e = np.full(n - 1, -1.0 / h ** 2)
@@ -302,7 +302,10 @@ def test_rayleigh_refine_takes_a_second_round_from_estimated_shifts():
     with pytest.raises(SpectralError, match="outside the bracket"):
         K.rayleigh_refine(d, e, eig)
     starts = K.inverse_iteration(d, e, eig)
-    vals, vecs = K.rayleigh_refine(d, e, eig, starts)
+    shifts = K.rayleigh_quotients(d, e, starts)
+    assert np.all(np.abs(shifts - eig) > K.BRACKET)
+    vecs = K.inverse_iteration(d, e, shifts, starts)
+    vals = K.rayleigh_quotients(d, e, vecs)
     assert np.all(np.abs(vals - exact) <= 1e-12 * exact)
     residuals = K.residual_norms(d, e, vecs, vals)
     assert K.relative_residual(d, e, vecs, residuals) < 1e-15
@@ -330,40 +333,22 @@ def perturbed(vecs, size, seed):
 
 
 def test_seeded_inverse_iteration_matches_closed_form():
-    # start vectors 1e-3 off the eigenvectors, shifts within their brackets
+    # start vectors 1e-3 off the eigenvectors, shifts half a bracket and 3
+    # brackets off the eigenvalues: one round, two solves from the starts,
+    # gives the quotients to 1e-14 either way
     d, e, exact, vecs, norm_t = dirichlet_laplacian(4)
     seeds = perturbed(vecs, 1e-3, 6)
-    shifts = exact + 0.5 * K.BRACKET * np.array([1.0, -1.0, 1.0, -1.0])
-    vals, got = K.rayleigh_refine(d, e, shifts, starts=seeds)
-    residuals = K.residual_norms(d, e, got, vals)
-    assert np.all(np.abs(vals - exact) <= 1e-14)
-    assert np.all(residuals <= 10 * len(d) * np.finfo(float).eps * norm_t)
-    assert got.flags.f_contiguous
-    np.testing.assert_allclose(np.abs(got.T @ vecs), np.eye(4), atol=1e-8)
-
-
-def test_a_seed_that_misses_its_shift_takes_a_second_round(monkeypatch):
-    # shifts 3 brackets off: the first round's quotients miss them, and the
-    # second starts from its vectors at their quotients
-    d, e, exact, vecs, _ = dirichlet_laplacian(3)
-    seeds = perturbed(vecs, 1e-3, 7)
-    shifts = exact + 3 * K.BRACKET
-    calls, real = [], K.inverse_iteration
-
-    def recorded(diag, off, values, starts=None, corners=0.0):
-        vecs = real(diag, off, values, starts, corners)
-        calls.append((values, starts, vecs))
-        return vecs
-
-    monkeypatch.setattr(K, "inverse_iteration", recorded)
-    vals = K.rayleigh_refine(d, e, shifts, starts=seeds)[0]
-    assert len(calls) == 2
-    (_, first_starts, first), (second_shifts, second_starts, _) = calls
-    assert first_starts is seeds and second_starts is first
-    assert np.all(np.abs(second_shifts - shifts) > K.BRACKET)
-    np.testing.assert_array_equal(second_shifts,
-                                  K.rayleigh_quotients(d, e, first))
-    assert np.all(np.abs(vals - exact) <= 1e-14)
+    for off, atol in ((0.5, 1e-8), (3.0, 1e-7)):
+        shifts = exact + off * K.BRACKET * np.array([1.0, -1.0, 1.0, -1.0])
+        got = K.inverse_iteration(d, e, shifts, seeds)
+        vals = K.rayleigh_quotients(d, e, got)
+        residuals = K.residual_norms(d, e, got, vals)
+        assert np.all(np.abs(vals - exact) <= 1e-14)
+        assert np.all(residuals
+                      <= 10 * len(d) * np.finfo(float).eps * norm_t)
+        assert got.flags.f_contiguous
+        np.testing.assert_allclose(np.abs(got.T @ vecs), np.eye(4),
+                                   atol=atol)
 
 
 def test_rayleigh_refine_refuses_overlapping_brackets():
@@ -411,12 +396,10 @@ def test_lapack_failure_is_a_spectral_error(monkeypatch, routine):
         # inverse iteration, unseeded and seeded: factorization, then solves
         "dgttrf": [lambda: K.inverse_iteration(d, e, eig),
                    lambda: K.rayleigh_refine(d, e, eig),
-                   lambda: K.inverse_iteration(d, e, eig, starts),
-                   lambda: K.rayleigh_refine(d, e, eig, starts=starts)],
+                   lambda: K.inverse_iteration(d, e, eig, starts)],
         "dgttrs": [lambda: K.inverse_iteration(d, e, eig),
                    lambda: K.rayleigh_refine(d, e, eig),
-                   lambda: K.inverse_iteration(d, e, eig, starts),
-                   lambda: K.rayleigh_refine(d, e, eig, starts=starts)],
+                   lambda: K.inverse_iteration(d, e, eig, starts)],
     }[routine]
     for call in calls:
         with pytest.raises(SpectralError, match=f"{routine}.*info=1"):

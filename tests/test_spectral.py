@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from henonmorse import _kernels
 from henonmorse._kernels import (BRACKET, bisect_eigenvalues,
                                  rayleigh_refine, sturm_count)
 from henonmorse.dimension import generalized_dimension
@@ -821,37 +820,59 @@ def test_more_fine_than_coarse_eigenvalues_is_a_resolution_error(
 
 def test_a_seed_off_by_more_than_a_bracket_takes_one_more_round(
         lane_emden_case, monkeypatch):
+    # on each grid the lowest pair's seed quotient and its first round's
+    # quotient are pushed 3 brackets off: the first round's vector has a
+    # residual above BRACKET on T(value), so the pair takes one more round,
+    # which gives the unpushed values
     _, prob, spec = lane_emden_case
-    real = spectral.rayleigh_quotients
+    real, real_solve = spectral.rayleigh_quotients, spectral.inverse_iteration
+    seeded, rounds = [False], collections.defaultdict(list)
 
-    def pushed(d, e, vecs):
-        q = real(d, e, vecs)
-        q[0] += 3 * BRACKET
+    def pushed(d, e, vecs, *corners):
+        q = real(d, e, vecs, *corners)
+        # the seed quotients (no corner) and the next ones, the first round's
+        if not corners or seeded[0]:
+            q[0] += 3 * BRACKET
+            seeded[0] = not corners
         return q
 
+    def recorded(d, e, values, *args):
+        rounds[len(d)].append(np.array(values))
+        return real_solve(d, e, values, *args)
+
     monkeypatch.setattr(spectral, "rayleigh_quotients", pushed)
+    monkeypatch.setattr(spectral, "inverse_iteration", recorded)
     again = solve_singular_spectrum(prob, 3)
     np.testing.assert_allclose(again.values, spec.values, rtol=1e-13)
+    n = spec.meta["n"]
+    assert sorted(rounds) == [n // 2 - 1, n - 1]
+    for first, second, *_ in rounds.values():
+        # the lowest pair and the slowly decaying third take a second round
+        assert len(first) == 3 and len(second) == 2
+        assert second[0] < spec.values[1] < second[1]
 
 
 def test_a_shift_missed_in_both_rounds_is_refused(lane_emden_case,
                                                   monkeypatch):
-    # fine-grid quotients that drift by 3 brackets a round never settle
+    # fine-grid quotients that drift by 3 brackets a round never settle:
+    # after the seed's and two rounds' quotients, the residual on T(value)
+    # still exceeds BRACKET
     _, prob, spec = lane_emden_case
     rows = spec.meta["n"] - 1
-    real = _kernels.rayleigh_quotients
+    real = spectral.rayleigh_quotients
     drift = itertools.count(1)
 
-    def drifting(d, e, vecs, corners=0.0):
-        q = real(d, e, vecs, corners)
+    def drifting(d, e, vecs, *corners):
+        q = real(d, e, vecs, *corners)
         if len(d) == rows:
             q[0] += 3 * BRACKET * next(drift)
         return q
 
-    monkeypatch.setattr(_kernels, "rayleigh_quotients", drifting)
-    with pytest.raises(SpectralError, match="outside the bracket"):
+    monkeypatch.setattr(spectral, "rayleigh_quotients", drifting)
+    with pytest.raises(SpectralError, match=r"eigenvalue -8\.55\d* of order "
+                       rf"{rows} not settled: .* after 2 rounds"):
         solve_singular_spectrum(prob, 3)
-    assert next(drift) == 3
+    assert next(drift) == 4
 
 
 @pytest.mark.parametrize("k, widen", [(3, 10.0), (1, 7.0)])
@@ -859,17 +880,41 @@ def test_residual_intervals_that_meet_are_refused(lane_emden_case,
                                                   monkeypatch, k, widen):
     # the eigenvalues are -8.55, -1.99 and 0.247: intervals of half-width
     # 10 overlap, and one of half-width 7 about the first reaches the
-    # second, which bounds a k=1 solve
+    # second, which bounds a k=1 solve; the intervals are widened after the
+    # rounds, which settled
     _, prob, spec = lane_emden_case
     rows = spec.meta["n"] - 1
-    real = spectral.residual_norms
+    real = spectral._certify
 
-    def wide(d, e, vecs, values, corners=0.0):
-        return real(d, e, vecs, values, corners) + widen * (len(d) == rows)
+    def wide(vals, residuals, bound, order):
+        return real(vals, residuals + widen * (order == rows), bound, order)
 
-    monkeypatch.setattr(spectral, "residual_norms", wide)
+    monkeypatch.setattr(spectral, "_certify", wide)
     with pytest.raises(SpectralError, match="not certified"):
         solve_singular_spectrum(prob, k)
+
+
+def test_carried_pairs_take_one_round_unless_their_closure_moves(
+        monkeypatch):
+    # at the reference point (k = 4, three pairs), the coarse grid's pairs,
+    # carried from the probe's eigenvectors of T(hi), take one round each,
+    # and the slowly decaying nu_3 ~ 0.2467 two more, as its closure moves;
+    # the fine grid's take one each and nu_3 one more.  No round re-runs
+    # the grid's pairs whose shifts missed by more than BRACKET
+    prob = singular_problem(*CLI_POINTS[0])
+    real = spectral.inverse_iteration
+    values = collections.Counter()
+
+    def counted(d, e, shifts, *args):
+        values[len(d) + 1] += len(shifts)
+        return real(d, e, shifts, *args)
+
+    monkeypatch.setattr(spectral, "inverse_iteration", counted)
+    spec = solve_singular_spectrum(prob, 4)
+    assert spec.meta["n"] == 4096 and len(spec.eigenpairs) == 3
+    assert sorted(values) == [2048, 4096]
+    assert values[2048] <= 5
+    assert values[4096] == 4
 
 
 @pytest.mark.parametrize("p", [3.0, 4.9])
